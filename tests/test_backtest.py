@@ -7,7 +7,6 @@ import pytest
 
 from fundgrowth.backtest import (
     BacktestConfig,
-    BacktestEngine,
     ReturnSeries,
     ingest_csv,
     parse_backtest_config,
@@ -167,20 +166,22 @@ class TestRunBacktest:
         eigs = np.linalg.eigvalsh(0.5 * (steps + steps.transpose(0, 2, 1)))
         assert eigs.min() >= -1e-15
 
-    def test_batch_equals_chunked_stream(self):
+    @pytest.mark.parametrize("m", [151, 152, 277, 400])
+    def test_prefix_equals_head_of_full_run(self, m):
         series = simulated_series(400, seed=6)
         config = BacktestConfig(burn_in_days=150)
-        batch = run_backtest(series, config)
-        engine = BacktestEngine(series.k, config)
-        for chunk in series.slices(7):
-            engine.extend(chunk)
-        streamed = engine.result()
-        assert batch.dates == streamed.dates
+        full = run_backtest(series, config)
+        prefix = run_backtest(
+            ReturnSeries(dates=series.dates[:m], fund_returns=series.fund_returns[:m],
+                         risk_free=series.risk_free[:m]),
+            config,
+        )
+        assert prefix.dates == full.dates[:m]
         for name in ("excess", "r_cum", "c_cum", "nu_hat", "kappa", "psi", "a", "rho",
                      "log_wealth_market", "log_wealth_nuhat", "log_wealth_shrunk",
                      "f_growth"):
             np.testing.assert_array_equal(
-                getattr(batch, name), getattr(streamed, name), err_msg=name
+                getattr(prefix, name), getattr(full, name)[:m], err_msg=name
             )
 
     def test_deterministic(self):

@@ -1,0 +1,151 @@
+"""Differential and golden tests of ``run_backtest``.
+
+The differential tests compare the library against ``backtest_oracle``, the
+per-day loop kept as a reference.  Tolerances: the excess returns and the
+accumulators ``R`` and ``C`` are bit-identical (except ``C`` under
+``demean_covariance``, whose running mean may round differently), NaN masks
+and ``floored_steps`` are exactly equal, and every other column agrees to
+``rtol=1e-9, atol=1e-12``.
+
+The golden tests rerun ``fundgrowth simulate -> backtest`` on the scenarios
+under ``tests/golden/`` and compare with the committed ``backtest.csv``, which
+was produced by the per-day loop, to the same tolerance.
+"""
+
+import datetime
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from backtest_oracle import run_oracle
+from fundgrowth import cli
+from fundgrowth.backtest import BacktestConfig, ReturnSeries, read_backtest_csv, run_backtest
+from fundgrowth.errors import ConfigError, InsufficientBurnIn
+
+GOLDEN = Path(__file__).parent / "golden"
+RTOL, ATOL = 1e-9, 1e-12
+
+EXACT_COLUMNS = ("excess", "r_cum", "c_cum")
+CLOSE_COLUMNS = ("nu_hat", "kappa", "psi", "a", "rho", "log_wealth_market",
+                 "log_wealth_nuhat", "log_wealth_shrunk", "f_growth")
+
+
+def random_series(k, n, seed, crash_day=None):
+    """Correlated daily fund returns; ``crash_day`` sets every fund to -150%."""
+    rng = np.random.default_rng(seed)
+    corr = 0.4 * np.ones((k, k)) + 0.6 * np.eye(k)
+    root = np.linalg.cholesky(corr * 0.012 ** 2)
+    rets = 4e-4 + rng.standard_normal((n, k)) @ root.T
+    if crash_day is not None:
+        rets[crash_day] = -1.5
+    rf = np.abs(rng.normal(1e-4, 5e-5, size=n))
+    start = datetime.date(1990, 1, 1)
+    dates = tuple(start + datetime.timedelta(days=i) for i in range(n))
+    return ReturnSeries(dates=dates, fund_returns=rets, risk_free=rf)
+
+
+def anchored(k, **kwargs):
+    kappa0 = 2.0 * np.eye(k) + 0.5 * np.ones((k, k))
+    nu0 = np.linspace(1.0, -0.5, k)
+    return BacktestConfig(prior="anchored", nu0=nu0, kappa0=kappa0, **kwargs)
+
+
+def assert_matches_oracle(series, config, exact_c=True):
+    new, old = run_backtest(series, config), run_oracle(series, config)
+    assert new.dates == old.dates
+    assert new.burn_in == old.burn_in
+    assert new.floored_steps == old.floored_steps
+    for name in EXACT_COLUMNS + CLOSE_COLUMNS:
+        got, want = getattr(new, name), getattr(old, name)
+        assert got.shape == want.shape, name
+        np.testing.assert_array_equal(np.isnan(got), np.isnan(want), err_msg=name)
+        if name in EXACT_COLUMNS and (exact_c or name != "c_cum"):
+            np.testing.assert_array_equal(got, want, err_msg=name)
+        else:
+            np.testing.assert_allclose(got, want, rtol=RTOL, atol=ATOL, err_msg=name)
+    return new
+
+
+class TestDifferential:
+    @pytest.mark.parametrize("k", [1, 2, 5])
+    def test_uninformative_prior(self, k):
+        assert_matches_oracle(random_series(k, 500, seed=k), BacktestConfig(burn_in_days=200))
+
+    @pytest.mark.parametrize("k", [1, 2, 5])
+    @pytest.mark.parametrize("burn_in", [0, 60])
+    def test_anchored_prior(self, k, burn_in):
+        assert_matches_oracle(random_series(k, 300, seed=10 + k), anchored(k, burn_in_days=burn_in))
+
+    @pytest.mark.parametrize("bounds", [(0.0, None), (None, 1.0), (-0.5, 2.0)])
+    def test_truncated(self, bounds):
+        lo, hi = bounds
+        config = BacktestConfig(burn_in_days=100, truncation_l=lo, truncation_r=hi)
+        assert_matches_oracle(random_series(1, 400, seed=20), config)
+
+    @pytest.mark.parametrize("k", [1, 2, 5])
+    def test_demeaned_covariance(self, k):
+        config = BacktestConfig(burn_in_days=150, demean_covariance=True)
+        assert_matches_oracle(random_series(k, 400, seed=30 + k), config, exact_c=False)
+
+    def test_demeaned_covariance_with_anchor(self):
+        config = anchored(2, burn_in_days=0, demean_covariance=True)
+        assert_matches_oracle(random_series(2, 300, seed=35), config, exact_c=False)
+
+    @pytest.mark.parametrize("k", [1, 2, 5])
+    @pytest.mark.parametrize("force", [{"force_a": 0.3}, {"force_a": 1.0}, {"force_nu_hat": 0.7}])
+    def test_forced_estimates(self, k, force):
+        if "force_nu_hat" in force:
+            force = {"force_nu_hat": np.full(k, force["force_nu_hat"])}
+        config = BacktestConfig(burn_in_days=150, **force)
+        assert_matches_oracle(random_series(k, 350, seed=40 + k), config)
+
+    @pytest.mark.parametrize("k", [1, 2, 5])
+    def test_wealth_floor(self, k):
+        config = BacktestConfig(burn_in_days=150, force_nu_hat=np.full(k, 1.0))
+        bt = assert_matches_oracle(random_series(k, 300, seed=50 + k, crash_day=200), config)
+        assert bt.floored_steps >= 2          # the market and nu_hat tracks both floor
+
+    def test_floor_with_estimated_portfolio(self):
+        bt = assert_matches_oracle(random_series(1, 300, seed=55, crash_day=250),
+                                   BacktestConfig(burn_in_days=150))
+        assert bt.floored_steps >= 1
+
+    @pytest.mark.parametrize("series, config, error", [
+        (random_series(2, 100, seed=60), BacktestConfig(burn_in_days=100), InsufficientBurnIn),
+        (ReturnSeries(dates=tuple(datetime.date(2000, 1, 1) + datetime.timedelta(days=i)
+                                  for i in range(50)),
+                      fund_returns=np.column_stack([np.linspace(-0.01, 0.01, 50)] * 2),
+                      risk_free=np.zeros(50)),
+         BacktestConfig(burn_in_days=20), InsufficientBurnIn),
+        (random_series(2, 100, seed=61), BacktestConfig(burn_in_days=20, truncation_l=0.0),
+         ConfigError),
+        (random_series(2, 100, seed=62),
+         BacktestConfig(burn_in_days=0, prior="anchored", nu0=np.ones(3), kappa0=np.eye(3)),
+         ConfigError),
+    ])
+    def test_same_errors(self, series, config, error):
+        with pytest.raises(error):
+            run_oracle(series, config)
+        with pytest.raises(error):
+            run_backtest(series, config)
+
+
+def run_cli(*argv):
+    assert cli.main(list(argv)) == 0
+
+
+@pytest.mark.parametrize("case", ["k1_uninformative", "k3_anchored", "k1_truncated"])
+def test_golden_backtest_csv(case, tmp_path):
+    golden = GOLDEN / case
+    run_cli("simulate", "--config", str(golden / "scenario.cfg"), "--out", str(tmp_path))
+    run_cli("backtest", "--input", str(tmp_path / "simulated.csv"),
+            "--config", str(golden / "backtest.cfg"), "--out", str(tmp_path))
+    got_path, want_path = tmp_path / "backtest.csv", golden / "backtest.csv"
+    assert got_path.read_text().splitlines()[0] == want_path.read_text().splitlines()[0]
+    got, want = read_backtest_csv(str(got_path)), read_backtest_csv(str(want_path))
+    assert got["dates"] == want["dates"]
+    for name in want:
+        if name not in ("dates", "k"):
+            np.testing.assert_allclose(got[name], want[name], rtol=RTOL, atol=ATOL,
+                                       err_msg=name)
