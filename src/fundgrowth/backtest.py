@@ -9,6 +9,11 @@ limit) the per-day posterior ``nu_hat = C^{-1} R``, the uniform shrink factor
 shrunk version are produced, together with the achievable-growth process
 ``F``.
 
+Every column is a running sum or a pointwise map of running sums, so the
+backtest works on whole arrays: ``R`` and ``C`` are cumulative sums, the
+posterior is one batched inverse over the post-burn-in days, and the tracks
+are cumulative sums of daily log-growth.
+
 Wealth compounds discretely through ``log(1 + pi' x)`` while ``F`` uses the
 instantaneous form on the daily squared returns; the two agree only in the
 continuous-time limit, and the gap is visible in the outputs rather than
@@ -22,7 +27,7 @@ import datetime
 import math
 import warnings
 from dataclasses import dataclass
-from typing import IO, Optional, Sequence
+from typing import IO, Optional
 
 import numpy as np
 
@@ -34,7 +39,9 @@ from .errors import (
     MissingColumns,
     NonMonotoneDates,
     ParseError,
+    SingularC,
 )
+from .marketsim import ConfigLines, _parse_matrix, _parse_vector
 from .psd import CovMatrix
 
 DEFAULT_BURN_IN = 7500   # trading days, about 30 years
@@ -73,19 +80,6 @@ class ReturnSeries:
     def k(self) -> int:
         return self.fund_returns.shape[1]
 
-    def slices(self, n_chunks: int) -> list["ReturnSeries"]:
-        """Split into contiguous chunks (for streaming-equivalence checks)."""
-        bounds = np.linspace(0, self.n, n_chunks + 1).astype(int)
-        return [
-            ReturnSeries(
-                dates=self.dates[a:b],
-                fund_returns=self.fund_returns[a:b],
-                risk_free=self.risk_free[a:b],
-            )
-            for a, b in zip(bounds, bounds[1:])
-            if b > a
-        ]
-
 
 @dataclass(frozen=True)
 class IngestResult:
@@ -97,11 +91,11 @@ class IngestResult:
 def ingest_csv(path: str, drop_policy: str = "skip") -> IngestResult:
     """Parse a ``date,ret_1..ret_K,rf`` CSV into a cleaned return series.
 
-    Malformed rows are dropped with a warning under ``drop_policy='skip'`` or
-    raise ``ParseError`` under ``'error'``.  Missing risk-free cells are
-    forward-filled (zero before the first observation); rows missing a fund
-    return are dropped.  Rows come back date-sorted; duplicate dates raise
-    ``NonMonotoneDates``.
+    Malformed rows, including rows with a ``nan`` or ``inf`` cell, are dropped
+    with a warning under ``drop_policy='skip'`` or raise ``ParseError`` under
+    ``'error'``.  Missing risk-free cells are forward-filled (zero before the
+    first observation); rows missing a fund return are dropped.  Rows come
+    back date-sorted; duplicate dates raise ``NonMonotoneDates``.
     """
     if drop_policy not in ("skip", "error"):
         raise ConfigError(f"unknown drop_policy {drop_policy!r}")
@@ -131,6 +125,8 @@ def ingest_csv(path: str, drop_policy: str = "skip") -> IngestResult:
                 rets = [float(cell) for cell in cells[1:-1]]
                 rf_cell = cells[-1].strip()
                 rf = float(rf_cell) if rf_cell else None
+                if not all(map(math.isfinite, rets + [0.0 if rf is None else rf])):
+                    raise ValueError("non-finite return or risk-free rate")
             except ValueError as exc:
                 if drop_policy == "error":
                     raise ParseError(lineno, str(exc)) from None
@@ -197,45 +193,28 @@ class BacktestConfig:
         return (lo, hi)
 
 
-_CONFIG_KEYS = {
-    "burn_in_days", "clock", "prior", "nu0", "kappa0", "truncation_l",
-    "truncation_r", "drop_policy", "demean_covariance", "force_a",
-    "force_nu_hat",
+def _parse_bool(text: str) -> bool:
+    value = text.lower()
+    if value not in ("1", "true", "yes", "0", "false", "no"):
+        raise ValueError(f"expected true or false, got {text!r}")
+    return value in ("1", "true", "yes")
+
+
+_CONFIG_PARSERS = {
+    "burn_in_days": int, "clock": str, "prior": str, "nu0": _parse_vector,
+    "kappa0": _parse_matrix, "truncation_l": float, "truncation_r": float,
+    "drop_policy": str, "demean_covariance": _parse_bool, "force_a": float,
+    "force_nu_hat": _parse_vector,
 }
 
 
 def parse_backtest_config(text: str) -> BacktestConfig:
-    """Parse ``key = value`` lines into a config; unknown keys are rejected."""
-    values: dict = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        body = line.split("#", 1)[0].strip()
-        if not body:
-            continue
-        if "=" not in body:
-            raise ConfigError(f"line {lineno}: expected 'key = value', got {body!r}")
-        key, value = (s.strip() for s in body.split("=", 1))
-        if key not in _CONFIG_KEYS:
-            raise ConfigError(f"line {lineno}: unknown config key {key!r}")
-        values[key] = value
-    kwargs: dict = {}
-    if "burn_in_days" in values:
-        kwargs["burn_in_days"] = int(values["burn_in_days"])
-    for key in ("clock", "prior", "drop_policy"):
-        if key in values:
-            kwargs[key] = values[key]
-    for key in ("truncation_l", "truncation_r", "force_a"):
-        if key in values:
-            kwargs[key] = float(values[key])
-    if "demean_covariance" in values:
-        kwargs["demean_covariance"] = values["demean_covariance"].lower() in ("1", "true", "yes")
-    if "nu0" in values:
-        kwargs["nu0"] = np.array([float(v) for v in values["nu0"].split(",")])
-    if "force_nu_hat" in values:
-        kwargs["force_nu_hat"] = np.array([float(v) for v in values["force_nu_hat"].split(",")])
-    if "kappa0" in values:
-        rows = [r for r in values["kappa0"].split(";") if r.strip()]
-        kwargs["kappa0"] = np.array([[float(v) for v in row.split(",")] for row in rows])
-    return BacktestConfig(**kwargs)
+    """Parse ``key = value`` lines into a config; unknown and repeated keys
+    and unparsable values raise ``ConfigError``."""
+    lines = ConfigLines(text, _CONFIG_PARSERS, "config")
+    return BacktestConfig(**{
+        key: lines.get(key, parse) for key, parse in _CONFIG_PARSERS.items() if key in lines
+    })
 
 
 @dataclass
@@ -267,186 +246,141 @@ class BacktestSeries:
         return self.excess.shape[1]
 
 
-class BacktestEngine:
-    """Streaming accumulator; feeding rows one at a time or in chunks is
-    equivalent to a single pass."""
+def _prior_anchor(config: BacktestConfig, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Starting values of ``R`` and ``C``: ``kappa0^{-1} nu0`` and ``kappa0^{-1}``,
+    or zeros under the uninformative prior."""
+    if config.prior != "anchored":
+        return np.zeros(k), np.zeros((k, k))
+    kappa0 = CovMatrix(config.kappa0)
+    w = kappa0.eigenvalues
+    if w[-1] <= 1e-12 * w[0] or w[0] <= 0.0:
+        raise ConfigError("kappa0 must be positive definite")
+    c0 = (kappa0.eigenvectors / w) @ kappa0.eigenvectors.T
+    r0 = c0 @ np.asarray(config.nu0, dtype=float).reshape(-1)
+    if r0.size != k:
+        raise ConfigError(f"nu0 has size {r0.size}, series has {k} fund(s)")
+    return r0, 0.5 * (c0 + c0.T)
 
-    def __init__(self, k: int, config: BacktestConfig):
-        self.k = k
-        self.config = config
-        if config.truncation is not None and k != 1:
-            raise ConfigError("truncation requires a single fund")
-        if config.prior == "anchored":
-            kappa0 = CovMatrix(config.kappa0)
-            w = kappa0.eigenvalues
-            if w[-1] <= 1e-12 * w[0] or w[0] <= 0.0:
-                raise ConfigError("kappa0 must be positive definite")
-            c0 = (kappa0.eigenvectors / w) @ kappa0.eigenvectors.T
-            r0 = c0 @ np.asarray(config.nu0, dtype=float).reshape(-1)
-            if r0.size != k:
-                raise ConfigError(f"nu0 has size {r0.size}, series has {k} fund(s)")
-        else:
-            c0 = np.zeros((k, k))
-            r0 = np.zeros(k)
-        self._r = r0
-        self._c = 0.5 * (c0 + c0.T)
-        self._mean = np.zeros(k)
-        self._t = 0
-        self.floored_steps = 0
-        self._force_nu = (
-            None if config.force_nu_hat is None
-            else np.asarray(config.force_nu_hat, dtype=float).reshape(-1)
-        )
-        self._nan_vec = np.full(k, math.nan)
-        self._nan_mat = np.full((k, k), math.nan)
-        self._nan_vec.setflags(write=False)
-        self._nan_mat.setflags(write=False)
 
-        self._dates: list = []
-        self._excess: list = []
-        self._r_rows: list = []
-        self._c_rows: list = []
-        self._nu_rows: list = []
-        self._kap_rows: list = []
-        self._psi: list = []
-        self._a: list = []
-        self._lw_m: list = []
-        self._lw_n: list = []
-        self._lw_s: list = []
-        self._f: list = []
+def _squared_returns(x: np.ndarray, demean: bool, out: np.ndarray) -> None:
+    """Daily increments of ``C`` written into ``out``: ``x x'``, or with
+    ``demean`` the running-mean (Welford) increment ``(s-1)/s d d'`` where
+    ``d`` is day ``s``'s deviation from the mean of the days before it."""
+    if not demean:
+        np.multiply(x[:, :, None], x[:, None, :], out=out)
+        return
+    days = np.arange(1, x.shape[0] + 1, dtype=float)
+    prev_mean = np.zeros_like(x)
+    prev_mean[1:] = np.cumsum(x, axis=0)[:-1] / days[:-1, None]
+    d = x - prev_mean
+    np.multiply(d[:, :, None], d[:, None, :], out=out)
+    out *= ((days - 1.0) / days)[:, None, None]
 
-        self._prev_nu: Optional[np.ndarray] = None
-        self._prev_a = math.nan
-        self._cur_m = self._cur_n = self._cur_s = self._cur_f = math.nan
 
-    # -- accumulation ------------------------------------------------------
-
-    def _accumulate(self, x: np.ndarray) -> None:
-        self._r = self._r + x
-        if self.config.demean_covariance:
-            n = self._t + 1
-            delta = x - self._mean
-            self._mean = self._mean + delta / n
-            self._c = self._c + delta[:, None] * (x - self._mean)
-        else:
-            self._c = self._c + x[:, None] * x
-
-    def _posterior(self):
-        cfg = self.config
-        if cfg.truncation is not None:
-            state = filtering.truncated_posterior_1d(
-                float(self._r[0]), float(self._c[0, 0]), *cfg.truncation
-            )
-            nu = state.nu_hat
-            kap = state.kappa.entries
-        elif self.k == 1:
-            c = float(self._c[0, 0])
-            nu = np.array([float(self._r[0]) / c])
-            kap = np.array([[1.0 / c]])
-        else:
-            state = filtering.gaussian_posterior(self._r, CovMatrix(0.5 * (self._c + self._c.T)))
-            nu = state.nu_hat
-            kap = state.kappa.entries
-        if self._force_nu is not None:
-            nu = self._force_nu
-        if self.k == 1:
-            psi = shrinkage.psi_one_fund(float(nu[0]), float(kap[0, 0]))
-        else:
-            psi = 3.375 * float(nu @ self._c @ nu)  # = (3/2)^3 R'C^{-1}R when nu = C^{-1}R
-        a = cfg.force_a if cfg.force_a is not None else shrinkage.cardano_a(psi)
-        return nu, kap, psi, a
-
-    def step(self, day, returns: Sequence[float], rf: float) -> None:
-        x = np.asarray(returns, dtype=float).reshape(-1) - rf
-        self._accumulate(x)
-        t = self._t
-        burn_in = self.config.burn_in_days
-
-        if t < burn_in:
-            nu = kap = None
-            psi = a = math.nan
-        else:
-            if t == burn_in:
-                w = np.linalg.eigvalsh(0.5 * (self._c + self._c.T))
-                if w[0] <= 1e-12 * max(w[-1], 0.0) or w[-1] <= 0.0:
-                    raise InsufficientBurnIn(
-                        "cumulative covariance is not positive definite at burn-in end"
-                    )
-                self._cur_m = self._cur_n = self._cur_s = self._cur_f = 0.0
-            else:
-                prev_nu, prev_a = self._prev_nu, self._prev_a
-                market = float(x.mean())  # equal weight across the K funds
-                growth = float(prev_nu @ x)
-                self._cur_m += self._log1p_floor(market)
-                self._cur_n += self._log1p_floor(growth)
-                self._cur_s += self._log1p_floor(prev_a * growth)
-                self._cur_f += 0.5 * growth * growth
-            nu, kap, psi, a = self._posterior()
-            self._prev_nu, self._prev_a = nu, a
-
-        self._dates.append(day)
-        self._excess.append(x)
-        # _accumulate rebinds (never mutates) _r and _c, so rows can share.
-        self._r_rows.append(self._r)
-        self._c_rows.append(self._c)
-        self._nu_rows.append(self._nan_vec if nu is None else np.asarray(nu, dtype=float))
-        self._kap_rows.append(self._nan_mat if kap is None else np.asarray(kap, dtype=float))
-        self._psi.append(psi)
-        self._a.append(a)
-        self._lw_m.append(self._cur_m)
-        self._lw_n.append(self._cur_n)
-        self._lw_s.append(self._cur_s)
-        self._f.append(self._cur_f)
-        self._t += 1
-
-    def _log1p_floor(self, gross_change: float) -> float:
-        if gross_change <= -1.0 + _WEALTH_FLOOR:
-            self.floored_steps += 1
-            return math.log(_WEALTH_FLOOR)
-        return math.log1p(gross_change)
-
-    def extend(self, series: ReturnSeries) -> "BacktestEngine":
-        if series.k != self.k:
-            raise ValueError(f"series has {series.k} fund(s), engine expects {self.k}")
-        for i in range(series.n):
-            self.step(series.dates[i], series.fund_returns[i], float(series.risk_free[i]))
-        return self
-
-    def result(self) -> BacktestSeries:
-        if self._t <= self.config.burn_in_days:
-            raise InsufficientBurnIn(
-                f"series has {self._t} row(s), burn-in needs more than "
-                f"{self.config.burn_in_days}"
-            )
-        a = np.array(self._a)
-        nu = np.array(self._nu_rows)
-        return BacktestSeries(
-            dates=tuple(self._dates),
-            excess=np.array(self._excess),
-            r_cum=np.array(self._r_rows),
-            c_cum=np.array(self._c_rows),
-            nu_hat=nu,
-            kappa=np.array(self._kap_rows),
-            psi=np.array(self._psi),
-            a=a,
-            rho=a[:, None] * nu,
-            log_wealth_market=np.array(self._lw_m),
-            log_wealth_nuhat=np.array(self._lw_n),
-            log_wealth_shrunk=np.array(self._lw_s),
-            f_growth=np.array(self._f),
-            burn_in=self.config.burn_in_days,
-            floored_steps=self.floored_steps,
-        )
+def _log_wealth(gross_change: np.ndarray) -> tuple[np.ndarray, int]:
+    """Log-wealth track from 0 by ``log(1 + change)`` steps, and the number
+    of steps clamped at the wealth floor."""
+    floored = gross_change <= -1.0 + _WEALTH_FLOOR
+    steps = np.log1p(np.where(floored, 0.0, gross_change))
+    steps[floored] = math.log(_WEALTH_FLOOR)
+    return np.cumsum(np.concatenate(([0.0], steps))), int(floored.sum())
 
 
 def run_backtest(series: ReturnSeries, config: Optional[BacktestConfig] = None) -> BacktestSeries:
-    """One-pass backtest of a return series (see the module docstring)."""
+    """Backtest a return series, one whole column at a time.
+
+    ``R`` and ``C`` are running sums from the prior anchor; every later
+    column is a pointwise map of them or a running sum of daily terms.
+    Raises ``InsufficientBurnIn`` unless ``C`` is positive definite on the
+    burn-in day and ``SingularC`` if it stops being so afterwards.
+    """
     config = config or BacktestConfig()
-    if series.n <= config.burn_in_days:
-        raise InsufficientBurnIn(
-            f"series has {series.n} row(s), burn-in needs more than {config.burn_in_days}"
+    n, k, b = series.n, series.k, config.burn_in_days
+    if n <= b:
+        raise InsufficientBurnIn(f"series has {n} row(s), burn-in needs more than {b}")
+    if config.truncation is not None and k != 1:
+        raise ConfigError("truncation requires a single fund")
+    r0, c0 = _prior_anchor(config, k)
+    force_nu = config.force_nu_hat
+    if force_nu is not None:
+        force_nu = np.asarray(force_nu, dtype=float).reshape(-1)
+        if force_nu.size != k:
+            raise ConfigError(f"force_nu_hat has size {force_nu.size}, series has {k} fund(s)")
+
+    x = series.fund_returns - series.risk_free[:, None]
+    # Row 0 of each running sum is the prior anchor; np.cumsum adds day by day.
+    r_cum = np.cumsum(np.vstack([r0, x]), axis=0)[1:]
+    c_cum = np.empty((n + 1, k, k))
+    c_cum[0] = c0
+    _squared_returns(x, config.demean_covariance, out=c_cum[1:])
+    c_cum = np.cumsum(c_cum, axis=0, out=c_cum)[1:]
+
+    r_post, c_post = r_cum[b:], c_cum[b:]
+    lam = np.linalg.eigvalsh(c_post if k > 1 else c_post[:1])
+    singular = (lam[:, -1] <= 0.0) | (lam[:, 0] <= 1e-12 * lam[:, -1])
+    if singular[0]:
+        raise InsufficientBurnIn("cumulative covariance is not positive definite at burn-in end")
+    if singular.any():
+        raise SingularC("cumulative covariance is not positive definite")
+
+    nu = np.full((n, k), math.nan)
+    kappa = np.full((n, k, k), math.nan)
+    nu_post, kappa_post = nu[b:], kappa[b:]
+    if config.truncation is not None:
+        nu_post[:, 0], kappa_post[:, 0, 0] = filtering.truncated_moments(
+            r_post[:, 0], c_post[:, 0, 0], *config.truncation
         )
-    return BacktestEngine(series.k, config).extend(series).result()
+    elif k == 1:
+        nu_post[:, 0] = r_post[:, 0] / c_post[:, 0, 0]
+        kappa_post[:, 0, 0] = 1.0 / c_post[:, 0, 0]
+    else:
+        inverse = np.linalg.inv(c_post)
+        np.add(inverse, inverse.swapaxes(1, 2), out=kappa_post)
+        kappa_post *= 0.5
+        del inverse
+        nu_post[:] = (kappa_post @ r_post[:, :, None])[:, :, 0]
+    if force_nu is not None:
+        nu_post[:] = force_nu
+
+    psi = np.full(n, math.nan)
+    if k == 1:
+        psi[b:] = shrinkage.psi_one_fund(nu_post[:, 0], kappa_post[:, 0, 0])
+    else:
+        # = (3/2)^3 R'C^{-1}R when nu = C^{-1}R
+        psi[b:] = 3.375 * np.einsum("ti,tij,tj->t", nu_post, c_post, nu_post)
+    a = np.full(n, math.nan)
+    a[b:] = config.force_a if config.force_a is not None else shrinkage.cardano_a(psi[b:])
+
+    # Day t's portfolio is the estimate of day t-1; the tracks start at 0 on day b.
+    x_next = x[b + 1:]
+    growth = np.einsum("ti,ti->t", nu_post[:-1], x_next)
+    tracks = []
+    floored_steps = 0
+    for change in (x_next.mean(axis=1), growth, a[b:-1] * growth):
+        track = np.full(n, math.nan)
+        track[b:], floored = _log_wealth(change)
+        tracks.append(track)
+        floored_steps += floored
+    f_growth = np.full(n, math.nan)
+    f_growth[b:] = np.cumsum(np.concatenate(([0.0], 0.5 * growth * growth)))
+
+    return BacktestSeries(
+        dates=series.dates,
+        excess=x,
+        r_cum=r_cum,
+        c_cum=c_cum,
+        nu_hat=nu,
+        kappa=kappa,
+        psi=psi,
+        a=a,
+        rho=a[:, None] * nu,
+        log_wealth_market=tracks[0],
+        log_wealth_nuhat=tracks[1],
+        log_wealth_shrunk=tracks[2],
+        f_growth=f_growth,
+        burn_in=b,
+        floored_steps=floored_steps,
+    )
 
 
 @dataclass(frozen=True)

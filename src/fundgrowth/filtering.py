@@ -47,7 +47,7 @@ class PosteriorState:
     ``r_cum`` and ``c_cum`` include the prior anchors ``kappa0^{-1} nu0`` and
     ``kappa0^{-1}`` when an informative prior is used; with zero anchors the
     state realises the uninformative-prior limit once ``c_cum`` is positive
-    definite.  Instances are immutable; updating returns a new value.
+    definite.  Instances are immutable.
     """
 
     r_cum: np.ndarray
@@ -59,16 +59,6 @@ class PosteriorState:
     @property
     def dim(self) -> int:
         return self.r_cum.size
-
-    def update(self, d_r: np.ndarray, d_c: MatrixLike) -> "PosteriorState":
-        """Fold one observation increment into the cumulative statistics."""
-        d_c = _as_cov(d_c)
-        r_new = self.r_cum + np.asarray(d_r, dtype=float).reshape(-1)
-        c_new = CovMatrix(self.c_cum.entries + d_c.entries)
-        if self.truncation is not None:
-            lo, hi = self.truncation
-            return truncated_posterior_1d(float(r_new[0]), float(c_new.entries[0, 0]), lo, hi)
-        return gaussian_posterior(r_new, c_new)
 
 
 def gaussian_posterior(r_cum: np.ndarray, c_cum: MatrixLike) -> PosteriorState:
@@ -86,70 +76,57 @@ def gaussian_posterior(r_cum: np.ndarray, c_cum: MatrixLike) -> PosteriorState:
     )
 
 
-def _phi(x: float) -> float:
-    return math.exp(-0.5 * x * x) / _SQRT_2PI if math.isfinite(x) else 0.0
+def _phi(x: np.ndarray) -> np.ndarray:
+    return np.exp(-0.5 * x * x) / _SQRT_2PI      # zero at +-infinity
 
 
-def _x_phi(x: float) -> float:
+def _x_phi(x: np.ndarray) -> np.ndarray:
     # x * pdf(x), with the correct zero limit at +-infinity.
-    return x * _phi(x) if math.isfinite(x) else 0.0
+    x = np.where(np.isfinite(x), x, 0.0)
+    return x * _phi(x)
+
+
+def truncated_moments(r_cum, c_cum, lower: float, upper: float) -> tuple[np.ndarray, np.ndarray]:
+    """Posterior mean and variance under a prior truncated to ``(lower, upper)``.
+
+    The conditional law is a truncated normal; mean and variance follow the
+    usual closed forms in the standardised endpoints
+    ``lower*sqrt(C) - R/sqrt(C)`` and ``upper*sqrt(C) - R/sqrt(C)``.
+    ``r_cum`` and ``c_cum`` may be arrays of one-dimensional statistics (one
+    per day, say); the moments are computed elementwise.  Raises
+    ``DegenerateInterval`` when an interval carries no mass.
+    """
+    r_cum = np.asarray(r_cum, dtype=float)
+    c_cum = np.asarray(c_cum, dtype=float)
+    if not np.all(c_cum > 0.0):
+        raise SingularC("cumulative covariance must be positive")
+    if not lower < upper:
+        raise ValueError(f"empty interval ({lower}, {upper})")
+    root_c = np.sqrt(c_cum)
+    lo = lower * root_c - r_cum / root_c
+    hi = upper * root_c - r_cum / root_c
+    mass = ndtr(hi) - ndtr(lo)
+    if np.any(mass < 1e-300):
+        raise DegenerateInterval(f"interval ({lower}, {upper}) carries no posterior mass")
+    ratio = (_phi(lo) - _phi(hi)) / mass
+    nu_hat = r_cum / c_cum + ratio / root_c
+    kappa = (1.0 + (_x_phi(lo) - _x_phi(hi)) / mass - ratio ** 2) / c_cum
+    return nu_hat, kappa
 
 
 def truncated_posterior_1d(r_cum: float, c_cum: float, lower: float, upper: float) -> PosteriorState:
     """One-dimensional posterior under a prior truncated to ``(lower, upper)``.
 
-    The conditional law is a truncated normal; mean and variance follow the
-    usual closed forms in the standardised endpoints
-    ``lower*sqrt(C) - R/sqrt(C)`` and ``upper*sqrt(C) - R/sqrt(C)``.
-    Raises ``DegenerateInterval`` when the interval carries no mass.
+    See ``truncated_moments`` for the closed form and its errors.
     """
-    if not c_cum > 0.0:
-        raise SingularC("cumulative covariance must be positive")
-    if not lower < upper:
-        raise ValueError(f"empty interval ({lower}, {upper})")
-    root_c = math.sqrt(c_cum)
-    lo = lower * root_c - r_cum / root_c if math.isfinite(lower) else -math.inf
-    hi = upper * root_c - r_cum / root_c if math.isfinite(upper) else math.inf
-    mass = float(ndtr(hi) - ndtr(lo))
-    if mass < 1e-300:
-        raise DegenerateInterval(f"interval ({lower}, {upper}) carries no posterior mass")
-    ratio = (_phi(lo) - _phi(hi)) / mass
-    nu_hat = r_cum / c_cum + ratio / root_c
-    kappa = (1.0 + (_x_phi(lo) - _x_phi(hi)) / mass - ratio ** 2) / c_cum
+    nu_hat, kappa = truncated_moments(r_cum, c_cum, lower, upper)
     return PosteriorState(
         r_cum=np.array([float(r_cum)]),
         c_cum=CovMatrix([[float(c_cum)]]),
-        nu_hat=np.array([nu_hat]),
-        kappa=CovMatrix([[kappa]]),
+        nu_hat=np.array([float(nu_hat)]),
+        kappa=CovMatrix([[float(kappa)]]),
         truncation=(lower, upper),
     )
-
-
-def truncated_posterior_box_mc(
-    r_cum: np.ndarray,
-    c_cum: MatrixLike,
-    lower: np.ndarray,
-    upper: np.ndarray,
-    n_draws: int = 100_000,
-    seed: int = 0,
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """Experimental: posterior moments under a hyper-rectangle truncation.
-
-    Rejection sampling from the unrestricted Gaussian posterior; returns
-    ``(mean, covariance, n_accepted)``.  Monte-Carlo only, with no accuracy
-    guarantee, and deliberately kept out of the acceptance surface.
-    """
-    state = gaussian_posterior(r_cum, c_cum)
-    lower = np.asarray(lower, dtype=float).reshape(-1)
-    upper = np.asarray(upper, dtype=float).reshape(-1)
-    rng = np.random.default_rng(seed)
-    root = (state.kappa.eigenvectors * np.sqrt(state.kappa.eigenvalues)) @ state.kappa.eigenvectors.T
-    draws = state.nu_hat + rng.standard_normal((n_draws, state.dim)) @ root
-    keep = np.all((draws > lower) & (draws < upper), axis=1)
-    kept = draws[keep]
-    if kept.shape[0] < 2:
-        raise DegenerateInterval("box carries too little posterior mass to estimate moments")
-    return kept.mean(axis=0), np.cov(kept.T, ddof=1).reshape(state.dim, state.dim), kept.shape[0]
 
 
 def f_growth_increment(nu_hat: np.ndarray, d_c: MatrixLike) -> float:

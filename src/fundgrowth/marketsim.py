@@ -314,32 +314,64 @@ def _parse_vector(text: str) -> np.ndarray:
     return np.array([float(x) for x in text.split(",")])
 
 
+def _parse_cov(text: str) -> CovMatrix:
+    return CovMatrix(_parse_matrix(text))
+
+
+class ConfigLines:
+    """The ``key = value`` lines of a scenario or backtest config file.
+
+    ``#`` starts a comment; blank lines are skipped.  Unknown and repeated
+    keys raise ``ConfigError`` with the line number, and so does a value that
+    ``get`` cannot parse.
+    """
+
+    def __init__(self, text: str, keys, kind: str):
+        self._values: dict[str, tuple[int, str]] = {}
+        for lineno, line in enumerate(text.splitlines(), start=1):
+            body = line.split("#", 1)[0].strip()
+            if not body:
+                continue
+            if "=" not in body:
+                raise ConfigError(f"line {lineno}: expected 'key = value', got {body!r}")
+            key, value = (s.strip() for s in body.split("=", 1))
+            if key not in keys:
+                raise ConfigError(f"line {lineno}: unknown {kind} key {key!r}")
+            if key in self._values:
+                raise ConfigError(
+                    f"line {lineno}: {kind} key {key!r} already set on line {self._values[key][0]}"
+                )
+            self._values[key] = (lineno, value)
+
+    def __contains__(self, key: str) -> bool:
+        return key in self._values
+
+    def get(self, key: str, parse, default=None):
+        """``parse(value)`` of ``key``, or ``default`` when the key is absent."""
+        if key not in self._values:
+            return default
+        lineno, value = self._values[key]
+        try:
+            return parse(value)
+        except ValueError as exc:
+            raise ConfigError(f"line {lineno}: bad value for {key!r}: {exc}") from None
+
+
 def parse_scenario(text: str) -> SimScenario:
     """Parse a plain ``key = value`` scenario description.
 
     Vectors are comma-separated, matrices use ``;`` between rows, ``#`` starts
-    a comment.  Unknown keys are rejected.
+    a comment.  Unknown and repeated keys are rejected.
     """
-    raw: dict[str, str] = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        body = line.split("#", 1)[0].strip()
-        if not body:
-            continue
-        if "=" not in body:
-            raise ConfigError(f"line {lineno}: expected 'key = value', got {body!r}")
-        key, value = (s.strip() for s in body.split("=", 1))
-        if key not in _SCENARIO_KEYS:
-            raise ConfigError(f"line {lineno}: unknown scenario key {key!r}")
-        raw[key] = value
-
-    if "dim" not in raw:
+    lines = ConfigLines(text, _SCENARIO_KEYS, "scenario")
+    if "dim" not in lines:
         raise ConfigError("scenario must declare 'dim'")
-    dim = int(raw["dim"])
+    dim = lines.get("dim", int)
 
-    if "cov" in raw:
-        cov = CovMatrix(_parse_matrix(raw["cov"]))
-    elif "cov_preset" in raw:
-        name = raw["cov_preset"]
+    if "cov" in lines:
+        cov = lines.get("cov", _parse_cov)
+    elif "cov_preset" in lines:
+        name = lines.get("cov_preset", str)
         if name == "identity":
             cov = CovMatrix(np.eye(dim))
         elif name == "us_one_fund":
@@ -353,17 +385,16 @@ def parse_scenario(text: str) -> SimScenario:
     if cov.dim != dim:
         raise ConfigError(f"cov has dim {cov.dim}, scenario declares {dim}")
 
-    mean = _parse_vector(raw["prior_mean"]) if "prior_mean" in raw else np.zeros(dim)
-    prior_cov = CovMatrix(_parse_matrix(raw["prior_cov"])) if "prior_cov" in raw else CovMatrix(np.eye(dim))
+    mean = lines.get("prior_mean", _parse_vector, np.zeros(dim))
+    prior_cov = lines.get("prior_cov", _parse_cov) if "prior_cov" in lines else CovMatrix(np.eye(dim))
     truncation = None
-    if "truncation_l" in raw or "truncation_r" in raw:
-        lo = float(raw.get("truncation_l", "-inf"))
-        hi = float(raw.get("truncation_r", "inf"))
-        truncation = (lo, hi)
+    if "truncation_l" in lines or "truncation_r" in lines:
+        truncation = (lines.get("truncation_l", float, -math.inf),
+                      lines.get("truncation_r", float, math.inf))
     prior = PriorSpec(mean=mean, cov=prior_cov, truncation=truncation)
 
-    f = _parse_matrix(raw["f"]) if "f" in raw else None
-    theta = _parse_vector(raw["theta"]) if "theta" in raw else None
+    f = lines.get("f", _parse_matrix)
+    theta = lines.get("theta", _parse_vector)
     if f is not None and theta is None:
         raise ConfigError("fund scenarios must declare 'theta'")
 
@@ -371,14 +402,14 @@ def parse_scenario(text: str) -> SimScenario:
         dim=dim,
         cov=cov,
         prior=prior,
-        dt=float(raw.get("dt", DEFAULT_STEP)),
-        steps=int(raw.get("steps", 252)),
-        o_start=float(raw.get("o_start", 0.0)),
-        seed=int(raw.get("seed", 0)),
-        nu=_parse_vector(raw["nu"]) if "nu" in raw else None,
+        dt=lines.get("dt", float, DEFAULT_STEP),
+        steps=lines.get("steps", int, 252),
+        o_start=lines.get("o_start", float, 0.0),
+        seed=lines.get("seed", int, 0),
+        nu=lines.get("nu", _parse_vector),
         f=f,
         theta=theta,
-        drift_check_paths=int(raw.get("drift_check_paths", 100_000)),
+        drift_check_paths=lines.get("drift_check_paths", int, 100_000),
     )
 
 

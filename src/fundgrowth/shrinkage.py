@@ -183,37 +183,35 @@ def shrink_portfolio(nu_hat: np.ndarray, kappa: CovMatrix, d_c: CovMatrix) -> Sh
     )
 
 
-def cardano_a(psi: float) -> float:
+def cardano_a(psi):
     """Uniform shrink factor in closed form.
 
     ``a`` is the root in ``[0, 1)`` of ``a = (4 psi / 27) (1 - a)^3`` (the
     stationarity condition of the uniform tracking objective), given by
     Cardano's formula.  Monotone increasing in ``psi`` with ``a(0) = 0``.
-    Tiny arguments use a series to dodge cancellation; huge ones evaluate the
-    radical in the log domain to dodge overflow.
+    Tiny arguments use a series to dodge cancellation.  ``psi`` may be an
+    array, evaluated elementwise; a scalar argument returns a ``float``.
     """
-    if psi < 0.0:
+    psi = np.asarray(psi, dtype=float)
+    if np.any(psi < 0.0):
         raise ValueError("psi must be nonnegative")
-    if psi == 0.0:
-        return 0.0
-    if psi < 1e-8:
-        coeff = 4.0 * psi / 27.0
-        return coeff * (1.0 - 3.0 * coeff)
-    if psi > 1e300:
-        log_q = 0.5 * math.log(psi) + math.log(2.0)
-    else:
-        log_q = math.log(math.sqrt(1.0 + psi) + math.sqrt(psi))
-    t = math.exp((2.0 / 3.0) * log_q)
-    return 1.0 - 3.0 / (1.0 + t + 1.0 / t)
+    # The series is only used below 1e-8, so clipping its input is harmless
+    # and keeps huge arguments from overflowing in the unused branch.
+    coeff = 4.0 * np.minimum(psi, 1.0) / 27.0
+    # t = q^(2/3) with q = sqrt(1 + psi) + sqrt(psi) stays far from overflow.
+    t = np.exp((2.0 / 3.0) * np.log(np.sqrt(1.0 + psi) + np.sqrt(psi)))
+    a = np.where(psi < 1e-8, coeff * (1.0 - 3.0 * coeff), 1.0 - 3.0 / (1.0 + t + 1.0 / t))
+    return float(a) if a.ndim == 0 else a
 
 
-def psi_one_fund(nu_hat: float, kappa: float) -> float:
+def psi_one_fund(nu_hat, kappa):
     """Uniform-case parameter with a single fund: ``(3/2)^3 nu_hat^2 / kappa``.
 
     Under Bayesian updating ``nu_hat^2 / kappa = R^2 / C``, so the value
     depends only on integrated quantities, never on the covariance rate.
+    Arrays of per-day values are evaluated elementwise.
     """
-    if kappa <= 0.0:
+    if np.any(np.asarray(kappa) <= 0.0):
         raise ValueError("kappa must be positive")
     return 3.375 * nu_hat * nu_hat / kappa
 

@@ -173,7 +173,7 @@ def check_dis_fund_law(rng: np.random.Generator, instances: int) -> CheckResult:
         f = _random_frame(rng, dim, k)
         d_o = float(rng.uniform(0.001, 2.0))
         worst = max(worst, abs(estimators.dis(f, f, c, d_o) - 0.5 * k))
-        x = rng.standard_normal((dim, k))
+        x = _random_frame(rng, dim, k)
         worst = max(worst, 0.5 * k - estimators.dis(x, f, c, d_o))
     return CheckResult("dis_fund_law", instances, worst, 1e-9)
 

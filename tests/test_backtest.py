@@ -84,6 +84,25 @@ class TestIngest:
             ingest_csv(path, drop_policy="error")
         assert excinfo.value.line == 3
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_cell_skipped(self, tmp_path, cell):
+        path = write_csv(
+            tmp_path,
+            "date,ret_1,rf\n2001-01-01,0.01,0.0\n"
+            f"2001-01-02,{cell},0.0\n2001-01-03,0.02,{cell}\n2001-01-04,0.03,0.0\n",
+        )
+        with pytest.warns(UserWarning, match="dropped 2"):
+            result = ingest_csv(path, drop_policy="skip")
+        assert result.rows_read == 4 and result.rows_dropped == 2
+        np.testing.assert_array_equal(result.series.fund_returns[:, 0], [0.01, 0.03])
+
+    @pytest.mark.parametrize("row", ["2001-01-02,nan,0.0", "2001-01-02,0.02,inf"])
+    def test_non_finite_cell_raises_under_error_policy(self, tmp_path, row):
+        path = write_csv(tmp_path, f"date,ret_1,rf\n2001-01-01,0.01,0.0\n{row}\n")
+        with pytest.raises(ParseError, match="non-finite") as excinfo:
+            ingest_csv(path, drop_policy="error")
+        assert excinfo.value.line == 3
+
     def test_header_mismatch(self, tmp_path):
         path = write_csv(tmp_path, "day,r1,rf\n2001-01-01,0.01,0.0\n")
         with pytest.raises(ParseError):
@@ -166,23 +185,23 @@ class TestRunBacktest:
         eigs = np.linalg.eigvalsh(0.5 * (steps + steps.transpose(0, 2, 1)))
         assert eigs.min() >= -1e-15
 
-    @pytest.mark.parametrize("m", [151, 152, 277, 400])
-    def test_prefix_equals_head_of_full_run(self, m):
+    def test_prefix_equals_head_of_full_run(self):
         series = simulated_series(400, seed=6)
         config = BacktestConfig(burn_in_days=150)
         full = run_backtest(series, config)
-        prefix = run_backtest(
-            ReturnSeries(dates=series.dates[:m], fund_returns=series.fund_returns[:m],
-                         risk_free=series.risk_free[:m]),
-            config,
-        )
-        assert prefix.dates == full.dates[:m]
-        for name in ("excess", "r_cum", "c_cum", "nu_hat", "kappa", "psi", "a", "rho",
-                     "log_wealth_market", "log_wealth_nuhat", "log_wealth_shrunk",
-                     "f_growth"):
-            np.testing.assert_array_equal(
-                getattr(prefix, name), getattr(full, name)[:m], err_msg=name
+        for m in (151, 152, 277, 400):
+            prefix = run_backtest(
+                ReturnSeries(dates=series.dates[:m], fund_returns=series.fund_returns[:m],
+                             risk_free=series.risk_free[:m]),
+                config,
             )
+            assert prefix.dates == full.dates[:m]
+            for name in ("excess", "r_cum", "c_cum", "nu_hat", "kappa", "psi", "a", "rho",
+                         "log_wealth_market", "log_wealth_nuhat", "log_wealth_shrunk",
+                         "f_growth"):
+                np.testing.assert_array_equal(
+                    getattr(prefix, name), getattr(full, name)[:m], err_msg=f"{name}, m={m}"
+                )
 
     def test_deterministic(self):
         series = simulated_series(300, seed=7)
@@ -313,6 +332,16 @@ class TestConfigParsing:
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown config key"):
             parse_backtest_config("burn_in = 100\n")
+
+    def test_repeated_key_rejected(self):
+        with pytest.raises(ConfigError, match="line 2: config key 'burn_in_days' already set"):
+            parse_backtest_config("burn_in_days = 20\nburn_in_days = 30\n")
+
+    @pytest.mark.parametrize("line", ["burn_in_days = abc", "force_a = high",
+                                      "kappa0 = 1, 2; 3", "demean_covariance = maybe"])
+    def test_bad_value_names_its_line(self, line):
+        with pytest.raises(ConfigError, match="line 2: bad value"):
+            parse_backtest_config("clock = trading\n" + line + "\n")
 
     def test_anchored_needs_both_moments(self):
         with pytest.raises(ConfigError):

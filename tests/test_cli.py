@@ -66,6 +66,11 @@ class TestSimulate:
         assert match, out
         assert float(match.group(1)) <= 4.0
 
+    def test_bad_scenario_value_is_usage_error(self, tmp_path):
+        config = tmp_path / "scenario.cfg"
+        config.write_text(ONE_FUND_SCENARIO.replace("steps = 100", "steps = x"))
+        assert run(["simulate", "--config", str(config), "--out", str(tmp_path)]) == 2
+
     def test_missing_config_is_usage_error(self, tmp_path):
         assert run(["simulate", "--config", str(tmp_path / "nope.cfg"),
                     "--out", str(tmp_path)]) == 2
@@ -81,6 +86,12 @@ class TestVerify:
         assert run(["verify", "--seed", "5", "--sabotage", "dis_fund_law"]) == 1
         captured = capsys.readouterr()
         assert "dis_fund_law" in captured.err
+
+    @pytest.mark.parametrize("seed", [37, 58, 97, 191])
+    def test_dis_fund_law_passes_where_k_equals_dim(self, seed):
+        # these seeds draw ill-conditioned square combinations, which once
+        # failed the K/2 comparison by round-off alone
+        assert run(["verify", "--checks", "dis_fund_law", "--seed", str(seed)]) == 0
 
     def test_check_filter(self, capsys):
         assert run(["verify", "--checks", "error_reduction", "--instances", "500",
@@ -143,6 +154,18 @@ class TestBacktestReport:
         config.write_text("nonsense = 1\n")
         assert run(["backtest", "--input", str(tmp_path / "simulated.csv"),
                     "--config", str(config), "--out", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("text", ["burn_in_days = abc\n",
+                                      "burn_in_days = 20\nburn_in_days = 30\n"])
+    def test_bad_config_is_usage_error(self, tmp_path, capsys, text):
+        scenario = tmp_path / "scenario.cfg"
+        scenario.write_text(BACKTEST_SCENARIO)
+        run(["simulate", "--config", str(scenario), "--out", str(tmp_path)])
+        config = tmp_path / "bt.cfg"
+        config.write_text(text)
+        assert run(["backtest", "--input", str(tmp_path / "simulated.csv"),
+                    "--config", str(config), "--out", str(tmp_path)]) == 2
+        assert "line " in capsys.readouterr().err
 
     def test_backtest_deterministic_bytes(self, tmp_path):
         scenario = tmp_path / "scenario.cfg"

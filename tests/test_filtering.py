@@ -12,7 +12,6 @@ from fundgrowth.filtering import (
     portfolio_growth_variance,
     restricted_growth_loss,
     truncated_posterior_1d,
-    truncated_posterior_box_mc,
 )
 from fundgrowth.marketsim import simulate_path, uniform_clock
 from fundgrowth.psd import CovMatrix, Projection, projection_from_frame, sqrt_entries
@@ -114,14 +113,6 @@ class TestTruncatedPosterior:
             assert state.kappa.entries[0, 0] == pytest.approx(var, abs=1e-8)
             assert lo < state.nu_hat[0] < hi
             assert 0.0 < state.kappa.entries[0, 0] <= 1.0 / c + 1e-12
-
-    def test_box_mc_agrees_in_one_dim(self):
-        state = truncated_posterior_1d(1.0, 2.0, 0.0, 1.5)
-        mean, cov, kept = truncated_posterior_box_mc(
-            [1.0], [[2.0]], [0.0], [1.5], n_draws=400_000, seed=5
-        )
-        stderr = math.sqrt(cov[0, 0] / kept)
-        assert abs(mean[0] - state.nu_hat[0]) <= 5.0 * stderr
 
 
 class TestGrowthFunctionals:
@@ -251,31 +242,6 @@ class TestPortfolioGrowthVariance:
 
 
 class TestPosteriorUpdate:
-    def test_batch_equals_sequential(self):
-        rng = np.random.default_rng(29)
-        state = gaussian_posterior(np.zeros(2), CovMatrix(np.eye(2)))
-        increments = [
-            (rng.standard_normal(2) * 0.1, random_cov(rng, 2, definite=False).entries * 0.1)
-            for _ in range(5)
-        ]
-        sequential = state
-        for d_r, d_c in increments:
-            sequential = sequential.update(d_r, CovMatrix(d_c))
-        batch = state.update(
-            sum(d_r for d_r, _ in increments),
-            CovMatrix(sum(d_c for _, d_c in increments)),
-        )
-        np.testing.assert_allclose(sequential.nu_hat, batch.nu_hat, rtol=1e-12, atol=1e-14)
-        np.testing.assert_allclose(
-            sequential.kappa.entries, batch.kappa.entries, rtol=1e-12, atol=1e-14
-        )
-
-    def test_truncated_update_keeps_interval(self):
-        state = truncated_posterior_1d(0.5, 1.0, 0.0, math.inf)
-        updated = state.update(np.array([0.3]), CovMatrix([[0.2]]))
-        assert updated.truncation == (0.0, math.inf)
-        assert updated.nu_hat[0] > 0.0
-
     def test_estimates_consistent_on_long_paths(self):
         # posterior error should shrink like 1/sqrt(t): the median error at
         # 10^4 steps falls below half the median error at 10^3 steps.  The

@@ -195,6 +195,20 @@ class TestScenario:
         with pytest.raises(ConfigError, match="unknown scenario key"):
             parse_scenario("dim = 1\ncov = 1.0\nbogus = 3\n")
 
+    def test_repeated_key_rejected(self):
+        with pytest.raises(ConfigError, match="line 3: scenario key 'steps' already set on line 2"):
+            parse_scenario("dim = 1\nsteps = 10\nsteps = 20\ncov = 1.0\n")
+
+    @pytest.mark.parametrize("text", [
+        "dim = 1\ncov = 1.0\nsteps = x\n",
+        "seed = 1\ncov = 1.0\ndim = two\n",
+        "dim = 1\ncov = 1.0\nnu = 1,,2\n",
+        "dim = 2\nseed = 1\ncov = 1, -3; 2, 1\n",
+    ])
+    def test_bad_value_names_its_line(self, text):
+        with pytest.raises(ConfigError, match="line 3: bad value"):
+            parse_scenario(text)
+
     def test_fund_scenario_needs_theta(self):
         with pytest.raises(ConfigError, match="theta"):
             parse_scenario("dim = 2\ncov_preset = identity\nf = 1,0; 0,1\n")
