@@ -337,7 +337,6 @@ def run_backtest(series: ReturnSeries, config: Optional[BacktestConfig] = None) 
         inverse = np.linalg.inv(c_post)
         np.add(inverse, inverse.swapaxes(1, 2), out=kappa_post)
         kappa_post *= 0.5
-        del inverse
         nu_post[:] = (kappa_post @ r_post[:, :, None])[:, :, 0]
     if force_nu is not None:
         nu_post[:] = force_nu
