@@ -11,6 +11,7 @@ from fundgrowth.filtering import (
     growth_loss,
     portfolio_growth_variance,
     restricted_growth_loss,
+    truncated_moments,
     truncated_posterior_1d,
 )
 from fundgrowth.marketsim import simulate_path, uniform_clock
@@ -95,6 +96,14 @@ class TestTruncatedPosterior:
     def test_symmetric_interval_keeps_mean(self):
         state = truncated_posterior_1d(2.0, 4.0, 0.5 - 0.3, 0.5 + 0.3)
         assert state.nu_hat[0] == pytest.approx(0.5, abs=1e-12)
+
+    def test_array_moments_are_elementwise(self):
+        r, c = np.array([-1.0, 0.5, 3.0]), np.array([0.5, 2.0, 4.0])
+        nu_hat, kappa = truncated_moments(r, c, 0.0, math.inf)
+        for i in range(3):
+            state = truncated_posterior_1d(float(r[i]), float(c[i]), 0.0, math.inf)
+            assert nu_hat[i] == state.nu_hat[0]
+            assert kappa[i] == state.kappa.entries[0, 0]
 
     def test_empty_mass_rejected(self):
         with pytest.raises(DegenerateInterval):

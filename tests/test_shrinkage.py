@@ -185,7 +185,7 @@ class TestCardano:
         assert 0.99 < a < 1.0
         residual = -4.0 * (2.0 * 1e8 / 27.0) * (1.0 - a) ** 3 + 2.0 * a
         assert abs(residual) / (2.0 * a) < 1e-6
-        # log-domain path stays finite; the value saturates to 1.0 in floats
+        # the closed form stays finite; the value saturates to 1.0 in floats
         assert 0.0 < cardano_a(1e305) <= 1.0
 
     def test_cubic_residual_and_monotonicity(self):
@@ -196,6 +196,15 @@ class TestCardano:
             assert abs(residual) <= 1e-10
             assert a > prev
             prev = a
+
+    def test_array_argument_is_elementwise(self):
+        psi = np.array([0.0, 1e-12, 1e-9, 13.5, 1e8, 1e305, np.inf])
+        a = cardano_a(psi)
+        assert isinstance(a, np.ndarray) and a.shape == psi.shape
+        assert all(isinstance(cardano_a(float(p)), float) for p in psi)
+        np.testing.assert_array_equal(a, [cardano_a(float(p)) for p in psi])
+        with pytest.raises(ValueError):
+            cardano_a(np.array([1.0, -1e-3]))
 
     def test_tiny_argument_series(self):
         for psi in (1e-12, 1e-10, 1e-9):
