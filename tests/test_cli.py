@@ -1,5 +1,7 @@
+import hashlib
 import re
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
@@ -25,6 +27,10 @@ steps = 60
 seed = 17
 drift_check_paths = 40000
 """
+
+GOLDEN = Path(__file__).parent / "golden"
+PANEL_FILES = ("portfolio.svg", "shrink_factor.svg", "wealth.svg", "quadratic_variation.svg",
+               "panels.csv")
 
 BACKTEST_SCENARIO = """
 dim = 1
@@ -133,8 +139,20 @@ class TestBacktestReport:
         out_a, out_b = tmp_path / "ra", tmp_path / "rb"
         run(["report", "--input", str(backtest_csv), "--out", str(out_a)])
         run(["report", "--input", str(backtest_csv), "--out", str(out_b)])
-        for name in ("portfolio.svg", "wealth.svg", "panels.csv"):
+        for name in PANEL_FILES:
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+
+    def test_golden_report(self, tmp_path):
+        # report.sha256 holds the digests of the report outputs on the golden
+        # K = 3 backtest table; any change to their bytes fails here
+        golden = GOLDEN / "k3_anchored"
+        assert run(["report", "--input", str(golden / "backtest.csv"),
+                    "--out", str(tmp_path)]) == 0
+        want = dict(reversed(line.split()) for line in
+                    (golden / "report.sha256").read_text().splitlines())
+        assert sorted(want) == sorted(PANEL_FILES)
+        for name, digest in want.items():
+            assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
 
     def test_report_missing_columns(self, tmp_path):
         bad = tmp_path / "bad.csv"
