@@ -41,7 +41,7 @@ from .errors import (
     ParseError,
     SingularC,
 )
-from .marketsim import ConfigLines, _parse_matrix, _parse_vector
+from .marketsim import ConfigLines, _parse_matrix, _parse_vector, read_table, write_table
 from .psd import CovMatrix
 
 DEFAULT_BURN_IN = 7500   # trading days, about 30 years
@@ -69,6 +69,8 @@ class ReturnSeries:
             raise EmptySeries("return series has no rows")
         if rets.shape[0] != len(self.dates) or rf.size != len(self.dates):
             raise ValueError("dates, fund_returns and risk_free lengths disagree")
+        if not (np.isfinite(rets).all() and np.isfinite(rf).all()):
+            raise ValueError("fund_returns and risk_free must be finite")
         if any(b <= a for a, b in zip(self.dates, self.dates[1:])):
             raise NonMonotoneDates("dates must be strictly increasing")
 
@@ -251,7 +253,10 @@ def _prior_anchor(config: BacktestConfig, k: int) -> tuple[np.ndarray, np.ndarra
     or zeros under the uninformative prior."""
     if config.prior != "anchored":
         return np.zeros(k), np.zeros((k, k))
-    kappa0 = CovMatrix(config.kappa0)
+    try:
+        kappa0 = CovMatrix(config.kappa0)
+    except ValueError as exc:
+        raise ConfigError(f"kappa0 must be positive definite: {exc}") from None
     w = kappa0.eigenvalues
     if w[-1] <= 1e-12 * w[0] or w[0] <= 0.0:
         raise ConfigError("kappa0 must be positive definite")
@@ -418,49 +423,25 @@ def output_columns(k: int) -> list[str]:
 
 def write_backtest_csv(bt: BacktestSeries, out: IO[str]) -> int:
     """Write the post-burn-in rows; full-precision floats keep output stable."""
-    k = bt.k
-    out.write(",".join(output_columns(k)) + "\n")
-    count = 0
-    for t in range(bt.burn_in, bt.n):
-        cells = [bt.dates[t].isoformat()]
-        cells += [repr(float(v)) for v in bt.nu_hat[t]]
-        cells += [
-            repr(float(bt.a[t])),
-            repr(float(bt.f_growth[t])),
-            repr(float(bt.log_wealth_market[t])),
-            repr(float(bt.log_wealth_nuhat[t])),
-            repr(float(bt.log_wealth_shrunk[t])),
-        ]
-        cells += [repr(float(bt.c_cum[t, i, j])) for i in range(k) for j in range(i, k)]
-        out.write(",".join(cells) + "\n")
-        count += 1
-    return count
+    b = bt.burn_in
+    upper_i, upper_j = np.triu_indices(bt.k)
+    values = np.column_stack([
+        bt.nu_hat[b:], bt.a[b:], bt.f_growth[b:], bt.log_wealth_market[b:],
+        bt.log_wealth_nuhat[b:], bt.log_wealth_shrunk[b:], bt.c_cum[b:, upper_i, upper_j],
+    ])
+    return write_table(out, output_columns(bt.k), bt.dates[b:], values)
 
 
 def read_backtest_csv(path: str) -> dict:
     """Read a backtest output CSV into named columns.
 
-    Returns a dict with ``dates`` plus one numpy array per column; raises
-    ``MissingColumns`` when the required core columns are absent.
+    Returns a dict with ``k``, ``dates`` and one numpy array per column;
+    raises ``MissingColumns`` when the required core columns are absent and
+    ``ParseError`` (with the line) on a row that does not parse.
     """
-    with open(path, "r", newline="") as handle:
-        reader = csv.reader(handle)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise MissingColumns(f"{path} is empty") from None
-        rows = [cells for cells in reader if cells]
+    header, dates, values = read_table(path)
     k = sum(1 for name in header if name.startswith("nu_hat_"))
-    required = set(output_columns(k)) if k else {"date"}
-    missing = required - set(header)
-    if k == 0 or missing:
-        raise MissingColumns(f"{path} lacks required columns: {sorted(missing) or 'nu_hat_*'}")
-    table: dict = {"k": k}
-    idx = {name: i for i, name in enumerate(header)}
-    table["dates"] = tuple(datetime.date.fromisoformat(row[idx["date"]]) for row in rows)
-    for name in header:
-        if name == "date":
-            continue
-        col = idx[name]
-        table[name] = np.array([float(row[col]) for row in rows])
-    return table
+    missing = set(output_columns(k)) - set(header) if k else {"nu_hat_*"}
+    if missing:
+        raise MissingColumns(f"{path} lacks required columns: {sorted(missing)}")
+    return {"k": k, "dates": tuple(dates), **dict(zip(header[1:], values.T))}

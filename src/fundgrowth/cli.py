@@ -147,18 +147,17 @@ def cmd_report(args: argparse.Namespace) -> int:
     if len(table["dates"]) == 0:
         raise EmptyRange(f"{args.input} has no data rows")
     k = table["k"]
-    labels = [d.isoformat() for d in table["dates"]]
+    for j in range(1, k + 1):
+        table[f"shrunk_{j}"] = table["a"] * table[f"nu_hat_{j}"]
+    c_names = sorted(name for name in table if name.startswith("c_"))
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    portfolio_series = []
-    for j in range(1, k + 1):
-        portfolio_series.append((f"nu_hat_{j}", table[f"nu_hat_{j}"]))
-        portfolio_series.append((f"shrunk_{j}", table["a"] * table[f"nu_hat_{j}"]))
     panels = {
         "portfolio.svg": ("Filtered growth-optimal portfolio and its shrunk version",
-                          portfolio_series),
+                          [(name, table[name]) for j in range(1, k + 1)
+                           for name in (f"nu_hat_{j}", f"shrunk_{j}")]),
         "shrink_factor.svg": ("Uniform shrink factor a", [("a", table["a"])]),
         "wealth.svg": ("Log wealth (excess of risk-free) and achievable growth F",
                        [("market", table["logW_market"]),
@@ -166,28 +165,17 @@ def cmd_report(args: argparse.Namespace) -> int:
                         ("shrunk", table["logW_shrunk"]),
                         ("F", table["F"])]),
         "quadratic_variation.svg": ("Cumulative quadratic variation C",
-                                    [(name, table[name]) for name in sorted(table)
-                                     if name.startswith("c_")]),
+                                    [(name, table[name]) for name in c_names]),
     }
     for filename, (title, series) in panels.items():
-        (out_dir / filename).write_text(svgchart.line_chart(title, labels, series))
+        (out_dir / filename).write_text(svgchart.line_chart(title, table["dates"], series))
 
     combined = out_dir / "panels.csv"
-    names = [f"nu_hat_{j}" for j in range(1, k + 1)]
-    names += [f"shrunk_{j}" for j in range(1, k + 1)]
-    names += ["a", "logW_market", "logW_nuhat", "logW_shrunk", "F"]
-    names += sorted(name for name in table if name.startswith("c_"))
+    names = [f"{name}_{j}" for name in ("nu_hat", "shrunk") for j in range(1, k + 1)]
+    names += ["a", "logW_market", "logW_nuhat", "logW_shrunk", "F"] + c_names
     with open(combined, "w", newline="") as handle:
-        handle.write("date," + ",".join(names) + "\n")
-        for i, day in enumerate(table["dates"]):
-            cells = [day.isoformat()]
-            for name in names:
-                if name.startswith("shrunk_"):
-                    value = table["a"][i] * table[f"nu_hat_{name[len('shrunk_'):]}"][i]
-                else:
-                    value = table[name][i]
-                cells.append(repr(float(value)))
-            handle.write(",".join(cells) + "\n")
+        marketsim.write_table(handle, ["date"] + names, table["dates"],
+                              np.column_stack([table[name] for name in names]))
     print(f"wrote {len(panels)} panels + {combined}")
     return 0
 

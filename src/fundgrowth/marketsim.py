@@ -14,13 +14,14 @@ from __future__ import annotations
 
 import datetime
 import math
+import warnings
 from dataclasses import dataclass
-from typing import IO, Optional
+from typing import IO, Optional, Sequence
 
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-from .errors import BadTruncation, ConfigError, EmptyGrid, RankDeficient
+from .errors import BadTruncation, ConfigError, EmptyGrid, ParseError, RankDeficient
 from .psd import CovMatrix, sqrt_entries
 
 # Trading-day step of the operational clock, used as the default everywhere.
@@ -28,6 +29,8 @@ DEFAULT_STEP = 1.0 / 252.0
 
 _REJECTION_CAP = 1_000_000
 _REJECTION_BATCH = 256
+# Rows that write_table formats per write: a few MB of text at K = 10.
+_TABLE_BLOCK_ROWS = 2000
 
 
 @dataclass(frozen=True)
@@ -123,9 +126,6 @@ class MarketPath:
     @property
     def dim(self) -> int:
         return self.increments.shape[1]
-
-    def cumulative_returns(self) -> np.ndarray:
-        return np.cumsum(self.increments, axis=0)
 
     def realized_quadratic_covariation(self) -> np.ndarray:
         """Sum of the outer products of the increments."""
@@ -440,11 +440,46 @@ def write_path_csv(
     so ``rf`` is written as zero.  Returns the number of data rows written.
     """
     rets = path.increments if fund is None else path.increments @ fund.f
-    k = rets.shape[1]
-    out.write("date," + ",".join(f"ret_{j + 1}" for j in range(k)) + ",rf\n")
-    day = start_date
-    for row in rets:
-        cells = ",".join(repr(float(v)) for v in row)
-        out.write(f"{day.isoformat()},{cells},0.0\n")
-        day = day + datetime.timedelta(days=1)
-    return rets.shape[0]
+    n, k = rets.shape
+    header = ["date"] + [f"ret_{j + 1}" for j in range(k)] + ["rf"]
+    dates = [start_date + datetime.timedelta(days=i) for i in range(n)]
+    return write_table(out, header, dates, np.column_stack([rets, np.zeros(n)]))
+
+
+def write_table(out: IO[str], header: Sequence[str], dates: Sequence, values: np.ndarray) -> int:
+    """Write ``header`` and one ``date,v_1,...,v_m`` line per row of ``values``,
+    a block of rows at a time.  Cells are ``repr`` of the float, which reads
+    back to the same bits.  Returns the number of rows written."""
+    values = np.asarray(values, dtype=float)
+    out.write(",".join(header) + "\n")
+    line = "%s" + ",%r" * values.shape[1] + "\n"
+    for start in range(0, values.shape[0], _TABLE_BLOCK_ROWS):
+        stop = start + _TABLE_BLOCK_ROWS
+        rows = zip(dates[start:stop], values[start:stop].tolist())
+        out.write("".join([line % (day, *row) for day, row in rows]))
+    return values.shape[0]
+
+
+def read_table(path: str) -> tuple[list[str], list[datetime.date], np.ndarray]:
+    """Header, dates and ``(rows, columns)`` values of a ``date,v_1,...,v_m`` file;
+    blank lines are skipped.  A bad date, a short row or a cell that is not a
+    number raises ``ParseError`` with its line number."""
+    dates: list[datetime.date] = []
+    at = [1]    # line of the row being parsed; numpy reads one row per next()
+    with open(path) as handle:
+        header = handle.readline().rstrip("\n").split(",")
+
+        def rows():
+            for lineno, line in enumerate(handle, start=2):
+                if not line.isspace():
+                    at[0] = lineno
+                    dates.append(datetime.date.fromisoformat(line.partition(",")[0].rstrip("\n")))
+                    yield line
+
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")     # loadtxt warns when there are no rows
+                values = np.loadtxt(rows(), delimiter=",", usecols=range(1, len(header)), ndmin=2)
+        except ValueError as exc:
+            raise ParseError(at[0], str(exc)) from None
+    return header, dates, values

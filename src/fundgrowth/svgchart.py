@@ -11,6 +11,8 @@ from typing import Sequence
 
 import numpy as np
 
+from .errors import EmptyRange
+
 PALETTE = ["#1f77b4", "#d62728", "#2ca02c", "#7f7f7f", "#9467bd", "#8c564b"]
 
 _WIDTH = 840
@@ -46,15 +48,14 @@ def _fmt_tick(value: float) -> str:
     return f"{value:.6g}"
 
 
-def line_chart(title: str, x_labels: Sequence[str], series: Sequence[tuple[str, np.ndarray]]) -> str:
-    """Render labelled series over a shared index axis; NaNs break the line."""
+def line_chart(title: str, x_labels: Sequence, series: Sequence[tuple[str, np.ndarray]]) -> str:
+    """Render labelled series over a shared index axis, every point drawn;
+    NaNs break the line, and ``EmptyRange`` means no value is finite."""
     n = max((len(vals) for _, vals in series), default=0)
-    if n == 0:
-        raise ValueError("nothing to plot")
-    finite = np.concatenate([np.asarray(v, float)[np.isfinite(np.asarray(v, float))]
-                             for _, v in series if len(v)])
+    finite = np.concatenate([np.empty(0)] + [np.asarray(v, float) for _, v in series])
+    finite = finite[np.isfinite(finite)]
     if finite.size == 0:
-        raise ValueError("no finite values to plot")
+        raise EmptyRange(f"{title}: no finite values to plot")
     y_lo, y_hi = float(finite.min()), float(finite.max())
     if y_hi == y_lo:
         y_lo, y_hi = y_lo - 0.5, y_hi + 0.5
@@ -65,10 +66,11 @@ def line_chart(title: str, x_labels: Sequence[str], series: Sequence[tuple[str, 
     plot_w = _WIDTH - _MARGIN_L - _MARGIN_R
     plot_h = _HEIGHT - _MARGIN_T - _MARGIN_B
 
-    def px(i: int) -> float:
+    # Scalars or arrays; arrays get the same floats as a per-point loop.
+    def px(i):
         return _MARGIN_L + plot_w * (i / max(n - 1, 1))
 
-    def py(v: float) -> float:
+    def py(v):
         return _MARGIN_T + plot_h * (1.0 - (v - y_lo) / (y_hi - y_lo))
 
     parts = [
@@ -110,15 +112,11 @@ def line_chart(title: str, x_labels: Sequence[str], series: Sequence[tuple[str, 
     for idx, (label, values) in enumerate(series):
         color = PALETTE[idx % len(PALETTE)]
         values = np.asarray(values, dtype=float)
-        run: list[str] = []
-        for i, v in enumerate(values):
-            if math.isfinite(v):
-                run.append(f"{_fmt(px(i))},{_fmt(py(v))}")
-            elif run:
-                parts.append(_polyline(run, color))
-                run = []
-        if run:
-            parts.append(_polyline(run, color))
+        x, y = px(np.arange(values.size)), py(values)
+        # finite runs start and stop where the finite mask flips
+        edges = np.flatnonzero(np.diff(np.isfinite(values), prepend=False, append=False))
+        for start, stop in zip(edges[::2].tolist(), edges[1::2].tolist()):
+            parts.append(_polyline(x[start:stop], y[start:stop], color))
         ly = _MARGIN_T + 16 + 16 * idx
         parts.append(
             f'<line x1="{_MARGIN_L + 8}" y1="{ly - 4}" x2="{_MARGIN_L + 28}" y2="{ly - 4}" '
@@ -133,11 +131,9 @@ def line_chart(title: str, x_labels: Sequence[str], series: Sequence[tuple[str, 
     return "".join(parts)
 
 
-def _polyline(points: list[str], color: str) -> str:
-    if len(points) == 1:
-        x, y = points[0].split(",")
-        return f'<circle cx="{x}" cy="{y}" r="1.5" fill="{color}"/>\n'
-    return (
-        f'<polyline fill="none" stroke="{color}" stroke-width="1.5" '
-        f'points="{" ".join(points)}"/>\n'
-    )
+def _polyline(x: np.ndarray, y: np.ndarray, color: str) -> str:
+    """A lone point as a circle, a longer run as a polyline (``%.2f`` is ``_fmt``)."""
+    if x.size == 1:
+        return f'<circle cx="{_fmt(x[0])}" cy="{_fmt(y[0])}" r="1.5" fill="{color}"/>\n'
+    points = " ".join(["%.2f,%.2f"] * x.size) % tuple(np.column_stack([x, y]).ravel().tolist())
+    return f'<polyline fill="none" stroke="{color}" stroke-width="1.5" points="{points}"/>\n'

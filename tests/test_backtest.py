@@ -149,6 +149,14 @@ class TestIngest:
 
 
 class TestRunBacktest:
+    @pytest.mark.parametrize("day, fund, rf", [(7, math.nan, 0.0), (0, 0.01, math.inf),
+                                               (19, -math.inf, 0.0), (3, 0.01, math.nan)])
+    def test_non_finite_returns_rejected(self, day, fund, rf):
+        rets, rates = np.full(20, 0.001), np.zeros(20)
+        rets[day], rates[day] = fund, rf
+        with pytest.raises(ValueError, match="finite"):
+            make_series(rets, rf=rates)
+
     def test_series_must_outlast_burn_in(self):
         series = simulated_series(100, seed=1)
         with pytest.raises(InsufficientBurnIn):

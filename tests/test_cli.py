@@ -159,6 +159,26 @@ class TestBacktestReport:
         bad.write_text("date,a\n2001-01-01,0.4\n")
         assert run(["report", "--input", str(bad), "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("row, line", [
+        ("2001-01-03,0.5,0.4,0.0,0.0,0.0,0.0,abc", 4),     # non-numeric cell
+        ("2001-01-03,0.5,0.4,0.0", 4),                     # short row
+        ("\n2001-13-03,0.5,0.4,0.0,0.0,0.0,0.0,1.0", 5),   # bad date after a blank line
+    ])
+    def test_report_malformed_row_names_its_line(self, tmp_path, capsys, row, line):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("date,nu_hat_1,a,F,logW_market,logW_nuhat,logW_shrunk,c_11\n"
+                       "2001-01-01,0.5,0.4,0.0,0.0,0.0,0.0,1.0\n"
+                       "2001-01-02,0.5,0.4,0.0,0.0,0.0,0.0,1.0\n" + row + "\n")
+        assert run(["report", "--input", str(bad), "--out", str(tmp_path)]) == 2
+        assert f"line {line}:" in capsys.readouterr().err
+
+    def test_report_all_nan_is_empty_range(self, tmp_path, capsys):
+        nan = tmp_path / "nan.csv"
+        nan.write_text("date,nu_hat_1,a,F,logW_market,logW_nuhat,logW_shrunk,c_11\n"
+                       + "".join(f"2001-01-0{d},nan,nan,nan,nan,nan,nan,nan\n" for d in (1, 2)))
+        assert run(["report", "--input", str(nan), "--out", str(tmp_path)]) == 2
+        assert "no finite values" in capsys.readouterr().err
+
     def test_report_empty_range(self, tmp_path):
         empty = tmp_path / "empty.csv"
         empty.write_text("date,nu_hat_1,a,F,logW_market,logW_nuhat,logW_shrunk,c_11\n")
@@ -184,6 +204,16 @@ class TestBacktestReport:
         assert run(["backtest", "--input", str(tmp_path / "simulated.csv"),
                     "--config", str(config), "--out", str(tmp_path)]) == 2
         assert "line " in capsys.readouterr().err
+
+    def test_indefinite_kappa0_is_config_error(self, tmp_path, capsys):
+        scenario = tmp_path / "scenario.cfg"
+        scenario.write_text(BACKTEST_SCENARIO)
+        run(["simulate", "--config", str(scenario), "--out", str(tmp_path)])
+        config = tmp_path / "bt.cfg"
+        config.write_text("prior = anchored\nburn_in_days = 0\nnu0 = 0.5\nkappa0 = -1\n")
+        assert run(["backtest", "--input", str(tmp_path / "simulated.csv"),
+                    "--config", str(config), "--out", str(tmp_path)]) == 2
+        assert "kappa0 must be positive definite" in capsys.readouterr().err
 
     def test_backtest_deterministic_bytes(self, tmp_path):
         scenario = tmp_path / "scenario.cfg"

@@ -4,6 +4,7 @@ import re
 import numpy as np
 import pytest
 
+from fundgrowth.errors import EmptyRange
 from fundgrowth.svgchart import line_chart
 
 LABELS = [f"d{i}" for i in range(7)]
@@ -51,5 +52,5 @@ def test_unequal_lengths_share_the_index_axis():
 
 
 def test_nothing_finite_is_rejected():
-    with pytest.raises(Exception, match="no finite values"):
-        line_chart("empty", LABELS, [("s", np.array([NAN, NAN]))])
+    with pytest.raises(EmptyRange, match="no finite values"):
+        line_chart("empty", LABELS, [("s", np.array([NAN, NAN])), ("t", np.array([math.inf]))])
