@@ -29,8 +29,7 @@ DEFAULT_STEP = 1.0 / 252.0
 
 _REJECTION_CAP = 1_000_000
 _REJECTION_BATCH = 256
-# Rows that write_table formats per write: a few MB of text at K = 10.
-_TABLE_BLOCK_ROWS = 2000
+_TABLE_BLOCK_ROWS = 2000    # rows per write in write_table: a few MB of text at K = 10
 
 
 @dataclass(frozen=True)
@@ -479,7 +478,8 @@ def read_table(path: str) -> tuple[list[str], list[datetime.date], np.ndarray]:
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")     # loadtxt warns when there are no rows
-                values = np.loadtxt(rows(), delimiter=",", usecols=range(1, len(header)), ndmin=2)
+                values = np.loadtxt(rows(), delimiter=",", comments=None,
+                                    usecols=range(1, len(header)), ndmin=2)
         except ValueError as exc:
             raise ParseError(at[0], str(exc)) from None
     return header, dates, values

@@ -162,6 +162,7 @@ class TestBacktestReport:
     @pytest.mark.parametrize("row, line", [
         ("2001-01-03,0.5,0.4,0.0,0.0,0.0,0.0,abc", 4),     # non-numeric cell
         ("2001-01-03,0.5,0.4,0.0", 4),                     # short row
+        ("2001-01-03,0.5,0.4,0.0,0.0,0.0,0.0,1.0 # note", 4),   # no comments in a table
         ("\n2001-13-03,0.5,0.4,0.0,0.0,0.0,0.0,1.0", 5),   # bad date after a blank line
     ])
     def test_report_malformed_row_names_its_line(self, tmp_path, capsys, row, line):
