@@ -13,7 +13,6 @@ from .backtest import (
     ReturnSeries,
     ingest_csv,
     run_backtest,
-    wealth_tracks,
 )
 from .estimators import LocalWindow, dis, estimate_theta, mc_distance_from_growth, mse
 from .filtering import (
@@ -67,5 +66,5 @@ __all__ = [
     "ShrinkResult", "solve_b", "shrink_portfolio", "cardano_a",
     "psi_one_fund", "psi_constant_cov",
     "ReturnSeries", "BacktestConfig", "BacktestSeries", "ingest_csv",
-    "run_backtest", "wealth_tracks",
+    "run_backtest",
 ]

@@ -42,7 +42,7 @@ from .errors import (
     SingularC,
 )
 from .marketsim import ConfigLines, _parse_matrix, _parse_vector, read_table, write_table
-from .psd import CovMatrix
+from .psd import CovMatrix, inverse_entries, is_definite
 
 DEFAULT_BURN_IN = 7500   # trading days, about 30 years
 
@@ -158,14 +158,11 @@ def ingest_csv(path: str, drop_policy: str = "skip") -> IngestResult:
 class BacktestConfig:
     """Knobs for the daily pipeline.
 
-    ``clock`` is recorded for reporting only: every output of the pipeline is
-    built from the cumulative ``R`` and ``C`` and does not depend on how
-    operational time is counted.  ``prior='anchored'`` folds ``kappa0^{-1}``
-    and ``kappa0^{-1} nu0`` into the accumulators, allowing ``burn_in = 0``.
+    ``prior='anchored'`` folds ``kappa0^{-1}`` and ``kappa0^{-1} nu0`` into
+    the accumulators, allowing ``burn_in = 0``.
     """
 
     burn_in_days: int = DEFAULT_BURN_IN
-    clock: str = "trading"
     prior: str = "uninformative"
     nu0: Optional[np.ndarray] = None
     kappa0: Optional[np.ndarray] = None
@@ -177,8 +174,6 @@ class BacktestConfig:
     force_nu_hat: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        if self.clock not in ("trading", "calendar"):
-            raise ConfigError(f"unknown clock {self.clock!r}")
         if self.prior not in ("uninformative", "anchored"):
             raise ConfigError(f"unknown prior {self.prior!r}")
         if self.prior == "anchored" and (self.nu0 is None or self.kappa0 is None):
@@ -203,7 +198,7 @@ def _parse_bool(text: str) -> bool:
 
 
 _CONFIG_PARSERS = {
-    "burn_in_days": int, "clock": str, "prior": str, "nu0": _parse_vector,
+    "burn_in_days": int, "prior": str, "nu0": _parse_vector,
     "kappa0": _parse_matrix, "truncation_l": float, "truncation_r": float,
     "drop_policy": str, "demean_covariance": _parse_bool, "force_a": float,
     "force_nu_hat": _parse_vector,
@@ -254,13 +249,9 @@ def _prior_anchor(config: BacktestConfig, k: int) -> tuple[np.ndarray, np.ndarra
     if config.prior != "anchored":
         return np.zeros(k), np.zeros((k, k))
     try:
-        kappa0 = CovMatrix(config.kappa0)
-    except ValueError as exc:
+        c0 = inverse_entries(CovMatrix(config.kappa0))
+    except (ValueError, SingularC) as exc:
         raise ConfigError(f"kappa0 must be positive definite: {exc}") from None
-    w = kappa0.eigenvalues
-    if w[-1] <= 1e-12 * w[0] or w[0] <= 0.0:
-        raise ConfigError("kappa0 must be positive definite")
-    c0 = (kappa0.eigenvectors / w) @ kappa0.eigenvectors.T
     r0 = c0 @ np.asarray(config.nu0, dtype=float).reshape(-1)
     if r0.size != k:
         raise ConfigError(f"nu0 has size {r0.size}, series has {k} fund(s)")
@@ -322,10 +313,10 @@ def run_backtest(series: ReturnSeries, config: Optional[BacktestConfig] = None) 
 
     r_post, c_post = r_cum[b:], c_cum[b:]
     lam = np.linalg.eigvalsh(c_post if k > 1 else c_post[:1])
-    singular = (lam[:, -1] <= 0.0) | (lam[:, 0] <= 1e-12 * lam[:, -1])
-    if singular[0]:
+    definite = is_definite(lam[:, 0], lam[:, -1])
+    if not definite[0]:
         raise InsufficientBurnIn("cumulative covariance is not positive definite at burn-in end")
-    if singular.any():
+    if not definite.all():
         raise SingularC("cumulative covariance is not positive definite")
 
     nu = np.full((n, k), math.nan)
@@ -384,28 +375,6 @@ def run_backtest(series: ReturnSeries, config: Optional[BacktestConfig] = None) 
         f_growth=f_growth,
         burn_in=b,
         floored_steps=floored_steps,
-    )
-
-
-@dataclass(frozen=True)
-class WealthTable:
-    """Post-burn-in log-wealth tracks plus achievable growth, aligned by date."""
-
-    dates: tuple
-    market: np.ndarray
-    nuhat: np.ndarray
-    shrunk: np.ndarray
-    f_growth: np.ndarray
-
-
-def wealth_tracks(bt: BacktestSeries) -> WealthTable:
-    sl = slice(bt.burn_in, bt.n)
-    return WealthTable(
-        dates=bt.dates[sl],
-        market=bt.log_wealth_market[sl],
-        nuhat=bt.log_wealth_nuhat[sl],
-        shrunk=bt.log_wealth_shrunk[sl],
-        f_growth=bt.f_growth[sl],
     )
 
 

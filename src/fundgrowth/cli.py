@@ -136,7 +136,7 @@ def cmd_backtest(args: argparse.Namespace) -> int:
     with open(out_csv, "w", newline="") as handle:
         rows = bt.write_backtest_csv(result, handle)
     print(f"read {ingest.rows_read} rows ({ingest.rows_dropped} dropped), "
-          f"{series.k} fund(s); burn-in {result.burn_in} days, {config.clock} clock")
+          f"{series.k} fund(s); burn-in {result.burn_in} days")
     print(f"wrote {out_csv} rows={rows} final a={float(result.a[-1]):.4f} "
           f"floored_steps={result.floored_steps}")
     return 0

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SingularCrossCovariance
-from .psd import CovMatrix, sqrt_entries
+from .psd import CovMatrix, is_definite, sqrt_entries
 
 
 @dataclass(frozen=True)
@@ -47,7 +47,7 @@ class LocalWindow:
         if self.d_o <= 0.0:
             raise ValueError("window length d_o must be positive")
         w = self.cov_rate.eigenvalues
-        if w[-1] <= 1e-12 * w[0]:
+        if not is_definite(w[-1], w[0]):
             raise ValueError("cov_rate must have full rank")
 
 

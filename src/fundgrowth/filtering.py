@@ -22,7 +22,7 @@ import numpy as np
 from scipy.special import ndtr
 
 from .errors import DegenerateInterval, SingularC
-from .psd import CovMatrix, Projection, subspace_pinv
+from .psd import CovMatrix, Projection, inverse_entries, subspace_pinv
 
 MatrixLike = Union[CovMatrix, np.ndarray]
 
@@ -31,13 +31,6 @@ _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 def _as_cov(m: MatrixLike) -> CovMatrix:
     return m if isinstance(m, CovMatrix) else CovMatrix(m)
-
-
-def _pd_inverse(c: CovMatrix) -> np.ndarray:
-    w = c.eigenvalues
-    if w[0] <= 0.0 or w[-1] <= 1e-12 * w[0]:
-        raise SingularC("cumulative covariance is not positive definite")
-    return (c.eigenvectors / w) @ c.eigenvectors.T
 
 
 @dataclass(frozen=True)
@@ -62,12 +55,13 @@ class PosteriorState:
 
 
 def gaussian_posterior(r_cum: np.ndarray, c_cum: MatrixLike) -> PosteriorState:
-    """Gaussian posterior: mean ``C^{-1} R``, covariance ``C^{-1}``."""
+    """Gaussian posterior: mean ``C^{-1} R``, covariance ``C^{-1}``; raises
+    ``SingularC`` unless ``C`` is positive definite."""
     r_cum = np.asarray(r_cum, dtype=float).reshape(-1)
     c_cum = _as_cov(c_cum)
     if r_cum.size != c_cum.dim:
         raise ValueError(f"R has size {r_cum.size}, C has dim {c_cum.dim}")
-    kappa = _pd_inverse(c_cum)
+    kappa = inverse_entries(c_cum)
     return PosteriorState(
         r_cum=r_cum,
         c_cum=c_cum,

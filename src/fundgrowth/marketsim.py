@@ -22,7 +22,7 @@ import numpy as np
 from scipy.special import ndtr, ndtri
 
 from .errors import BadTruncation, ConfigError, EmptyGrid, ParseError, RankDeficient
-from .psd import CovMatrix, sqrt_entries
+from .psd import CovMatrix, is_definite, sqrt_entries
 
 # Trading-day step of the operational clock, used as the default everywhere.
 DEFAULT_STEP = 1.0 / 252.0
@@ -170,18 +170,15 @@ def _truncated_inverse_cdf(rng, mu: float, sd: float, lower: float, upper: float
     """Inverse-CDF draw on an interval, via the survival function in the tails.
 
     Far from the mean, ``ndtr`` saturates at 1.0 and the naive quantile
-    collapses; mapping a right-tail interval through ``1 - Phi`` (and the
-    left tail by mirror symmetry) keeps full precision where rejection
-    sampling has no chance.
+    collapses; mapping a right-tail interval through ``1 - Phi`` keeps full
+    precision where rejection sampling has no chance.  A left-tail interval
+    needs no mapping: ``ndtr`` keeps full relative precision below zero.
     """
     alpha = (lower - mu) / sd
     beta = (upper - mu) / sd
     if alpha >= 0.0:       # right tail
         u = rng.uniform(float(ndtr(-beta)), float(ndtr(-alpha)))
         return mu - sd * float(ndtri(u))
-    if beta <= 0.0:        # left tail
-        u = rng.uniform(float(ndtr(alpha)), float(ndtr(beta)))
-        return mu + sd * float(ndtri(u))
     u = rng.uniform(float(ndtr(alpha)), float(ndtr(beta)))
     return mu + sd * float(ndtri(u))
 
@@ -215,7 +212,7 @@ def build_fund_model(c: CovMatrix, f: np.ndarray) -> FundSpec:
         raise RankDeficient("fund loadings are numerically dependent")
     gram = f.T @ c.entries @ f
     gw = np.linalg.eigvalsh(gram)
-    if gw[0] <= 1e-12 * max(gw[-1], 0.0) or gw[-1] <= 0.0:
+    if not is_definite(gw[0], gw[-1]):
         raise RankDeficient("fund covariance f'cf is numerically singular")
     beta = np.linalg.solve(gram, (c.entries @ f).T).T
     residual = c.entries - beta @ gram @ beta.T
@@ -298,10 +295,6 @@ class SimScenario:
     f: Optional[np.ndarray] = None
     theta: Optional[np.ndarray] = None
     drift_check_paths: int = 100_000
-
-    @property
-    def funds(self) -> Optional[int]:
-        return None if self.f is None else self.f.shape[1]
 
 
 def _parse_matrix(text: str) -> np.ndarray:

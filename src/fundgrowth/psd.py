@@ -4,8 +4,8 @@ Everything downstream (simulation, filtering, shrinkage, backtesting) pushes
 covariance-like matrices around: covariance *rates* against an operational
 clock and cumulative integrated covariances.  This module fixes the numerical
 conventions once: symmetrisation on input, eigenvalue clamping, matrix square
-roots, orthogonal projections onto fund spans, and pseudo-inverses restricted
-to a projection subspace.
+roots, the one positive-definiteness rule, inverses, orthogonal projections
+onto fund spans, and pseudo-inverses restricted to a projection subspace.
 
 All values are immutable after construction and all operations are pure, so
 they are safe for unrestricted concurrent use.
@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import RankDeficient, SingularOnSubspace
+from .errors import RankDeficient, SingularC, SingularOnSubspace
 
 # Input gate: relative asymmetry above this rejects the matrix outright.
 SYM_RTOL = 1e-12
@@ -24,6 +24,8 @@ SYM_RTOL = 1e-12
 EIG_DUST_RTOL = 1e-10
 # Spectral cutoff for the subspace pseudo-inverse, relative to trace.
 SUBSPACE_CUTOFF_RTOL = 1e-12
+# Positive definite means lambda_min > PD_RTOL * lambda_max > 0.
+PD_RTOL = 1e-12
 
 
 class CovMatrix:
@@ -113,6 +115,21 @@ def sqrt_entries(m: CovMatrix) -> np.ndarray:
     """
     root = (m.eigenvectors * np.sqrt(m.eigenvalues)) @ m.eigenvectors.T
     return 0.5 * (root + root.T)
+
+
+def is_definite(lam_min, lam_max):
+    """``lam_min > PD_RTOL * lam_max > 0``: the one positive-definiteness test,
+    elementwise on arrays of extreme eigenvalues (NaN is not definite)."""
+    return (lam_max > 0.0) & (lam_min > PD_RTOL * lam_max)
+
+
+def inverse_entries(m: CovMatrix) -> np.ndarray:
+    """Raw entries of the inverse in the cached eigenbasis; raises
+    ``SingularC`` unless ``m`` passes ``is_definite``."""
+    w = m.eigenvalues
+    if not is_definite(w[-1], w[0]):
+        raise SingularC("matrix is not positive definite")
+    return (m.eigenvectors / w) @ m.eigenvectors.T
 
 
 def mat_sqrt(m: CovMatrix) -> CovMatrix:

@@ -25,7 +25,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import NoConvergence, SingularC
-from .psd import CovMatrix
+from .psd import CovMatrix, inverse_entries, is_definite
 
 # Residual target |f(b) - b| <= RESIDUAL_TOL * max(1, b).
 RESIDUAL_TOL = 1e-12
@@ -147,7 +147,7 @@ def shrink_portfolio(nu_hat: np.ndarray, kappa: CovMatrix, d_c: CovMatrix) -> Sh
     """
     nu_hat = np.asarray(nu_hat, dtype=float).reshape(-1)
     w = d_c.eigenvalues
-    if w[-1] <= 1e-12 * w[0] or w[0] <= 0.0:
+    if not is_definite(w[-1], w[0]):
         raise SingularC("dC must be positive definite")
     if kappa.dim != d_c.dim or nu_hat.size != d_c.dim:
         raise ValueError("nu_hat, kappa and dC dims disagree")
@@ -219,8 +219,5 @@ def psi_one_fund(nu_hat, kappa):
 def psi_constant_cov(r_cum: np.ndarray, c_cum: CovMatrix) -> float:
     """Uniform-case parameter under a constant covariance rate: ``(3/2)^3 R'C^{-1}R``."""
     r_cum = np.asarray(r_cum, dtype=float).reshape(-1)
-    w = c_cum.eigenvalues
-    if w[-1] <= 1e-12 * w[0] or w[0] <= 0.0:
-        raise SingularC("cumulative covariance is not positive definite")
-    kappa = (c_cum.eigenvectors / w) @ c_cum.eigenvectors.T
+    kappa = inverse_entries(c_cum)
     return 3.375 * float(r_cum @ kappa @ r_cum)

@@ -19,7 +19,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import estimators, filtering, shrinkage
-from .psd import CovMatrix, Projection, projection_from_frame, check_lemma_error_reduction
+from .psd import (CovMatrix, Projection, check_lemma_error_reduction, projection_from_frame,
+                  sqrt_entries)
 
 
 @dataclass(frozen=True)
@@ -187,8 +188,7 @@ def check_growth_loss_identity(rng: np.random.Generator, instances: int,
         d_c = _random_psd(rng, dim)
         kappa = _random_psd(rng, dim, definite=False)
         nu_hat = rng.standard_normal(dim)
-        root = (kappa.eigenvectors * np.sqrt(kappa.eigenvalues)) @ kappa.eigenvectors.T
-        draws = nu_hat + rng.standard_normal((n_draws, dim)) @ root
+        draws = nu_hat + rng.standard_normal((n_draws, dim)) @ sqrt_entries(kappa)
         growth = 0.5 * np.einsum("ij,ij->i", draws @ d_c.entries, draws)
         gap = growth - filtering.f_growth_increment(nu_hat, d_c)
         stderr = float(gap.std(ddof=1)) / math.sqrt(n_draws)

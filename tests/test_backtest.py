@@ -12,7 +12,6 @@ from fundgrowth.backtest import (
     parse_backtest_config,
     read_backtest_csv,
     run_backtest,
-    wealth_tracks,
     write_backtest_csv,
 )
 from fundgrowth.errors import (
@@ -272,12 +271,12 @@ class TestWealthTracks:
     def test_first_displayed_values_are_zero(self):
         series = simulated_series(250, seed=10)
         bt = run_backtest(series, BacktestConfig(burn_in_days=100))
-        table = wealth_tracks(bt)
-        assert table.market[0] == 0.0
-        assert table.nuhat[0] == 0.0
-        assert table.shrunk[0] == 0.0
-        assert table.f_growth[0] == 0.0
-        assert len(table.dates) == 150
+        assert bt.burn_in == 100
+        assert bt.log_wealth_market[100] == 0.0
+        assert bt.log_wealth_nuhat[100] == 0.0
+        assert bt.log_wealth_shrunk[100] == 0.0
+        assert bt.f_growth[100] == 0.0
+        assert bt.n - bt.burn_in == 150
 
     def test_forced_unit_shrink_collapses_tracks(self):
         series = simulated_series(250, seed=11)
@@ -321,11 +320,9 @@ class TestCsvRoundTrip:
 class TestConfigParsing:
     def test_round_trip(self):
         config = parse_backtest_config(
-            "burn_in_days = 100\nclock = calendar\ntruncation_l = 0.0\n"
-            "demean_covariance = true\n"
+            "burn_in_days = 100\ntruncation_l = 0.0\ndemean_covariance = true\n"
         )
         assert config.burn_in_days == 100
-        assert config.clock == "calendar"
         assert config.truncation == (0.0, math.inf)
         assert config.demean_covariance
 
@@ -349,7 +346,7 @@ class TestConfigParsing:
                                       "kappa0 = 1, 2; 3", "demean_covariance = maybe"])
     def test_bad_value_names_its_line(self, line):
         with pytest.raises(ConfigError, match="line 2: bad value"):
-            parse_backtest_config("clock = trading\n" + line + "\n")
+            parse_backtest_config("prior = uninformative\n" + line + "\n")
 
     def test_anchored_needs_both_moments(self):
         with pytest.raises(ConfigError):

@@ -3,11 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fundgrowth.errors import RankDeficient, SingularOnSubspace
+from fundgrowth.errors import RankDeficient, SingularC, SingularOnSubspace
 from fundgrowth.psd import (
+    PD_RTOL,
     CovMatrix,
     Projection,
     check_lemma_error_reduction,
+    inverse_entries,
+    is_definite,
     mat_sqrt,
     projection_from_frame,
     subspace_pinv,
@@ -81,6 +84,47 @@ class TestMatSqrt:
             s = mat_sqrt(m).entries
             comm = s @ m.entries - m.entries @ s
             assert np.linalg.norm(comm) <= 1e-8 * np.linalg.norm(m.entries)
+
+
+class TestDefiniteness:
+    def test_scalar_and_stacked_forms_agree(self):
+        rng = np.random.default_rng(31)
+        lam_max = rng.uniform(0.0, 2.0, size=200)
+        lam_min = lam_max * rng.choice([0.0, 0.5 * PD_RTOL, PD_RTOL, 2.0 * PD_RTOL, 0.3], 200)
+        lam_min[:10] *= -1.0
+        stacked = is_definite(lam_min, lam_max)
+        assert stacked.shape == (200,)
+        assert [bool(v) for v in stacked] == [
+            bool(is_definite(float(lo), float(hi))) for lo, hi in zip(lam_min, lam_max)
+        ]
+        assert stacked.any() and not stacked.all()
+
+    def test_zero_largest_eigenvalue_is_not_definite(self):
+        assert not is_definite(0.0, 0.0)
+        assert not is_definite(-1.0, 0.0)
+
+    def test_boundary_is_not_definite(self):
+        assert not is_definite(PD_RTOL * 3.0, 3.0)
+        assert is_definite(2.0 * PD_RTOL * 3.0, 3.0)
+
+    def test_nan_is_not_definite(self):
+        assert not is_definite(np.nan, 1.0)
+        assert not is_definite(1.0, np.nan)
+
+
+class TestInverseEntries:
+    def test_inverts_random_definite(self):
+        rng = np.random.default_rng(37)
+        for dim in range(1, 7):
+            m = random_psd(rng, dim)
+            np.testing.assert_allclose(m.entries @ inverse_entries(m), np.eye(dim), atol=1e-9)
+
+    def test_singular_psd_raises(self):
+        v = np.array([1.0, 2.0, 3.0])
+        with pytest.raises(SingularC):
+            inverse_entries(CovMatrix(np.outer(v, v)))
+        with pytest.raises(SingularC):
+            inverse_entries(CovMatrix(np.zeros((2, 2))))
 
 
 class TestProjection:
