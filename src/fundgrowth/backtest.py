@@ -180,6 +180,14 @@ class BacktestConfig:
             raise ConfigError("anchored prior needs nu0 and kappa0")
         if self.burn_in_days < 0:
             raise ConfigError("burn_in_days must be nonnegative")
+        if self.truncation is not None and not self.truncation[0] < self.truncation[1]:
+            raise ConfigError(f"truncation interval {self.truncation} is empty")
+        for name in ("nu0", "force_nu_hat"):
+            value = getattr(self, name)
+            if value is not None and not np.isfinite(np.asarray(value, dtype=float)).all():
+                raise ConfigError(f"{name} must be finite")
+        if self.force_a is not None and not 0.0 <= self.force_a <= 1.0:
+            raise ConfigError(f"force_a must lie in [0, 1], got {self.force_a}")
 
     @property
     def truncation(self) -> Optional[tuple[float, float]]:
@@ -248,14 +256,14 @@ def _prior_anchor(config: BacktestConfig, k: int) -> tuple[np.ndarray, np.ndarra
     or zeros under the uninformative prior."""
     if config.prior != "anchored":
         return np.zeros(k), np.zeros((k, k))
+    nu0 = np.asarray(config.nu0, dtype=float).reshape(-1)
+    if nu0.size != k or np.shape(config.kappa0) != (k, k):
+        raise ConfigError(f"nu0 and kappa0 must be of size {k} and {k} x {k}, one per fund")
     try:
         c0 = inverse_entries(CovMatrix(config.kappa0))
     except (ValueError, SingularC) as exc:
         raise ConfigError(f"kappa0 must be positive definite: {exc}") from None
-    r0 = c0 @ np.asarray(config.nu0, dtype=float).reshape(-1)
-    if r0.size != k:
-        raise ConfigError(f"nu0 has size {r0.size}, series has {k} fund(s)")
-    return r0, 0.5 * (c0 + c0.T)
+    return c0 @ nu0, 0.5 * (c0 + c0.T)
 
 
 def _squared_returns(x: np.ndarray, demean: bool, out: np.ndarray) -> None:

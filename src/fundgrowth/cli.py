@@ -100,6 +100,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     names = None if not args.checks else [s.strip() for s in args.checks.split(",") if s.strip()]
+    if args.instances is not None and args.instances < 1:
+        print(f"error: --instances must be at least 1, got {args.instances}", file=sys.stderr)
+        return 2
     try:
         results = verify.run_checks(
             names=names, seed=args.seed, instances=args.instances, sabotage=args.sabotage

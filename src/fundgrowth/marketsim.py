@@ -310,6 +310,13 @@ def _parse_cov(text: str) -> CovMatrix:
     return CovMatrix(_parse_matrix(text))
 
 
+def _sized(name: str, value: Optional[np.ndarray], shape: tuple):
+    """``value`` unless it is an array of another shape or with a non-finite entry."""
+    if value is not None and (value.shape != shape or not np.isfinite(value).all()):
+        raise ConfigError(f"{name} must be {' x '.join(map(str, shape))} finite value(s)")
+    return value
+
+
 class ConfigLines:
     """The ``key = value`` lines of a scenario or backtest config file.
 
@@ -359,6 +366,8 @@ def parse_scenario(text: str) -> SimScenario:
     if "dim" not in lines:
         raise ConfigError("scenario must declare 'dim'")
     dim = lines.get("dim", int)
+    if dim < 1:
+        raise ConfigError(f"dim must be positive, got {dim}")
 
     if "cov" in lines:
         cov = lines.get("cov", _parse_cov)
@@ -374,11 +383,12 @@ def parse_scenario(text: str) -> SimScenario:
             raise ConfigError(f"unknown cov_preset {name!r}")
     else:
         raise ConfigError("scenario must declare 'cov' or 'cov_preset'")
-    if cov.dim != dim:
-        raise ConfigError(f"cov has dim {cov.dim}, scenario declares {dim}")
-
-    mean = lines.get("prior_mean", _parse_vector, np.zeros(dim))
     prior_cov = lines.get("prior_cov", _parse_cov) if "prior_cov" in lines else CovMatrix(np.eye(dim))
+    for name, matrix in (("cov", cov), ("prior_cov", prior_cov)):
+        if matrix.dim != dim:
+            raise ConfigError(f"{name} has dim {matrix.dim}, scenario declares {dim}")
+
+    mean = _sized("prior_mean", lines.get("prior_mean", _parse_vector, np.zeros(dim)), (dim,))
     truncation = None
     if "truncation_l" in lines or "truncation_r" in lines:
         truncation = (lines.get("truncation_l", float, -math.inf),
@@ -387,18 +397,25 @@ def parse_scenario(text: str) -> SimScenario:
 
     f = lines.get("f", _parse_matrix)
     theta = lines.get("theta", _parse_vector)
-    if f is not None and theta is None:
-        raise ConfigError("fund scenarios must declare 'theta'")
+    if f is not None:
+        if theta is None:
+            raise ConfigError("fund scenarios must declare 'theta'")
+        _sized("f", f, (dim, min(f.shape[1], dim)))     # at most dim funds
+        _sized("theta", theta, (f.shape[1],))
+    dt = lines.get("dt", float, DEFAULT_STEP)
+    o_start = lines.get("o_start", float, 0.0)
+    if not (0.0 < dt < math.inf and math.isfinite(o_start)):
+        raise ConfigError(f"dt must be positive and finite and o_start finite, got {dt}, {o_start}")
 
     return SimScenario(
         dim=dim,
         cov=cov,
         prior=prior,
-        dt=lines.get("dt", float, DEFAULT_STEP),
+        dt=dt,
         steps=lines.get("steps", int, 252),
-        o_start=lines.get("o_start", float, 0.0),
+        o_start=o_start,
         seed=lines.get("seed", int, 0),
-        nu=lines.get("nu", _parse_vector),
+        nu=_sized("nu", lines.get("nu", _parse_vector), (dim,)),
         f=f,
         theta=theta,
         drift_check_paths=lines.get("drift_check_paths", int, 100_000),

@@ -77,6 +77,29 @@ class TestSimulate:
         config.write_text(ONE_FUND_SCENARIO.replace("steps = 100", "steps = x"))
         assert run(["simulate", "--config", str(config), "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("text, message", [
+        (ONE_FUND_SCENARIO + "dt = -1\n", "dt must be positive and finite"),
+        (ONE_FUND_SCENARIO + "dt = nan\n", "dt must be positive and finite"),
+        (ONE_FUND_SCENARIO + "o_start = inf\n", "o_start finite"),
+        (ONE_FUND_SCENARIO + "nu = 1.0, 2.0\n", "nu must be 1 finite value(s)"),
+        (ONE_FUND_SCENARIO + "nu = nan\n", "nu must be 1 finite value(s)"),
+        (ONE_FUND_SCENARIO.replace("2.2222", "2.2222, 1.0"), "prior_mean must be 1 finite"),
+        (ONE_FUND_SCENARIO.replace("2.2222", "nan"), "prior_mean must be 1 finite"),
+        (ONE_FUND_SCENARIO.replace("prior_cov = 1.0", "prior_cov = 1, 0; 0, 1"),
+         "prior_cov has dim 2"),
+        (TWO_FUND_SCENARIO.replace("f = 1,0; 0,1; 0.5,0.5", "f = 1,0; 0,1"),
+         "f must be 3 x 2 finite value(s)"),
+        (TWO_FUND_SCENARIO.replace("theta = 0.5, -0.2", "theta = 0.5"),
+         "theta must be 2 finite value(s)"),
+    ], ids=["dt_negative", "dt_nan", "o_start_inf", "nu_size", "nu_nan", "prior_mean_size",
+            "prior_mean_nan", "prior_cov_dim", "f_rows", "theta_size"])
+    def test_bad_scenario_value_is_config_error(self, tmp_path, capsys, text, message):
+        config = tmp_path / "scenario.cfg"
+        config.write_text(text)
+        assert run(["simulate", "--config", str(config), "--out", str(tmp_path)]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "simulated.csv").exists()
+
     def test_missing_config_is_usage_error(self, tmp_path):
         assert run(["simulate", "--config", str(tmp_path / "nope.cfg"),
                     "--out", str(tmp_path)]) == 2
@@ -108,6 +131,13 @@ class TestVerify:
 
     def test_unknown_check_is_usage_error(self, capsys):
         assert run(["verify", "--checks", "bogus"]) == 2
+
+    @pytest.mark.parametrize("instances", ["0", "-3"])
+    def test_instances_below_one_is_usage_error(self, capsys, instances):
+        assert run(["verify", "--checks", "cardano", "--instances", instances]) == 2
+        captured = capsys.readouterr()
+        assert "--instances must be at least 1" in captured.err
+        assert "pass" not in captured.out
 
 
 class TestBacktestReport:
@@ -215,6 +245,27 @@ class TestBacktestReport:
         assert run(["backtest", "--input", str(tmp_path / "simulated.csv"),
                     "--config", str(config), "--out", str(tmp_path)]) == 2
         assert "kappa0 must be positive definite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, message", [
+        ("truncation_l = 1.0\ntruncation_r = 0.0", "truncation interval (1.0, 0.0) is empty"),
+        ("truncation_l = nan", "truncation interval (nan, inf) is empty"),
+        ("force_a = nan", "force_a must lie in [0, 1]"),
+        ("force_a = 2.5", "force_a must lie in [0, 1]"),
+        ("force_nu_hat = nan", "force_nu_hat must be finite"),
+        ("prior = anchored\nnu0 = nan\nkappa0 = 5.0", "nu0 must be finite"),
+        ("prior = anchored\nnu0 = 0.5, 0.5\nkappa0 = 5.0", "nu0 and kappa0 must be of size 1"),
+    ], ids=["truncation_empty", "truncation_nan", "force_a_nan", "force_a_above_one",
+            "force_nu_hat_nan", "nu0_nan", "nu0_size"])
+    def test_bad_config_value_is_config_error(self, tmp_path, capsys, text, message):
+        scenario = tmp_path / "scenario.cfg"
+        scenario.write_text(BACKTEST_SCENARIO)
+        run(["simulate", "--config", str(scenario), "--out", str(tmp_path)])
+        config = tmp_path / "bt.cfg"
+        config.write_text("burn_in_days = 120\n" + text + "\n")
+        assert run(["backtest", "--input", str(tmp_path / "simulated.csv"),
+                    "--config", str(config), "--out", str(tmp_path)]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "backtest.csv").exists()
 
     def test_backtest_deterministic_bytes(self, tmp_path):
         scenario = tmp_path / "scenario.cfg"
