@@ -91,8 +91,9 @@ class TestSimulate:
          "f must be 3 x 2 finite value(s)"),
         (TWO_FUND_SCENARIO.replace("theta = 0.5, -0.2", "theta = 0.5"),
          "theta must be 2 finite value(s)"),
+        (TWO_FUND_SCENARIO.replace("dim = 3", "dim = 0"), "dim must be positive"),
     ], ids=["dt_negative", "dt_nan", "o_start_inf", "nu_size", "nu_nan", "prior_mean_size",
-            "prior_mean_nan", "prior_cov_dim", "f_rows", "theta_size"])
+            "prior_mean_nan", "prior_cov_dim", "f_rows", "theta_size", "dim_zero"])
     def test_bad_scenario_value_is_config_error(self, tmp_path, capsys, text, message):
         config = tmp_path / "scenario.cfg"
         config.write_text(text)
