@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
-from scipy.special import ndtr
 
 from .errors import DegenerateInterval, SingularC
 from .psd import CovMatrix, Projection, inverse_entries, subspace_pinv
@@ -27,6 +26,12 @@ from .psd import CovMatrix, Projection, inverse_entries, subspace_pinv
 MatrixLike = Union[CovMatrix, np.ndarray]
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
+_erfc = np.vectorize(math.erfc, otypes=[float])
+
+
+def ndtr(x):
+    """Standard normal CDF, elementwise; ``erfc`` keeps full relative precision far below zero."""
+    return 0.5 * _erfc(-np.asarray(x, dtype=float) * math.sqrt(0.5))
 
 
 def _as_cov(m: MatrixLike) -> CovMatrix:

@@ -16,12 +16,13 @@ import datetime
 import math
 import warnings
 from dataclasses import dataclass
+from statistics import NormalDist
 from typing import IO, Optional, Sequence
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 from .errors import BadTruncation, ConfigError, EmptyGrid, ParseError, RankDeficient
+from .filtering import ndtr
 from .psd import CovMatrix, is_definite, sqrt_entries
 
 # Trading-day step of the operational clock, used as the default everywhere.
@@ -178,9 +179,9 @@ def _truncated_inverse_cdf(rng, mu: float, sd: float, lower: float, upper: float
     beta = (upper - mu) / sd
     if alpha >= 0.0:       # right tail
         u = rng.uniform(float(ndtr(-beta)), float(ndtr(-alpha)))
-        return mu - sd * float(ndtri(u))
+        return mu - sd * NormalDist().inv_cdf(u)
     u = rng.uniform(float(ndtr(alpha)), float(ndtr(beta)))
-    return mu + sd * float(ndtri(u))
+    return mu + sd * NormalDist().inv_cdf(u)
 
 
 def simulate_path(nu: np.ndarray, c: CovMatrix, clock: np.ndarray, seed: int) -> MarketPath:

@@ -1,5 +1,8 @@
 import hashlib
+import os
 import re
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -279,3 +282,13 @@ class TestBacktestReport:
             run(["backtest", "--input", str(tmp_path / "simulated.csv"),
                  "--config", str(config), "--out", str(out)])
         assert (out_a / "backtest.csv").read_bytes() == (out_b / "backtest.csv").read_bytes()
+
+
+def test_import_loads_no_scipy():
+    # numpy is the only run-time dependency; scipy serves the tests' oracles
+    code = ("import sys, fundgrowth, fundgrowth.cli; "
+            "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))")
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    assert done.stdout.strip() == "[]"

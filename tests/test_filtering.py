@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import special
 from scipy.integrate import quad
 
 from fundgrowth.errors import DegenerateInterval, SingularC, SingularOnSubspace
@@ -9,6 +10,7 @@ from fundgrowth.filtering import (
     f_growth_increment,
     gaussian_posterior,
     growth_loss,
+    ndtr,
     portfolio_growth_variance,
     restricted_growth_loss,
     truncated_moments,
@@ -80,6 +82,23 @@ class TestGaussianPosterior:
             mean_batches = np.array(mean_batches)
             stderr = mean_batches.std(axis=0, ddof=1) / math.sqrt(batches)
             assert np.all(np.abs(mean_batches.mean(axis=0) - state.nu_hat) <= 4.0 * stderr)
+
+
+class TestNdtr:
+    def test_matches_scipy(self):
+        # the far left tail is where a 1 + erf form fails; relative precision
+        # holds down to the smallest normal double, near x = -37.5
+        x = np.concatenate([np.linspace(-37.5, 38.0, 75_501), [-np.inf, np.inf]])
+        np.testing.assert_allclose(ndtr(x), special.ndtr(x), rtol=1e-13, atol=0.0)
+        tiny = np.finfo(float).tiny
+        assert special.ndtr(-37.5) > tiny
+        # below it both are subnormal (scipy's flushes to zero near -37.68)
+        x = np.linspace(-38.0, -37.5, 501)
+        np.testing.assert_allclose(ndtr(x), special.ndtr(x), rtol=0.0, atol=tiny)
+
+    def test_scalar_in_float_out(self):
+        assert isinstance(float(ndtr(-1.0)), float)
+        assert ndtr(0.0) == 0.5 and ndtr(-np.inf) == 0.0 and ndtr(np.inf) == 1.0
 
 
 class TestTruncatedPosterior:

@@ -1,8 +1,10 @@
 import io
 import math
+from statistics import NormalDist
 
 import numpy as np
 import pytest
+from scipy import special
 
 from fundgrowth.errors import BadTruncation, ConfigError, EmptyGrid, RankDeficient
 from fundgrowth.marketsim import (
@@ -55,6 +57,15 @@ class TestDrawPrior:
     def test_truncation_needs_dim_one(self):
         with pytest.raises(BadTruncation):
             PriorSpec(mean=[0.0, 0.0], cov=CovMatrix(np.eye(2)), truncation=(0.0, 1.0))
+
+
+def test_inv_cdf_matches_scipy():
+    # the quantile the truncated fallback draws through, over the u it can see
+    u = np.concatenate([np.logspace(-300.0, -1.0, 30_000), np.linspace(0.1, 1.0, 30_000,
+                                                                         endpoint=False),
+                        1.0 - np.logspace(-16.0, -1.0, 3_000)])
+    got = np.array([NormalDist().inv_cdf(v) for v in u])
+    np.testing.assert_allclose(got, special.ndtri(u), rtol=1e-14, atol=0.0)
 
 
 class TestSimulatePath:
