@@ -28,6 +28,14 @@ from .errors import EmptyRange, FundgrowthError
 DEFAULT_SEED = 43210
 
 
+def non_negative_int(text: str) -> int:
+    """``--seed`` values; numpy's generators take no negative seed."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fundgrowth",
@@ -37,7 +45,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("simulate", help="simulate a market path to CSV")
     p_sim.add_argument("--config", required=True, help="scenario file (key = value)")
-    p_sim.add_argument("--seed", type=int, default=None, help="override the scenario seed")
+    p_sim.add_argument("--seed", type=non_negative_int, default=None,
+                       help="override the scenario seed")
     p_sim.add_argument("--out", required=True, help="output directory")
     p_sim.set_defaults(func=cmd_simulate)
 
@@ -45,7 +54,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--checks", default=None,
                        help=f"comma list from: {', '.join(verify.CHECKS)}")
     p_ver.add_argument("--instances", type=int, default=None)
-    p_ver.add_argument("--seed", type=int, default=DEFAULT_SEED,
+    p_ver.add_argument("--seed", type=non_negative_int, default=DEFAULT_SEED,
                        help=f"sweep seed (default: {DEFAULT_SEED})")
     p_ver.add_argument("--sabotage", default=None, help="(test-only) force a check to fail")
     p_ver.set_defaults(func=cmd_verify)

@@ -22,7 +22,8 @@ class SingularC(FundgrowthError):
 
 
 class BadTruncation(FundgrowthError):
-    """A truncation interval was supplied in a setting that does not support it."""
+    """A truncation interval is not supported where it was supplied, or
+    carries no prior probability in double precision."""
 
 
 class EmptyGrid(FundgrowthError):

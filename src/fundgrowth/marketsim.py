@@ -174,14 +174,16 @@ def _truncated_inverse_cdf(rng, mu: float, sd: float, lower: float, upper: float
     collapses; mapping a right-tail interval through ``1 - Phi`` keeps full
     precision where rejection sampling has no chance.  A left-tail interval
     needs no mapping: ``ndtr`` keeps full relative precision below zero.
+    Raises ``BadTruncation`` when the interval's probability underflows.
     """
     alpha = (lower - mu) / sd
     beta = (upper - mu) / sd
-    if alpha >= 0.0:       # right tail
-        u = rng.uniform(float(ndtr(-beta)), float(ndtr(-alpha)))
-        return mu - sd * NormalDist().inv_cdf(u)
-    u = rng.uniform(float(ndtr(alpha)), float(ndtr(beta)))
-    return mu + sd * NormalDist().inv_cdf(u)
+    sign, lo, hi = (-1.0, -beta, -alpha) if alpha >= 0.0 else (1.0, alpha, beta)
+    p_lo, p_hi = float(ndtr(lo)), float(ndtr(hi))
+    if not p_lo < p_hi:
+        raise BadTruncation(f"interval ({lower}, {upper}) has no prior probability "
+                            "in double precision")
+    return mu + sign * sd * NormalDist().inv_cdf(rng.uniform(p_lo, p_hi))
 
 
 def simulate_path(nu: np.ndarray, c: CovMatrix, clock: np.ndarray, seed: int) -> MarketPath:
@@ -252,7 +254,10 @@ def residual_drift_check(
     With the growth-optimal portfolio inside the fund span (``nu = f theta``)
     every residual drift is zero in expectation; ``nu_offset`` adds an
     out-of-span component so the rejection direction can be exercised too.
+    The standard error needs ``n_paths >= 2``.
     """
+    if n_paths < 2:
+        raise ValueError(f"n_paths must be at least 2, got {n_paths}")
     theta = np.asarray(theta, dtype=float).reshape(-1)
     if theta.size != spec.funds:
         raise ValueError(f"theta has size {theta.size}, model has {spec.funds} funds")
@@ -407,6 +412,13 @@ def parse_scenario(text: str) -> SimScenario:
     o_start = lines.get("o_start", float, 0.0)
     if not (0.0 < dt < math.inf and math.isfinite(o_start)):
         raise ConfigError(f"dt must be positive and finite and o_start finite, got {dt}, {o_start}")
+    seed = lines.get("seed", int, 0)
+    if seed < 0:
+        raise ConfigError(f"seed must be non-negative, got {seed}")
+    drift_check_paths = lines.get("drift_check_paths", int, 100_000)
+    if drift_check_paths < 0 or drift_check_paths == 1:
+        raise ConfigError("drift_check_paths must be 0 (off) or at least 2, "
+                          f"got {drift_check_paths}")
 
     return SimScenario(
         dim=dim,
@@ -415,11 +427,11 @@ def parse_scenario(text: str) -> SimScenario:
         dt=dt,
         steps=lines.get("steps", int, 252),
         o_start=o_start,
-        seed=lines.get("seed", int, 0),
+        seed=seed,
         nu=_sized("nu", lines.get("nu", _parse_vector), (dim,)),
         f=f,
         theta=theta,
-        drift_check_paths=lines.get("drift_check_paths", int, 100_000),
+        drift_check_paths=drift_check_paths,
     )
 
 
@@ -472,8 +484,9 @@ def write_table(out: IO[str], header: Sequence[str], dates: Sequence, values: np
 
 def read_table(path: str) -> tuple[list[str], list[datetime.date], np.ndarray]:
     """Header, dates and ``(rows, columns)`` values of a ``date,v_1,...,v_m`` file;
-    blank lines are skipped.  A bad date, a short row or a cell that is not a
-    number raises ``ParseError`` with its line number."""
+    blank lines are skipped.  A bad date, a row whose cell count differs from
+    the header's or a cell that is not a number raises ``ParseError`` with its
+    line number."""
     dates: list[datetime.date] = []
     at = [1]    # line of the row being parsed; numpy reads one row per next()
     with open(path) as handle:
@@ -483,6 +496,9 @@ def read_table(path: str) -> tuple[list[str], list[datetime.date], np.ndarray]:
             for lineno, line in enumerate(handle, start=2):
                 if not line.isspace():
                     at[0] = lineno
+                    if line.count(",") != len(header) - 1:
+                        raise ParseError(lineno, f"{line.count(',') + 1} cells, "
+                                                 f"header has {len(header)}")
                     dates.append(datetime.date.fromisoformat(line.partition(",")[0].rstrip("\n")))
                     yield line
 

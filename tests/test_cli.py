@@ -95,8 +95,14 @@ class TestSimulate:
         (TWO_FUND_SCENARIO.replace("theta = 0.5, -0.2", "theta = 0.5"),
          "theta must be 2 finite value(s)"),
         (TWO_FUND_SCENARIO.replace("dim = 3", "dim = 0"), "dim must be positive"),
+        ("dim = 1\ncov_preset = identity\nprior_mean = 0\nprior_cov = 1\n"
+         "truncation_l = 40\ntruncation_r = 41\nsteps = 5\n", "no prior probability"),
+        (ONE_FUND_SCENARIO.replace("seed = 11", "seed = -2"), "seed must be non-negative"),
+        (TWO_FUND_SCENARIO.replace("= 40000", "= 1"), "drift_check_paths must be 0 (off) or"),
+        (TWO_FUND_SCENARIO.replace("= 40000", "= -5"), "drift_check_paths must be 0 (off) or"),
     ], ids=["dt_negative", "dt_nan", "o_start_inf", "nu_size", "nu_nan", "prior_mean_size",
-            "prior_mean_nan", "prior_cov_dim", "f_rows", "theta_size", "dim_zero"])
+            "prior_mean_nan", "prior_cov_dim", "f_rows", "theta_size", "dim_zero",
+            "truncation_no_mass", "seed_negative", "drift_paths_one", "drift_paths_negative"])
     def test_bad_scenario_value_is_config_error(self, tmp_path, capsys, text, message):
         config = tmp_path / "scenario.cfg"
         config.write_text(text)
@@ -107,6 +113,18 @@ class TestSimulate:
     def test_missing_config_is_usage_error(self, tmp_path):
         assert run(["simulate", "--config", str(tmp_path / "nope.cfg"),
                     "--out", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize("command", [["simulate", "--config", "scenario.cfg", "--out", "."],
+                                     ["verify", "--checks", "cardano"]],
+                         ids=["simulate", "verify"])
+def test_negative_seed_is_usage_error(tmp_path, monkeypatch, capsys, command):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "scenario.cfg").write_text(ONE_FUND_SCENARIO)
+    assert run(command + ["--seed", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert "--seed: must be non-negative, got -1" in captured.err
+    assert captured.out == "" and not (tmp_path / "simulated.csv").exists()
 
 
 class TestVerify:
@@ -198,6 +216,7 @@ class TestBacktestReport:
         ("2001-01-03,0.5,0.4,0.0", 4),                     # short row
         ("2001-01-03,0.5,0.4,0.0,0.0,0.0,0.0,1.0 # note", 4),   # no comments in a table
         ("\n2001-13-03,0.5,0.4,0.0,0.0,0.0,0.0,1.0", 5),   # bad date after a blank line
+        ("2001-01-03,0.5,0.4,0.0,0.0,0.0,0.0,1.0,9.0", 4),     # long row
     ])
     def test_report_malformed_row_names_its_line(self, tmp_path, capsys, row, line):
         bad = tmp_path / "bad.csv"

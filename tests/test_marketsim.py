@@ -54,6 +54,12 @@ class TestDrawPrior:
         value = draw_prior(spec, 7)[0]
         assert 9.0 < value < 9.5
 
+    def test_truncated_without_double_precision_mass_rejected(self):
+        # Phi(-40) underflows to zero, so no quantile lies in the interval
+        spec = PriorSpec(mean=[0.0], cov=CovMatrix([[1.0]]), truncation=(40.0, 41.0))
+        with pytest.raises(BadTruncation, match="no prior probability"):
+            draw_prior(spec, 7)
+
     def test_truncation_needs_dim_one(self):
         with pytest.raises(BadTruncation):
             PriorSpec(mean=[0.0, 0.0], cov=CovMatrix(np.eye(2)), truncation=(0.0, 1.0))
@@ -167,6 +173,13 @@ class TestFundModel:
 
 
 class TestResidualDrift:
+    @pytest.mark.parametrize("n_paths", [1, 0, -4])
+    def test_needs_two_paths(self, n_paths):
+        rng = np.random.default_rng(12)
+        spec = build_fund_model(random_cov(rng, 4), rng.standard_normal((4, 2)))
+        with pytest.raises(ValueError, match="n_paths must be at least 2"):
+            residual_drift_check(spec, np.zeros(2), n_paths=n_paths, seed=1)
+
     def test_zero_theta(self):
         rng = np.random.default_rng(12)
         c = random_cov(rng, 4)
