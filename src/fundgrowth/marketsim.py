@@ -145,7 +145,8 @@ def draw_prior(spec: PriorSpec, seed: int) -> np.ndarray:
     """One draw from the prior; deterministic for a fixed seed.
 
     The truncated variant rejects in batches up to a hard cap, then falls back
-    to inverse-CDF sampling on the interval.
+    to inverse-CDF sampling on the interval; an interval with no probability
+    in double precision raises ``BadTruncation``.
     """
     rng = np.random.default_rng(seed)
     if spec.truncation is None:

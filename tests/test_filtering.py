@@ -96,10 +96,6 @@ class TestNdtr:
         x = np.linspace(-38.0, -37.5, 501)
         np.testing.assert_allclose(ndtr(x), special.ndtr(x), rtol=0.0, atol=tiny)
 
-    def test_scalar_in_float_out(self):
-        assert isinstance(float(ndtr(-1.0)), float)
-        assert ndtr(0.0) == 0.5 and ndtr(-np.inf) == 0.0 and ndtr(np.inf) == 1.0
-
 
 class TestTruncatedPosterior:
     def test_infinite_interval_reduces_to_gaussian(self):

@@ -54,12 +54,6 @@ class TestDrawPrior:
         value = draw_prior(spec, 7)[0]
         assert 9.0 < value < 9.5
 
-    def test_truncated_without_double_precision_mass_rejected(self):
-        # Phi(-40) underflows to zero, so no quantile lies in the interval
-        spec = PriorSpec(mean=[0.0], cov=CovMatrix([[1.0]]), truncation=(40.0, 41.0))
-        with pytest.raises(BadTruncation, match="no prior probability"):
-            draw_prior(spec, 7)
-
     def test_truncation_needs_dim_one(self):
         with pytest.raises(BadTruncation):
             PriorSpec(mean=[0.0, 0.0], cov=CovMatrix(np.eye(2)), truncation=(0.0, 1.0))
