@@ -41,7 +41,8 @@ from .errors import (
     ParseError,
     SingularC,
 )
-from .marketsim import ConfigLines, _parse_matrix, _parse_vector, read_table, write_table
+from .marketsim import (ConfigLines, _parse_matrix, _parse_vector, parse_date, read_table,
+                        write_table)
 from .psd import CovMatrix, inverse_entries, is_definite
 
 DEFAULT_BURN_IN = 7500   # trading days, about 30 years
@@ -123,7 +124,7 @@ def ingest_csv(path: str, drop_policy: str = "skip") -> IngestResult:
             try:
                 if len(cells) != k + 2:
                     raise ValueError(f"expected {k + 2} cells, got {len(cells)}")
-                day = datetime.date.fromisoformat(cells[0].strip())
+                day = parse_date(cells[0].strip())
                 rets = [float(cell) for cell in cells[1:-1]]
                 rf_cell = cells[-1].strip()
                 rf = float(rf_cell) if rf_cell else None

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import datetime
 import math
+import re
 import warnings
 from dataclasses import dataclass
 from statistics import NormalDist
@@ -31,6 +32,7 @@ DEFAULT_STEP = 1.0 / 252.0
 _REJECTION_CAP = 1_000_000
 _REJECTION_BATCH = 256
 _TABLE_BLOCK_ROWS = 2000    # rows per write in write_table: a few MB of text at K = 10
+_ISO_DATE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}").fullmatch
 
 
 @dataclass(frozen=True)
@@ -483,15 +485,27 @@ def write_table(out: IO[str], header: Sequence[str], dates: Sequence, values: np
     return values.shape[0]
 
 
+def parse_date(text: str) -> datetime.date:
+    """A ``YYYY-MM-DD`` date; ``ValueError`` for any other text.  ``fromisoformat``
+    alone also takes ``19270702`` and ``1927-W27-1`` from Python 3.11 on, and a
+    table cell copied verbatim must equal the date's ``isoformat()``."""
+    if _ISO_DATE(text) is None:
+        raise ValueError(f"date {text!r} is not YYYY-MM-DD")
+    return datetime.date.fromisoformat(text)
+
+
 def read_table(path: str) -> tuple[list[str], list[datetime.date], np.ndarray]:
     """Header, dates and ``(rows, columns)`` values of a ``date,v_1,...,v_m`` file;
-    blank lines are skipped.  A bad date, a row whose cell count differs from
-    the header's or a cell that is not a number raises ``ParseError`` with its
-    line number."""
+    blank lines are skipped.  A repeated column name, a date that is not
+    ``YYYY-MM-DD``, a row whose cell count differs from the header's or a cell
+    that is not a number raises ``ParseError`` with its line number."""
     dates: list[datetime.date] = []
     at = [1]    # line of the row being parsed; numpy reads one row per next()
     with open(path) as handle:
         header = handle.readline().rstrip("\n").split(",")
+        if len(set(header)) < len(header):
+            repeated = sorted({name for name in header if header.count(name) > 1})
+            raise ParseError(1, f"repeated column names {repeated}")
 
         def rows():
             for lineno, line in enumerate(handle, start=2):
@@ -500,7 +514,7 @@ def read_table(path: str) -> tuple[list[str], list[datetime.date], np.ndarray]:
                     if line.count(",") != len(header) - 1:
                         raise ParseError(lineno, f"{line.count(',') + 1} cells, "
                                                  f"header has {len(header)}")
-                    dates.append(datetime.date.fromisoformat(line.partition(",")[0].rstrip("\n")))
+                    dates.append(parse_date(line.partition(",")[0].rstrip("\n")))
                     yield line
 
         try:
