@@ -413,13 +413,14 @@ def write_backtest_csv(bt: BacktestSeries, out: IO[str]) -> int:
 def read_backtest_csv(path: str) -> dict:
     """Read a backtest output CSV into named columns.
 
-    Returns a dict with ``k``, ``dates`` and one numpy array per column;
-    raises ``MissingColumns`` when the required core columns are absent and
-    ``ParseError`` (with the line) on a row that does not parse.
+    Returns a dict with one numpy array per column, ``k``, ``dates``, ``header``
+    and the row texts ``lines``; raises ``MissingColumns`` when the required core
+    columns are absent and ``ParseError`` (with the line) on a row that does not parse.
     """
-    header, dates, values = read_table(path)
+    header, dates, values, lines = read_table(path)
     k = sum(1 for name in header if name.startswith("nu_hat_"))
     missing = set(output_columns(k)) - set(header) if k else {"nu_hat_*"}
     if missing:
         raise MissingColumns(f"{path} lacks required columns: {sorted(missing)}")
-    return {"k": k, "dates": tuple(dates), **dict(zip(header[1:], values.T))}
+    return {**dict(zip(header[1:], values.T)), "k": k, "dates": tuple(dates),
+            "header": header, "lines": lines}

@@ -16,6 +16,7 @@ deterministic and idempotent on identical inputs.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import operator
 import sys
 from pathlib import Path
 
@@ -159,12 +160,27 @@ def cmd_report(args: argparse.Namespace) -> int:
     if len(table["dates"]) == 0:
         raise EmptyRange(f"{args.input} has no data rows")
     k = table["k"]
-    for j in range(1, k + 1):
-        table[f"shrunk_{j}"] = table["a"] * table[f"nu_hat_{j}"]
+    shrunk = [f"shrunk_{j}" for j in range(1, k + 1)]
+    table.update({name: table["a"] * table[f"nu_hat_{j}"] for j, name in enumerate(shrunk, 1)})
     c_names = sorted(name for name in table if name.startswith("c_"))
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
+
+    # panels.csv copies the input's cell text and formats only the shrunk columns;
+    # it goes first, so that the row texts are freed before the SVGs are drawn
+    combined = out_dir / "panels.csv"
+    names = ["date"] + [f"nu_hat_{j}" for j in range(1, k + 1)] + shrunk
+    names += ["a", "logW_market", "logW_nuhat", "logW_shrunk", "F"] + c_names
+    position = {name: i for i, name in enumerate(table["header"] + shrunk)}
+    pick = operator.itemgetter(*[position[name] for name in names])
+    line = ",".join("%r" if name in shrunk else "%s" for name in names) + "\n"
+    lines, shrunk_rows = table.pop("lines"), np.column_stack([table[n] for n in shrunk])
+    with open(combined, "w", newline="") as handle:
+        marketsim.write_rows(handle, names, len(lines), lambda rows: [
+            line % pick(text.split(",") + extra)
+            for text, extra in zip(lines[rows], shrunk_rows[rows].tolist())])
+    del lines
 
     panels = {
         "portfolio.svg": ("Filtered growth-optimal portfolio and its shrunk version",
@@ -181,13 +197,6 @@ def cmd_report(args: argparse.Namespace) -> int:
     }
     for filename, (title, series) in panels.items():
         (out_dir / filename).write_text(svgchart.line_chart(title, table["dates"], series))
-
-    combined = out_dir / "panels.csv"
-    names = [f"{name}_{j}" for name in ("nu_hat", "shrunk") for j in range(1, k + 1)]
-    names += ["a", "logW_market", "logW_nuhat", "logW_shrunk", "F"] + c_names
-    with open(combined, "w", newline="") as handle:
-        marketsim.write_table(handle, ["date"] + names, table["dates"],
-                              np.column_stack([table[name] for name in names]))
     print(f"wrote {len(panels)} panels + {combined}")
     return 0
 

@@ -472,17 +472,20 @@ def write_path_csv(
 
 
 def write_table(out: IO[str], header: Sequence[str], dates: Sequence, values: np.ndarray) -> int:
-    """Write ``header`` and one ``date,v_1,...,v_m`` line per row of ``values``,
-    a block of rows at a time.  Cells are ``repr`` of the float, which reads
-    back to the same bits.  Returns the number of rows written."""
+    """Write ``header`` and one ``date,v_1,...,v_m`` line per row of ``values``; cells
+    are ``repr`` of the float, which reads back to the same bits.  Returns the row count."""
     values = np.asarray(values, dtype=float)
-    out.write(",".join(header) + "\n")
     line = "%s" + ",%r" * values.shape[1] + "\n"
-    for start in range(0, values.shape[0], _TABLE_BLOCK_ROWS):
-        stop = start + _TABLE_BLOCK_ROWS
-        rows = zip(dates[start:stop], values[start:stop].tolist())
-        out.write("".join([line % (day, *row) for day, row in rows]))
-    return values.shape[0]
+    return write_rows(out, header, values.shape[0], lambda rows: [
+        line % (day, *row) for day, row in zip(dates[rows], values[rows].tolist())])
+
+
+def write_rows(out: IO[str], header: Sequence[str], n: int, block) -> int:
+    """Write ``header``, then the lines ``block(rows)`` gives per slice of the ``n`` rows."""
+    out.write(",".join(header) + "\n")
+    for start in range(0, n, _TABLE_BLOCK_ROWS):
+        out.write("".join(block(slice(start, start + _TABLE_BLOCK_ROWS))))
+    return n
 
 
 def parse_date(text: str) -> datetime.date:
@@ -494,12 +497,13 @@ def parse_date(text: str) -> datetime.date:
     return datetime.date.fromisoformat(text)
 
 
-def read_table(path: str) -> tuple[list[str], list[datetime.date], np.ndarray]:
-    """Header, dates and ``(rows, columns)`` values of a ``date,v_1,...,v_m`` file;
-    blank lines are skipped.  A repeated column name, a date that is not
-    ``YYYY-MM-DD``, a row whose cell count differs from the header's or a cell
-    that is not a number raises ``ParseError`` with its line number."""
+def read_table(path: str) -> tuple[list[str], list[datetime.date], np.ndarray, list[str]]:
+    """Header, dates, ``(rows, columns)`` values and row texts (without the line end)
+    of a ``date,v_1,...,v_m`` file; blank lines are skipped.  A repeated column name,
+    a date that is not ``YYYY-MM-DD``, a row whose cell count differs from the
+    header's or a cell that is not a number raises ``ParseError`` with its line."""
     dates: list[datetime.date] = []
+    lines: list[str] = []
     at = [1]    # line of the row being parsed; numpy reads one row per next()
     with open(path) as handle:
         header = handle.readline().rstrip("\n").split(",")
@@ -514,8 +518,9 @@ def read_table(path: str) -> tuple[list[str], list[datetime.date], np.ndarray]:
                     if line.count(",") != len(header) - 1:
                         raise ParseError(lineno, f"{line.count(',') + 1} cells, "
                                                  f"header has {len(header)}")
-                    dates.append(parse_date(line.partition(",")[0].rstrip("\n")))
-                    yield line
+                    lines.append(line.rstrip("\n"))
+                    dates.append(parse_date(lines[-1].partition(",")[0]))
+                    yield lines[-1]
 
         try:
             with warnings.catch_warnings():
@@ -524,4 +529,4 @@ def read_table(path: str) -> tuple[list[str], list[datetime.date], np.ndarray]:
                                     usecols=range(1, len(header)), ndmin=2)
         except ValueError as exc:
             raise ParseError(at[0], str(exc)) from None
-    return header, dates, values
+    return header, dates, values, lines

@@ -145,7 +145,5 @@ def test_golden_backtest_csv(case, tmp_path):
     assert got_path.read_text().splitlines()[0] == want_path.read_text().splitlines()[0]
     got, want = read_backtest_csv(str(got_path)), read_backtest_csv(str(want_path))
     assert got["dates"] == want["dates"]
-    for name in want:
-        if name not in ("dates", "k"):
-            np.testing.assert_allclose(got[name], want[name], rtol=RTOL, atol=ATOL,
-                                       err_msg=name)
+    for name in want["header"][1:]:
+        np.testing.assert_allclose(got[name], want[name], rtol=RTOL, atol=ATOL, err_msg=name)

@@ -89,3 +89,15 @@ def test_shrunk_cells_are_repr_of_a_times_nu_hat(tmp_path):
         a = float(src[3])
         for j in (1, 2):
             assert cells[header.index(f"shrunk_{j}")] == repr(a * float(src[j]))
+
+
+def test_copied_cells_keep_their_text(tmp_path):
+    # c_11 hand-edited to 1.50 and logW_nuhat to " 0.03": copied as written
+    edited = K2_ROWS[1].replace(",1.5,", ",1.50,").replace(",0.03,", ", 0.03,")
+    got = report_panels(tmp_path, (K2_HEADER + "\n".join([K2_ROWS[0], edited, K2_ROWS[2]])
+                                   + "\n").encode())
+    header, _, second = got.splitlines()[:3]
+    cells = dict(zip(header.split(","), second.split(",")))
+    assert cells["c_11"] == "1.50" and cells["logW_nuhat"] == " 0.03"
+    assert got.replace("1.50", "1.5").replace(" 0.03", "0.03") == reference_panels(
+        K2_HEADER + "\n".join(K2_ROWS) + "\n")

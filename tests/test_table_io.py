@@ -28,8 +28,9 @@ def test_write_then_read_is_bit_identical(tmp_path_factory, values):
     path = tmp_path_factory.mktemp("table") / "table.csv"
     with open(path, "w", newline="") as handle:
         assert write_table(handle, header, dates, values) == n
-    got_header, got_dates, got = read_table(str(path))
+    got_header, got_dates, got, got_lines = read_table(str(path))
     assert got_header == header and got_dates == dates
+    assert got_lines == path.read_text().splitlines()[1:]
     np.testing.assert_array_equal(np.isnan(got), np.isnan(values))
     finite_or_inf = ~np.isnan(values)
     # compare bits, so that -0.0 and 0.0 count as different
