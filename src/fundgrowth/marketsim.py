@@ -147,8 +147,10 @@ def draw_prior(spec: PriorSpec, seed: int) -> np.ndarray:
     """One draw from the prior; deterministic for a fixed seed.
 
     The truncated variant rejects in batches up to a hard cap, then falls back
-    to inverse-CDF sampling on the interval; an interval with no probability
-    in double precision raises ``BadTruncation``.
+    to inverse-CDF sampling on the interval; an interval whose prior mass makes
+    acceptance within the cap less likely than 1e-6 goes straight to the
+    fallback, and one with no probability in double precision raises
+    ``BadTruncation``.
     """
     rng = np.random.default_rng(seed)
     if spec.truncation is None:
@@ -160,13 +162,14 @@ def draw_prior(spec: PriorSpec, seed: int) -> np.ndarray:
     sd = math.sqrt(float(spec.cov.entries[0, 0]))
     if sd == 0.0:
         return np.array([mu])
-    attempts = 0
-    while attempts < _REJECTION_CAP:
-        batch = mu + sd * rng.standard_normal(_REJECTION_BATCH)
-        inside = np.flatnonzero((batch > lower) & (batch < upper))
-        if inside.size:
-            return np.array([batch[inside[0]]])
-        attempts += _REJECTION_BATCH
+    alpha, beta = (lower - mu) / sd, (upper - mu) / sd
+    mass = ndtr(-alpha) - ndtr(-beta) if alpha >= 0.0 else ndtr(beta) - ndtr(alpha)
+    if mass * _REJECTION_CAP >= 1e-6:
+        for _ in range(0, _REJECTION_CAP, _REJECTION_BATCH):
+            batch = mu + sd * rng.standard_normal(_REJECTION_BATCH)
+            inside = np.flatnonzero((batch > lower) & (batch < upper))
+            if inside.size:
+                return np.array([batch[inside[0]]])
     return np.array([_truncated_inverse_cdf(rng, mu, sd, lower, upper)])
 
 

@@ -9,6 +9,7 @@ from scipy import special
 from fundgrowth.errors import BadTruncation, ConfigError, EmptyGrid, RankDeficient
 from fundgrowth.marketsim import (
     PriorSpec,
+    _truncated_inverse_cdf,
     build_fund_model,
     draw_prior,
     parse_scenario,
@@ -53,6 +54,28 @@ class TestDrawPrior:
         spec = PriorSpec(mean=[0.0], cov=CovMatrix([[1.0]]), truncation=(9.0, 9.5))
         value = draw_prior(spec, 7)[0]
         assert 9.0 < value < 9.5
+
+    @pytest.mark.parametrize("lower, upper", [(1.5, 2.5), (-0.5, 0.1), (-np.inf, -3.0),
+                                              (4.0, 5.0), (-4.9, -4.0)])
+    def test_feasible_truncation_draws_by_rejection(self, lower, upper):
+        # the draws of rejection sampling without a prior-mass check, bit for bit
+        spec = PriorSpec(mean=[0.0], cov=CovMatrix([[1.0]]), truncation=(lower, upper))
+        for seed in range(50):
+            rng = np.random.default_rng(seed)
+            while True:
+                batch = 0.0 + 1.0 * rng.standard_normal(256)
+                inside = np.flatnonzero((batch > lower) & (batch < upper))
+                if inside.size:
+                    break
+            assert draw_prior(spec, seed)[0] == batch[inside[0]]
+
+    @pytest.mark.parametrize("lower, upper", [(9.0, 9.5), (-9.5, -9.0), (7.5, 8.0)])
+    def test_hopeless_truncation_skips_rejection(self, lower, upper):
+        spec = PriorSpec(mean=[0.0], cov=CovMatrix([[1.0]]), truncation=(lower, upper))
+        for seed in range(5):
+            fresh = np.random.default_rng(seed)
+            assert draw_prior(spec, seed)[0] == _truncated_inverse_cdf(fresh, 0.0, 1.0,
+                                                                       lower, upper)
 
     def test_truncation_needs_dim_one(self):
         with pytest.raises(BadTruncation):
