@@ -18,7 +18,7 @@ import re
 import warnings
 from dataclasses import dataclass
 from statistics import NormalDist
-from typing import IO, Optional, Sequence
+from typing import IO, Callable, Optional, Sequence
 
 import numpy as np
 
@@ -31,7 +31,7 @@ DEFAULT_STEP = 1.0 / 252.0
 
 _REJECTION_CAP = 1_000_000
 _REJECTION_BATCH = 256
-_TABLE_BLOCK_ROWS = 2000    # rows per write in write_table: a few MB of text at K = 10
+_TABLE_BLOCK_ROWS = 2000    # rows per write in write_rows: a few MB of text at K = 10
 _ISO_DATE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}").fullmatch
 
 
@@ -483,7 +483,8 @@ def write_table(out: IO[str], header: Sequence[str], dates: Sequence, values: np
         line % (day, *row) for day, row in zip(dates[rows], values[rows].tolist())])
 
 
-def write_rows(out: IO[str], header: Sequence[str], n: int, block) -> int:
+def write_rows(out: IO[str], header: Sequence[str], n: int,
+               block: Callable[[slice], list[str]]) -> int:
     """Write ``header``, then the lines ``block(rows)`` gives per slice of the ``n`` rows."""
     out.write(",".join(header) + "\n")
     for start in range(0, n, _TABLE_BLOCK_ROWS):
