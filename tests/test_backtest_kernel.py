@@ -21,7 +21,7 @@ import pytest
 from backtest_oracle import run_oracle
 from fundgrowth import cli
 from fundgrowth.backtest import BacktestConfig, ReturnSeries, read_backtest_csv, run_backtest
-from fundgrowth.errors import ConfigError, InsufficientBurnIn
+from fundgrowth.errors import ConfigError, InsufficientBurnIn, SingularC
 
 GOLDEN = Path(__file__).parent / "golden"
 RTOL, ATOL = 1e-9, 1e-12
@@ -31,18 +31,29 @@ CLOSE_COLUMNS = ("nu_hat", "kappa", "psi", "a", "rho", "log_wealth_market",
                  "log_wealth_nuhat", "log_wealth_shrunk", "f_growth")
 
 
-def random_series(k, n, seed, crash_day=None):
-    """Correlated daily fund returns; ``crash_day`` sets every fund to -150%."""
+def daily_dates(n):
+    start = datetime.date(1990, 1, 1)
+    return tuple(start + datetime.timedelta(days=i) for i in range(n))
+
+
+def random_series(k, n, seed, crash_day=None, jump=-1.5):
+    """Correlated daily fund returns; ``crash_day`` sets every fund to ``jump``."""
     rng = np.random.default_rng(seed)
     corr = 0.4 * np.ones((k, k)) + 0.6 * np.eye(k)
     root = np.linalg.cholesky(corr * 0.012 ** 2)
     rets = 4e-4 + rng.standard_normal((n, k)) @ root.T
     if crash_day is not None:
-        rets[crash_day] = -1.5
+        rets[crash_day] = jump
     rf = np.abs(rng.normal(1e-4, 5e-5, size=n))
-    start = datetime.date(1990, 1, 1)
-    dates = tuple(start + datetime.timedelta(days=i) for i in range(n))
-    return ReturnSeries(dates=dates, fund_returns=rets, risk_free=rf)
+    return ReturnSeries(dates=daily_dates(n), fund_returns=rets, risk_free=rf)
+
+
+def near_collinear_series(n, eta, seed):
+    """Two funds whose daily returns differ by ``eta``-sized noise."""
+    rng = np.random.default_rng(seed)
+    first = 4e-4 + 0.012 * rng.standard_normal(n)
+    rets = np.column_stack([first, first + eta * rng.standard_normal(n)])
+    return ReturnSeries(dates=daily_dates(n), fund_returns=rets, risk_free=np.zeros(n))
 
 
 def anchored(k, **kwargs):
@@ -51,7 +62,7 @@ def anchored(k, **kwargs):
     return BacktestConfig(prior="anchored", nu0=nu0, kappa0=kappa0, **kwargs)
 
 
-def assert_matches_oracle(series, config, exact_c=True):
+def assert_matches_oracle(series, config, exact_c=True, rtol=RTOL, atol=ATOL):
     new, old = run_backtest(series, config), run_oracle(series, config)
     assert new.dates == old.dates
     assert new.burn_in == old.burn_in
@@ -63,7 +74,7 @@ def assert_matches_oracle(series, config, exact_c=True):
         if name in EXACT_COLUMNS and (exact_c or name != "c_cum"):
             np.testing.assert_array_equal(got, want, err_msg=name)
         else:
-            np.testing.assert_allclose(got, want, rtol=RTOL, atol=ATOL, err_msg=name)
+            np.testing.assert_allclose(got, want, rtol=rtol, atol=atol, err_msg=name)
     return new
 
 
@@ -111,6 +122,23 @@ class TestDifferential:
                                    BacktestConfig(burn_in_days=150))
         assert bt.floored_steps >= 1
 
+    def test_exact_rule_decides_where_weyl_bound_fails(self, monkeypatch):
+        # C is definite with a condition number near 1e11, so lambda_min on the
+        # burn-in day soon falls below PD_RTOL * tr C plus the round-off margin;
+        # those days go to eigvalsh, which still finds C definite
+        series = near_collinear_series(400, eta=1e-7, seed=64)
+        config = BacktestConfig(burn_in_days=20)
+        checked, eigvalsh = [], np.linalg.eigvalsh      # 2 x 2 matrices given to eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh",
+                            lambda m: checked.append(np.size(m) // 4) or eigvalsh(m))
+        run_backtest(series, config)
+        monkeypatch.undo()
+        assert sum(checked) > 1
+        lam = np.linalg.eigvalsh(run_oracle(series, config).c_cum[20:])
+        # two backward-stable solvers agree to about eps times the condition number
+        tol = 100 * np.finfo(float).eps * float((lam[:, -1] / lam[:, 0]).max())
+        assert_matches_oracle(series, config, rtol=tol, atol=tol)
+
     @pytest.mark.parametrize("series, config, error", [
         (random_series(2, 100, seed=60), BacktestConfig(burn_in_days=100), InsufficientBurnIn),
         (ReturnSeries(dates=tuple(datetime.date(2000, 1, 1) + datetime.timedelta(days=i)
@@ -123,6 +151,9 @@ class TestDifferential:
         (random_series(2, 100, seed=62),
          BacktestConfig(burn_in_days=0, prior="anchored", nu0=np.ones(3), kappa0=np.eye(3)),
          ConfigError),
+        # one return of 1e5 in both funds after burn-in: lambda_min / lambda_max < PD_RTOL
+        (random_series(2, 100, seed=63, crash_day=60, jump=1e5), BacktestConfig(burn_in_days=20),
+         SingularC),
     ])
     def test_same_errors(self, series, config, error):
         with pytest.raises(error):

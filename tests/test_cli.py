@@ -6,6 +6,7 @@ import sys
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from fundgrowth import cli
@@ -289,6 +290,22 @@ class TestBacktestReport:
                     "--config", str(config), "--out", str(tmp_path)]) == 2
         assert message in capsys.readouterr().err
         assert not (tmp_path / "backtest.csv").exists()
+
+    def test_singular_c_leaves_no_backtest_csv(self, tmp_path, capsys):
+        # one return of 1e5 in both funds after burn-in: lambda_min / lambda_max < PD_RTOL
+        rets = 4e-4 + 0.012 * np.random.default_rng(63).standard_normal((50, 2))
+        rets[40] = 1e5
+        returns = tmp_path / "returns.csv"
+        returns.write_text("date,ret_1,ret_2,rf\n" + "".join(
+            f"2001-{1 + i // 28:02d}-{1 + i % 28:02d},{r1!r},{r2!r},0.0\n"
+            for i, (r1, r2) in enumerate(rets.tolist())))
+        config = tmp_path / "bt.cfg"
+        config.write_text("burn_in_days = 20\n")
+        out = tmp_path / "out"
+        assert run(["backtest", "--input", str(returns), "--config", str(config),
+                    "--out", str(out)]) == 2
+        assert "not positive definite" in capsys.readouterr().err
+        assert not any(out.glob("*"))
 
     def test_backtest_deterministic_bytes(self, tmp_path):
         scenario = tmp_path / "scenario.cfg"
