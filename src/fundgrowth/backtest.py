@@ -25,6 +25,7 @@ from __future__ import annotations
 import csv
 import datetime
 import math
+import operator
 import warnings
 from dataclasses import dataclass
 from typing import IO, Optional
@@ -72,7 +73,7 @@ class ReturnSeries:
             raise ValueError("dates, fund_returns and risk_free lengths disagree")
         if not (np.isfinite(rets).all() and np.isfinite(rf).all()):
             raise ValueError("fund_returns and risk_free must be finite")
-        if any(b <= a for a, b in zip(self.dates, self.dates[1:])):
+        if not all(map(operator.lt, self.dates, self.dates[1:])):
             raise NonMonotoneDates("dates must be strictly increasing")
 
     @property
