@@ -10,9 +10,10 @@ shrunk version are produced, together with the achievable-growth process
 ``F``.
 
 Every column is a running sum or a pointwise map of running sums, so the
-backtest works on whole arrays: ``R`` and ``C`` are cumulative sums, the
-posterior is one batched inverse over the post-burn-in days, and the tracks
-are cumulative sums of daily log-growth.
+backtest works on whole arrays, one block of rows at a time: ``R`` and ``C``
+are cumulative sums carried from block to block, the posterior is one batched
+solve per block, and the tracks are cumulative sums of daily log-growth.
+Memory is bounded by the block, not by the series, at any number of funds.
 
 Wealth compounds discretely through ``log(1 + pi' x)`` while ``F`` uses the
 instantaneous form on the daily squared returns; the two agree only in the
@@ -24,11 +25,12 @@ from __future__ import annotations
 
 import csv
 import datetime
+import itertools
 import math
 import operator
 import warnings
 from dataclasses import dataclass
-from typing import IO, Optional
+from typing import IO, Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -43,14 +45,19 @@ from .errors import (
     SingularC,
 )
 from .marketsim import (ConfigLines, _parse_matrix, _parse_vector, parse_date, read_table,
-                        write_table)
-from .psd import CovMatrix, inverse_entries, is_definite
+                        table_lines, write_rows)
+from .psd import PD_RTOL, CovMatrix, inverse_entries, is_definite
 
 DEFAULT_BURN_IN = 7500   # trading days, about 30 years
 
 # log1p argument floor: a daily move that would wipe the portfolio is clamped
 # and counted instead of poisoning the whole track with -inf.
 _WEALTH_FLOOR = 1e-12
+
+# Rows per engine block: a budget of C entries (2 MB of float64), so that a
+# block's (rows, K, K) stacks stay small at any K; a K = 1 series of up to
+# 262,144 days runs as one block.
+_BLOCK_ENTRIES = 2 ** 18
 
 
 @dataclass(frozen=True)
@@ -226,23 +233,28 @@ def parse_backtest_config(text: str) -> BacktestConfig:
 
 @dataclass
 class BacktestSeries:
-    """Per-date record of the pipeline; estimate columns are NaN in burn-in."""
+    """Per-date record of the pipeline over consecutive rows of a series;
+    estimate columns are NaN in burn-in.
+
+    ``burn_in`` counts the leading burn-in rows and ``floored_steps`` the
+    wealth steps clamped at the floor up to the last row.  ``truncation`` is
+    the config's, which ``kappa`` needs for one fund.
+    """
 
     dates: tuple
     excess: np.ndarray
     r_cum: np.ndarray
     c_cum: np.ndarray
     nu_hat: np.ndarray
-    kappa: np.ndarray
     psi: np.ndarray
     a: np.ndarray
-    rho: np.ndarray
     log_wealth_market: np.ndarray
     log_wealth_nuhat: np.ndarray
     log_wealth_shrunk: np.ndarray
     f_growth: np.ndarray
     burn_in: int
     floored_steps: int
+    truncation: Optional[tuple[float, float]] = None
 
     @property
     def n(self) -> int:
@@ -251,6 +263,31 @@ class BacktestSeries:
     @property
     def k(self) -> int:
         return self.excess.shape[1]
+
+    @property
+    def kappa(self) -> np.ndarray:
+        """Posterior covariance per date: ``C^{-1}`` symmetrised, or for one fund
+        the closed forms of ``_one_fund_posterior``."""
+        b = self.burn_in
+        kappa = np.full(self.c_cum.shape, math.nan)
+        if self.k == 1:
+            kappa[b:, 0, 0] = _one_fund_posterior(self.r_cum[b:, 0], self.c_cum[b:, 0, 0],
+                                                  self.truncation)[1]
+        else:
+            inverse = np.linalg.inv(self.c_cum[b:])
+            np.add(inverse, inverse.swapaxes(1, 2), out=kappa[b:])
+            kappa[b:] *= 0.5
+        return kappa
+
+    @property
+    def rho(self) -> np.ndarray:
+        """The shrunk portfolio ``a * nu_hat`` per date."""
+        return self.a[:, None] * self.nu_hat
+
+
+# Columns of a BacktestSeries with one entry per row; run_backtest joins them.
+_ROW_COLUMNS = ("excess", "r_cum", "c_cum", "nu_hat", "psi", "a", "log_wealth_market",
+                "log_wealth_nuhat", "log_wealth_shrunk", "f_growth")
 
 
 def _prior_anchor(config: BacktestConfig, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -268,37 +305,83 @@ def _prior_anchor(config: BacktestConfig, k: int) -> tuple[np.ndarray, np.ndarra
     return c0 @ nu0, 0.5 * (c0 + c0.T)
 
 
-def _squared_returns(x: np.ndarray, demean: bool, out: np.ndarray) -> None:
-    """Daily increments of ``C`` written into ``out``: ``x x'``, or with
-    ``demean`` the running-mean (Welford) increment ``(s-1)/s d d'`` where
-    ``d`` is day ``s``'s deviation from the mean of the days before it."""
+def _squared_returns(x: np.ndarray, start: int, x_sum: np.ndarray, demean: bool,
+                     out: np.ndarray) -> np.ndarray:
+    """Daily increments of ``C`` for rows ``start, start + 1, ...`` written into
+    ``out``: ``x x'``, or with ``demean`` the running-mean (Welford) increment
+    ``(s-1)/s d d'`` where ``d`` is day ``s``'s deviation from the mean of the
+    days before it.  ``x_sum`` sums the returns before ``start``; returns the
+    sum after the block (only ``demean`` needs it)."""
     if not demean:
         np.multiply(x[:, :, None], x[:, None, :], out=out)
-        return
-    days = np.arange(1, x.shape[0] + 1, dtype=float)
+        return x_sum
+    days = np.arange(start + 1, start + x.shape[0] + 1, dtype=float)
+    sums = np.cumsum(np.vstack([x_sum, x]), axis=0)
     prev_mean = np.zeros_like(x)
-    prev_mean[1:] = np.cumsum(x, axis=0)[:-1] / days[:-1, None]
+    np.divide(sums[:-1], (days - 1.0)[:, None], out=prev_mean, where=days[:, None] > 1.0)
     d = x - prev_mean
     np.multiply(d[:, :, None], d[:, None, :], out=out)
     out *= ((days - 1.0) / days)[:, None, None]
+    return sums[-1]
 
 
-def _log_wealth(gross_change: np.ndarray) -> tuple[np.ndarray, int]:
-    """Log-wealth track from 0 by ``log(1 + change)`` steps, and the number
-    of steps clamped at the wealth floor."""
-    floored = gross_change <= -1.0 + _WEALTH_FLOOR
-    steps = np.log1p(np.where(floored, 0.0, gross_change))
+def _one_fund_posterior(r: np.ndarray, c: np.ndarray, truncation) -> tuple[np.ndarray, np.ndarray]:
+    """``nu_hat`` and ``kappa`` of one fund: the truncated closed forms, or ``R/C``
+    and ``1/C``."""
+    if truncation is not None:
+        return filtering.truncated_moments(r, c, *truncation)
+    return r / c, 1.0 / c
+
+
+def _check_definite(c_post: np.ndarray, lam_b: float, first_day: int) -> None:
+    """``SingularC`` unless ``psd.is_definite`` holds for every ``C_t`` of the block,
+    whose first row is day ``first_day``; ``lam_b`` is ``lambda_min`` of ``C`` on
+    the burn-in day ``b``.
+
+    Every increment of ``C`` is positive semidefinite, so by Weyl's inequality
+    (Horn & Johnson, Matrix Analysis, 2nd ed., 4.3) ``lambda_min(C_t) >=
+    lambda_min(C_b)`` and ``lambda_max(C_t) <= tr C_t`` in exact arithmetic.  In
+    floating point, with u = eps / 2: the running sum of ``t + 2`` terms is off
+    the exact one by ``E`` with ``|E_ij| <= (t + 2) u sum_s |D_s,ij|``, and each
+    term is rank one or the (definite) anchor, so Cauchy-Schwarz bounds that sum
+    by ``sqrt(T_ii T_jj)``, ``T`` being the sum of the diagonals, and ``||E||_2 <=
+    ||E||_F <= (t + 2) u tr C_t``; ``eigvalsh`` is backward stable, moving each
+    eigenvalue by about ``K u ||C||_2 <= K u tr C``, once on day ``b`` and once
+    on day ``t``.  The computed ``lambda_min(C_t)`` is thus at least ``lam_b -
+    (t + K + 2) eps tr C_t`` and the computed ``lambda_max(C_t)`` at most about
+    ``tr C_t``.  The rule therefore holds on every day where ``lam_b > (PD_RTOL
+    + 4 (t + K + 2) eps) tr C_t``, the factor 4 being slack for the trace's own
+    round-off and the eigensolver's constant; only the other days go to
+    ``eigvalsh``, so no decision differs from running it on every day.
+    """
+    k = c_post.shape[1]
+    days = np.arange(first_day, first_day + c_post.shape[0])
+    margin = PD_RTOL + 4.0 * (days + k + 2) * np.finfo(float).eps
+    unsure = lam_b <= margin * np.trace(c_post, axis1=1, axis2=2)
+    if unsure.any():
+        lam = np.linalg.eigvalsh(c_post[unsure])
+        if not is_definite(lam[:, 0], lam[:, -1]).all():
+            raise SingularC("cumulative covariance is not positive definite")
+
+
+def _log_growth(change: np.ndarray) -> tuple[np.ndarray, int]:
+    """Log-wealth steps ``log(1 + change)``, and the number clamped at the
+    wealth floor."""
+    floored = change <= -1.0 + _WEALTH_FLOOR
+    steps = np.log1p(np.where(floored, 0.0, change))
     steps[floored] = math.log(_WEALTH_FLOOR)
-    return np.cumsum(np.concatenate(([0.0], steps))), int(floored.sum())
+    return steps, int(floored.sum())
 
 
-def run_backtest(series: ReturnSeries, config: Optional[BacktestConfig] = None) -> BacktestSeries:
-    """Backtest a return series, one whole column at a time.
+def backtest_blocks(series: ReturnSeries,
+                    config: Optional[BacktestConfig] = None) -> Iterator[BacktestSeries]:
+    """Backtest a return series, one block of consecutive rows at a time.
 
-    ``R`` and ``C`` are running sums from the prior anchor; every later
-    column is a pointwise map of them or a running sum of daily terms.
-    Raises ``InsufficientBurnIn`` unless ``C`` is positive definite on the
-    burn-in day and ``SingularC`` if it stops being so afterwards.
+    ``R``, ``C``, the held estimate, the wealth tracks, ``F`` and the floored
+    step count carry from block to block; they are running sums, so the blocks
+    hold the same bits as one pass over the series.  Raises
+    ``InsufficientBurnIn`` unless ``C`` is positive definite on the burn-in day
+    and ``SingularC`` if it stops being so afterwards.
     """
     config = config or BacktestConfig()
     n, k, b = series.n, series.k, config.burn_in_days
@@ -306,85 +389,110 @@ def run_backtest(series: ReturnSeries, config: Optional[BacktestConfig] = None) 
         raise InsufficientBurnIn(f"series has {n} row(s), burn-in needs more than {b}")
     if config.truncation is not None and k != 1:
         raise ConfigError("truncation requires a single fund")
-    r0, c0 = _prior_anchor(config, k)
+    r, c = _prior_anchor(config, k)
     force_nu = config.force_nu_hat
     if force_nu is not None:
         force_nu = np.asarray(force_nu, dtype=float).reshape(-1)
         if force_nu.size != k:
             raise ConfigError(f"force_nu_hat has size {force_nu.size}, series has {k} fund(s)")
 
-    x = series.fund_returns - series.risk_free[:, None]
-    # Row 0 of each running sum is the prior anchor; np.cumsum adds day by day.
-    r_cum = np.cumsum(np.vstack([r0, x]), axis=0)[1:]
-    c_cum = np.empty((n + 1, k, k))
-    c_cum[0] = c0
-    _squared_returns(x, config.demean_covariance, out=c_cum[1:])
-    c_cum = np.cumsum(c_cum, axis=0, out=c_cum)[1:]
-
-    r_post, c_post = r_cum[b:], c_cum[b:]
-    lam = np.linalg.eigvalsh(c_post if k > 1 else c_post[:1])
-    definite = is_definite(lam[:, 0], lam[:, -1])
-    if not definite[0]:
-        raise InsufficientBurnIn("cumulative covariance is not positive definite at burn-in end")
-    if not definite.all():
-        raise SingularC("cumulative covariance is not positive definite")
-
-    nu = np.full((n, k), math.nan)
-    kappa = np.full((n, k, k), math.nan)
-    nu_post, kappa_post = nu[b:], kappa[b:]
-    if config.truncation is not None:
-        nu_post[:, 0], kappa_post[:, 0, 0] = filtering.truncated_moments(
-            r_post[:, 0], c_post[:, 0, 0], *config.truncation
-        )
-    elif k == 1:
-        nu_post[:, 0] = r_post[:, 0] / c_post[:, 0, 0]
-        kappa_post[:, 0, 0] = 1.0 / c_post[:, 0, 0]
-    else:
-        inverse = np.linalg.inv(c_post)
-        np.add(inverse, inverse.swapaxes(1, 2), out=kappa_post)
-        kappa_post *= 0.5
-        nu_post[:] = (kappa_post @ r_post[:, :, None])[:, :, 0]
-    if force_nu is not None:
-        nu_post[:] = force_nu
-
-    psi = np.full(n, math.nan)
-    if k == 1:
-        psi[b:] = shrinkage.psi_one_fund(nu_post[:, 0], kappa_post[:, 0, 0])
-    else:
-        # = (3/2)^3 R'C^{-1}R when nu = C^{-1}R
-        psi[b:] = 3.375 * np.einsum("ti,tij,tj->t", nu_post, c_post, nu_post)
-    a = np.full(n, math.nan)
-    a[b:] = config.force_a if config.force_a is not None else shrinkage.cardano_a(psi[b:])
-
-    # Day t's portfolio is the estimate of day t-1; the tracks start at 0 on day b.
-    x_next = x[b + 1:]
-    growth = np.einsum("ti,ti->t", nu_post[:-1], x_next)
-    tracks = []
+    # Carried from block to block; copies, so that no block's arrays stay alive
+    # in them or change with what a consumer does to a block.
+    x_sum = np.zeros(k)
+    lam_b = math.nan
+    held_nu, held_a = np.zeros((1, k)), 0.0    # the estimate of the day before the block
+    levels = np.zeros(4)                      # market, nu_hat and shrunk log wealth, F
     floored_steps = 0
-    for change in (x_next.mean(axis=1), growth, a[b:-1] * growth):
-        track = np.full(n, math.nan)
-        track[b:], floored = _log_wealth(change)
-        tracks.append(track)
-        floored_steps += floored
-    f_growth = np.full(n, math.nan)
-    f_growth[b:] = np.cumsum(np.concatenate(([0.0], 0.5 * growth * growth)))
+    rows = max(1, _BLOCK_ENTRIES // (k * k))
+    for start in range(0, n, rows):
+        stop = min(start + rows, n)
+        x = series.fund_returns[start:stop] - series.risk_free[start:stop, None]
+        # Row 0 of each running sum is the carried value; np.cumsum adds day by day.
+        r_cum = np.cumsum(np.vstack([r, x]), axis=0)[1:]
+        c_cum = np.empty((stop - start + 1, k, k))
+        c_cum[0] = c
+        x_sum = _squared_returns(x, start, x_sum, config.demean_covariance, out=c_cum[1:])
+        c_cum = np.cumsum(c_cum, axis=0, out=c_cum)[1:]
+        r, c = r_cum[-1].copy(), c_cum[-1].copy()
 
+        p = min(max(b - start, 0), stop - start)     # the block's burn-in rows
+        nu = np.full((stop - start, k), math.nan)
+        psi = np.full(stop - start, math.nan)
+        a = np.full(stop - start, math.nan)
+        tracks = np.full((4, stop - start), math.nan)
+        if p < stop - start:
+            r_post, c_post = r_cum[p:], c_cum[p:]
+            opening = start + p == b
+            if opening:
+                lam = np.linalg.eigvalsh(c_post[0])
+                if not is_definite(lam[0], lam[-1]):
+                    raise InsufficientBurnIn(
+                        "cumulative covariance is not positive definite at burn-in end")
+                lam_b = lam[0]
+            _check_definite(c_post, lam_b, start + p)
+
+            nu_post, psi_post, a_post = nu[p:], psi[p:], a[p:]
+            if k == 1:
+                nu_post[:, 0], kappa = _one_fund_posterior(r_post[:, 0], c_post[:, 0, 0],
+                                                           config.truncation)
+            else:
+                nu_post[:] = np.linalg.solve(c_post, r_post[:, :, None])[:, :, 0]
+            if force_nu is not None:
+                nu_post[:] = force_nu
+            if k == 1:
+                psi_post[:] = shrinkage.psi_one_fund(nu_post[:, 0], kappa)
+            else:
+                # = (3/2)^3 R'C^{-1}R when nu = C^{-1}R
+                psi_post[:] = 3.375 * np.einsum("ti,tij,tj->t", nu_post, c_post, nu_post)
+            a_post[:] = (config.force_a if config.force_a is not None
+                         else shrinkage.cardano_a(psi_post))
+
+            # Day t's portfolio is the estimate of day t-1; the tracks start at 0 on day b.
+            x_post = x[p:]
+            growth = np.einsum("ti,ti->t", np.vstack([held_nu, nu_post[:-1]]), x_post)
+            changes = np.stack([x_post.mean(axis=1), growth,
+                                np.concatenate([[held_a], a_post[:-1]]) * growth,
+                                0.5 * growth * growth])
+            if opening:
+                changes[:, 0] = 0.0
+            for i in range(3):
+                changes[i], floored = _log_growth(changes[i])
+                floored_steps += floored
+            tracks[:, p:] = np.cumsum(np.column_stack([levels, changes]), axis=1)[:, 1:]
+            levels, held_nu, held_a = tracks[:, -1].copy(), nu[-1:].copy(), a[-1]
+
+        yield BacktestSeries(
+            dates=series.dates[start:stop],
+            excess=x,
+            r_cum=r_cum,
+            c_cum=c_cum,
+            nu_hat=nu,
+            psi=psi,
+            a=a,
+            log_wealth_market=tracks[0],
+            log_wealth_nuhat=tracks[1],
+            log_wealth_shrunk=tracks[2],
+            f_growth=tracks[3],
+            burn_in=p,
+            floored_steps=floored_steps,
+            truncation=config.truncation,
+        )
+
+
+def run_backtest(series: ReturnSeries, config: Optional[BacktestConfig] = None) -> BacktestSeries:
+    """Backtest a return series in memory: the blocks of ``backtest_blocks``, joined.
+
+    The result holds ``(n, K, K)`` stacks of ``C``; ``fundgrowth backtest``
+    streams the blocks to its output instead.
+    """
+    blocks = list(backtest_blocks(series, config))
     return BacktestSeries(
         dates=series.dates,
-        excess=x,
-        r_cum=r_cum,
-        c_cum=c_cum,
-        nu_hat=nu,
-        kappa=kappa,
-        psi=psi,
-        a=a,
-        rho=a[:, None] * nu,
-        log_wealth_market=tracks[0],
-        log_wealth_nuhat=tracks[1],
-        log_wealth_shrunk=tracks[2],
-        f_growth=f_growth,
-        burn_in=b,
-        floored_steps=floored_steps,
+        **{name: np.concatenate([getattr(block, name) for block in blocks])
+           for name in _ROW_COLUMNS},
+        burn_in=sum(block.burn_in for block in blocks),
+        floored_steps=blocks[-1].floored_steps,
+        truncation=blocks[-1].truncation,
     )
 
 
@@ -400,15 +508,25 @@ def output_columns(k: int) -> list[str]:
     return cols
 
 
-def write_backtest_csv(bt: BacktestSeries, out: IO[str]) -> int:
-    """Write the post-burn-in rows; full-precision floats keep output stable."""
-    b = bt.burn_in
-    upper_i, upper_j = np.triu_indices(bt.k)
-    values = np.column_stack([
-        bt.nu_hat[b:], bt.a[b:], bt.f_growth[b:], bt.log_wealth_market[b:],
-        bt.log_wealth_nuhat[b:], bt.log_wealth_shrunk[b:], bt.c_cum[b:, upper_i, upper_j],
-    ])
-    return write_table(out, output_columns(bt.k), bt.dates[b:], values)
+def write_backtest_csv(blocks: Iterable[BacktestSeries],
+                       out: IO[str]) -> tuple[int, BacktestSeries]:
+    """Write the post-burn-in rows of each block as it comes; full-precision
+    floats keep output stable.  Returns the row count and the last block."""
+    blocks = iter(blocks)
+    last = next(blocks)
+    upper_i, upper_j = np.triu_indices(last.k)
+
+    def lines() -> Iterator[list[str]]:
+        nonlocal last
+        for last in itertools.chain([last], blocks):
+            b = last.burn_in
+            yield from table_lines(last.dates[b:], np.column_stack([
+                last.nu_hat[b:], last.a[b:], last.f_growth[b:], last.log_wealth_market[b:],
+                last.log_wealth_nuhat[b:], last.log_wealth_shrunk[b:],
+                last.c_cum[b:, upper_i, upper_j],
+            ]))
+
+    return write_rows(out, output_columns(last.k), lines()), last
 
 
 def read_backtest_csv(path: str) -> dict:

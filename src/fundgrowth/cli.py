@@ -17,14 +17,16 @@ from __future__ import annotations
 
 import argparse
 import operator
+import os
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 
 from . import backtest as bt
 from . import marketsim, svgchart, verify
-from .errors import EmptyRange, FundgrowthError
+from .errors import ConfigError, EmptyRange, FundgrowthError
 
 DEFAULT_SEED = 43210
 
@@ -141,17 +143,29 @@ def cmd_backtest(args: argparse.Namespace) -> int:
         config = bt.parse_backtest_config(Path(args.config).read_text())
     ingest = bt.ingest_csv(args.input, drop_policy=config.drop_policy)
     series = ingest.series
-    result = bt.run_backtest(series, config)
+    # c_{i}{j} names collide from K = 111 on: c_1111 is both (1, 111) and (11, 11)
+    names = Counter(bt.output_columns(series.k))
+    repeated = sorted(name for name, count in names.items() if count > 1)
+    if repeated:
+        raise ConfigError(f"{series.k} funds give repeated output column names {repeated}; "
+                          f"backtest takes at most 110 funds")
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     out_csv = out_dir / "backtest.csv"
-    with open(out_csv, "w", newline="") as handle:
-        rows = bt.write_backtest_csv(result, handle)
+    # the engine streams its blocks into a sibling file, which replaces
+    # backtest.csv only once every block is written
+    partial = out_dir / f".backtest.csv.{os.getpid()}.tmp"
+    try:
+        with open(partial, "w", newline="") as handle:
+            rows, last = bt.write_backtest_csv(bt.backtest_blocks(series, config), handle)
+        os.replace(partial, out_csv)
+    finally:
+        partial.unlink(missing_ok=True)
     print(f"read {ingest.rows_read} rows ({ingest.rows_dropped} dropped), "
-          f"{series.k} fund(s); burn-in {result.burn_in} days")
-    print(f"wrote {out_csv} rows={rows} final a={float(result.a[-1]):.4f} "
-          f"floored_steps={result.floored_steps}")
+          f"{series.k} fund(s); burn-in {config.burn_in_days} days")
+    print(f"wrote {out_csv} rows={rows} final a={float(last.a[-1]):.4f} "
+          f"floored_steps={last.floored_steps}")
     return 0
 
 
@@ -177,9 +191,9 @@ def cmd_report(args: argparse.Namespace) -> int:
     line = ",".join("%r" if name in shrunk else "%s" for name in names) + "\n"
     lines, shrunk_rows = table.pop("lines"), np.column_stack([table[n] for n in shrunk])
     with open(combined, "w", newline="") as handle:
-        marketsim.write_rows(handle, names, len(lines), lambda rows: [
+        marketsim.write_rows(handle, names, marketsim.row_blocks(len(lines), lambda rows: [
             line % pick(text.split(",") + extra)
-            for text, extra in zip(lines[rows], shrunk_rows[rows].tolist())])
+            for text, extra in zip(lines[rows], shrunk_rows[rows].tolist())]))
     del lines
 
     panels = {

@@ -18,7 +18,7 @@ import re
 import warnings
 from dataclasses import dataclass
 from statistics import NormalDist
-from typing import IO, Callable, Optional, Sequence
+from typing import IO, Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -31,7 +31,7 @@ DEFAULT_STEP = 1.0 / 252.0
 
 _REJECTION_CAP = 1_000_000
 _REJECTION_BATCH = 256
-_TABLE_BLOCK_ROWS = 2000    # rows per write in write_rows: a few MB of text at K = 10
+_TABLE_BLOCK_ROWS = 2000    # rows per block of lines in row_blocks: a few MB of text at K = 10
 _ISO_DATE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}").fullmatch
 
 
@@ -475,21 +475,35 @@ def write_path_csv(
 
 
 def write_table(out: IO[str], header: Sequence[str], dates: Sequence, values: np.ndarray) -> int:
-    """Write ``header`` and one ``date,v_1,...,v_m`` line per row of ``values``; cells
-    are ``repr`` of the float, which reads back to the same bits.  Returns the row count."""
+    """Write ``header`` and one ``date,v_1,...,v_m`` line per row of ``values``.
+    Returns the row count."""
+    return write_rows(out, header, table_lines(dates, values))
+
+
+def table_lines(dates: Sequence, values: np.ndarray) -> Iterator[list[str]]:
+    """The ``date,v_1,...,v_m`` lines of the rows of ``values``, a block of rows at a
+    time; cells are ``repr`` of the float, which reads back to the same bits."""
     values = np.asarray(values, dtype=float)
     line = "%s" + ",%r" * values.shape[1] + "\n"
-    return write_rows(out, header, values.shape[0], lambda rows: [
+    return row_blocks(values.shape[0], lambda rows: [
         line % (day, *row) for day, row in zip(dates[rows], values[rows].tolist())])
 
 
-def write_rows(out: IO[str], header: Sequence[str], n: int,
-               block: Callable[[slice], list[str]]) -> int:
-    """Write ``header``, then the lines ``block(rows)`` gives per slice of the ``n`` rows."""
+def row_blocks(n: int, block: Callable[[slice], list[str]]) -> Iterator[list[str]]:
+    """The lines ``block(rows)`` gives per slice of ``_TABLE_BLOCK_ROWS`` of the ``n`` rows."""
+    return (block(slice(start, start + _TABLE_BLOCK_ROWS))
+            for start in range(0, n, _TABLE_BLOCK_ROWS))
+
+
+def write_rows(out: IO[str], header: Sequence[str], blocks: Iterable[list[str]]) -> int:
+    """Write ``header``, then each list of lines in ``blocks`` as it comes; returns
+    the number of lines after the header."""
     out.write(",".join(header) + "\n")
-    for start in range(0, n, _TABLE_BLOCK_ROWS):
-        out.write("".join(block(slice(start, start + _TABLE_BLOCK_ROWS))))
-    return n
+    rows = 0
+    for lines in blocks:
+        out.write("".join(lines))
+        rows += len(lines)
+    return rows
 
 
 def parse_date(text: str) -> datetime.date:

@@ -9,12 +9,13 @@ must match ``run_oracle`` on the same series and config.
 from __future__ import annotations
 
 import math
+from types import SimpleNamespace
 from typing import Optional, Sequence
 
 import numpy as np
 
 from fundgrowth import filtering, shrinkage
-from fundgrowth.backtest import BacktestConfig, BacktestSeries, ReturnSeries
+from fundgrowth.backtest import BacktestConfig, ReturnSeries
 from fundgrowth.errors import ConfigError, InsufficientBurnIn
 from fundgrowth.psd import CovMatrix
 
@@ -166,7 +167,7 @@ class BacktestEngine:
             self.step(series.dates[i], series.fund_returns[i], float(series.risk_free[i]))
         return self
 
-    def result(self) -> BacktestSeries:
+    def result(self) -> SimpleNamespace:
         if self._t <= self.config.burn_in_days:
             raise InsufficientBurnIn(
                 f"series has {self._t} row(s), burn-in needs more than "
@@ -174,7 +175,7 @@ class BacktestEngine:
             )
         a = np.array(self._a)
         nu = np.array(self._nu_rows)
-        return BacktestSeries(
+        return SimpleNamespace(
             dates=tuple(self._dates),
             excess=np.array(self._excess),
             r_cum=np.array(self._r_rows),
@@ -193,8 +194,9 @@ class BacktestEngine:
         )
 
 
-def run_oracle(series: ReturnSeries, config: Optional[BacktestConfig] = None) -> BacktestSeries:
-    """Backtest ``series`` one day at a time."""
+def run_oracle(series: ReturnSeries, config: Optional[BacktestConfig] = None) -> SimpleNamespace:
+    """Backtest ``series`` one day at a time; the result has the attributes of a
+    ``BacktestSeries``, with ``kappa`` and ``rho`` stored."""
     config = config or BacktestConfig()
     if series.n <= config.burn_in_days:
         raise InsufficientBurnIn(

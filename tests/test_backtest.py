@@ -301,7 +301,7 @@ class TestCsvRoundTrip:
         bt = run_backtest(series, BacktestConfig(burn_in_days=60))
         target = tmp_path / "out.csv"
         with open(target, "w") as handle:
-            rows = write_backtest_csv(bt, handle)
+            rows, _ = write_backtest_csv([bt], handle)
         assert rows == 100
         table = read_backtest_csv(str(target))
         np.testing.assert_array_equal(table["nu_hat_1"], bt.nu_hat[60:, 0])

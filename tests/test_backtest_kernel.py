@@ -13,14 +13,16 @@ was produced by the per-day loop, to the same tolerance.
 """
 
 import datetime
+import io
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from backtest_oracle import run_oracle
-from fundgrowth import cli
-from fundgrowth.backtest import BacktestConfig, ReturnSeries, read_backtest_csv, run_backtest
+from fundgrowth import backtest, cli
+from fundgrowth.backtest import (BacktestConfig, ReturnSeries, backtest_blocks, read_backtest_csv,
+                                 run_backtest, write_backtest_csv)
 from fundgrowth.errors import ConfigError, InsufficientBurnIn, SingularC
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -160,6 +162,36 @@ class TestDifferential:
             run_oracle(series, config)
         with pytest.raises(error):
             run_backtest(series, config)
+
+
+BLOCK_CONFIGS = {
+    "uninformative": lambda k: BacktestConfig(burn_in_days=100),
+    "anchored_no_burn_in": lambda k: anchored(k, burn_in_days=0),
+    "anchored_burn_in_opens_a_block": lambda k: anchored(k, burn_in_days=63),
+    "demeaned": lambda k: BacktestConfig(burn_in_days=100, demean_covariance=True),
+    "force_a": lambda k: BacktestConfig(burn_in_days=100, force_a=0.3),
+    "force_nu_hat": lambda k: BacktestConfig(burn_in_days=100, force_nu_hat=np.full(k, 1.0)),
+    "truncated": lambda k: BacktestConfig(burn_in_days=100, truncation_l=0.0),
+}
+
+
+@pytest.mark.parametrize("k, case", [(k, case) for case in sorted(BLOCK_CONFIGS)
+                                     for k in (1, 2, 5) if case != "truncated" or k == 1])
+def test_block_size_invariance(monkeypatch, k, case):
+    # blocks of 7 rows carry R, C, the held estimate and the tracks across 43
+    # boundaries; the crash on day 200 floors wealth steps
+    series, config = random_series(k, 300, seed=70 + k, crash_day=200), BLOCK_CONFIGS[case](k)
+    whole, whole_csv = run_backtest(series, config), io.StringIO()
+    write_backtest_csv(backtest_blocks(series, config), whole_csv)
+    monkeypatch.setattr(backtest, "_BLOCK_ENTRIES", 7 * k * k)
+    assert len(list(backtest_blocks(series, config))) == 43
+    blocked, blocked_csv = run_backtest(series, config), io.StringIO()
+    write_backtest_csv(backtest_blocks(series, config), blocked_csv)
+    assert (blocked.dates, blocked.burn_in, blocked.floored_steps) == \
+        (whole.dates, whole.burn_in, whole.floored_steps)
+    for name in EXACT_COLUMNS + CLOSE_COLUMNS:
+        np.testing.assert_array_equal(getattr(blocked, name), getattr(whole, name), err_msg=name)
+    assert blocked_csv.getvalue() == whole_csv.getvalue()
 
 
 def run_cli(*argv):

@@ -307,6 +307,22 @@ class TestBacktestReport:
         assert "not positive definite" in capsys.readouterr().err
         assert not any(out.glob("*"))
 
+    def test_too_many_funds_is_config_error(self, tmp_path, capsys):
+        # the output names c_1111 twice from K = 111 on; refused before the engine
+        # runs, which would find C singular after one burn-in day
+        header = "date," + ",".join(f"ret_{j}" for j in range(1, 112)) + ",rf\n"
+        returns = tmp_path / "returns.csv"
+        returns.write_text(header + "".join(f"2001-01-0{d}" + ",0.01" * 111 + ",0.0\n"
+                                            for d in (1, 2, 3)))
+        config = tmp_path / "bt.cfg"
+        config.write_text("burn_in_days = 1\n")
+        out = tmp_path / "out"
+        assert run(["backtest", "--input", str(returns), "--config", str(config),
+                    "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "repeated output column names ['c_1111']" in err
+        assert not out.exists()
+
     def test_backtest_deterministic_bytes(self, tmp_path):
         scenario = tmp_path / "scenario.cfg"
         scenario.write_text(BACKTEST_SCENARIO)
