@@ -503,6 +503,7 @@ def write_rows(out: IO[str], header: Sequence[str], blocks: Iterable[list[str]])
     for lines in blocks:
         out.write("".join(lines))
         rows += len(lines)
+        del lines       # before the next block's lines are made
     return rows
 
 
