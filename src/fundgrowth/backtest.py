@@ -486,6 +486,8 @@ def run_backtest(series: ReturnSeries, config: Optional[BacktestConfig] = None) 
     streams the blocks to its output instead.
     """
     blocks = list(backtest_blocks(series, config))
+    if len(blocks) == 1:        # already whole; joining would only copy it
+        return blocks[0]
     return BacktestSeries(
         dates=series.dates,
         **{name: np.concatenate([getattr(block, name) for block in blocks])
