@@ -1,9 +1,10 @@
 """Reference implementation of ``run_backtest``: the per-day loop.
 
 This is the streaming engine the library used before the backtest became a
-whole-series array computation.  It is kept verbatim as the oracle of the
-differential tests: every output of ``fundgrowth.backtest.run_backtest``
-must match ``run_oracle`` on the same series and config.
+whole-series array computation.  It is kept as the oracle of the
+differential tests, its arithmetic unchanged (only its result is now a plain
+namespace): every output of ``fundgrowth.backtest.run_backtest`` must match
+``run_oracle`` on the same series and config.
 """
 
 from __future__ import annotations
