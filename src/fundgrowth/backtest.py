@@ -485,17 +485,19 @@ def run_backtest(series: ReturnSeries, config: Optional[BacktestConfig] = None) 
     The result holds ``(n, K, K)`` stacks of ``C``; ``fundgrowth backtest``
     streams the blocks to its output instead.
     """
-    blocks = list(backtest_blocks(series, config))
-    if len(blocks) == 1:        # already whole; joining would only copy it
-        return blocks[0]
-    return BacktestSeries(
-        dates=series.dates,
-        **{name: np.concatenate([getattr(block, name) for block in blocks])
-           for name in _ROW_COLUMNS},
-        burn_in=sum(block.burn_in for block in blocks),
-        floored_steps=blocks[-1].floored_steps,
-        truncation=blocks[-1].truncation,
-    )
+    blocks = backtest_blocks(series, config)
+    last = next(blocks)
+    if last.n == series.n:      # already whole; joining would only copy it
+        return last
+    columns = {name: np.empty((series.n,) + getattr(last, name).shape[1:])
+               for name in _ROW_COLUMNS}
+    start = burn_in = 0
+    for last in itertools.chain([last], blocks):
+        for name, column in columns.items():
+            column[start:start + last.n] = getattr(last, name)
+        start, burn_in = start + last.n, burn_in + last.burn_in
+    return BacktestSeries(dates=series.dates, **columns, burn_in=burn_in,
+                          floored_steps=last.floored_steps, truncation=last.truncation)
 
 
 # ---------------------------------------------------------------------------

@@ -16,11 +16,13 @@ deterministic and idempotent on identical inputs.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import operator
 import os
 import sys
 from collections import Counter
 from pathlib import Path
+from typing import IO, Iterator
 
 import numpy as np
 
@@ -74,6 +76,19 @@ def build_parser() -> argparse.ArgumentParser:
     p_rep.set_defaults(func=cmd_report)
 
     return parser
+
+
+@contextlib.contextmanager
+def replaced(path: Path) -> Iterator[IO[str]]:
+    """A text handle on a sibling temporary file, which replaces ``path`` only
+    once the block has written all of it; on an error it is removed."""
+    partial = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(partial, "w", newline="") as handle:
+            yield handle
+        os.replace(partial, path)
+    finally:
+        partial.unlink(missing_ok=True)
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
@@ -153,15 +168,8 @@ def cmd_backtest(args: argparse.Namespace) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     out_csv = out_dir / "backtest.csv"
-    # the engine streams its blocks into a sibling file, which replaces
-    # backtest.csv only once every block is written
-    partial = out_dir / f".backtest.csv.{os.getpid()}.tmp"
-    try:
-        with open(partial, "w", newline="") as handle:
-            rows, last = bt.write_backtest_csv(bt.backtest_blocks(series, config), handle)
-        os.replace(partial, out_csv)
-    finally:
-        partial.unlink(missing_ok=True)
+    with replaced(out_csv) as handle:
+        rows, last = bt.write_backtest_csv(bt.backtest_blocks(series, config), handle)
     print(f"read {ingest.rows_read} rows ({ingest.rows_dropped} dropped), "
           f"{series.k} fund(s); burn-in {config.burn_in_days} days")
     print(f"wrote {out_csv} rows={rows} final a={float(last.a[-1]):.4f} "
@@ -190,7 +198,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     pick = operator.itemgetter(*[position[name] for name in names])
     line = ",".join("%r" if name in shrunk else "%s" for name in names) + "\n"
     lines, shrunk_rows = table.pop("lines"), np.column_stack([table[n] for n in shrunk])
-    with open(combined, "w", newline="") as handle:
+    with replaced(combined) as handle:
         marketsim.write_rows(handle, names, marketsim.row_blocks(len(lines), lambda rows: [
             line % pick(text.split(",") + extra)
             for text, extra in zip(lines[rows], shrunk_rows[rows].tolist())]))
@@ -210,7 +218,8 @@ def cmd_report(args: argparse.Namespace) -> int:
                                     [(name, table[name]) for name in c_names]),
     }
     for filename, (title, series) in panels.items():
-        (out_dir / filename).write_text(svgchart.line_chart(title, table["dates"], series))
+        with replaced(out_dir / filename) as handle:
+            svgchart.line_chart(handle, title, table["dates"], series)
     print(f"wrote {len(panels)} panels + {combined}")
     return 0
 

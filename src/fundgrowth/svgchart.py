@@ -1,13 +1,13 @@
 """Minimal deterministic SVG line charts for the report command.
 
-String assembly only, fixed float formatting, no timestamps: identical inputs
-produce identical bytes.
+Fixed float formatting, no timestamps: identical inputs produce identical
+bytes.  Each chart is written to an open text handle piece by piece.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from typing import IO, Sequence
 
 import numpy as np
 
@@ -21,6 +21,15 @@ _MARGIN_L = 64
 _MARGIN_R = 16
 _MARGIN_T = 34
 _MARGIN_B = 44
+
+# ASCII, 4 bytes to a uint32: 0..1000 right-aligned with 0 bytes in front, and
+# .00 .. .99 followed by "," (entries 0-99) or by " " (entries 100-199)
+_N = np.arange(1001)[:, None]
+_INTEGERS = np.where(_N >= [1000, 100, 10, 0], ord("0") + _N // [1000, 100, 10, 1] % 10, 0)
+_INTEGERS = _INTEGERS.astype(np.uint8).view(np.uint32).ravel()
+_FRACTIONS = np.column_stack([np.full(200, ord(".")), ord("0") + _N[:200] // [10, 1] % 10,
+                              np.repeat([ord(","), ord(" ")], 100)])
+_FRACTIONS = _FRACTIONS.astype(np.uint8).view(np.uint32).ravel()
 
 
 def _nice_ticks(lo: float, hi: float, target: int = 5) -> list[float]:
@@ -40,28 +49,27 @@ def _nice_ticks(lo: float, hi: float, target: int = 5) -> list[float]:
     return ticks
 
 
-def _fmt(value: float) -> str:
-    return f"{value:.2f}"
-
-
-def _fmt_tick(value: float) -> str:
-    return f"{value:.6g}"
-
-
-def line_chart(title: str, x_labels: Sequence, series: Sequence[tuple[str, np.ndarray]]) -> str:
-    """Render labelled series over a shared index axis, every point drawn;
-    NaNs break the line, and ``EmptyRange`` means no value is finite."""
-    n = max((len(vals) for _, vals in series), default=0)
-    finite = np.concatenate([np.empty(0)] + [np.asarray(v, float) for _, v in series])
-    finite = finite[np.isfinite(finite)]
-    if finite.size == 0:
+def line_chart(out: IO[str], title: str, x_labels: Sequence,
+               series: Sequence[tuple[str, np.ndarray]]) -> None:
+    """Write labelled series over a shared index axis to ``out``, every point
+    drawn; NaNs break the line.  ``EmptyRange`` means that no value is finite or
+    that the values span no range the chart can scale; it is raised before
+    anything is written."""
+    values = [np.asarray(v, dtype=float) for _, v in series]
+    n = max((v.size for v in values), default=0)
+    y_lo = min((float(np.min(v, where=np.isfinite(v), initial=math.inf)) for v in values),
+               default=math.inf)
+    y_hi = max((float(np.max(v, where=np.isfinite(v), initial=-math.inf)) for v in values),
+               default=-math.inf)
+    if y_lo > y_hi:
         raise EmptyRange(f"{title}: no finite values to plot")
-    y_lo, y_hi = float(finite.min()), float(finite.max())
     if y_hi == y_lo:
         y_lo, y_hi = y_lo - 0.5, y_hi + 0.5
     pad = 0.05 * (y_hi - y_lo)
     y_lo -= pad
     y_hi += pad
+    if not 0.0 < y_hi - y_lo < math.inf:
+        raise EmptyRange(f"{title}: the values span no range a chart can scale")
 
     plot_w = _WIDTH - _MARGIN_L - _MARGIN_R
     plot_h = _HEIGHT - _MARGIN_T - _MARGIN_B
@@ -73,26 +81,24 @@ def line_chart(title: str, x_labels: Sequence, series: Sequence[tuple[str, np.nd
     def py(v):
         return _MARGIN_T + plot_h * (1.0 - (v - y_lo) / (y_hi - y_lo))
 
-    parts = [
-        '<?xml version="1.0" encoding="UTF-8"?>\n',
+    out.write(
+        '<?xml version="1.0" encoding="UTF-8"?>\n'
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
-        f'viewBox="0 0 {_WIDTH} {_HEIGHT}">\n',
-        f'<rect x="0" y="0" width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>\n',
+        f'viewBox="0 0 {_WIDTH} {_HEIGHT}">\n'
+        f'<rect x="0" y="0" width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>\n'
         f'<text x="{_MARGIN_L}" y="20" font-family="sans-serif" font-size="14" '
-        f'font-weight="bold">{title}</text>\n',
+        f'font-weight="bold">{title}</text>\n'
         f'<rect x="{_MARGIN_L}" y="{_MARGIN_T}" width="{plot_w}" height="{plot_h}" '
-        f'fill="none" stroke="#333333" stroke-width="1"/>\n',
-    ]
+        f'fill="none" stroke="#333333" stroke-width="1"/>\n'
+    )
 
     for tick in _nice_ticks(y_lo, y_hi):
         y = py(tick)
-        parts.append(
-            f'<line x1="{_MARGIN_L}" y1="{_fmt(y)}" x2="{_WIDTH - _MARGIN_R}" y2="{_fmt(y)}" '
+        out.write(
+            f'<line x1="{_MARGIN_L}" y1="{y:.2f}" x2="{_WIDTH - _MARGIN_R}" y2="{y:.2f}" '
             f'stroke="#dddddd" stroke-width="1"/>\n'
-        )
-        parts.append(
-            f'<text x="{_MARGIN_L - 6}" y="{_fmt(y + 4)}" font-family="sans-serif" '
-            f'font-size="11" text-anchor="end">{_fmt_tick(tick)}</text>\n'
+            f'<text x="{_MARGIN_L - 6}" y="{y + 4:.2f}" font-family="sans-serif" '
+            f'font-size="11" text-anchor="end">{tick:.6g}</text>\n'
         )
 
     n_x_ticks = min(6, n)
@@ -100,40 +106,63 @@ def line_chart(title: str, x_labels: Sequence, series: Sequence[tuple[str, np.nd
         i = round(j * (n - 1) / max(n_x_ticks - 1, 1))
         x = px(i)
         label = x_labels[i] if i < len(x_labels) else str(i)
-        parts.append(
-            f'<line x1="{_fmt(x)}" y1="{_MARGIN_T + plot_h}" x2="{_fmt(x)}" '
+        out.write(
+            f'<line x1="{x:.2f}" y1="{_MARGIN_T + plot_h}" x2="{x:.2f}" '
             f'y2="{_MARGIN_T + plot_h + 5}" stroke="#333333" stroke-width="1"/>\n'
-        )
-        parts.append(
-            f'<text x="{_fmt(x)}" y="{_MARGIN_T + plot_h + 20}" font-family="sans-serif" '
+            f'<text x="{x:.2f}" y="{_MARGIN_T + plot_h + 20}" font-family="sans-serif" '
             f'font-size="11" text-anchor="middle">{label}</text>\n'
         )
 
-    for idx, (label, values) in enumerate(series):
+    for idx, ((label, _), v) in enumerate(zip(series, values)):
         color = PALETTE[idx % len(PALETTE)]
-        values = np.asarray(values, dtype=float)
-        x, y = px(np.arange(values.size)), py(values)
+        x, y = px(np.arange(v.size)), py(v)
         # finite runs start and stop where the finite mask flips
-        edges = np.flatnonzero(np.diff(np.isfinite(values), prepend=False, append=False))
+        edges = np.flatnonzero(np.diff(np.isfinite(v), prepend=False, append=False))
         for start, stop in zip(edges[::2].tolist(), edges[1::2].tolist()):
-            parts.append(_polyline(x[start:stop], y[start:stop], color))
+            out.write(_polyline(x[start:stop], y[start:stop], color))
         ly = _MARGIN_T + 16 + 16 * idx
-        parts.append(
+        out.write(
             f'<line x1="{_MARGIN_L + 8}" y1="{ly - 4}" x2="{_MARGIN_L + 28}" y2="{ly - 4}" '
             f'stroke="{color}" stroke-width="2"/>\n'
-        )
-        parts.append(
             f'<text x="{_MARGIN_L + 33}" y="{ly}" font-family="sans-serif" '
             f'font-size="12">{label}</text>\n'
         )
 
-    parts.append("</svg>\n")
-    return "".join(parts)
+    out.write("</svg>\n")
 
 
 def _polyline(x: np.ndarray, y: np.ndarray, color: str) -> str:
-    """A lone point as a circle, a longer run as a polyline (``%.2f`` is ``_fmt``)."""
+    """A lone point as a circle, a longer run as a polyline, each coordinate
+    written as ``"%.2f" % v`` would write it; every one must lie in (0, 1000).
+
+    ``%.2f`` writes ``m / 100``, ``m`` the integer nearest to ``x = 100 v``
+    (ties to even) for the exact binary ``v``.  Let ``p = fl(100 v)``.  Dekker's
+    product (Numer. Math. 18, 1971) splits ``v`` into ``hi + lo`` of 26 bits
+    each with the factor ``2^27 + 1``; 100 has 7 bits, so ``e = (100 hi - p) +
+    100 lo = x - p`` exactly.  ``m`` changes where ``x`` crosses a
+    half-integer, and every half-integer below 10^5 is a double.  If ``p`` is
+    none, no half-integer lies between ``p`` and ``x`` (it would be nearer to
+    ``x`` than ``p = fl(x)`` is), so ``m = rint(p)``.  If ``p`` is one, ``x``
+    lies above it (``e > 0``, ``m = p + 1/2``), below it (``e < 0``, ``m = p -
+    1/2``) or on it (``e = 0``, the even neighbour ``rint(p)``): ``m = rint(p +
+    sign(e)/2)``.
+    """
+    v = np.column_stack([x, y]).ravel()
+    if not ((v > 0.0) & (v < 1000.0)).all():
+        raise ValueError("chart coordinates must lie in (0, 1000)")
+    p = v * 100.0
+    m = np.rint(p)
+    tie = np.modf(p)[0] == 0.5
+    t, u = p[tie], v[tie]
+    hi = u * (2.0**27 + 1.0)
+    hi -= hi - u
+    e = (100.0 * hi - t) + 100.0 * (u - hi)
+    m[tie] = np.rint(t + 0.5 * np.sign(e))
+    whole, cents = np.divmod(m.astype(np.int32), 100)
+    cents[1::2] += 100
+    text = np.column_stack([_INTEGERS[whole], _FRACTIONS[cents]]).view(np.uint8).ravel()
+    points = text[text != 0][:-1].tobytes().decode("ascii")
     if x.size == 1:
-        return f'<circle cx="{_fmt(x[0])}" cy="{_fmt(y[0])}" r="1.5" fill="{color}"/>\n'
-    points = " ".join(["%.2f,%.2f"] * x.size) % tuple(np.column_stack([x, y]).ravel().tolist())
+        cx, cy = points.split(",")
+        return f'<circle cx="{cx}" cy="{cy}" r="1.5" fill="{color}"/>\n'
     return f'<polyline fill="none" stroke="{color}" stroke-width="1.5" points="{points}"/>\n'

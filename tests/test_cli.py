@@ -234,6 +234,18 @@ class TestBacktestReport:
         assert run(["report", "--input", str(nan), "--out", str(tmp_path)]) == 2
         assert "no finite values" in capsys.readouterr().err
 
+    def test_report_unscalable_span_leaves_no_partial_svg(self, tmp_path, capsys):
+        # c_11 spans more than a double can hold, so the last panel is refused
+        huge = tmp_path / "huge.csv"
+        huge.write_text("date,nu_hat_1,a,F,logW_market,logW_nuhat,logW_shrunk,c_11\n"
+                        "2001-01-01,0.5,0.4,0.0,0.0,0.0,0.0,1e308\n"
+                        "2001-01-02,0.5,0.4,0.0,0.0,0.0,0.0,-1e308\n")
+        out = tmp_path / "out"
+        assert run(["report", "--input", str(huge), "--out", str(out)]) == 2
+        assert "no range a chart can scale" in capsys.readouterr().err
+        assert sorted(path.name for path in out.iterdir()) == [
+            "panels.csv", "portfolio.svg", "shrink_factor.svg", "wealth.svg"]
+
     def test_report_empty_range(self, tmp_path):
         empty = tmp_path / "empty.csv"
         empty.write_text("date,nu_hat_1,a,F,logW_market,logW_nuhat,logW_shrunk,c_11\n")
