@@ -1,9 +1,13 @@
+import dataclasses
 import datetime
 import io
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fundgrowth.backtest import (
     BacktestConfig,
@@ -50,6 +54,61 @@ def write_csv(tmp_path, text, name="returns.csv"):
     target = tmp_path / name
     target.write_text(text)
     return str(target)
+
+
+# Ingest cases on a two-fund file: (text, rows read, rows dropped under 'skip', the
+# kept (date, ret_1, ret_2, rf) rows, the ParseError line under 'error' or None).
+HEADER2 = "date,ret_1,ret_2,rf\n"
+ROW1, ROW3 = "2001-01-01,0.01,0.02,0.0005", "2001-01-03,0.03,0.04,0.001"
+KEPT13 = [("2001-01-01", 0.01, 0.02, 0.0005), ("2001-01-03", 0.03, 0.04, 0.001)]
+
+
+def between(row, case_id):
+    """A bad ``row`` on line 3, between two good ones."""
+    return pytest.param(f"{HEADER2}{ROW1}\n{row}\n{ROW3}\n", 3, 1, KEPT13, 3, id=case_id)
+
+
+def with_cell(column, cell):
+    cells = ["0.01", "0.02", "0.0"]
+    cells[column] = cell
+    return "2001-01-02," + ",".join(cells)
+
+
+INGEST_CASES = [
+    between("2001-01-02,0.01,0.0", "short-row"),
+    between("2001-01-02,0.01,0.02,0.0,0.5", "long-row"),
+    between("2001-01-02,,0.02,0.0", "blank-ret_1"),
+    between("2001-01-02,0.01, ,0.0", "blank-ret_2"),
+    between("2001-02-30,0.01,0.02,0.0", "bad-date"),
+    between("2001-01-02,0.01,abc,0.0", "bad-number"),
+    between("2001-01-02,0.01,0.02,x", "bad-rf"),
+    *[between(with_cell(column, cell), f"{cell}-in-{name}")
+      for column, name in enumerate(["ret_1", "ret_2", "rf"])
+      for cell in ["nan", "inf", "-inf"]],
+    pytest.param(f"{HEADER2}2001-01-01,0.01,0.02,\n{ROW3}\n", 2, 0,
+                 [("2001-01-01", 0.01, 0.02, 0.0), KEPT13[1]], None, id="blank-rf-first-row"),
+    pytest.param(f"{HEADER2}{ROW1}\n2001-01-02,0.05,0.06, \t\n{ROW3}\n", 3, 0,
+                 [KEPT13[0], ("2001-01-02", 0.05, 0.06, 0.0005), KEPT13[1]], None,
+                 id="whitespace-rf-filled"),
+    pytest.param(f"{HEADER2}{ROW1}\n\n \t\n2001-01-02,0.01\n{ROW3}\n", 3, 1, KEPT13, 5,
+                 id="blank-and-whitespace-lines"),
+    pytest.param("date,ret_1,ret_2,rf\r\n" + ROW1 + "\r\n2001-01-02,abc,0.04,0.001\r\n"
+                 "2001-01-03,0.05,0.06,", 3, 1,
+                 [KEPT13[0], ("2001-01-03", 0.05, 0.06, 0.0005)], 3, id="crlf-no-final-newline"),
+    pytest.param(" date , ret_1,ret_2 ,\trf \n 2001-01-01 ,0.01,0.02,0.0005\n"
+                 "\t2001-01-03, 0.03 ,0.04,0.001\n", 2, 0, KEPT13, None,
+                 id="blanks-around-names-and-dates"),
+    pytest.param(f"{HEADER2}2001-01-03,0.05,0.06,\n2001-01-01,0.01,0.02,\n"
+                 "2001-01-02,0.03,0.04,0.0002\n", 3, 0,
+                 [("2001-01-01", 0.01, 0.02, 0.0), ("2001-01-02", 0.03, 0.04, 0.0002),
+                  ("2001-01-03", 0.05, 0.06, 0.0002)], None, id="unsorted-rf-filled-after-sort"),
+    pytest.param(f"{HEADER2}{ROW1}\n2001-01-02,nan,0.02,0.0\n2001-01-03,0.01\n"
+                 "2001-01-04,0.03,0.04,0.001\n", 4, 2,
+                 [KEPT13[0], ("2001-01-04", 0.03, 0.04, 0.001)], 3, id="non-finite-then-short"),
+    pytest.param(f"{HEADER2}{ROW1}\n2001-01-02,0.01\n2001-01-03,0.01,inf,0.0\n"
+                 "2001-01-04,0.03,0.04,0.001\n", 4, 2,
+                 [KEPT13[0], ("2001-01-04", 0.03, 0.04, 0.001)], 3, id="short-then-non-finite"),
+]
 
 
 class TestIngest:
@@ -134,6 +193,61 @@ class TestIngest:
         )
         series = ingest_csv(path).series
         np.testing.assert_allclose(series.risk_free, [0.0002, 0.0002, 0.0004])
+
+    @pytest.mark.parametrize("text, read, dropped, kept, line", INGEST_CASES)
+    def test_case_under_skip(self, tmp_path, text, read, dropped, kept, line):
+        path = write_csv(tmp_path, text, name="case.csv")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            result = ingest_csv(path, drop_policy="skip")
+        assert [str(w.message) for w in caught] == (
+            [f"{path}: dropped {dropped} malformed row(s)"] if dropped else [])
+        assert (result.rows_read, result.rows_dropped) == (read, dropped)
+        series = result.series
+        assert series.dates == tuple(datetime.date.fromisoformat(row[0]) for row in kept)
+        want = np.array([row[1:] for row in kept], dtype=float)
+        got = np.column_stack([series.fund_returns, series.risk_free])
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("text, read, dropped, kept, line", INGEST_CASES)
+    def test_case_under_error(self, tmp_path, text, read, dropped, kept, line):
+        path = write_csv(tmp_path, text, name="case.csv")
+        if line is None:
+            result = ingest_csv(path, drop_policy="error")
+            assert (result.series.n, result.rows_read, result.rows_dropped) == (read, read, 0)
+            return
+        with pytest.raises(ParseError) as excinfo:
+            ingest_csv(path, drop_policy="error")
+        assert excinfo.value.line == line
+
+    @pytest.mark.parametrize("policy", ["skip", "error"])
+    def test_zero_byte_file(self, tmp_path, policy):
+        with pytest.raises(EmptySeries):
+            ingest_csv(write_csv(tmp_path, ""), drop_policy=policy)
+
+    def test_no_usable_row(self, tmp_path):
+        path = write_csv(tmp_path, f"{HEADER2}2001-01-01,nan,0.0,0.0\n2001-01-02,0.01\n")
+        with pytest.raises(EmptySeries, match="no usable rows"):
+            ingest_csv(path, drop_policy="skip")
+        with pytest.raises(ParseError, match="^line 2: "):
+            ingest_csv(path, drop_policy="error")
+
+    @pytest.mark.parametrize("policy", ["skip", "error"])
+    def test_bad_cell_deep_in_a_long_file(self, tmp_path, policy):
+        days = [datetime.date(1990, 1, 1) + datetime.timedelta(days=i) for i in range(10_000)]
+        rows = [f"{day},{i * 1e-6!r},0.0\n" for i, day in enumerate(days)]
+        rows[4_999] = f"{days[4_999]},0.01x,0.0\n"       # line 5,001 after the header
+        path = write_csv(tmp_path, "date,ret_1,rf\n" + "".join(rows))
+        if policy == "error":
+            with pytest.raises(ParseError) as excinfo:
+                ingest_csv(path, drop_policy=policy)
+            assert excinfo.value.line == 5_001
+            return
+        with pytest.warns(UserWarning, match="dropped 1 "):
+            result = ingest_csv(path, drop_policy=policy)
+        assert (result.rows_read, result.rows_dropped) == (10_000, 1)
+        assert result.series.dates == tuple(days[:4_999] + days[5_000:])
+        assert result.series.fund_returns[4_999, 0] == 5_000 * 1e-6
 
     def test_round_trip_from_simulated_path(self, tmp_path):
         from fundgrowth.marketsim import write_path_csv
@@ -347,6 +461,45 @@ class TestConfigParsing:
     def test_bad_value_names_its_line(self, line):
         with pytest.raises(ConfigError, match="line 2: bad value"):
             parse_backtest_config("prior = uninformative\n" + line + "\n")
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_rendered_config_parses_back(self, data):
+        k = data.draw(st.integers(1, 3))
+        finite = st.floats(allow_nan=False, allow_infinity=False)
+        vector = st.lists(finite, min_size=k, max_size=k).map(np.array)
+        matrix = st.lists(vector, min_size=k, max_size=k).map(np.array)
+        lo = data.draw(st.none() | finite)
+        hi = data.draw(st.none() | finite.filter(lambda x: lo is None or x > lo))
+        prior = data.draw(st.sampled_from(["uninformative", "anchored"]))
+        anchored = prior == "anchored"
+        config = BacktestConfig(
+            burn_in_days=data.draw(st.integers(0, 10 ** 6)), prior=prior,
+            nu0=data.draw(vector if anchored else st.none() | vector),
+            kappa0=data.draw(matrix if anchored else st.none() | matrix),
+            truncation_l=lo, truncation_r=hi,
+            drop_policy=data.draw(st.sampled_from(["skip", "error"])),
+            demean_covariance=data.draw(st.booleans()),
+            force_a=data.draw(st.none() | st.floats(0.0, 1.0)),
+            force_nu_hat=data.draw(st.none() | vector),
+        )
+
+        def render(value):
+            if isinstance(value, np.ndarray):
+                rows = np.atleast_2d(value).tolist()
+                return "; ".join(", ".join(map(repr, row)) for row in rows)
+            return str(value).lower() if isinstance(value, bool) else repr(value).strip("'")
+
+        fields = dataclasses.fields(BacktestConfig)
+        text = "".join(f"{field.name} = {render(getattr(config, field.name))}\n"
+                       for field in fields if getattr(config, field.name) is not None)
+        parsed = parse_backtest_config(text)
+        for field in fields:
+            want, got = getattr(config, field.name), getattr(parsed, field.name)
+            if isinstance(want, np.ndarray):
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
+            else:
+                assert type(got) is type(want) and got == want, field.name
 
     def test_anchored_needs_both_moments(self):
         with pytest.raises(ConfigError):

@@ -10,7 +10,8 @@ from hypothesis.extra import numpy as hnp
 
 from fundgrowth.backtest import ingest_csv, output_columns
 from fundgrowth.errors import ParseError
-from fundgrowth.marketsim import read_table, write_table
+from fundgrowth.marketsim import MarketPath, read_table, write_path_csv, write_table
+from fundgrowth.psd import CovMatrix
 
 EDGES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
          -1.7976931348623157e308, 9.999999999999999e307, np.nan, np.inf, -np.inf]
@@ -36,6 +37,25 @@ def test_write_then_read_is_bit_identical(tmp_path_factory, values):
     # compare bits, so that -0.0 and 0.0 count as different
     np.testing.assert_array_equal(got[finite_or_inf].view(np.int64),
                                   values[finite_or_inf].view(np.int64))
+
+
+@settings(max_examples=60, deadline=None)
+@given(increments=hnp.arrays(np.float64, st.tuples(st.integers(1, 12), st.integers(1, 4)),
+                             elements=st.floats(allow_nan=False, allow_infinity=False,
+                                                allow_subnormal=True)))
+def test_simulated_csv_ingests_bit_identical(tmp_path_factory, increments):
+    n, k = increments.shape
+    path = MarketPath(times=np.arange(n + 1.0), increments=increments, nu_true=np.zeros(k),
+                      cov_rate=CovMatrix(np.eye(k)), seed=0)
+    target = tmp_path_factory.mktemp("returns") / "simulated.csv"
+    with open(target, "w", newline="") as handle:
+        assert write_path_csv(path, handle) == n
+    result = ingest_csv(str(target), drop_policy="error")
+    assert (result.rows_read, result.rows_dropped) == (n, 0)
+    start = datetime.date(1927, 7, 1)
+    assert result.series.dates == tuple(start + datetime.timedelta(days=i) for i in range(n))
+    assert result.series.fund_returns.tobytes() == increments.tobytes()
+    assert result.series.risk_free.tobytes() == np.zeros(n).tobytes()
 
 
 @pytest.mark.parametrize("text, valid", [
