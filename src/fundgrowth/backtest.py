@@ -23,8 +23,6 @@ hidden.
 
 from __future__ import annotations
 
-import csv
-import datetime
 import itertools
 import math
 import operator
@@ -44,8 +42,8 @@ from .errors import (
     ParseError,
     SingularC,
 )
-from .marketsim import (ConfigLines, _parse_matrix, _parse_vector, parse_date, read_table,
-                        table_lines, write_rows)
+from .marketsim import (ConfigLines, _parse_matrix, _parse_vector, read_table, table_lines,
+                        write_rows)
 from .psd import PD_RTOL, CovMatrix, inverse_entries, is_definite
 
 DEFAULT_BURN_IN = 7500   # trading days, about 30 years
@@ -58,6 +56,11 @@ _WEALTH_FLOOR = 1e-12
 # block's (rows, K, K) stacks stay small at any K; a K = 1 series of up to
 # 262,144 days runs as one block.
 _BLOCK_ENTRIES = 2 ** 18
+
+# A blank ``rf`` cell reads as this NaN, whose payload no number's text gives: a
+# literal ``nan`` reads as numpy's own NaN and ``-inf`` as -inf.
+_BLANK_RF_BITS = 0x7FF8_0000_00B1_A4C5
+_BLANK_RF = float(np.int64(_BLANK_RF_BITS).view(np.float64))
 
 
 @dataclass(frozen=True)
@@ -99,68 +102,55 @@ class IngestResult:
     rows_dropped: int
 
 
+def _rf_cell(text: str) -> float:
+    """An ``rf`` cell: ``_BLANK_RF`` if blank, else its number as ``np.loadtxt``
+    reads one (``float`` alone also takes ``_`` separators and non-ASCII digits)."""
+    text = text.strip()
+    if "_" in text or not text.isascii():
+        raise ValueError(f"could not convert string {text!r} to float64")
+    return float(text) if text else _BLANK_RF
+
+
 def ingest_csv(path: str, drop_policy: str = "skip") -> IngestResult:
     """Parse a ``date,ret_1..ret_K,rf`` CSV into a cleaned return series.
 
-    Malformed rows, including rows with a ``nan`` or ``inf`` cell, are dropped
-    with a warning under ``drop_policy='skip'`` or raise ``ParseError`` under
-    ``'error'``.  Missing risk-free cells are forward-filled (zero before the
-    first observation); rows missing a fund return are dropped.  Rows come
-    back date-sorted; duplicate dates raise ``NonMonotoneDates``.
+    Rows are read by ``marketsim.read_table``.  Malformed rows, including rows
+    with a ``nan`` or ``inf`` cell, are dropped with a warning under
+    ``drop_policy='skip'``; under ``'error'`` the first of them raises
+    ``ParseError``.  Blank risk-free cells are forward-filled (zero before the
+    first observation); rows missing a fund return are dropped.  Rows come back
+    date-sorted; duplicate dates raise ``NonMonotoneDates``.
     """
     if drop_policy not in ("skip", "error"):
         raise ConfigError(f"unknown drop_policy {drop_policy!r}")
-    with open(path, "r", newline="") as handle:
-        reader = csv.reader(handle)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise EmptySeries(f"{path} is empty") from None
-        header = [h.strip() for h in header]
-        k = len(header) - 2
-        expected = ["date"] + [f"ret_{j + 1}" for j in range(k)] + ["rf"]
-        if k < 1 or header != expected:
-            raise ParseError(1, f"header {header!r} does not match date,ret_1..ret_K,rf")
+    dropped: list[ParseError] = []
+    header, dates, values, _, linenos = read_table(path, dropped, {-1: _rf_cell})
+    header = [name.strip() for name in header]
+    k = len(header) - 2
+    if k < 1 or header != ["date"] + [f"ret_{j + 1}" for j in range(k)] + ["rf"]:
+        raise ParseError(1, f"header {header!r} does not match date,ret_1..ret_K,rf")
 
-        rows: list[tuple[datetime.date, list[float], Optional[float]]] = []
-        rows_read = 0
-        dropped = 0
-        for lineno, cells in enumerate(reader, start=2):
-            if not cells or (len(cells) == 1 and not cells[0].strip()):
-                continue
-            rows_read += 1
-            try:
-                if len(cells) != k + 2:
-                    raise ValueError(f"expected {k + 2} cells, got {len(cells)}")
-                day = parse_date(cells[0].strip())
-                rets = [float(cell) for cell in cells[1:-1]]
-                rf_cell = cells[-1].strip()
-                rf = float(rf_cell) if rf_cell else None
-                if not all(map(math.isfinite, rets + [0.0 if rf is None else rf])):
-                    raise ValueError("non-finite return or risk-free rate")
-            except ValueError as exc:
-                if drop_policy == "error":
-                    raise ParseError(lineno, str(exc)) from None
-                dropped += 1
-                continue
-            rows.append((day, rets, rf))
-
-    if not rows:
+    blank_rf = values[:, -1].view(np.int64) == _BLANK_RF_BITS
+    values[blank_rf, -1] = 0.0
+    bad = ~np.isfinite(values).all(axis=1)
+    first_bad = dropped[:1] + [ParseError(int(line), "non-finite return or risk-free rate")
+                               for line in linenos[bad][:1]]
+    if drop_policy == "error" and first_bad:
+        raise min(first_bad, key=operator.attrgetter("line"))
+    rows = np.flatnonzero(~bad)
+    if not rows.size:
         raise EmptySeries(f"{path} contains no usable rows")
-    if dropped:
-        warnings.warn(f"{path}: dropped {dropped} malformed row(s)", stacklevel=2)
+    if dropped or bad.any():
+        warnings.warn(f"{path}: dropped {len(dropped) + bad.sum()} malformed row(s)",
+                      stacklevel=2)
 
-    rows.sort(key=lambda row: row[0])
-    dates = [row[0] for row in rows]
-    rets = np.array([row[1] for row in rows], dtype=float)
-    rf = np.empty(len(rows))
-    last = 0.0
-    for i, row in enumerate(rows):
-        if row[2] is not None:
-            last = row[2]
-        rf[i] = last
-    series = ReturnSeries(dates=tuple(dates), fund_returns=rets, risk_free=rf)
-    return IngestResult(series=series, rows_read=rows_read, rows_dropped=dropped)
+    days = np.array(dates, dtype=object)
+    rows = rows[np.argsort(days[rows], kind="stable")]
+    last_rf = np.maximum.accumulate(np.where(blank_rf[rows], 0, np.arange(1, rows.size + 1)))
+    series = ReturnSeries(dates=tuple(days[rows]), fund_returns=values[rows, :-1],
+                          risk_free=np.concatenate([[0.0], values[rows, -1]])[last_rf])
+    return IngestResult(series=series, rows_read=len(values) + len(dropped),
+                        rows_dropped=len(dropped) + int(bad.sum()))
 
 
 @dataclass(frozen=True)
@@ -540,7 +530,7 @@ def read_backtest_csv(path: str) -> dict:
     and the row texts ``lines``; raises ``MissingColumns`` when the required core
     columns are absent and ``ParseError`` (with the line) on a row that does not parse.
     """
-    header, dates, values, lines = read_table(path)
+    header, dates, values, lines, _ = read_table(path)
     k = sum(1 for name in header if name.startswith("nu_hat_"))
     missing = set(output_columns(k)) - set(header) if k else {"nu_hat_*"}
     if missing:

@@ -22,7 +22,8 @@ from typing import IO, Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .errors import BadTruncation, ConfigError, EmptyGrid, ParseError, RankDeficient
+from .errors import (BadTruncation, ConfigError, EmptyGrid, EmptySeries, ParseError,
+                     RankDeficient)
 from .filtering import ndtr
 from .psd import CovMatrix, is_definite, sqrt_entries
 
@@ -516,36 +517,66 @@ def parse_date(text: str) -> datetime.date:
     return datetime.date.fromisoformat(text)
 
 
-def read_table(path: str) -> tuple[list[str], list[datetime.date], np.ndarray, list[str]]:
-    """Header, dates, ``(rows, columns)`` values and row texts (without the line end)
-    of a ``date,v_1,...,v_m`` file; blank lines are skipped.  A repeated column name,
-    a date that is not ``YYYY-MM-DD``, a row whose cell count differs from the
-    header's or a cell that is not a number raises ``ParseError`` with its line."""
+def read_table(path: str, dropped: Optional[list] = None, converters: Optional[dict] = None
+               ) -> tuple[list[str], list[datetime.date], np.ndarray, list[str], np.ndarray]:
+    """Header, dates, ``(rows, columns)`` values, row texts (without the line end)
+    and line numbers of a ``date,v_1,...,v_m`` file; blank lines are skipped.
+
+    A zero-byte file raises ``EmptySeries`` and a repeated column name
+    ``ParseError``.  So does, with its line, a row whose cell count differs from
+    the header's, whose date is not ``YYYY-MM-DD`` (blanks around it aside) or
+    with a cell that is not a number; given a ``dropped`` list, that error is
+    appended to it and the row left out instead.  ``converters`` maps a column's
+    index (negative from the end) to a function of its cell text, as in
+    ``np.loadtxt``.
+    """
     dates: list[datetime.date] = []
     lines: list[str] = []
+    linenos: list[int] = []
     at = [1]    # line of the row being parsed; numpy reads one row per next()
     with open(path) as handle:
-        header = handle.readline().rstrip("\n").split(",")
+        first = handle.readline()
+        if not first:
+            raise EmptySeries(f"{path} is empty")
+        header = first.rstrip("\n").split(",")
         if len(set(header)) < len(header):
             repeated = sorted({name for name in header if header.count(name) > 1})
             raise ParseError(1, f"repeated column names {repeated}")
+        converters = {i % len(header): f for i, f in (converters or {}).items()}
+        numbered = enumerate(handle, start=2)
 
         def rows():
-            for lineno, line in enumerate(handle, start=2):
+            for lineno, line in numbered:
                 if not line.isspace():
                     at[0] = lineno
                     if line.count(",") != len(header) - 1:
-                        raise ParseError(lineno, f"{line.count(',') + 1} cells, "
-                                                 f"header has {len(header)}")
-                    lines.append(line.rstrip("\n"))
-                    dates.append(parse_date(lines[-1].partition(",")[0]))
-                    yield lines[-1]
+                        raise ValueError(f"{line.count(',') + 1} cells, header has {len(header)}")
+                    text = line.rstrip("\n")
+                    dates.append(parse_date(text.partition(",")[0].strip()))
+                    lines.append(text)
+                    linenos.append(lineno)
+                    yield text
 
-        try:
+        def load(texts) -> np.ndarray:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")     # loadtxt warns when there are no rows
-                values = np.loadtxt(rows(), delimiter=",", comments=None,
-                                    usecols=range(1, len(header)), ndmin=2)
-        except ValueError as exc:
-            raise ParseError(at[0], str(exc)) from None
-    return header, dates, values, lines
+                return np.loadtxt(texts, delimiter=",", comments=None, ndmin=2,
+                                  usecols=range(1, len(header)), converters=converters)
+
+        # numpy cannot resume after a bad row: the rows read before it are parsed
+        # again, so that none is parsed more than twice
+        blocks, start = [], 0
+        while True:
+            try:
+                blocks.append(load(rows()))
+                break
+            except ValueError as exc:
+                if dropped is None:
+                    raise ParseError(at[0], str(exc)) from None
+                dropped.append(ParseError(at[0], str(exc)))
+                if linenos[-1:] == at:
+                    del dates[-1], lines[-1], linenos[-1]
+                blocks.append(load(lines[start:]))
+                start = len(lines)
+    values = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
+    return header, dates, values, lines, np.array(linenos, dtype=np.int64)

@@ -29,7 +29,7 @@ def test_write_then_read_is_bit_identical(tmp_path_factory, values):
     path = tmp_path_factory.mktemp("table") / "table.csv"
     with open(path, "w", newline="") as handle:
         assert write_table(handle, header, dates, values) == n
-    got_header, got_dates, got, got_lines = read_table(str(path))
+    got_header, got_dates, got, got_lines, _ = read_table(str(path))
     assert got_header == header and got_dates == dates
     assert got_lines == path.read_text().splitlines()[1:]
     np.testing.assert_array_equal(np.isnan(got), np.isnan(values))
@@ -60,6 +60,7 @@ def test_simulated_csv_ingests_bit_identical(tmp_path_factory, increments):
 
 @pytest.mark.parametrize("text, valid", [
     ("2001-01-03", True),
+    (" 2001-01-03\t", True),     # blanks around the date cell
     ("19270702", False),         # basic format: fromisoformat takes it from Python 3.11 on
     ("1927-W27-1", False),       # ISO week date, likewise
     ("1927-07", False),
@@ -91,4 +92,40 @@ def test_repeated_column_name_is_rejected(tmp_path):
     table = tmp_path / "backtest.csv"
     table.write_text(",".join(header) + "\n2001-01-01" + ",0.0" * (len(header) - 1) + "\n")
     with pytest.raises(ParseError, match=r"line 1: repeated column names \['c_1111'\]"):
+        read_table(str(table))
+
+
+@pytest.mark.parametrize("cell", ['"0.02"', "1_000", "\uff10.5", "\u0661"])
+@pytest.mark.parametrize("column", [1, 2])
+def test_quotes_separators_and_non_ascii_digits_are_malformed(tmp_path, cell, column):
+    # csv.reader and float() took these; numpy's grammar does not, in any column
+    cells = ["2001-01-02", "0.02", "0.0"]
+    cells[column] = cell
+    returns = tmp_path / "returns.csv"
+    returns.write_text("date,ret_1,rf\n2001-01-01,0.01,0.0\n" + ",".join(cells) + "\n")
+    with pytest.raises(ParseError, match="^line 3: "):
+        ingest_csv(str(returns), drop_policy="error")
+    with pytest.warns(UserWarning, match="dropped 1"):
+        assert ingest_csv(str(returns)).series.n == 1
+    table = tmp_path / "table.csv"
+    table.write_text("date,v_1,v_2\n2001-01-01,0.01,0.0\n" + ",".join(cells) + "\n")
+    with pytest.raises(ParseError, match="^line 3: "):
+        read_table(str(table))
+
+
+def test_dropped_rows_are_reported_and_the_rest_kept(tmp_path):
+    rows = ["2001-01-01,x", "2001-01-02,1.5", "", "2001-01-03,2.5", "2001-01-04,y",
+            "2001-01-05", "2001-01-06,3.5", "2001-13-07,4.5", "2001-01-08,4.5", "2001-01-09,z"]
+    table = tmp_path / "table.csv"
+    table.write_text("date,v\n" + "\n".join(rows) + "\n")
+    dropped = []
+    header, dates, values, lines, linenos = read_table(str(table), dropped)
+    assert header == ["date", "v"]
+    assert [error.line for error in dropped] == [2, 6, 7, 9, 11]
+    assert str(dropped[2]) == "line 7: 1 cells, header has 2"
+    assert [day.day for day in dates] == [2, 3, 6, 8]
+    assert values.tolist() == [[1.5], [2.5], [3.5], [4.5]]
+    assert lines == [rows[i] for i in (1, 3, 6, 8)]
+    assert linenos.tolist() == [3, 5, 8, 10]
+    with pytest.raises(ParseError, match="^line 2: "):
         read_table(str(table))
