@@ -33,17 +33,16 @@ _FRACTIONS = _FRACTIONS.astype(np.uint8).view(np.uint32).ravel()
 
 
 def _nice_ticks(lo: float, hi: float, target: int = 5) -> list[float]:
-    if not math.isfinite(lo) or not math.isfinite(hi):
-        return [0.0, 1.0]
-    if hi <= lo:
-        hi = lo + 1.0
+    """Round values from ``lo`` to ``hi`` a 1, 2, 2.5 or 5 times 10^n step apart;
+    none if that step underflows to 0 or moves no tick (a span of a few ulps)."""
     raw = (hi - lo) / target
-    mag = 10.0 ** math.floor(math.log10(raw))
-    step = next(m * mag for m in (1.0, 2.0, 2.5, 5.0, 10.0) if raw <= m * mag)
-    first = math.ceil(lo / step) * step
+    mag = 10.0 ** math.floor(math.log10(raw)) if raw > 0.0 else 0.0
+    step = next((m * mag for m in (1.0, 2.0, 2.5, 5.0, 10.0) if raw <= m * mag), 0.0)
     ticks = []
-    value = first
+    value = math.ceil(lo / step) * step if step else math.inf
     while value <= hi + 1e-9 * step:
+        if value + step == value:
+            return []
         ticks.append(0.0 if abs(value) < 1e-12 * step else value)
         value += step
     return ticks
@@ -68,7 +67,8 @@ def line_chart(out: IO[str], title: str, x_labels: Sequence,
     pad = 0.05 * (y_hi - y_lo)
     y_lo -= pad
     y_hi += pad
-    if not 0.0 < y_hi - y_lo < math.inf:
+    ticks = _nice_ticks(y_lo, y_hi) if 0.0 < y_hi - y_lo < math.inf else []
+    if not ticks:
         raise EmptyRange(f"{title}: the values span no range a chart can scale")
 
     plot_w = _WIDTH - _MARGIN_L - _MARGIN_R
@@ -92,7 +92,7 @@ def line_chart(out: IO[str], title: str, x_labels: Sequence,
         f'fill="none" stroke="#333333" stroke-width="1"/>\n'
     )
 
-    for tick in _nice_ticks(y_lo, y_hi):
+    for tick in ticks:
         y = py(tick)
         out.write(
             f'<line x1="{_MARGIN_L}" y1="{y:.2f}" x2="{_WIDTH - _MARGIN_R}" y2="{y:.2f}" '

@@ -246,6 +246,18 @@ class TestBacktestReport:
         assert sorted(path.name for path in out.iterdir()) == [
             "panels.csv", "portfolio.svg", "shrink_factor.svg", "wealth.svg"]
 
+    def test_report_subnormal_span_is_input_error(self, tmp_path, capsys):
+        # c_11 spans one subnormal, whose fifth, the tick step, underflows to 0
+        tiny = tmp_path / "tiny.csv"
+        tiny.write_text("date,nu_hat_1,a,F,logW_market,logW_nuhat,logW_shrunk,c_11\n"
+                        "2001-01-01,0.5,0.4,0.0,0.0,0.0,0.0,0.0\n"
+                        "2001-01-02,0.5,0.4,0.0,0.0,0.0,0.0,5e-324\n")
+        out = tmp_path / "out"
+        assert run(["report", "--input", str(tiny), "--out", str(out)]) == 2
+        assert "no range a chart can scale" in capsys.readouterr().err
+        assert sorted(path.name for path in out.iterdir()) == [
+            "panels.csv", "portfolio.svg", "shrink_factor.svg", "wealth.svg"]
+
     def test_report_empty_range(self, tmp_path):
         empty = tmp_path / "empty.csv"
         empty.write_text("date,nu_hat_1,a,F,logW_market,logW_nuhat,logW_shrunk,c_11\n")

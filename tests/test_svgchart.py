@@ -76,6 +76,16 @@ def test_unscalable_span_is_rejected_before_writing():
         line_chart("flat", LABELS, [("s", np.full(3, 1e308))])
 
 
+@pytest.mark.parametrize("values", [[0.0, 5e-324], [0.0, 2e-323], [-5e-324, 5e-324],
+                                    [1.0, 1.0000000000000002]])
+def test_span_too_small_to_step_is_rejected_before_writing(values):
+    # a fifth of the span underflows, or a tick step is below half an ulp
+    out = io.StringIO()
+    with pytest.raises(EmptyRange, match="no range a chart can scale"):
+        svgchart.line_chart(out, "tiny", LABELS, [("s", np.array(values))])
+    assert out.getvalue() == ""
+
+
 def points_text(x, y):
     """The points of ``_polyline``; a lone point comes back as its circle's centre."""
     mark = svgchart._polyline(np.asarray(x, float), np.asarray(y, float), "#000000")
