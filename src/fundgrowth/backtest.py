@@ -33,15 +33,8 @@ from typing import IO, Iterable, Iterator, Optional
 import numpy as np
 
 from . import filtering, shrinkage
-from .errors import (
-    ConfigError,
-    EmptySeries,
-    InsufficientBurnIn,
-    MissingColumns,
-    NonMonotoneDates,
-    ParseError,
-    SingularC,
-)
+from .errors import (ConfigError, EmptySeries, InsufficientBurnIn, MissingColumns,
+                     NonMonotoneDates, ParseError, SingularC)
 from .marketsim import (ConfigLines, _parse_matrix, _parse_vector, read_table, table_lines,
                         write_rows)
 from .psd import PD_RTOL, CovMatrix, inverse_entries, is_definite
@@ -59,8 +52,7 @@ _BLOCK_ENTRIES = 2 ** 18
 
 # A blank ``rf`` cell reads as this NaN, whose payload no number's text gives: a
 # literal ``nan`` reads as numpy's own NaN and ``-inf`` as -inf.
-_BLANK_RF_BITS = 0x7FF8_0000_00B1_A4C5
-_BLANK_RF = float(np.int64(_BLANK_RF_BITS).view(np.float64))
+_BLANK_RF = np.int64(0x7FF8_0000_00B1_A4C5).view(np.float64)
 
 
 @dataclass(frozen=True)
@@ -103,12 +95,11 @@ class IngestResult:
 
 
 def _rf_cell(text: str) -> float:
-    """An ``rf`` cell: ``_BLANK_RF`` if blank, else its number as ``np.loadtxt``
-    reads one (``float`` alone also takes ``_`` separators and non-ASCII digits)."""
-    text = text.strip()
-    if "_" in text or not text.isascii():
+    """An ``rf`` cell: ``_BLANK_RF`` if blank, else its number in ``np.loadtxt``'s
+    grammar (``float`` alone also takes ``_`` separators and non-ASCII digits)."""
+    if "_" in text or not text.strip().isascii():
         raise ValueError(f"could not convert string {text!r} to float64")
-    return float(text) if text else _BLANK_RF
+    return float(text) if text.strip() else _BLANK_RF
 
 
 def ingest_csv(path: str, drop_policy: str = "skip") -> IngestResult:
@@ -130,7 +121,7 @@ def ingest_csv(path: str, drop_policy: str = "skip") -> IngestResult:
     if k < 1 or header != ["date"] + [f"ret_{j + 1}" for j in range(k)] + ["rf"]:
         raise ParseError(1, f"header {header!r} does not match date,ret_1..ret_K,rf")
 
-    blank_rf = values[:, -1].view(np.int64) == _BLANK_RF_BITS
+    blank_rf = values[:, -1].view(np.int64) == _BLANK_RF.view(np.int64)
     values[blank_rf, -1] = 0.0
     bad = ~np.isfinite(values).all(axis=1)
     first_bad = dropped[:1] + [ParseError(int(line), "non-finite return or risk-free rate")
@@ -140,17 +131,17 @@ def ingest_csv(path: str, drop_policy: str = "skip") -> IngestResult:
     rows = np.flatnonzero(~bad)
     if not rows.size:
         raise EmptySeries(f"{path} contains no usable rows")
-    if dropped or bad.any():
-        warnings.warn(f"{path}: dropped {len(dropped) + bad.sum()} malformed row(s)",
-                      stacklevel=2)
+    n_dropped = len(dropped) + int(bad.sum())
+    if n_dropped:
+        warnings.warn(f"{path}: dropped {n_dropped} malformed row(s)", stacklevel=2)
 
+    # sorted by date, then each blank rf takes the last rate given before it (or 0)
     days = np.array(dates, dtype=object)
     rows = rows[np.argsort(days[rows], kind="stable")]
     last_rf = np.maximum.accumulate(np.where(blank_rf[rows], 0, np.arange(1, rows.size + 1)))
     series = ReturnSeries(dates=tuple(days[rows]), fund_returns=values[rows, :-1],
                           risk_free=np.concatenate([[0.0], values[rows, -1]])[last_rf])
-    return IngestResult(series=series, rows_read=len(values) + len(dropped),
-                        rows_dropped=len(dropped) + int(bad.sum()))
+    return IngestResult(series, len(values) + len(dropped), n_dropped)
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,7 @@ with per-path seeds derived as ``seed + path_index``.
 from __future__ import annotations
 
 import datetime
+import functools
 import math
 import re
 import warnings
@@ -33,6 +34,8 @@ DEFAULT_STEP = 1.0 / 252.0
 _REJECTION_CAP = 1_000_000
 _REJECTION_BATCH = 256
 _TABLE_BLOCK_ROWS = 2000    # rows per block of lines in row_blocks: a few MB of text at K = 10
+# The one date grammar of a table: ``fromisoformat`` alone also takes ``19270702``
+# and ``1927-W27-1`` from Python 3.11 on, and report copies a date cell verbatim.
 _ISO_DATE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}").fullmatch
 
 
@@ -456,12 +459,8 @@ def run_scenario(scenario: SimScenario, seed: Optional[int] = None) -> MarketPat
     return simulate_path(nu, scenario.cov, clock, seed + 1)
 
 
-def write_path_csv(
-    path: MarketPath,
-    out: IO[str],
-    fund: Optional[FundSpec] = None,
-    start_date: datetime.date = datetime.date(1927, 7, 1),
-) -> int:
+def write_path_csv(path: MarketPath, out: IO[str], fund: Optional[FundSpec] = None,
+                   start_date: datetime.date = datetime.date(1927, 7, 1)) -> int:
     """Write a path in the backtest input schema ``date,ret_1..ret_K,rf``.
 
     Fund scenarios export the fund returns ``f' dR``; otherwise each asset is
@@ -508,32 +507,21 @@ def write_rows(out: IO[str], header: Sequence[str], blocks: Iterable[list[str]])
     return rows
 
 
-def parse_date(text: str) -> datetime.date:
-    """A ``YYYY-MM-DD`` date; ``ValueError`` for any other text.  ``fromisoformat``
-    alone also takes ``19270702`` and ``1927-W27-1`` from Python 3.11 on, and a
-    table cell copied verbatim must equal the date's ``isoformat()``."""
-    if _ISO_DATE(text) is None:
-        raise ValueError(f"date {text!r} is not YYYY-MM-DD")
-    return datetime.date.fromisoformat(text)
-
-
 def read_table(path: str, dropped: Optional[list] = None, converters: Optional[dict] = None
                ) -> tuple[list[str], list[datetime.date], np.ndarray, list[str], np.ndarray]:
     """Header, dates, ``(rows, columns)`` values, row texts (without the line end)
     and line numbers of a ``date,v_1,...,v_m`` file; blank lines are skipped.
 
     A zero-byte file raises ``EmptySeries`` and a repeated column name
-    ``ParseError``.  So does, with its line, a row whose cell count differs from
-    the header's, whose date is not ``YYYY-MM-DD`` (blanks around it aside) or
-    with a cell that is not a number; given a ``dropped`` list, that error is
-    appended to it and the row left out instead.  ``converters`` maps a column's
-    index (negative from the end) to a function of its cell text, as in
-    ``np.loadtxt``.
+    ``ParseError``; so does, with its line, a row with the wrong cell count, a
+    date that is not ``YYYY-MM-DD`` (blanks around it aside) or a cell that is
+    not a number, unless ``dropped`` is a list: the error then goes there and
+    the row is left out.  ``converters`` maps column indices (negative from the
+    end) to functions of the cell text, as in ``np.loadtxt``.
     """
     dates: list[datetime.date] = []
     lines: list[str] = []
-    linenos: list[int] = []
-    at = [1]    # line of the row being parsed; numpy reads one row per next()
+    linenos: list[int] = []     # the last is the row numpy is reading: one per next()
     with open(path) as handle:
         first = handle.readline()
         if not first:
@@ -543,40 +531,39 @@ def read_table(path: str, dropped: Optional[list] = None, converters: Optional[d
             repeated = sorted({name for name in header if header.count(name) > 1})
             raise ParseError(1, f"repeated column names {repeated}")
         converters = {i % len(header): f for i, f in (converters or {}).items()}
+        load = functools.partial(np.loadtxt, delimiter=",", comments=None, ndmin=2,
+                                 usecols=range(1, len(header)), converters=converters)
         numbered = enumerate(handle, start=2)
 
         def rows():
             for lineno, line in numbered:
                 if not line.isspace():
-                    at[0] = lineno
+                    linenos.append(lineno)
                     if line.count(",") != len(header) - 1:
                         raise ValueError(f"{line.count(',') + 1} cells, header has {len(header)}")
-                    text = line.rstrip("\n")
-                    dates.append(parse_date(text.partition(",")[0].strip()))
-                    lines.append(text)
-                    linenos.append(lineno)
-                    yield text
+                    lines.append(line.rstrip("\n"))
+                    day = lines[-1].partition(",")[0].strip()
+                    if _ISO_DATE(day) is None:
+                        raise ValueError(f"date {day!r} is not YYYY-MM-DD")
+                    dates.append(datetime.date.fromisoformat(day))
+                    yield lines[-1]
 
-        def load(texts) -> np.ndarray:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")     # loadtxt warns when there are no rows
-                return np.loadtxt(texts, delimiter=",", comments=None, ndmin=2,
-                                  usecols=range(1, len(header)), converters=converters)
-
-        # numpy cannot resume after a bad row: the rows read before it are parsed
-        # again, so that none is parsed more than twice
+        # numpy cannot resume after a bad row: the rows before it are parsed again,
+        # so that no row is parsed more than twice
         blocks, start = [], 0
-        while True:
-            try:
-                blocks.append(load(rows()))
-                break
-            except ValueError as exc:
-                if dropped is None:
-                    raise ParseError(at[0], str(exc)) from None
-                dropped.append(ParseError(at[0], str(exc)))
-                if linenos[-1:] == at:
-                    del dates[-1], lines[-1], linenos[-1]
-                blocks.append(load(lines[start:]))
-                start = len(lines)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")     # loadtxt warns when there are no rows
+            while True:
+                try:
+                    blocks.append(load(rows()))
+                    break
+                except ValueError as exc:
+                    error = ParseError(linenos.pop(), str(exc))
+                    if dropped is None:
+                        raise error from None
+                    dropped.append(error)
+                    del lines[len(linenos):], dates[len(linenos):]
+                    blocks.append(load(lines[start:]))
+                    start = len(lines)
     values = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
     return header, dates, values, lines, np.array(linenos, dtype=np.int64)

@@ -65,8 +65,7 @@ def line_chart(out: IO[str], title: str, x_labels: Sequence,
     if y_hi == y_lo:
         y_lo, y_hi = y_lo - 0.5, y_hi + 0.5
     pad = 0.05 * (y_hi - y_lo)
-    y_lo -= pad
-    y_hi += pad
+    y_lo, y_hi = y_lo - pad, y_hi + pad
     ticks = _nice_ticks(y_lo, y_hi) if 0.0 < y_hi - y_lo < math.inf else []
     if not ticks:
         raise EmptyRange(f"{title}: the values span no range a chart can scale")
