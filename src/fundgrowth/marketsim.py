@@ -548,8 +548,7 @@ def read_table(path: str, dropped: Optional[list] = None, converters: Optional[d
                     dates.append(datetime.date.fromisoformat(day))
                     yield lines[-1]
 
-        # numpy cannot resume after a bad row: the rows before it are parsed again,
-        # so that no row is parsed more than twice
+        # numpy cannot resume after a bad row: the rows before it are parsed once more
         blocks, start = [], 0
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")     # loadtxt warns when there are no rows
@@ -562,7 +561,7 @@ def read_table(path: str, dropped: Optional[list] = None, converters: Optional[d
                     if dropped is None:
                         raise error from None
                     dropped.append(error)
-                    del lines[len(linenos):], dates[len(linenos):]
+                    del lines[len(linenos):], dates[len(linenos):]   # the bad row's, if any
                     blocks.append(load(lines[start:]))
                     start = len(lines)
     values = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)

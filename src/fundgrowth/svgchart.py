@@ -38,8 +38,10 @@ def _nice_ticks(lo: float, hi: float, target: int = 5) -> list[float]:
     raw = (hi - lo) / target
     mag = 10.0 ** math.floor(math.log10(raw)) if raw > 0.0 else 0.0
     step = next((m * mag for m in (1.0, 2.0, 2.5, 5.0, 10.0) if raw <= m * mag), 0.0)
+    if step == 0.0:
+        return []
     ticks = []
-    value = math.ceil(lo / step) * step if step else math.inf
+    value = math.ceil(lo / step) * step
     while value <= hi + 1e-9 * step:
         if value + step == value:
             return []
