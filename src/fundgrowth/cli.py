@@ -58,7 +58,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver = sub.add_parser("verify", help="run property sweeps")
     p_ver.add_argument("--checks", default=None,
                        help=f"comma list from: {', '.join(verify.CHECKS)}")
-    p_ver.add_argument("--instances", type=int, default=None)
+    p_ver.add_argument("--instances", type=int, default=None,
+                       help="instances per check (default: each check's own count)")
     p_ver.add_argument("--seed", type=non_negative_int, default=DEFAULT_SEED,
                        help=f"sweep seed (default: {DEFAULT_SEED})")
     p_ver.add_argument("--sabotage", default=None, help="(test-only) force a check to fail")

@@ -6,7 +6,7 @@ The violations themselves are not pinned: their last bits depend on LAPACK.
 
 import pytest
 
-from fundgrowth import verify
+from fundgrowth import shrinkage, verify
 
 # registry order: a check's sweep seed is seed + 1000 * its place in this list
 DEFAULT_TABLE = [
@@ -41,3 +41,12 @@ def test_sabotage_raises_only_the_named_check(name):
         else:
             assert after.max_violation == before.max_violation
         assert after.passed == (before.name != name)
+
+
+def test_cardano_instances_count_its_evaluations(monkeypatch):
+    calls = []
+    cardano_a = shrinkage.cardano_a
+    monkeypatch.setattr(shrinkage, "cardano_a", lambda psi: calls.append(psi) or cardano_a(psi))
+    (result,) = verify.run_checks(["cardano"], instances=4)
+    assert result.instances == 4 and result.passed
+    assert calls == pytest.approx([0.0, 1e-8, 1.0, 1e8], rel=1e-15)
