@@ -102,10 +102,21 @@ def _rf_cell(text: str) -> float:
     return float(text) if text.strip() else _BLANK_RF
 
 
+def _ingest_schema(header: list[str]) -> dict:
+    """The converters of a ``date,ret_1..ret_K,rf`` header; ``ParseError`` for
+    any other header."""
+    header = [name.strip() for name in header]
+    k = len(header) - 2
+    if k < 1 or header != ["date"] + [f"ret_{j + 1}" for j in range(k)] + ["rf"]:
+        raise ParseError(1, f"header {header!r} does not match date,ret_1..ret_K,rf")
+    return {-1: _rf_cell}
+
+
 def ingest_csv(path: str, drop_policy: str = "skip") -> IngestResult:
     """Parse a ``date,ret_1..ret_K,rf`` CSV into a cleaned return series.
 
-    Rows are read by ``marketsim.read_table``.  Malformed rows, including rows
+    Rows are read by ``marketsim.read_table``, once the header has been checked.
+    Malformed rows, including rows
     with a ``nan`` or ``inf`` cell, are dropped with a warning under
     ``drop_policy='skip'``; under ``'error'`` the first of them raises
     ``ParseError``.  Blank risk-free cells are forward-filled (zero before the
@@ -115,12 +126,7 @@ def ingest_csv(path: str, drop_policy: str = "skip") -> IngestResult:
     if drop_policy not in ("skip", "error"):
         raise ConfigError(f"unknown drop_policy {drop_policy!r}")
     dropped: list[ParseError] = []
-    header, dates, values, _, linenos = read_table(path, dropped, {-1: _rf_cell})
-    header = [name.strip() for name in header]
-    k = len(header) - 2
-    if k < 1 or header != ["date"] + [f"ret_{j + 1}" for j in range(k)] + ["rf"]:
-        raise ParseError(1, f"header {header!r} does not match date,ret_1..ret_K,rf")
-
+    _, dates, values, _, linenos = read_table(path, dropped, _ingest_schema)
     blank_rf = values[:, -1].view(np.int64) == _BLANK_RF.view(np.int64)
     values[blank_rf, -1] = 0.0
     bad = ~np.isfinite(values).all(axis=1)

@@ -93,7 +93,7 @@ def replaced(path: Path) -> Iterator[IO[str]]:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    scenario = marketsim.parse_scenario(Path(args.config).read_text())
+    scenario = marketsim.parse_scenario(Path(args.config).read_text(**marketsim.INPUT_TEXT))
     seed = scenario.seed if args.seed is None else args.seed
     path = marketsim.run_scenario(scenario, seed=seed)
 
@@ -156,7 +156,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_backtest(args: argparse.Namespace) -> int:
     config = bt.BacktestConfig()
     if args.config is not None:
-        config = bt.parse_backtest_config(Path(args.config).read_text())
+        config = bt.parse_backtest_config(Path(args.config).read_text(**marketsim.INPUT_TEXT))
     ingest = bt.ingest_csv(args.input, drop_policy=config.drop_policy)
     series = ingest.series
     # c_{i}{j} names collide from K = 111 on: c_1111 is both (1, 111) and (11, 11)

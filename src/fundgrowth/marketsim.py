@@ -37,6 +37,9 @@ _TABLE_BLOCK_ROWS = 2000    # rows per block of lines in row_blocks: a few MB of
 # The one date grammar of a table: ``fromisoformat`` alone also takes ``19270702``
 # and ``1927-W27-1`` from Python 3.11 on, and report copies a date cell verbatim.
 _ISO_DATE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}").fullmatch
+# How every input file is read: a byte that is not UTF-8 becomes a lone surrogate,
+# which no cell, key or value takes, so it makes its row or line malformed.
+INPUT_TEXT = {"encoding": "utf-8", "errors": "surrogateescape"}
 
 
 @dataclass(frozen=True)
@@ -507,22 +510,25 @@ def write_rows(out: IO[str], header: Sequence[str], blocks: Iterable[list[str]])
     return rows
 
 
-def read_table(path: str, dropped: Optional[list] = None, converters: Optional[dict] = None
+def read_table(path: str, dropped: Optional[list] = None,
+               schema: Optional[Callable[[list[str]], dict]] = None
                ) -> tuple[list[str], list[datetime.date], np.ndarray, list[str], np.ndarray]:
     """Header, dates, ``(rows, columns)`` values, row texts (without the line end)
     and line numbers of a ``date,v_1,...,v_m`` file; blank lines are skipped.
 
-    A zero-byte file raises ``EmptySeries`` and a repeated column name
-    ``ParseError``; so does, with its line, a row with the wrong cell count, a
-    date that is not ``YYYY-MM-DD`` (blanks around it aside) or a cell that is
-    not a number, unless ``dropped`` is a list: the error then goes there and
-    the row is left out.  ``converters`` maps column indices (negative from the
-    end) to functions of the cell text, as in ``np.loadtxt``.
+    The file is read as ``INPUT_TEXT``.  A zero-byte file raises ``EmptySeries``
+    and a repeated column name ``ParseError``; so does, with its line, a row
+    with the wrong cell count, a date that is not ``YYYY-MM-DD`` (blanks around
+    it aside) or a cell that is not a number, unless ``dropped`` is a list: the
+    error then goes there and the row is left out.  ``schema``, if given, is called with the header before
+    any row is read: it raises to reject the header, and returns the converters
+    of ``np.loadtxt`` as functions of the cell text by column index (negative
+    from the end).
     """
     dates: list[datetime.date] = []
     lines: list[str] = []
     linenos: list[int] = []     # the last is the row numpy is reading: one per next()
-    with open(path) as handle:
+    with open(path, **INPUT_TEXT) as handle:
         first = handle.readline()
         if not first:
             raise EmptySeries(f"{path} is empty")
@@ -530,25 +536,37 @@ def read_table(path: str, dropped: Optional[list] = None, converters: Optional[d
         if len(set(header)) < len(header):
             repeated = sorted({name for name in header if header.count(name) > 1})
             raise ParseError(1, f"repeated column names {repeated}")
-        converters = {i % len(header): f for i, f in (converters or {}).items()}
+        converters = {i % len(header): f for i, f in (schema(header) if schema else {}).items()}
         load = functools.partial(np.loadtxt, delimiter=",", comments=None, ndmin=2,
                                  usecols=range(1, len(header)), converters=converters)
         numbered = enumerate(handle, start=2)
 
         def rows():
+            """The rows with the header's cell count and a date; the others are
+            dropped or raised here, so that numpy only sees them when it cannot
+            parse a number."""
             for lineno, line in numbered:
-                if not line.isspace():
-                    linenos.append(lineno)
-                    if line.count(",") != len(header) - 1:
-                        raise ValueError(f"{line.count(',') + 1} cells, header has {len(header)}")
-                    lines.append(line.rstrip("\n"))
-                    day = lines[-1].partition(",")[0].strip()
+                if line.isspace():
+                    continue
+                text = line.rstrip("\n")
+                day = text.partition(",")[0].strip()
+                try:
+                    if text.count(",") != len(header) - 1:
+                        raise ValueError(f"{text.count(',') + 1} cells, header has {len(header)}")
                     if _ISO_DATE(day) is None:
                         raise ValueError(f"date {day!r} is not YYYY-MM-DD")
                     dates.append(datetime.date.fromisoformat(day))
-                    yield lines[-1]
+                except ValueError as exc:
+                    if dropped is None:
+                        raise ParseError(lineno, str(exc)) from None
+                    dropped.append(ParseError(lineno, str(exc)))
+                    continue
+                linenos.append(lineno)
+                lines.append(text)
+                yield text
 
-        # numpy cannot resume after a bad row: the rows before it are parsed once more
+        # numpy cannot resume after a cell it cannot parse: the rows before it are
+        # parsed once more
         blocks, start = [], 0
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")     # loadtxt warns when there are no rows
@@ -561,7 +579,7 @@ def read_table(path: str, dropped: Optional[list] = None, converters: Optional[d
                     if dropped is None:
                         raise error from None
                     dropped.append(error)
-                    del lines[len(linenos):], dates[len(linenos):]   # the bad row's, if any
+                    del lines[len(linenos):], dates[len(linenos):]   # the bad row's
                     blocks.append(load(lines[start:]))
                     start = len(lines)
     values = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)

@@ -360,6 +360,44 @@ class TestBacktestReport:
         assert (out_a / "backtest.csv").read_bytes() == (out_b / "backtest.csv").read_bytes()
 
 
+REPORT_HEADER = b"date,nu_hat_1,a,F,logW_market,logW_nuhat,logW_shrunk,c_11\n"
+
+
+@pytest.mark.parametrize("command, text", [
+    (["simulate", "--config", "bad"], b"dim = 1\ncov = 0.0324\xff\n"),
+    (["backtest", "--input", "bad"], b"date,ret_1,rf\xff\n2001-01-01,0.01,0.0\n"),
+    (["backtest", "--input", "returns.csv", "--config", "bad"], b"burn_in_days = 1\xff\n"),
+    (["backtest", "--input", "returns.csv", "--config", "bad"], b"drop_policy\xff = skip\n"),
+    (["report", "--input", "bad"], REPORT_HEADER + b"2001-01-01,0.5,0.4,0.0,0.0,0.0,0.0,1\xff\n"),
+], ids=["simulate-config", "backtest-header", "backtest-config-value", "backtest-config-key",
+        "report-row"])
+def test_non_utf8_input_is_usage_error(tmp_path, monkeypatch, capsys, command, text):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "returns.csv").write_text("date,ret_1,rf\n2001-01-01,0.01,0.0\n")
+    (tmp_path / "bad").write_bytes(text)
+    assert run(command + ["--out", "out"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: line ") and captured.out == ""
+    assert not (tmp_path / "out").exists()
+
+
+def test_non_utf8_row_is_dropped_and_counted(tmp_path, capsys):
+    rows = [f"2001-{1 + i // 28:02d}-{1 + i % 28:02d},{(-1) ** i * 0.01},0.0\n" for i in range(336)]
+    rows[100] = rows[100].replace("0.01", "0.0\udcff1")      # line 102
+    returns = tmp_path / "returns.csv"
+    returns.write_bytes(("date,ret_1,rf\n" + "".join(rows)).encode("utf-8", "surrogateescape"))
+    config = tmp_path / "bt.cfg"
+    config.write_text("burn_in_days = 10\n")
+    with pytest.warns(UserWarning, match="dropped 1 "):
+        assert run(["backtest", "--input", str(returns), "--config", str(config),
+                    "--out", str(tmp_path)]) == 0
+    assert "read 336 rows (1 dropped)" in capsys.readouterr().out
+    config.write_text("burn_in_days = 10\ndrop_policy = error\n")
+    assert run(["backtest", "--input", str(returns), "--config", str(config),
+                "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("error: line 102: ")
+
+
 def test_import_loads_no_scipy():
     # numpy is the only run-time dependency; scipy serves the tests' oracles
     code = ("import sys, fundgrowth, fundgrowth.cli; "

@@ -129,3 +129,71 @@ def test_dropped_rows_are_reported_and_the_rest_kept(tmp_path):
     assert linenos.tolist() == [3, 5, 8, 10]
     with pytest.raises(ParseError, match="^line 2: "):
         read_table(str(table))
+
+
+def _returns_file(tmp_path, n=2_000, header="date,ret_1,rf"):
+    days = [datetime.date(1990, 1, 1) + datetime.timedelta(days=i) for i in range(n)]
+    rows = [f"{day},{i * 1e-6!r},0.0" for i, day in enumerate(days)]
+    return tmp_path / "returns.csv", days, [header] + rows
+
+
+@pytest.mark.parametrize("column", [0, 1, 2])
+@pytest.mark.parametrize("policy", ["skip", "error"])
+def test_non_utf8_byte_makes_only_its_row_malformed(tmp_path, column, policy):
+    # a bad byte is a bad cell on its own line: the rows after it are still read
+    path, days, lines = _returns_file(tmp_path)
+    cells = lines[1_501].split(",")                    # line 1,502
+    cells[column] = cells[column][:4] + "\udcff" + cells[column][4:]
+    lines[1_501] = ",".join(cells)
+    path.write_bytes("\n".join(lines + [""]).encode("utf-8", "surrogateescape"))
+    if policy == "error":
+        with pytest.raises(ParseError, match="^line 1502: "):
+            ingest_csv(str(path), drop_policy=policy)
+        with pytest.raises(ParseError, match="^line 1502: "):
+            read_table(str(path))
+        return
+    with pytest.warns(UserWarning, match="dropped 1 "):
+        result = ingest_csv(str(path), drop_policy=policy)
+    assert (result.rows_read, result.rows_dropped) == (2_000, 1)
+    assert result.series.dates == tuple(days[:1_500] + days[1_501:])
+    dropped = []
+    assert read_table(str(path), dropped)[4].tolist() == [i for i in range(2, 2_002) if i != 1_502]
+    assert [error.line for error in dropped] == [1_502]
+
+
+def test_non_utf8_byte_in_the_header_is_a_line_1_error(tmp_path):
+    path, _, lines = _returns_file(tmp_path, n=3, header="date,ret_1,r\udcff")
+    path.write_bytes("\n".join(lines + [""]).encode("utf-8", "surrogateescape"))
+    for policy in ("skip", "error"):
+        with pytest.raises(ParseError, match="^line 1: header"):
+            ingest_csv(str(path), drop_policy=policy)
+
+
+def _counting_loadtxt(monkeypatch):
+    calls = []
+    loadtxt = np.loadtxt
+    monkeypatch.setattr(np, "loadtxt", lambda *a, **kw: calls.append(1) or loadtxt(*a, **kw))
+    return calls
+
+
+def test_header_is_checked_before_any_row_is_parsed(tmp_path, monkeypatch):
+    path, _, lines = _returns_file(tmp_path, n=1_000, header="date,ret_1")
+    path.write_text("\n".join(lines) + "\n")
+    calls = _counting_loadtxt(monkeypatch)
+    with pytest.raises(ParseError, match="^line 1: header"):
+        ingest_csv(str(path))
+    assert len(calls) <= 1
+
+
+def test_bad_cell_counts_and_dates_are_dropped_in_one_numpy_pass(tmp_path, monkeypatch):
+    rows = ["2001-01-01,0.5", "2001-01-02", "2001-01-03,1.5,2.5", "2001-13-04,2.5",
+            "2001-1-05,3.5", "2001-01-06,4.5"]
+    table = tmp_path / "table.csv"
+    table.write_text("date,v\n" + "\n".join(rows) + "\n")
+    calls = _counting_loadtxt(monkeypatch)
+    dropped = []
+    _, dates, values, _, linenos = read_table(str(table), dropped)
+    assert len(calls) == 1
+    assert [error.line for error in dropped] == [3, 4, 5, 6]
+    assert values.tolist() == [[0.5], [4.5]] and linenos.tolist() == [2, 7]
+    assert [day.day for day in dates] == [1, 6]
