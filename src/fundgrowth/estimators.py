@@ -35,9 +35,7 @@ class LocalWindow:
 
     def __post_init__(self):
         incr = np.atleast_2d(np.asarray(self.increments, dtype=float))
-        comb = np.asarray(self.combination, dtype=float)
-        if comb.ndim == 1:
-            comb = comb[:, None]
+        comb = _frame(self.combination)
         object.__setattr__(self, "increments", incr)
         object.__setattr__(self, "combination", comb)
         if incr.shape[0] < 1:
@@ -49,6 +47,12 @@ class LocalWindow:
         w = self.cov_rate.eigenvalues
         if not is_definite(w[-1], w[0]):
             raise ValueError("cov_rate must have full rank")
+
+
+def _frame(m) -> np.ndarray:
+    """``m`` as a float array; a vector is a one-column frame."""
+    m = np.asarray(m, dtype=float)
+    return m[:, None] if m.ndim == 1 else m
 
 
 def _cross_cov(x: np.ndarray, c: CovMatrix, y: np.ndarray, d_o: float) -> np.ndarray:
@@ -68,9 +72,7 @@ def estimate_theta(window: LocalWindow, f: np.ndarray) -> np.ndarray:
     Unbiased when the increments carry drift ``c f theta dO``; invariant under
     replacing the combination ``x`` by ``x g`` for invertible ``g``.
     """
-    f = np.asarray(f, dtype=float)
-    if f.ndim == 1:
-        f = f[:, None]
+    f = _frame(f)
     x = window.combination
     d_a_hat = x.T @ window.increments.sum(axis=0)
     m = _cross_cov(x, window.cov_rate, f, window.d_o)
@@ -84,12 +86,7 @@ def frobenius_objective(c: CovMatrix, eta: np.ndarray, f: np.ndarray, x: np.ndar
     The estimation-quality functionals below are instances of this quantity;
     over all combinations ``x`` it is minimised at ``x = f``.
     """
-    f = np.asarray(f, dtype=float)
-    x = np.asarray(x, dtype=float)
-    if f.ndim == 1:
-        f = f[:, None]
-    if x.ndim == 1:
-        x = x[:, None]
+    f, x = _frame(f), _frame(x)
     eta = np.asarray(eta, dtype=float)
     c_fx = _cross_cov(f, c, x, d_o)
     c_xx = _cross_cov(x, c, x, d_o)
@@ -100,11 +97,8 @@ def frobenius_objective(c: CovMatrix, eta: np.ndarray, f: np.ndarray, x: np.ndar
 
 def mse(x: np.ndarray, f: np.ndarray, c: CovMatrix, d_o: float) -> float:
     """Mean squared error of the exposure estimate built from combination ``x``."""
-    f = np.asarray(f, dtype=float)
-    if f.ndim == 1:
-        f = f[:, None]
-    k = f.shape[1]
-    return frobenius_objective(c, np.eye(k), f, x, d_o)
+    f = _frame(f)
+    return frobenius_objective(c, np.eye(f.shape[1]), f, x, d_o)
 
 
 def dis(x: np.ndarray, f: np.ndarray, c: CovMatrix, d_o: float) -> float:
@@ -114,12 +108,7 @@ def dis(x: np.ndarray, f: np.ndarray, c: CovMatrix, d_o: float) -> float:
     the covariance rate, the loadings, and the window length; that case is
     short-circuited so no spurious round-off appears.
     """
-    f = np.asarray(f, dtype=float)
-    x = np.asarray(x, dtype=float)
-    if f.ndim == 1:
-        f = f[:, None]
-    if x.ndim == 1:
-        x = x[:, None]
+    f, x = _frame(f), _frame(x)
     if x.shape == f.shape and np.array_equal(x, f):
         return 0.5 * f.shape[1]
     c_ff = _cross_cov(f, c, f, d_o)
@@ -150,9 +139,7 @@ def mc_distance_from_growth(
     realised gap is half the squared ``dC``-norm of the estimation error of
     the portfolio, whose expectation is ``K / 2`` for every market.
     """
-    f = np.asarray(f, dtype=float)
-    if f.ndim == 1:
-        f = f[:, None]
+    f = _frame(f)
     theta = np.asarray(theta, dtype=float).reshape(-1)
     dim = c.dim
     rng = np.random.default_rng(seed)

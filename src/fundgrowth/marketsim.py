@@ -26,10 +26,13 @@ import numpy as np
 from .errors import (BadTruncation, ConfigError, EmptyGrid, EmptySeries, ParseError,
                      RankDeficient)
 from .filtering import ndtr
-from .psd import CovMatrix, is_definite, sqrt_entries
+from .psd import CovMatrix, check_full_rank, is_definite, sqrt_entries
 
 # Trading-day step of the operational clock, used as the default everywhere.
 DEFAULT_STEP = 1.0 / 252.0
+
+# The date of a simulated path's first row.
+_FIRST_DATE = datetime.date(1927, 7, 1)
 
 _REJECTION_CAP = 1_000_000
 _REJECTION_BATCH = 256
@@ -223,9 +226,7 @@ def build_fund_model(c: CovMatrix, f: np.ndarray) -> FundSpec:
     f = np.asarray(f, dtype=float)
     if f.ndim != 2 or f.shape[0] != c.dim or not 1 <= f.shape[1] <= f.shape[0]:
         raise ValueError(f"loadings shape {f.shape} incompatible with dim {c.dim}")
-    sv = np.linalg.svd(f, compute_uv=False)
-    if sv[0] == 0.0 or sv[-1] <= 1e-10 * sv[0]:
-        raise RankDeficient("fund loadings are numerically dependent")
+    check_full_rank(f, "fund loadings")
     gram = f.T @ c.entries @ f
     gw = np.linalg.eigvalsh(gram)
     if not is_definite(gw[0], gw[-1]):
@@ -462,9 +463,9 @@ def run_scenario(scenario: SimScenario, seed: Optional[int] = None) -> MarketPat
     return simulate_path(nu, scenario.cov, clock, seed + 1)
 
 
-def write_path_csv(path: MarketPath, out: IO[str], fund: Optional[FundSpec] = None,
-                   start_date: datetime.date = datetime.date(1927, 7, 1)) -> int:
-    """Write a path in the backtest input schema ``date,ret_1..ret_K,rf``.
+def write_path_csv(path: MarketPath, out: IO[str], fund: Optional[FundSpec] = None) -> int:
+    """Write a path in the backtest input schema ``date,ret_1..ret_K,rf``, one
+    calendar day per step from ``_FIRST_DATE``.
 
     Fund scenarios export the fund returns ``f' dR``; otherwise each asset is
     exported as its own column.  Simulated returns are already excess returns,
@@ -473,7 +474,7 @@ def write_path_csv(path: MarketPath, out: IO[str], fund: Optional[FundSpec] = No
     rets = path.increments if fund is None else path.increments @ fund.f
     n, k = rets.shape
     header = ["date"] + [f"ret_{j + 1}" for j in range(k)] + ["rf"]
-    dates = [start_date + datetime.timedelta(days=i) for i in range(n)]
+    dates = [_FIRST_DATE + datetime.timedelta(days=i) for i in range(n)]
     return write_table(out, header, dates, np.column_stack([rets, np.zeros(n)]))
 
 
@@ -541,10 +542,12 @@ def read_table(path: str, dropped: Optional[list] = None,
                                  usecols=range(1, len(header)), converters=converters)
         numbered = enumerate(handle, start=2)
 
-        def rows():
-            """The rows with the header's cell count and a date; the others are
-            dropped or raised here, so that numpy only sees them when it cannot
-            parse a number."""
+        def bad(lineno: int, exc: ValueError) -> None:
+            if dropped is None:
+                raise ParseError(lineno, str(exc)) from None
+            dropped.append(ParseError(lineno, str(exc)))
+
+        def rows():     # a bad cell count or date is dropped here; numpy never sees it
             for lineno, line in numbered:
                 if line.isspace():
                     continue
@@ -557,16 +560,14 @@ def read_table(path: str, dropped: Optional[list] = None,
                         raise ValueError(f"date {day!r} is not YYYY-MM-DD")
                     dates.append(datetime.date.fromisoformat(day))
                 except ValueError as exc:
-                    if dropped is None:
-                        raise ParseError(lineno, str(exc)) from None
-                    dropped.append(ParseError(lineno, str(exc)))
+                    bad(lineno, exc)
                     continue
                 linenos.append(lineno)
                 lines.append(text)
                 yield text
 
-        # numpy cannot resume after a cell it cannot parse: the rows before it are
-        # parsed once more
+        # numpy cannot resume after a number it cannot parse: the rows before it
+        # are parsed once more
         blocks, start = [], 0
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")     # loadtxt warns when there are no rows
@@ -575,10 +576,7 @@ def read_table(path: str, dropped: Optional[list] = None,
                     blocks.append(load(rows()))
                     break
                 except ValueError as exc:
-                    error = ParseError(linenos.pop(), str(exc))
-                    if dropped is None:
-                        raise error from None
-                    dropped.append(error)
+                    bad(linenos.pop(), exc)
                     del lines[len(linenos):], dates[len(linenos):]   # the bad row's
                     blocks.append(load(lines[start:]))
                     start = len(lines)

@@ -26,6 +26,8 @@ EIG_DUST_RTOL = 1e-10
 SUBSPACE_CUTOFF_RTOL = 1e-12
 # Positive definite means lambda_min > PD_RTOL * lambda_max > 0.
 PD_RTOL = 1e-12
+# Full column rank means sigma_min > RANK_RTOL * sigma_max > 0.
+RANK_RTOL = 1e-10
 
 
 class CovMatrix:
@@ -132,6 +134,14 @@ def inverse_entries(m: CovMatrix) -> np.ndarray:
     return (m.eigenvectors / w) @ m.eigenvectors.T
 
 
+def check_full_rank(f: np.ndarray, what: str) -> None:
+    """``RankDeficient`` naming ``what`` unless the frame ``f`` has full column
+    rank: the one rank rule."""
+    sv = np.linalg.svd(f, compute_uv=False)
+    if sv[0] == 0.0 or sv[-1] <= RANK_RTOL * sv[0]:
+        raise RankDeficient(f"{what} are numerically dependent")
+
+
 def mat_sqrt(m: CovMatrix) -> CovMatrix:
     """Symmetric PSD square root, computed in the cached eigenbasis."""
     return CovMatrix(sqrt_entries(m))
@@ -140,15 +150,12 @@ def mat_sqrt(m: CovMatrix) -> CovMatrix:
 def projection_from_frame(f: np.ndarray) -> Projection:
     """Orthogonal projection onto the column span of a full-column-rank frame.
 
-    Raises ``RankDeficient`` when the smallest singular value of ``f`` falls
-    below ``1e-10`` times the largest.
+    Raises ``RankDeficient`` unless ``check_full_rank`` passes.
     """
     f = np.asarray(f, dtype=float)
     if f.ndim != 2 or f.shape[1] == 0 or f.shape[0] < f.shape[1]:
         raise ValueError(f"expected a tall dim x k frame, got shape {f.shape}")
-    sv = np.linalg.svd(f, compute_uv=False)
-    if sv[0] == 0.0 or sv[-1] <= 1e-10 * sv[0]:
-        raise RankDeficient("frame columns are numerically dependent")
+    check_full_rank(f, "frame columns")
     q, _ = np.linalg.qr(f)
     p = q @ q.T
     return Projection(0.5 * (p + p.T))

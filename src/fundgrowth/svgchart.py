@@ -32,10 +32,11 @@ _FRACTIONS = np.column_stack([np.full(200, ord(".")), ord("0") + _N[:200] // [10
 _FRACTIONS = _FRACTIONS.astype(np.uint8).view(np.uint32).ravel()
 
 
-def _nice_ticks(lo: float, hi: float, target: int = 5) -> list[float]:
-    """Round values from ``lo`` to ``hi`` a 1, 2, 2.5 or 5 times 10^n step apart;
-    none if that step underflows to 0 or moves no tick (a span of a few ulps)."""
-    raw = (hi - lo) / target
+def _nice_ticks(lo: float, hi: float) -> list[float]:
+    """About five round values from ``lo`` to ``hi``, a 1, 2, 2.5 or 5 times 10^n
+    step apart; none if that step underflows to 0 or moves no tick (a span of a
+    few ulps)."""
+    raw = (hi - lo) / 5
     mag = 10.0 ** math.floor(math.log10(raw)) if raw > 0.0 else 0.0
     step = next((m * mag for m in (1.0, 2.0, 2.5, 5.0, 10.0) if raw <= m * mag), 0.0)
     if step == 0.0:
