@@ -115,13 +115,12 @@ def _ingest_schema(header: list[str]) -> dict:
 def ingest_csv(path: str, drop_policy: str = "skip") -> IngestResult:
     """Parse a ``date,ret_1..ret_K,rf`` CSV into a cleaned return series.
 
-    Rows are read by ``marketsim.read_table``, once the header has been checked.
-    Malformed rows, including rows
-    with a ``nan`` or ``inf`` cell, are dropped with a warning under
-    ``drop_policy='skip'``; under ``'error'`` the first of them raises
-    ``ParseError``.  Blank risk-free cells are forward-filled (zero before the
-    first observation); rows missing a fund return are dropped.  Rows come back
-    date-sorted; duplicate dates raise ``NonMonotoneDates``.
+    Rows are read by ``marketsim.read_table`` once the header has been checked.
+    Malformed rows, including rows with a ``nan`` or ``inf`` cell, are dropped
+    with a warning under ``drop_policy='skip'``; under ``'error'`` the first of
+    them raises ``ParseError``.  Blank risk-free cells are forward-filled (zero
+    before the first observation); rows missing a fund return are dropped.  Rows
+    come back date-sorted; duplicate dates raise ``NonMonotoneDates``.
     """
     if drop_policy not in ("skip", "error"):
         raise ConfigError(f"unknown drop_policy {drop_policy!r}")

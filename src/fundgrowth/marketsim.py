@@ -521,10 +521,10 @@ def read_table(path: str, dropped: Optional[list] = None,
     and a repeated column name ``ParseError``; so does, with its line, a row
     with the wrong cell count, a date that is not ``YYYY-MM-DD`` (blanks around
     it aside) or a cell that is not a number, unless ``dropped`` is a list: the
-    error then goes there and the row is left out.  ``schema``, if given, is called with the header before
-    any row is read: it raises to reject the header, and returns the converters
-    of ``np.loadtxt`` as functions of the cell text by column index (negative
-    from the end).
+    error then goes there and the row is left out.  ``schema``, if given, gets
+    the header before any row is read: it raises to reject the header, and
+    returns the ``np.loadtxt`` converters, functions of the cell text by column
+    index (negative from the end).
     """
     dates: list[datetime.date] = []
     lines: list[str] = []
