@@ -35,9 +35,9 @@ import numpy as np
 from . import filtering, shrinkage
 from .errors import (ConfigError, EmptySeries, InsufficientBurnIn, MissingColumns,
                      NonMonotoneDates, ParseError, SingularC)
-from .marketsim import (ConfigLines, _parse_matrix, _parse_vector, read_table, table_lines,
-                        write_rows)
 from .psd import PD_RTOL, CovMatrix, inverse_entries, is_definite
+from .tableio import (ConfigLines, parse_matrix, parse_vector, read_table, table_lines,
+                      write_rows)
 
 DEFAULT_BURN_IN = 7500   # trading days, about 30 years
 
@@ -115,7 +115,7 @@ def _ingest_schema(header: list[str]) -> dict:
 def ingest_csv(path: str, drop_policy: str = "skip") -> IngestResult:
     """Parse a ``date,ret_1..ret_K,rf`` CSV into a cleaned return series.
 
-    Rows are read by ``marketsim.read_table`` once the header has been checked.
+    Rows are read by ``tableio.read_table`` once the header has been checked.
     Malformed rows, including rows with a ``nan`` or ``inf`` cell, are dropped
     with a warning under ``drop_policy='skip'``; under ``'error'`` the first of
     them raises ``ParseError``.  Blank risk-free cells are forward-filled (zero
@@ -201,10 +201,10 @@ def _parse_bool(text: str) -> bool:
 
 
 _CONFIG_PARSERS = {
-    "burn_in_days": int, "prior": str, "nu0": _parse_vector,
-    "kappa0": _parse_matrix, "truncation_l": float, "truncation_r": float,
+    "burn_in_days": int, "prior": str, "nu0": parse_vector,
+    "kappa0": parse_matrix, "truncation_l": float, "truncation_r": float,
     "drop_policy": str, "demean_covariance": _parse_bool, "force_a": float,
-    "force_nu_hat": _parse_vector,
+    "force_nu_hat": parse_vector,
 }
 
 

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import operator
 import os
 import sys
 from collections import Counter
@@ -27,7 +26,7 @@ from typing import IO, Iterator
 import numpy as np
 
 from . import backtest as bt
-from . import marketsim, svgchart, verify
+from . import marketsim, svgchart, tableio, verify
 from .errors import ConfigError, EmptyRange, FundgrowthError
 
 DEFAULT_SEED = 43210
@@ -93,7 +92,7 @@ def replaced(path: Path) -> Iterator[IO[str]]:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    scenario = marketsim.parse_scenario(Path(args.config).read_text(**marketsim.INPUT_TEXT))
+    scenario = marketsim.parse_scenario(tableio.read_text(args.config))
     seed = scenario.seed if args.seed is None else args.seed
     path = marketsim.run_scenario(scenario, seed=seed)
 
@@ -156,7 +155,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_backtest(args: argparse.Namespace) -> int:
     config = bt.BacktestConfig()
     if args.config is not None:
-        config = bt.parse_backtest_config(Path(args.config).read_text(**marketsim.INPUT_TEXT))
+        config = bt.parse_backtest_config(tableio.read_text(args.config))
     ingest = bt.ingest_csv(args.input, drop_policy=config.drop_policy)
     series = ingest.series
     # c_{i}{j} names collide from K = 111 on: c_1111 is both (1, 111) and (11, 11)
@@ -195,15 +194,9 @@ def cmd_report(args: argparse.Namespace) -> int:
     combined = out_dir / "panels.csv"
     names = ["date"] + [f"nu_hat_{j}" for j in range(1, k + 1)] + shrunk
     names += ["a", "logW_market", "logW_nuhat", "logW_shrunk", "F"] + c_names
-    position = {name: i for i, name in enumerate(table["header"] + shrunk)}
-    pick = operator.itemgetter(*[position[name] for name in names])
-    line = ",".join("%r" if name in shrunk else "%s" for name in names) + "\n"
-    lines, shrunk_rows = table.pop("lines"), np.column_stack([table[n] for n in shrunk])
     with replaced(combined) as handle:
-        marketsim.write_rows(handle, names, marketsim.row_blocks(len(lines), lambda rows: [
-            line % pick(text.split(",") + extra)
-            for text, extra in zip(lines[rows], shrunk_rows[rows].tolist())]))
-    del lines
+        tableio.write_columns(handle, names, table["header"], table.pop("lines"),
+                              {name: table[name] for name in shrunk})
 
     panels = {
         "portfolio.svg": ("Filtered growth-optimal portfolio and its shrunk version",
@@ -233,10 +226,7 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except FundgrowthError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (FundgrowthError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

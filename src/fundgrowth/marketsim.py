@@ -13,20 +13,17 @@ with per-path seeds derived as ``seed + path_index``.
 from __future__ import annotations
 
 import datetime
-import functools
 import math
-import re
-import warnings
 from dataclasses import dataclass
 from statistics import NormalDist
-from typing import IO, Callable, Iterable, Iterator, Optional, Sequence
+from typing import IO, Optional
 
 import numpy as np
 
-from .errors import (BadTruncation, ConfigError, EmptyGrid, EmptySeries, ParseError,
-                     RankDeficient)
+from .errors import BadTruncation, ConfigError, EmptyGrid, RankDeficient
 from .filtering import ndtr
 from .psd import CovMatrix, check_full_rank, is_definite, sqrt_entries
+from .tableio import ConfigLines, parse_matrix, parse_vector, write_table
 
 # Trading-day step of the operational clock, used as the default everywhere.
 DEFAULT_STEP = 1.0 / 252.0
@@ -36,13 +33,6 @@ _FIRST_DATE = datetime.date(1927, 7, 1)
 
 _REJECTION_CAP = 1_000_000
 _REJECTION_BATCH = 256
-_TABLE_BLOCK_ROWS = 2000    # rows per block of lines in row_blocks: a few MB of text at K = 10
-# The one date grammar of a table: ``fromisoformat`` alone also takes ``19270702``
-# and ``1927-W27-1`` from Python 3.11 on, and report copies a date cell verbatim.
-_ISO_DATE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}").fullmatch
-# How every input file is read: a byte that is not UTF-8 becomes a lone surrogate,
-# which no cell, key or value takes, so it makes its row or line malformed.
-INPUT_TEXT = {"encoding": "utf-8", "errors": "surrogateescape"}
 
 
 @dataclass(frozen=True)
@@ -317,17 +307,8 @@ class SimScenario:
     drift_check_paths: int = 100_000
 
 
-def _parse_matrix(text: str) -> np.ndarray:
-    rows = [r for r in (s.strip() for s in text.split(";")) if r]
-    return np.array([[float(x) for x in row.split(",")] for row in rows])
-
-
-def _parse_vector(text: str) -> np.ndarray:
-    return np.array([float(x) for x in text.split(",")])
-
-
 def _parse_cov(text: str) -> CovMatrix:
-    return CovMatrix(_parse_matrix(text))
+    return CovMatrix(parse_matrix(text))
 
 
 def _sized(name: str, value: Optional[np.ndarray], shape: tuple):
@@ -335,45 +316,6 @@ def _sized(name: str, value: Optional[np.ndarray], shape: tuple):
     if value is not None and (value.shape != shape or not np.isfinite(value).all()):
         raise ConfigError(f"{name} must be {' x '.join(map(str, shape))} finite value(s)")
     return value
-
-
-class ConfigLines:
-    """The ``key = value`` lines of a scenario or backtest config file.
-
-    ``#`` starts a comment; blank lines are skipped.  Unknown and repeated
-    keys raise ``ConfigError`` with the line number, and so does a value that
-    ``get`` cannot parse.
-    """
-
-    def __init__(self, text: str, keys, kind: str):
-        self._values: dict[str, tuple[int, str]] = {}
-        for lineno, line in enumerate(text.splitlines(), start=1):
-            body = line.split("#", 1)[0].strip()
-            if not body:
-                continue
-            if "=" not in body:
-                raise ConfigError(f"line {lineno}: expected 'key = value', got {body!r}")
-            key, value = (s.strip() for s in body.split("=", 1))
-            if key not in keys:
-                raise ConfigError(f"line {lineno}: unknown {kind} key {key!r}")
-            if key in self._values:
-                raise ConfigError(
-                    f"line {lineno}: {kind} key {key!r} already set on line {self._values[key][0]}"
-                )
-            self._values[key] = (lineno, value)
-
-    def __contains__(self, key: str) -> bool:
-        return key in self._values
-
-    def get(self, key: str, parse, default=None):
-        """``parse(value)`` of ``key``, or ``default`` when the key is absent."""
-        if key not in self._values:
-            return default
-        lineno, value = self._values[key]
-        try:
-            return parse(value)
-        except ValueError as exc:
-            raise ConfigError(f"line {lineno}: bad value for {key!r}: {exc}") from None
 
 
 def parse_scenario(text: str) -> SimScenario:
@@ -408,15 +350,15 @@ def parse_scenario(text: str) -> SimScenario:
         if matrix.dim != dim:
             raise ConfigError(f"{name} has dim {matrix.dim}, scenario declares {dim}")
 
-    mean = _sized("prior_mean", lines.get("prior_mean", _parse_vector, np.zeros(dim)), (dim,))
+    mean = _sized("prior_mean", lines.get("prior_mean", parse_vector, np.zeros(dim)), (dim,))
     truncation = None
     if "truncation_l" in lines or "truncation_r" in lines:
         truncation = (lines.get("truncation_l", float, -math.inf),
                       lines.get("truncation_r", float, math.inf))
     prior = PriorSpec(mean=mean, cov=prior_cov, truncation=truncation)
 
-    f = lines.get("f", _parse_matrix)
-    theta = lines.get("theta", _parse_vector)
+    f = lines.get("f", parse_matrix)
+    theta = lines.get("theta", parse_vector)
     if f is not None:
         if theta is None:
             raise ConfigError("fund scenarios must declare 'theta'")
@@ -442,7 +384,7 @@ def parse_scenario(text: str) -> SimScenario:
         steps=lines.get("steps", int, 252),
         o_start=o_start,
         seed=seed,
-        nu=_sized("nu", lines.get("nu", _parse_vector), (dim,)),
+        nu=_sized("nu", lines.get("nu", parse_vector), (dim,)),
         f=f,
         theta=theta,
         drift_check_paths=drift_check_paths,
@@ -476,109 +418,3 @@ def write_path_csv(path: MarketPath, out: IO[str], fund: Optional[FundSpec] = No
     header = ["date"] + [f"ret_{j + 1}" for j in range(k)] + ["rf"]
     dates = [_FIRST_DATE + datetime.timedelta(days=i) for i in range(n)]
     return write_table(out, header, dates, np.column_stack([rets, np.zeros(n)]))
-
-
-def write_table(out: IO[str], header: Sequence[str], dates: Sequence, values: np.ndarray) -> int:
-    """Write ``header`` and one ``date,v_1,...,v_m`` line per row of ``values``.
-    Returns the row count."""
-    return write_rows(out, header, table_lines(dates, values))
-
-
-def table_lines(dates: Sequence, values: np.ndarray) -> Iterator[list[str]]:
-    """The ``date,v_1,...,v_m`` lines of the rows of ``values``, a block of rows at a
-    time; cells are ``repr`` of the float, which reads back to the same bits."""
-    values = np.asarray(values, dtype=float)
-    line = "%s" + ",%r" * values.shape[1] + "\n"
-    return row_blocks(values.shape[0], lambda rows: [
-        line % (day, *row) for day, row in zip(dates[rows], values[rows].tolist())])
-
-
-def row_blocks(n: int, block: Callable[[slice], list[str]]) -> Iterator[list[str]]:
-    """The lines ``block(rows)`` gives per slice of ``_TABLE_BLOCK_ROWS`` of the ``n`` rows."""
-    return (block(slice(start, start + _TABLE_BLOCK_ROWS))
-            for start in range(0, n, _TABLE_BLOCK_ROWS))
-
-
-def write_rows(out: IO[str], header: Sequence[str], blocks: Iterable[list[str]]) -> int:
-    """Write ``header``, then each list of lines in ``blocks`` as it comes; returns
-    the number of lines after the header."""
-    out.write(",".join(header) + "\n")
-    rows = 0
-    for lines in blocks:
-        out.write("".join(lines))
-        rows += len(lines)
-        del lines       # before the next block's lines are made
-    return rows
-
-
-def read_table(path: str, dropped: Optional[list] = None,
-               schema: Optional[Callable[[list[str]], dict]] = None
-               ) -> tuple[list[str], list[datetime.date], np.ndarray, list[str], np.ndarray]:
-    """Header, dates, ``(rows, columns)`` values, row texts (without the line end)
-    and line numbers of a ``date,v_1,...,v_m`` file; blank lines are skipped.
-
-    The file is read as ``INPUT_TEXT``.  A zero-byte file raises ``EmptySeries``
-    and a repeated column name ``ParseError``; so does, with its line, a row
-    with the wrong cell count, a date that is not ``YYYY-MM-DD`` (blanks around
-    it aside) or a cell that is not a number, unless ``dropped`` is a list: the
-    error then goes there and the row is left out.  ``schema``, if given, gets
-    the header before any row is read: it raises to reject the header, and
-    returns the ``np.loadtxt`` converters, functions of the cell text by column
-    index (negative from the end).
-    """
-    dates: list[datetime.date] = []
-    lines: list[str] = []
-    linenos: list[int] = []     # the last is the row numpy is reading: one per next()
-    with open(path, **INPUT_TEXT) as handle:
-        first = handle.readline()
-        if not first:
-            raise EmptySeries(f"{path} is empty")
-        header = first.rstrip("\n").split(",")
-        if len(set(header)) < len(header):
-            repeated = sorted({name for name in header if header.count(name) > 1})
-            raise ParseError(1, f"repeated column names {repeated}")
-        converters = {i % len(header): f for i, f in (schema(header) if schema else {}).items()}
-        load = functools.partial(np.loadtxt, delimiter=",", comments=None, ndmin=2,
-                                 usecols=range(1, len(header)), converters=converters)
-        numbered = enumerate(handle, start=2)
-
-        def bad(lineno: int, exc: ValueError) -> None:
-            if dropped is None:
-                raise ParseError(lineno, str(exc)) from None
-            dropped.append(ParseError(lineno, str(exc)))
-
-        def rows():     # a bad cell count or date is dropped here; numpy never sees it
-            for lineno, line in numbered:
-                if line.isspace():
-                    continue
-                text = line.rstrip("\n")
-                day = text.partition(",")[0].strip()
-                try:
-                    if text.count(",") != len(header) - 1:
-                        raise ValueError(f"{text.count(',') + 1} cells, header has {len(header)}")
-                    if _ISO_DATE(day) is None:
-                        raise ValueError(f"date {day!r} is not YYYY-MM-DD")
-                    dates.append(datetime.date.fromisoformat(day))
-                except ValueError as exc:
-                    bad(lineno, exc)
-                    continue
-                linenos.append(lineno)
-                lines.append(text)
-                yield text
-
-        # numpy cannot resume after a number it cannot parse: the rows before it
-        # are parsed once more
-        blocks, start = [], 0
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")     # loadtxt warns when there are no rows
-            while True:
-                try:
-                    blocks.append(load(rows()))
-                    break
-                except ValueError as exc:
-                    bad(linenos.pop(), exc)
-                    del lines[len(linenos):], dates[len(linenos):]   # the bad row's
-                    blocks.append(load(lines[start:]))
-                    start = len(lines)
-    values = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
-    return header, dates, values, lines, np.array(linenos, dtype=np.int64)

@@ -110,11 +110,7 @@ class Projection:
 
 
 def sqrt_entries(m: CovMatrix) -> np.ndarray:
-    """Raw entries of the PSD square root; skips re-wrapping as a CovMatrix.
-
-    Monte-Carlo sweeps call this once per path, so avoiding the construction
-    round trip matters.
-    """
+    """Entries of the symmetric PSD square root, computed in the cached eigenbasis."""
     root = (m.eigenvectors * np.sqrt(m.eigenvalues)) @ m.eigenvectors.T
     return 0.5 * (root + root.T)
 
@@ -140,11 +136,6 @@ def check_full_rank(f: np.ndarray, what: str) -> None:
     sv = np.linalg.svd(f, compute_uv=False)
     if sv[0] == 0.0 or sv[-1] <= RANK_RTOL * sv[0]:
         raise RankDeficient(f"{what} are numerically dependent")
-
-
-def mat_sqrt(m: CovMatrix) -> CovMatrix:
-    """Symmetric PSD square root, computed in the cached eigenbasis."""
-    return CovMatrix(sqrt_entries(m))
 
 
 def projection_from_frame(f: np.ndarray) -> Projection:

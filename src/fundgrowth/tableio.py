@@ -1,0 +1,198 @@
+"""Text in and out: the ``key = value`` config files and the ``date,v_1,...,v_m``
+tables of the subcommands.  How input is decoded (``INPUT_TEXT``), how a float
+cell is written and where a cell ends are decided here and nowhere else.
+"""
+
+from __future__ import annotations
+
+import datetime
+import functools
+import operator
+import re
+import warnings
+from pathlib import Path
+from typing import IO, Callable, Iterable, Iterator, Optional, Sequence
+
+import numpy as np
+
+from .errors import ConfigError, EmptySeries, ParseError
+
+_TABLE_BLOCK_ROWS = 2000    # rows per block of lines in row_blocks: a few MB of text at K = 10
+# The one date grammar of a table: ``fromisoformat`` alone also takes ``19270702``
+# and ``1927-W27-1`` from Python 3.11 on, and report copies a date cell verbatim.
+_ISO_DATE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}").fullmatch
+# How every input file is read: a byte that is not UTF-8 becomes a lone surrogate,
+# which no cell, key or value takes, so it makes its row or line malformed.
+INPUT_TEXT = {"encoding": "utf-8", "errors": "surrogateescape"}
+
+
+def read_text(path: str) -> str:
+    """The text of the input file ``path``, read as ``INPUT_TEXT``."""
+    return Path(path).read_text(**INPUT_TEXT)
+
+
+class ConfigLines:
+    """The ``key = value`` lines of a scenario or backtest config file.
+
+    ``#`` starts a comment; blank lines are skipped.  Unknown and repeated
+    keys raise ``ConfigError`` with the line number, and so does a value that
+    ``get`` cannot parse.
+    """
+
+    def __init__(self, text: str, keys, kind: str):
+        self._values: dict[str, tuple[int, str]] = {}
+        for lineno, line in enumerate(text.splitlines(), start=1):
+            body = line.split("#", 1)[0].strip()
+            if not body:
+                continue
+            if "=" not in body:
+                raise ConfigError(f"line {lineno}: expected 'key = value', got {body!r}")
+            key, value = (s.strip() for s in body.split("=", 1))
+            if key not in keys:
+                raise ConfigError(f"line {lineno}: unknown {kind} key {key!r}")
+            if key in self._values:
+                raise ConfigError(f"line {lineno}: {kind} key {key!r} already set on line "
+                                  f"{self._values[key][0]}")
+            self._values[key] = (lineno, value)
+
+    def __contains__(self, key: str) -> bool:
+        return key in self._values
+
+    def get(self, key: str, parse, default=None):
+        """``parse(value)`` of ``key``, or ``default`` when the key is absent."""
+        if key not in self._values:
+            return default
+        lineno, value = self._values[key]
+        try:
+            return parse(value)
+        except ValueError as exc:
+            raise ConfigError(f"line {lineno}: bad value for {key!r}: {exc}") from None
+
+
+def parse_vector(text: str) -> np.ndarray:
+    """A config vector: numbers separated by ``,``."""
+    return np.array([float(x) for x in text.split(",")])
+
+
+def parse_matrix(text: str) -> np.ndarray:
+    """A config matrix: rows of ``parse_vector`` separated by ``;``."""
+    rows = [r for r in (s.strip() for s in text.split(";")) if r]
+    return np.array([parse_vector(row) for row in rows])
+
+
+def write_table(out: IO[str], header: Sequence[str], dates: Sequence, values: np.ndarray) -> int:
+    """Write ``header`` and the ``table_lines`` of ``values``; returns the row count."""
+    return write_rows(out, header, table_lines(dates, values))
+
+
+def table_lines(dates: Sequence, values: np.ndarray) -> Iterator[list[str]]:
+    """The ``date,v_1,...,v_m`` lines of the rows of ``values``, a block of rows at a
+    time; cells are ``repr`` of the float, which reads back to the same bits."""
+    values = np.asarray(values, dtype=float)
+    line = "%s" + ",%r" * values.shape[1] + "\n"
+    return row_blocks(values.shape[0], lambda rows: [
+        line % (day, *row) for day, row in zip(dates[rows], values[rows].tolist())])
+
+
+def write_columns(out: IO[str], names: Sequence[str], header: list[str], lines: list[str],
+                  added: dict[str, np.ndarray]) -> int:
+    """Write the columns ``names``: those of ``header`` as the text of the ``read_table``
+    rows ``lines``, those of ``added`` from their floats; returns the row count."""
+    position = {name: i for i, name in enumerate(header + list(added))}
+    pick = operator.itemgetter(*[position[name] for name in names])
+    line = ",".join("%r" if name in added else "%s" for name in names) + "\n"
+    extra = np.column_stack(list(added.values()))
+    return write_rows(out, names, row_blocks(len(lines), lambda rows: [
+        line % pick(text.split(",") + more)
+        for text, more in zip(lines[rows], extra[rows].tolist())]))
+
+
+def row_blocks(n: int, block: Callable[[slice], list[str]]) -> Iterator[list[str]]:
+    """The lines ``block(rows)`` gives per slice of ``_TABLE_BLOCK_ROWS`` of the ``n`` rows."""
+    return (block(slice(start, start + _TABLE_BLOCK_ROWS))
+            for start in range(0, n, _TABLE_BLOCK_ROWS))
+
+
+def write_rows(out: IO[str], header: Sequence[str], blocks: Iterable[list[str]]) -> int:
+    """Write ``header``, then each list of lines in ``blocks`` as it comes; returns
+    the number of lines after the header."""
+    out.write(",".join(header) + "\n")
+    rows = 0
+    for lines in blocks:
+        out.write("".join(lines))
+        rows += len(lines)
+        del lines       # before the next block's lines are made
+    return rows
+
+
+def read_table(path: str, dropped: Optional[list] = None,
+               schema: Optional[Callable[[list[str]], dict]] = None
+               ) -> tuple[list[str], list[datetime.date], np.ndarray, list[str], np.ndarray]:
+    """Header, dates, ``(rows, columns)`` values, row texts (without the line end)
+    and line numbers of a ``date,v_1,...,v_m`` file; blank lines are skipped.
+
+    The file is read as ``INPUT_TEXT``.  A zero-byte file raises ``EmptySeries``
+    and a repeated column name ``ParseError``; so does, with its line, a row
+    with the wrong cell count, a date that is not ``YYYY-MM-DD`` (blanks around
+    it aside) or a cell that is not a number, unless ``dropped`` is a list: the
+    error then goes there and the row is left out.  ``schema``, if given, gets
+    the header before any row is read: it raises to reject the header, and
+    returns the ``np.loadtxt`` converters, functions of the cell text by column
+    index (negative from the end).
+    """
+    dates: list[datetime.date] = []
+    lines: list[str] = []
+    linenos: list[int] = []     # the last is the row numpy is reading: one per next()
+    with open(path, **INPUT_TEXT) as handle:
+        first = handle.readline()
+        if not first:
+            raise EmptySeries(f"{path} is empty")
+        header = first.rstrip("\n").split(",")
+        if len(set(header)) < len(header):
+            repeated = sorted({name for name in header if header.count(name) > 1})
+            raise ParseError(1, f"repeated column names {repeated}")
+        converters = {i % len(header): f for i, f in (schema(header) if schema else {}).items()}
+        load = functools.partial(np.loadtxt, delimiter=",", comments=None, ndmin=2,
+                                 usecols=range(1, len(header)), converters=converters)
+        numbered = enumerate(handle, start=2)
+
+        def bad(lineno: int, exc: ValueError) -> None:
+            if dropped is None:
+                raise ParseError(lineno, str(exc)) from None
+            dropped.append(ParseError(lineno, str(exc)))
+
+        def rows():     # a bad cell count or date is dropped here; numpy never sees it
+            for lineno, line in numbered:
+                if line.isspace():
+                    continue
+                text = line.rstrip("\n")
+                day = text.partition(",")[0].strip()
+                try:
+                    if text.count(",") != len(header) - 1:
+                        raise ValueError(f"{text.count(',') + 1} cells, header has {len(header)}")
+                    if _ISO_DATE(day) is None:
+                        raise ValueError(f"date {day!r} is not YYYY-MM-DD")
+                    dates.append(datetime.date.fromisoformat(day))
+                except ValueError as exc:
+                    bad(lineno, exc)
+                    continue
+                linenos.append(lineno)
+                lines.append(text)
+                yield text
+
+        # numpy cannot resume after a number it cannot parse: the rows before it
+        # are parsed once more
+        blocks, start = [], 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")     # loadtxt warns when there are no rows
+            while True:
+                try:
+                    blocks.append(load(rows()))
+                    break
+                except ValueError as exc:
+                    bad(linenos.pop(), exc)
+                    del lines[len(linenos):], dates[len(linenos):]   # the bad row's
+                    blocks.append(load(lines[start:]))
+                    start = len(lines)
+    values = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
+    return header, dates, values, lines, np.array(linenos, dtype=np.int64)

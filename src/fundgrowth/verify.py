@@ -67,8 +67,8 @@ def _random_frame(rng: np.random.Generator, dim: int, k: int) -> np.ndarray:
     return q * rng.uniform(0.5, 2.0, size=k)
 
 
-# Each check yields its violations, one or more per instance; a violation
-# above the check's tolerance in ``CHECKS`` fails it.
+# Each check yields one or more violations per instance; a violation above the
+# check's tolerance in ``CHECKS``, a NaN one or a missing one fails it.
 Violations = Iterator[float]
 
 
@@ -142,7 +142,9 @@ def check_shrink_identity(rng: np.random.Generator, instances: int) -> Violation
         kappa = _random_psd(rng, dim, definite=False)
         nu_hat = rng.standard_normal(dim)
         res = shrinkage.shrink_portfolio(nu_hat, kappa, d_c)
-        if not res.degenerate:
+        if res.degenerate:      # no shrinkage happens: rho is nu_hat
+            yield float(np.abs(res.rho - nu_hat).max())
+        else:
             lhs = float(nu_hat @ d_c.entries @ nu_hat)
             rhs = float(res.rho @ d_c.entries @ res.rho) + 2.0 * res.e_sq / res.b
             yield abs(lhs - rhs) / max(1.0, lhs)
@@ -230,10 +232,10 @@ def run_checks(
     for name in selected:
         check, default_instances, tolerance = CHECKS[name]
         count = default_instances if instances is None else instances
-        worst = 0.0
-        for violation in check(np.random.default_rng(seed + 1000 * list(CHECKS).index(name)),
-                               count):
-            worst = max(worst, violation)
+        rng = np.random.default_rng(seed + 1000 * list(CHECKS).index(name))
+        found = np.fromiter(check(rng, count), dtype=float)
+        # NaN, which fails, if a violation is NaN or the check skipped an instance
+        worst = float(found.max(initial=0.0)) if found.size >= count else math.nan
         if sabotage == name:
             worst = worst + 10.0 * tolerance + 1.0
         results.append(CheckResult(name, count, worst, tolerance))

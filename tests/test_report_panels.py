@@ -1,7 +1,7 @@
 """``panels.csv`` as ``fundgrowth report`` writes it, against the plain writer.
 
 The reference below parses every cell of ``backtest.csv`` and writes the
-panels columns through ``marketsim.write_table``, so each cell is the
+panels columns through ``tableio.write_table``, so each cell is the
 ``repr`` of its float.  At K = 10 the sorted ``c_ij`` names put ``c_110``
 ahead of ``c_12``, an order the K = 3 golden digest cannot see.
 """
@@ -12,7 +12,7 @@ import io
 import numpy as np
 
 from fundgrowth import cli
-from fundgrowth.marketsim import write_table
+from fundgrowth.tableio import write_table
 
 K10_SCENARIO = (
     "dim = 10\n"

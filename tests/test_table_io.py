@@ -1,4 +1,4 @@
-"""The CSV table writer and reader in ``marketsim``: round trip, date grammar, header."""
+"""The CSV table writer and reader in ``tableio``: round trip, date grammar, header."""
 
 import datetime
 
@@ -10,8 +10,9 @@ from hypothesis.extra import numpy as hnp
 
 from fundgrowth.backtest import ingest_csv, output_columns
 from fundgrowth.errors import ParseError
-from fundgrowth.marketsim import MarketPath, read_table, write_path_csv, write_table
+from fundgrowth.marketsim import MarketPath, write_path_csv
 from fundgrowth.psd import CovMatrix
+from fundgrowth.tableio import read_table, write_table
 
 EDGES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
          -1.7976931348623157e308, 9.999999999999999e307, np.nan, np.inf, -np.inf]

@@ -4,9 +4,11 @@ status on the default run, and what ``sabotage`` does to it.
 The violations themselves are not pinned: their last bits depend on LAPACK.
 """
 
+import math
+
 import pytest
 
-from fundgrowth import shrinkage, verify
+from fundgrowth import cli, estimators, shrinkage, verify
 
 # registry order: a check's sweep seed is seed + 1000 * its place in this list
 DEFAULT_TABLE = [
@@ -41,6 +43,41 @@ def test_sabotage_raises_only_the_named_check(name):
         else:
             assert after.max_violation == before.max_violation
         assert after.passed == (before.name != name)
+
+
+def nan_violations(rng, instances):
+    yield from [math.nan] * instances
+
+
+def no_violations(rng, instances):
+    yield from ()
+
+
+@pytest.mark.parametrize("check", [nan_violations, no_violations], ids=["nan", "empty"])
+def test_a_check_without_a_measured_violation_fails_the_cli(monkeypatch, capsys, check):
+    monkeypatch.setitem(verify.CHECKS, "broken", (check, 3, 1e-9))
+    assert cli.main(["verify", "--checks", "cardano,broken", "--seed", "5"]) == 1
+    captured = capsys.readouterr()
+    status = {line.split()[0]: line.split()[-1] for line in captured.out.splitlines()[1:]}
+    assert status == {"cardano": "pass", "broken": "FAIL"}
+    assert captured.err == "FAILED: broken\n"
+
+
+def test_a_nan_violation_fails_its_check(monkeypatch):
+    monkeypatch.setattr(estimators, "dis", lambda *args: math.nan)
+    (result,) = verify.run_checks(["dis_fund_law"], seed=5, instances=3)
+    assert math.isnan(result.max_violation) and not result.passed
+
+
+@pytest.mark.parametrize("shift, passed", [(0.0, True), (1.0, False)])
+def test_shrink_identity_checks_its_degenerate_instances(monkeypatch, shift, passed):
+    def degenerate(nu_hat, kappa, d_c):
+        return shrinkage.ShrinkResult(rho=nu_hat + shift, b=0.0, a=1.0, psi=0.0, e_sq=0.0,
+                                      iterations=0, residual=0.0, degenerate=True)
+
+    monkeypatch.setattr(shrinkage, "shrink_portfolio", degenerate)
+    (result,) = verify.run_checks(["shrink_identity"], seed=5, instances=4)
+    assert (result.instances, result.passed) == (4, passed)
 
 
 def test_cardano_instances_count_its_evaluations(monkeypatch):
