@@ -27,6 +27,7 @@ import itertools
 import math
 import operator
 import warnings
+from collections import Counter
 from dataclasses import dataclass
 from typing import IO, Iterable, Iterator, Optional
 
@@ -36,8 +37,7 @@ from . import filtering, shrinkage
 from .errors import (ConfigError, EmptySeries, InsufficientBurnIn, MissingColumns,
                      NonMonotoneDates, ParseError, SingularC)
 from .psd import PD_RTOL, CovMatrix, inverse_entries, is_definite
-from .tableio import (ConfigLines, parse_matrix, parse_vector, read_table, table_lines,
-                      write_rows)
+from .tableio import parse_matrix, parse_vector, read_config, read_table, table_lines, write_rows
 
 DEFAULT_BURN_IN = 7500   # trading days, about 30 years
 
@@ -175,6 +175,8 @@ class BacktestConfig:
             raise ConfigError("anchored prior needs nu0 and kappa0")
         if self.burn_in_days < 0:
             raise ConfigError("burn_in_days must be nonnegative")
+        if self.drop_policy not in ("skip", "error"):
+            raise ConfigError(f"unknown drop_policy {self.drop_policy!r}")
         if self.truncation is not None and not self.truncation[0] < self.truncation[1]:
             raise ConfigError(f"truncation interval {self.truncation} is empty")
         for name in ("nu0", "force_nu_hat"):
@@ -211,10 +213,7 @@ _CONFIG_PARSERS = {
 def parse_backtest_config(text: str) -> BacktestConfig:
     """Parse ``key = value`` lines into a config; unknown and repeated keys
     and unparsable values raise ``ConfigError``."""
-    lines = ConfigLines(text, _CONFIG_PARSERS, "config")
-    return BacktestConfig(**{
-        key: lines.get(key, parse) for key, parse in _CONFIG_PARSERS.items() if key in lines
-    })
+    return BacktestConfig(**read_config(text, _CONFIG_PARSERS, "config"))
 
 
 @dataclass
@@ -496,6 +495,15 @@ def output_columns(k: int) -> list[str]:
     cols += ["a", "F", "logW_market", "logW_nuhat", "logW_shrunk"]
     cols += [f"c_{i + 1}{j + 1}" for i in range(k) for j in range(i, k)]
     return cols
+
+
+def check_output_columns(k: int) -> None:
+    """``ConfigError`` when two ``output_columns(k)`` share a name: the ``c_{i}{j}``
+    names collide from K = 111 on (``c_1111`` is both (1, 111) and (11, 11))."""
+    repeated = sorted(name for name, count in Counter(output_columns(k)).items() if count > 1)
+    if repeated:
+        raise ConfigError(f"{k} funds give repeated output column names {repeated}; "
+                          f"backtest takes at most 110 funds")
 
 
 def write_backtest_csv(blocks: Iterable[BacktestSeries],

@@ -16,18 +16,14 @@ deterministic and idempotent on identical inputs.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
-import contextlib
-import os
 import sys
-from collections import Counter
 from pathlib import Path
-from typing import IO, Iterator
 
 import numpy as np
 
 from . import backtest as bt
 from . import marketsim, svgchart, tableio, verify
-from .errors import ConfigError, EmptyRange, FundgrowthError
+from .errors import EmptyRange, FundgrowthError
 
 DEFAULT_SEED = 43210
 
@@ -78,19 +74,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@contextlib.contextmanager
-def replaced(path: Path) -> Iterator[IO[str]]:
-    """A text handle on a sibling temporary file, which replaces ``path`` only
-    once the block has written all of it; on an error it is removed."""
-    partial = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        with open(partial, "w", newline="") as handle:
-            yield handle
-        os.replace(partial, path)
-    finally:
-        partial.unlink(missing_ok=True)
-
-
 def cmd_simulate(args: argparse.Namespace) -> int:
     scenario = marketsim.parse_scenario(tableio.read_text(args.config))
     seed = scenario.seed if args.seed is None else args.seed
@@ -103,7 +86,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     out_csv = out_dir / "simulated.csv"
-    with open(out_csv, "w", newline="") as handle:
+    with tableio.replaced(out_csv) as handle:
         rows = marketsim.write_path_csv(path, handle, fund=fund)
 
     qv = path.realized_quadratic_covariation()
@@ -158,17 +141,12 @@ def cmd_backtest(args: argparse.Namespace) -> int:
         config = bt.parse_backtest_config(tableio.read_text(args.config))
     ingest = bt.ingest_csv(args.input, drop_policy=config.drop_policy)
     series = ingest.series
-    # c_{i}{j} names collide from K = 111 on: c_1111 is both (1, 111) and (11, 11)
-    names = Counter(bt.output_columns(series.k))
-    repeated = sorted(name for name, count in names.items() if count > 1)
-    if repeated:
-        raise ConfigError(f"{series.k} funds give repeated output column names {repeated}; "
-                          f"backtest takes at most 110 funds")
+    bt.check_output_columns(series.k)   # before the engine runs
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     out_csv = out_dir / "backtest.csv"
-    with replaced(out_csv) as handle:
+    with tableio.replaced(out_csv) as handle:
         rows, last = bt.write_backtest_csv(bt.backtest_blocks(series, config), handle)
     print(f"read {ingest.rows_read} rows ({ingest.rows_dropped} dropped), "
           f"{series.k} fund(s); burn-in {config.burn_in_days} days")
@@ -194,7 +172,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     combined = out_dir / "panels.csv"
     names = ["date"] + [f"nu_hat_{j}" for j in range(1, k + 1)] + shrunk
     names += ["a", "logW_market", "logW_nuhat", "logW_shrunk", "F"] + c_names
-    with replaced(combined) as handle:
+    with tableio.replaced(combined) as handle:
         tableio.write_columns(handle, names, table["header"], table.pop("lines"),
                               {name: table[name] for name in shrunk})
 
@@ -212,7 +190,7 @@ def cmd_report(args: argparse.Namespace) -> int:
                                     [(name, table[name]) for name in c_names]),
     }
     for filename, (title, series) in panels.items():
-        with replaced(out_dir / filename) as handle:
+        with tableio.replaced(out_dir / filename) as handle:
             svgchart.line_chart(handle, title, table["dates"], series)
     print(f"wrote {len(panels)} panels + {combined}")
     return 0

@@ -23,7 +23,7 @@ import numpy as np
 from .errors import BadTruncation, ConfigError, EmptyGrid, RankDeficient
 from .filtering import ndtr
 from .psd import CovMatrix, check_full_rank, is_definite, sqrt_entries
-from .tableio import ConfigLines, parse_matrix, parse_vector, write_table
+from .tableio import parse_matrix, parse_vector, read_config, write_table
 
 # Trading-day step of the operational clock, used as the default everywhere.
 DEFAULT_STEP = 1.0 / 252.0
@@ -283,16 +283,14 @@ def residual_drift_check(
 # Scenario configs and CSV export
 # ---------------------------------------------------------------------------
 
-_SCENARIO_KEYS = {
-    "dim", "cov", "cov_preset", "prior_mean", "prior_cov", "truncation_l",
-    "truncation_r", "nu", "dt", "steps", "o_start", "seed", "f", "theta",
-    "drift_check_paths",
-}
-
-
 @dataclass(frozen=True)
 class SimScenario:
-    """Parsed simulation scenario (see ``parse_scenario`` for the format)."""
+    """A simulation scenario; ``parse_scenario`` reads one from its file format.
+
+    ``nu``, and ``f`` with its ``theta``, must fit ``dim`` and be finite; a fund
+    scenario has at most ``dim`` funds.  ``drift_check_paths`` is 0 (no residual
+    drift check) or at least 2.  A value out of range raises ``ConfigError``.
+    """
 
     dim: int
     cov: CovMatrix
@@ -306,89 +304,80 @@ class SimScenario:
     theta: Optional[np.ndarray] = None
     drift_check_paths: int = 100_000
 
+    def __post_init__(self):
+        if self.cov.dim != self.dim:
+            raise ConfigError(f"cov has dim {self.cov.dim}, scenario declares {self.dim}")
+        _sized("nu", self.nu, (self.dim,))
+        if self.f is not None:
+            if self.theta is None:
+                raise ConfigError("fund scenarios must declare 'theta'")
+            _sized("f", self.f, (self.dim, min(self.f.shape[-1], self.dim)))
+            _sized("theta", self.theta, (self.f.shape[1],))
+        if not (0.0 < self.dt < math.inf and math.isfinite(self.o_start)):
+            raise ConfigError("dt must be positive and finite and o_start finite, "
+                              f"got {self.dt}, {self.o_start}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
+        if self.drift_check_paths < 0 or self.drift_check_paths == 1:
+            raise ConfigError("drift_check_paths must be 0 (off) or at least 2, "
+                              f"got {self.drift_check_paths}")
+
 
 def _parse_cov(text: str) -> CovMatrix:
     return CovMatrix(parse_matrix(text))
 
 
-def _sized(name: str, value: Optional[np.ndarray], shape: tuple):
-    """``value`` unless it is an array of another shape or with a non-finite entry."""
+def _sized(name: str, value: Optional[np.ndarray], shape: tuple) -> None:
+    """``ConfigError`` unless ``value`` is None or a finite array of ``shape``."""
     if value is not None and (value.shape != shape or not np.isfinite(value).all()):
         raise ConfigError(f"{name} must be {' x '.join(map(str, shape))} finite value(s)")
-    return value
+
+
+# The variance rate of each asset under each ``cov_preset``; with the default
+# trading-day step, ``us_one_fund`` gives 18% annualised volatility.
+_COV_PRESETS = {"identity": 1.0, "us_one_fund": 0.18 ** 2}
+
+_SCENARIO_PARSERS = {
+    "dim": int, "cov": _parse_cov, "cov_preset": str, "prior_mean": parse_vector,
+    "prior_cov": _parse_cov, "truncation_l": float, "truncation_r": float,
+    "nu": parse_vector, "dt": float, "steps": int, "o_start": float, "seed": int,
+    "f": parse_matrix, "theta": parse_vector, "drift_check_paths": int,
+}
 
 
 def parse_scenario(text: str) -> SimScenario:
     """Parse a plain ``key = value`` scenario description.
 
     Vectors are comma-separated, matrices use ``;`` between rows, ``#`` starts
-    a comment.  Unknown and repeated keys are rejected.
+    a comment.  Unknown and repeated keys are rejected.  ``cov`` or the name
+    ``cov_preset`` gives the covariance rate; ``prior_mean``, ``prior_cov``
+    (identity by default) and ``truncation_l``/``truncation_r`` the prior.
     """
-    lines = ConfigLines(text, _SCENARIO_KEYS, "scenario")
-    if "dim" not in lines:
+    values = read_config(text, _SCENARIO_PARSERS, "scenario")
+    if "dim" not in values:
         raise ConfigError("scenario must declare 'dim'")
-    dim = lines.get("dim", int)
+    dim = values["dim"]
     if dim < 1:
         raise ConfigError(f"dim must be positive, got {dim}")
 
-    if "cov" in lines:
-        cov = lines.get("cov", _parse_cov)
-    elif "cov_preset" in lines:
-        name = lines.get("cov_preset", str)
-        if name == "identity":
-            cov = CovMatrix(np.eye(dim))
-        elif name == "us_one_fund":
-            # annualised rate; with the default trading-day step this gives
-            # 18% annualised volatility
-            cov = CovMatrix(np.eye(dim) * 0.18 ** 2)
-        else:
-            raise ConfigError(f"unknown cov_preset {name!r}")
-    else:
-        raise ConfigError("scenario must declare 'cov' or 'cov_preset'")
-    prior_cov = lines.get("prior_cov", _parse_cov) if "prior_cov" in lines else CovMatrix(np.eye(dim))
-    for name, matrix in (("cov", cov), ("prior_cov", prior_cov)):
-        if matrix.dim != dim:
-            raise ConfigError(f"{name} has dim {matrix.dim}, scenario declares {dim}")
+    preset = values.pop("cov_preset", None)
+    if "cov" not in values:
+        if preset is None:
+            raise ConfigError("scenario must declare 'cov' or 'cov_preset'")
+        if preset not in _COV_PRESETS:
+            raise ConfigError(f"unknown cov_preset {preset!r}")
+        values["cov"] = CovMatrix(np.eye(dim) * _COV_PRESETS[preset])
 
-    mean = _sized("prior_mean", lines.get("prior_mean", parse_vector, np.zeros(dim)), (dim,))
+    prior_cov = values.pop("prior_cov") if "prior_cov" in values else CovMatrix(np.eye(dim))
+    if prior_cov.dim != dim:
+        raise ConfigError(f"prior_cov has dim {prior_cov.dim}, scenario declares {dim}")
+    mean = values.pop("prior_mean", np.zeros(dim))
+    _sized("prior_mean", mean, (dim,))
     truncation = None
-    if "truncation_l" in lines or "truncation_r" in lines:
-        truncation = (lines.get("truncation_l", float, -math.inf),
-                      lines.get("truncation_r", float, math.inf))
-    prior = PriorSpec(mean=mean, cov=prior_cov, truncation=truncation)
-
-    f = lines.get("f", parse_matrix)
-    theta = lines.get("theta", parse_vector)
-    if f is not None:
-        if theta is None:
-            raise ConfigError("fund scenarios must declare 'theta'")
-        _sized("f", f, (dim, min(f.shape[1], dim)))     # at most dim funds
-        _sized("theta", theta, (f.shape[1],))
-    dt = lines.get("dt", float, DEFAULT_STEP)
-    o_start = lines.get("o_start", float, 0.0)
-    if not (0.0 < dt < math.inf and math.isfinite(o_start)):
-        raise ConfigError(f"dt must be positive and finite and o_start finite, got {dt}, {o_start}")
-    seed = lines.get("seed", int, 0)
-    if seed < 0:
-        raise ConfigError(f"seed must be non-negative, got {seed}")
-    drift_check_paths = lines.get("drift_check_paths", int, 100_000)
-    if drift_check_paths < 0 or drift_check_paths == 1:
-        raise ConfigError("drift_check_paths must be 0 (off) or at least 2, "
-                          f"got {drift_check_paths}")
-
-    return SimScenario(
-        dim=dim,
-        cov=cov,
-        prior=prior,
-        dt=dt,
-        steps=lines.get("steps", int, 252),
-        o_start=o_start,
-        seed=seed,
-        nu=_sized("nu", lines.get("nu", parse_vector), (dim,)),
-        f=f,
-        theta=theta,
-        drift_check_paths=drift_check_paths,
-    )
+    if "truncation_l" in values or "truncation_r" in values:
+        truncation = (values.pop("truncation_l", -math.inf), values.pop("truncation_r", math.inf))
+    return SimScenario(prior=PriorSpec(mean=mean, cov=prior_cov, truncation=truncation),
+                       **values)
 
 
 def run_scenario(scenario: SimScenario, seed: Optional[int] = None) -> MarketPath:

@@ -1,13 +1,16 @@
 """Text in and out: the ``key = value`` config files and the ``date,v_1,...,v_m``
-tables of the subcommands.  How input is decoded (``INPUT_TEXT``), how a float
-cell is written and where a cell ends are decided here and nowhere else.
+tables of the subcommands.  How input is decoded (``INPUT_TEXT``), how an output
+file is written (``replaced``: UTF-8, in place only once whole), how a float cell
+is written and where a cell ends are decided here and nowhere else.
 """
 
 from __future__ import annotations
 
+import contextlib
 import datetime
 import functools
 import operator
+import os
 import re
 import warnings
 from pathlib import Path
@@ -22,8 +25,10 @@ _TABLE_BLOCK_ROWS = 2000    # rows per block of lines in row_blocks: a few MB of
 # and ``1927-W27-1`` from Python 3.11 on, and report copies a date cell verbatim.
 _ISO_DATE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}").fullmatch
 # How every input file is read: a byte that is not UTF-8 becomes a lone surrogate,
-# which no cell, key or value takes, so it makes its row or line malformed.
+# which no cell, column name, key or value takes, so it makes its row or line
+# malformed.
 INPUT_TEXT = {"encoding": "utf-8", "errors": "surrogateescape"}
+_UNDECODED = re.compile("[\udc80-\udcff]").search
 
 
 def read_text(path: str) -> str:
@@ -31,42 +36,49 @@ def read_text(path: str) -> str:
     return Path(path).read_text(**INPUT_TEXT)
 
 
-class ConfigLines:
-    """The ``key = value`` lines of a scenario or backtest config file.
+@contextlib.contextmanager
+def replaced(path: Path) -> Iterator[IO[str]]:
+    """A UTF-8 text handle on a sibling temporary file, which replaces the output
+    file ``path`` only once the block has written all of it; on an error it is
+    removed."""
+    partial = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(partial, "w", encoding="utf-8", newline="") as handle:
+            yield handle
+        os.replace(partial, path)
+    finally:
+        partial.unlink(missing_ok=True)
 
-    ``#`` starts a comment; blank lines are skipped.  Unknown and repeated
-    keys raise ``ConfigError`` with the line number, and so does a value that
-    ``get`` cannot parse.
+
+def read_config(text: str, parsers: dict[str, Callable[[str], object]], kind: str) -> dict:
+    """The ``key = value`` lines of a scenario or backtest config file, each value
+    parsed by ``parsers[key]``.
+
+    ``#`` starts a comment; blank lines are skipped.  The first bad line in file
+    order raises ``ConfigError`` with its number: a line without ``=``, a key
+    that ``parsers`` lacks or that is already set, or a value whose parser
+    raises ``ValueError``.
     """
-
-    def __init__(self, text: str, keys, kind: str):
-        self._values: dict[str, tuple[int, str]] = {}
-        for lineno, line in enumerate(text.splitlines(), start=1):
-            body = line.split("#", 1)[0].strip()
-            if not body:
-                continue
-            if "=" not in body:
-                raise ConfigError(f"line {lineno}: expected 'key = value', got {body!r}")
-            key, value = (s.strip() for s in body.split("=", 1))
-            if key not in keys:
-                raise ConfigError(f"line {lineno}: unknown {kind} key {key!r}")
-            if key in self._values:
-                raise ConfigError(f"line {lineno}: {kind} key {key!r} already set on line "
-                                  f"{self._values[key][0]}")
-            self._values[key] = (lineno, value)
-
-    def __contains__(self, key: str) -> bool:
-        return key in self._values
-
-    def get(self, key: str, parse, default=None):
-        """``parse(value)`` of ``key``, or ``default`` when the key is absent."""
-        if key not in self._values:
-            return default
-        lineno, value = self._values[key]
+    values: dict[str, object] = {}
+    linenos: dict[str, int] = {}
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        body = line.split("#", 1)[0].strip()
+        if not body:
+            continue
+        if "=" not in body:
+            raise ConfigError(f"line {lineno}: expected 'key = value', got {body!r}")
+        key, value = (s.strip() for s in body.split("=", 1))
+        if key not in parsers:
+            raise ConfigError(f"line {lineno}: unknown {kind} key {key!r}")
+        if key in linenos:
+            raise ConfigError(f"line {lineno}: {kind} key {key!r} already set on line "
+                              f"{linenos[key]}")
         try:
-            return parse(value)
+            values[key] = parsers[key](value)
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: bad value for {key!r}: {exc}") from None
+        linenos[key] = lineno
+    return values
 
 
 def parse_vector(text: str) -> np.ndarray:
@@ -131,11 +143,12 @@ def read_table(path: str, dropped: Optional[list] = None,
     """Header, dates, ``(rows, columns)`` values, row texts (without the line end)
     and line numbers of a ``date,v_1,...,v_m`` file; blank lines are skipped.
 
-    The file is read as ``INPUT_TEXT``.  A zero-byte file raises ``EmptySeries``
-    and a repeated column name ``ParseError``; so does, with its line, a row
-    with the wrong cell count, a date that is not ``YYYY-MM-DD`` (blanks around
-    it aside) or a cell that is not a number, unless ``dropped`` is a list: the
-    error then goes there and the row is left out.  ``schema``, if given, gets
+    The file is read as ``INPUT_TEXT``.  A zero-byte file raises ``EmptySeries``,
+    and a repeated column name or one that is not UTF-8 ``ParseError``; so does,
+    with its line, a row with the wrong cell count, a date that is not
+    ``YYYY-MM-DD`` (blanks around it aside) or a cell that is not a number,
+    unless ``dropped`` is a list: the error then goes there and the row is left
+    out.  ``schema``, if given, gets
     the header before any row is read: it raises to reject the header, and
     returns the ``np.loadtxt`` converters, functions of the cell text by column
     index (negative from the end).
@@ -151,6 +164,9 @@ def read_table(path: str, dropped: Optional[list] = None,
         if len(set(header)) < len(header):
             repeated = sorted({name for name in header if header.count(name) > 1})
             raise ParseError(1, f"repeated column names {repeated}")
+        undecoded = [name for name in header if _UNDECODED(name)]
+        if undecoded:       # report would copy the name into its UTF-8 output
+            raise ParseError(1, f"header names {undecoded} are not UTF-8")
         converters = {i % len(header): f for i, f in (schema(header) if schema else {}).items()}
         load = functools.partial(np.loadtxt, delimiter=",", comments=None, ndmin=2,
                                  usecols=range(1, len(header)), converters=converters)

@@ -456,6 +456,11 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="line 2: config key 'burn_in_days' already set"):
             parse_backtest_config("burn_in_days = 20\nburn_in_days = 30\n")
 
+    def test_unknown_drop_policy_rejected(self):
+        # before any input is read, not first in ingest_csv
+        with pytest.raises(ConfigError, match="unknown drop_policy 'bogus'"):
+            parse_backtest_config("drop_policy = bogus\n")
+
     @pytest.mark.parametrize("line", ["burn_in_days = abc", "force_a = high",
                                       "kappa0 = 1, 2; 3", "demean_covariance = maybe"])
     def test_bad_value_names_its_line(self, line):

@@ -93,6 +93,7 @@ class TestSimulate:
          "prior_cov has dim 2"),
         (TWO_FUND_SCENARIO.replace("f = 1,0; 0,1; 0.5,0.5", "f = 1,0; 0,1"),
          "f must be 3 x 2 finite value(s)"),
+        (TWO_FUND_SCENARIO.replace("f = 1,0; 0,1; 0.5,0.5", "f = ;"), "f must be 3 x"),
         (TWO_FUND_SCENARIO.replace("theta = 0.5, -0.2", "theta = 0.5"),
          "theta must be 2 finite value(s)"),
         (TWO_FUND_SCENARIO.replace("dim = 3", "dim = 0"), "dim must be positive"),
@@ -102,7 +103,7 @@ class TestSimulate:
         (TWO_FUND_SCENARIO.replace("= 40000", "= 1"), "drift_check_paths must be 0 (off) or"),
         (TWO_FUND_SCENARIO.replace("= 40000", "= -5"), "drift_check_paths must be 0 (off) or"),
     ], ids=["dt_negative", "dt_nan", "o_start_inf", "nu_size", "nu_nan", "prior_mean_size",
-            "prior_mean_nan", "prior_cov_dim", "f_rows", "theta_size", "dim_zero",
+            "prior_mean_nan", "prior_cov_dim", "f_rows", "f_no_rows", "theta_size", "dim_zero",
             "truncation_no_mass", "seed_negative", "drift_paths_one", "drift_paths_negative"])
     def test_bad_scenario_value_is_config_error(self, tmp_path, capsys, text, message):
         config = tmp_path / "scenario.cfg"
@@ -206,6 +207,25 @@ class TestBacktestReport:
         assert sorted(want) == sorted(PANEL_FILES)
         for name, digest in want.items():
             assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+
+    def test_report_writes_utf8_in_a_c_locale(self, backtest_csv, tmp_path):
+        # report copies a date cell verbatim, a no-break space before it included
+        lines = backtest_csv.read_text().splitlines(keepends=True)
+        table = tmp_path / "nbsp.csv"
+        table.write_text("".join([lines[0], "\u00a0" + lines[1]] + lines[2:]), encoding="utf-8")
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]), LC_ALL="C",
+                   PYTHONCOERCECLOCALE="0")
+        panels = []
+        for utf8_mode in ("0", "1"):
+            out = tmp_path / f"utf8_mode_{utf8_mode}"
+            done = subprocess.run([sys.executable, "-m", "fundgrowth.cli", "report",
+                                   "--input", str(table), "--out", str(out)],
+                                  env=dict(env, PYTHONUTF8=utf8_mode), capture_output=True,
+                                  text=True)
+            assert done.returncode == 0, done.stderr
+            panels.append((out / "panels.csv").read_bytes())
+        assert panels[0] == panels[1]
+        assert panels[0].splitlines()[1].startswith("\u00a0".encode("utf-8"))
 
     def test_report_missing_columns(self, tmp_path):
         bad = tmp_path / "bad.csv"
@@ -369,8 +389,10 @@ REPORT_HEADER = b"date,nu_hat_1,a,F,logW_market,logW_nuhat,logW_shrunk,c_11\n"
     (["backtest", "--input", "returns.csv", "--config", "bad"], b"burn_in_days = 1\xff\n"),
     (["backtest", "--input", "returns.csv", "--config", "bad"], b"drop_policy\xff = skip\n"),
     (["report", "--input", "bad"], REPORT_HEADER + b"2001-01-01,0.5,0.4,0.0,0.0,0.0,0.0,1\xff\n"),
+    (["report", "--input", "bad"], REPORT_HEADER.replace(b"\n", b",c_\xff\n")
+     + b"2001-01-01,0.5,0.4,0.0,0.0,0.0,0.0,1,2\n"),
 ], ids=["simulate-config", "backtest-header", "backtest-config-value", "backtest-config-key",
-        "report-row"])
+        "report-row", "report-header"])
 def test_non_utf8_input_is_usage_error(tmp_path, monkeypatch, capsys, command, text):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "returns.csv").write_text("date,ret_1,rf\n2001-01-01,0.01,0.0\n")

@@ -1,5 +1,6 @@
 """Module boundaries inside the package, read from the source: no module takes a
-private name from a sibling, and only ``tableio`` knows how input text is decoded."""
+private name from a sibling, and only ``tableio`` knows how input text is decoded
+and opens a file."""
 
 import ast
 from pathlib import Path
@@ -36,6 +37,13 @@ def input_text_uses(tree: ast.AST) -> list[int]:
                    or isinstance(node, ast.alias) and node.name == "INPUT_TEXT"})
 
 
+def open_calls(tree: ast.AST) -> list[int]:
+    """Lines that call ``open``, as a name (``open``, ``io.open``) or a method (``Path.open``)."""
+    return sorted({node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call)
+                   and (isinstance(node.func, ast.Name) and node.func.id == "open"
+                        or isinstance(node.func, ast.Attribute) and node.func.attr == "open")})
+
+
 @pytest.mark.parametrize("path", MODULES, ids=[path.name for path in MODULES])
 def test_no_private_name_from_a_sibling(path):
     assert private_imports(ast.parse(path.read_text(encoding="utf-8"))) == []
@@ -47,6 +55,12 @@ def test_only_tableio_names_the_input_encoding(path):
     assert input_text_uses(ast.parse(path.read_text(encoding="utf-8"))) == []
 
 
+@pytest.mark.parametrize("path", [p for p in MODULES if p.stem != "tableio"],
+                         ids=[p.name for p in MODULES if p.stem != "tableio"])
+def test_only_tableio_opens_a_file(path):
+    assert open_calls(ast.parse(path.read_text(encoding="utf-8"))) == []
+
+
 def test_the_guards_see_what_they_look_for():
     tree = ast.parse("from .marketsim import _parse_matrix, read_table\n"
                      "from fundgrowth.psd import _x\n"
@@ -55,3 +69,5 @@ def test_the_guards_see_what_they_look_for():
     assert private_imports(tree) == ["marketsim._parse_matrix", "fundgrowth.psd._x"]
     assert input_text_uses(tree) == [4]
     assert input_text_uses(ast.parse("from .tableio import INPUT_TEXT\n")) == [1]
+    assert open_calls(tree) == [4]
+    assert open_calls(ast.parse("with Path(p).open('w') as f:\n    f.write(open)\n")) == [1]

@@ -9,6 +9,7 @@ from scipy import special
 from fundgrowth.errors import BadTruncation, ConfigError, EmptyGrid, RankDeficient
 from fundgrowth.marketsim import (
     PriorSpec,
+    SimScenario,
     _truncated_inverse_cdf,
     build_fund_model,
     draw_prior,
@@ -249,6 +250,19 @@ class TestScenario:
     def test_bad_value_names_its_line(self, text):
         with pytest.raises(ConfigError, match="line 3: bad value"):
             parse_scenario(text)
+
+    def test_first_bad_line_in_file_order_is_reported(self):
+        with pytest.raises(ConfigError, match="^line 1: bad value for 'steps'"):
+            parse_scenario("steps = x\nbogus = 1\n")
+
+    @pytest.mark.parametrize("values, message", [
+        ({"dt": -1.0}, "dt must be positive and finite"),
+        ({"drift_check_paths": 1}, r"drift_check_paths must be 0 \(off\) or at least 2"),
+    ], ids=["dt_negative", "drift_paths_one"])
+    def test_scenario_built_in_code_is_checked(self, values, message):
+        cov = CovMatrix([[1.0]])
+        with pytest.raises(ConfigError, match=message):
+            SimScenario(dim=1, cov=cov, prior=PriorSpec(mean=[0.0], cov=cov), **values)
 
     def test_fund_scenario_needs_theta(self):
         with pytest.raises(ConfigError, match="theta"):
