@@ -37,7 +37,8 @@ from . import filtering, shrinkage
 from .errors import (ConfigError, EmptySeries, InsufficientBurnIn, MissingColumns,
                      NonMonotoneDates, ParseError, SingularC)
 from .psd import PD_RTOL, CovMatrix, inverse_entries, is_definite
-from .tableio import parse_matrix, parse_vector, read_config, read_table, table_lines, write_rows
+from .tableio import (column_lines, parse_matrix, parse_vector, read_config, table_blocks,
+                      table_lines, write_rows)
 
 DEFAULT_BURN_IN = 7500   # trading days, about 30 years
 
@@ -115,7 +116,7 @@ def _ingest_schema(header: list[str]) -> dict:
 def ingest_csv(path: str, drop_policy: str = "skip") -> IngestResult:
     """Parse a ``date,ret_1..ret_K,rf`` CSV into a cleaned return series.
 
-    Rows are read by ``tableio.read_table`` once the header has been checked.
+    Rows are read by ``tableio.table_blocks`` once the header has been checked.
     Malformed rows, including rows with a ``nan`` or ``inf`` cell, are dropped
     with a warning under ``drop_policy='skip'``; under ``'error'`` the first of
     them raises ``ParseError``.  Blank risk-free cells are forward-filled (zero
@@ -125,7 +126,10 @@ def ingest_csv(path: str, drop_policy: str = "skip") -> IngestResult:
     if drop_policy not in ("skip", "error"):
         raise ConfigError(f"unknown drop_policy {drop_policy!r}")
     dropped: list[ParseError] = []
-    _, dates, values, _, linenos = read_table(path, dropped, _ingest_schema)
+    blocks = table_blocks(path, dropped, _ingest_schema)
+    next(blocks)        # the header, which _ingest_schema has checked
+    dates, values, linenos = zip(*((day, value, lineno) for day, value, _, lineno in blocks))
+    values, linenos = np.concatenate(values), np.concatenate(linenos)
     blank_rf = values[:, -1].view(np.int64) == _BLANK_RF.view(np.int64)
     values[blank_rf, -1] = 0.0
     bad = ~np.isfinite(values).all(axis=1)
@@ -141,7 +145,7 @@ def ingest_csv(path: str, drop_policy: str = "skip") -> IngestResult:
         warnings.warn(f"{path}: dropped {n_dropped} malformed row(s)", stacklevel=2)
 
     # sorted by date, then each blank rf takes the last rate given before it (or 0)
-    days = np.array(dates, dtype=object)
+    days = np.array([*itertools.chain(*dates)], dtype=object)
     rows = rows[np.argsort(days[rows], kind="stable")]
     last_rf = np.maximum.accumulate(np.where(blank_rf[rows], 0, np.arange(1, rows.size + 1)))
     series = ReturnSeries(dates=tuple(days[rows]), fund_returns=values[rows, :-1],
@@ -527,17 +531,30 @@ def write_backtest_csv(blocks: Iterable[BacktestSeries],
     return write_rows(out, output_columns(last.k), lines()), last
 
 
-def read_backtest_csv(path: str) -> dict:
-    """Read a backtest output CSV into named columns.
-
-    Returns a dict with one numpy array per column, ``k``, ``dates``, ``header``
-    and the row texts ``lines``; raises ``MissingColumns`` when the required core
-    columns are absent and ``ParseError`` (with the line) on a row that does not parse.
-    """
-    header, dates, values, lines, _ = read_table(path)
+def read_backtest_csv(path: str, panels: Optional[IO[str]] = None) -> dict:
+    """Read a backtest output CSV: a dict with one numpy array per column, ``k``,
+    ``dates`` and ``header``.  ``MissingColumns`` is raised before any row is read
+    when core columns are absent, ``ParseError`` (with the line) on a row that
+    does not parse.  ``panels``, if given, gets ``report``'s ``panels.csv`` block
+    by block as the rows are read: cells as written and ``shrunk_j = a *
+    nu_hat_j`` as ``repr``, so no row text outlives its block."""
+    blocks = table_blocks(path)
+    header = next(blocks)
     k = sum(1 for name in header if name.startswith("nu_hat_"))
     missing = set(output_columns(k)) - set(header) if k else {"nu_hat_*"}
     if missing:
         raise MissingColumns(f"{path} lacks required columns: {sorted(missing)}")
-    return {**dict(zip(header[1:], values.T)), "k": k, "dates": tuple(dates),
-            "header": header, "lines": lines}
+    nu_hat, shrunk = ([f"{name}_{j}" for j in range(1, k + 1)] for name in ("nu_hat", "shrunk"))
+    names = ["date", *nu_hat, *shrunk, "a", "logW_market", "logW_nuhat", "logW_shrunk", "F"]
+    names += sorted(name for name in header if name.startswith("c_"))
+    a, nu = header.index("a") - 1, [header.index(name) - 1 for name in nu_hat]
+    if panels is not None:
+        panels.write(",".join(names) + "\n")
+    dates, values = [], []
+    for day, value, lines, _ in blocks:
+        if panels is not None:
+            panels.write(column_lines(names, header, shrunk, lines, value[:, [a]] * value[:, nu]))
+        dates += day
+        values.append(value)
+    return {**dict(zip(header[1:], np.concatenate(values).T)), "k": k, "dates": tuple(dates),
+            "header": header}

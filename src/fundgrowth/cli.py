@@ -83,9 +83,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if scenario.f is not None:
         fund = marketsim.build_fund_model(scenario.cov, scenario.f)
 
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    out_csv = out_dir / "simulated.csv"
+    out_csv = Path(args.out) / "simulated.csv"
     with tableio.replaced(out_csv) as handle:
         rows = marketsim.write_path_csv(path, handle, fund=fund)
 
@@ -143,9 +141,7 @@ def cmd_backtest(args: argparse.Namespace) -> int:
     series = ingest.series
     bt.check_output_columns(series.k)   # before the engine runs
 
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    out_csv = out_dir / "backtest.csv"
+    out_csv = Path(args.out) / "backtest.csv"
     with tableio.replaced(out_csv) as handle:
         rows, last = bt.write_backtest_csv(bt.backtest_blocks(series, config), handle)
     print(f"read {ingest.rows_read} rows ({ingest.rows_dropped} dropped), "
@@ -156,25 +152,15 @@ def cmd_backtest(args: argparse.Namespace) -> int:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    table = bt.read_backtest_csv(args.input)
-    if len(table["dates"]) == 0:
-        raise EmptyRange(f"{args.input} has no data rows")
-    k = table["k"]
-    shrunk = [f"shrunk_{j}" for j in range(1, k + 1)]
-    table.update({name: table["a"] * table[f"nu_hat_{j}"] for j, name in enumerate(shrunk, 1)})
-    c_names = sorted(name for name in table if name.startswith("c_"))
-
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
-    # panels.csv copies the input's cell text and formats only the shrunk columns;
-    # it goes first, so that the row texts are freed before the SVGs are drawn
-    combined = out_dir / "panels.csv"
-    names = ["date"] + [f"nu_hat_{j}" for j in range(1, k + 1)] + shrunk
-    names += ["a", "logW_market", "logW_nuhat", "logW_shrunk", "F"] + c_names
+    # panels.csv is written from each block's row texts as the input is read
+    combined = Path(args.out) / "panels.csv"
     with tableio.replaced(combined) as handle:
-        tableio.write_columns(handle, names, table["header"], table.pop("lines"),
-                              {name: table[name] for name in shrunk})
+        table = bt.read_backtest_csv(args.input, handle)
+        if len(table["dates"]) == 0:
+            raise EmptyRange(f"{args.input} has no data rows")
+    k = table["k"]
+    table.update({f"shrunk_{j}": table["a"] * table[f"nu_hat_{j}"] for j in range(1, k + 1)})
+    c_names = sorted(name for name in table if name.startswith("c_"))
 
     panels = {
         "portfolio.svg": ("Filtered growth-optimal portfolio and its shrunk version",
@@ -190,7 +176,7 @@ def cmd_report(args: argparse.Namespace) -> int:
                                     [(name, table[name]) for name in c_names]),
     }
     for filename, (title, series) in panels.items():
-        with tableio.replaced(out_dir / filename) as handle:
+        with tableio.replaced(combined.with_name(filename)) as handle:
             svgchart.line_chart(handle, title, table["dates"], series)
     print(f"wrote {len(panels)} panels + {combined}")
     return 0

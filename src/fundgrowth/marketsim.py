@@ -287,8 +287,8 @@ def residual_drift_check(
 class SimScenario:
     """A simulation scenario; ``parse_scenario`` reads one from its file format.
 
-    ``nu``, and ``f`` with its ``theta``, must fit ``dim`` and be finite; a fund
-    scenario has at most ``dim`` funds.  ``drift_check_paths`` is 0 (no residual
+    ``nu``, the prior, and ``f`` with its ``theta`` must fit ``dim`` and be finite;
+    a fund scenario has at most ``dim`` funds.  ``drift_check_paths`` is 0 (no residual
     drift check) or at least 2.  A value out of range raises ``ConfigError``.
     """
 
@@ -307,6 +307,7 @@ class SimScenario:
     def __post_init__(self):
         if self.cov.dim != self.dim:
             raise ConfigError(f"cov has dim {self.cov.dim}, scenario declares {self.dim}")
+        _check_prior(self.dim, self.prior.mean, self.prior.cov)
         _sized("nu", self.nu, (self.dim,))
         if self.f is not None:
             if self.theta is None:
@@ -325,6 +326,13 @@ class SimScenario:
 
 def _parse_cov(text: str) -> CovMatrix:
     return CovMatrix(parse_matrix(text))
+
+
+def _check_prior(dim: int, mean: np.ndarray, cov: CovMatrix) -> None:
+    """``ConfigError`` unless a prior of ``mean`` and ``cov`` fits ``dim``."""
+    if cov.dim != dim:
+        raise ConfigError(f"prior_cov has dim {cov.dim}, scenario declares {dim}")
+    _sized("prior_mean", mean, (dim,))
 
 
 def _sized(name: str, value: Optional[np.ndarray], shape: tuple) -> None:
@@ -369,10 +377,8 @@ def parse_scenario(text: str) -> SimScenario:
         values["cov"] = CovMatrix(np.eye(dim) * _COV_PRESETS[preset])
 
     prior_cov = values.pop("prior_cov") if "prior_cov" in values else CovMatrix(np.eye(dim))
-    if prior_cov.dim != dim:
-        raise ConfigError(f"prior_cov has dim {prior_cov.dim}, scenario declares {dim}")
     mean = values.pop("prior_mean", np.zeros(dim))
-    _sized("prior_mean", mean, (dim,))
+    _check_prior(dim, mean, prior_cov)      # before PriorSpec: it raises ValueError on a misfit
     truncation = None
     if "truncation_l" in values or "truncation_r" in values:
         truncation = (values.pop("truncation_l", -math.inf), values.pop("truncation_r", math.inf))

@@ -9,6 +9,7 @@ from __future__ import annotations
 import contextlib
 import datetime
 import functools
+import itertools
 import operator
 import os
 import re
@@ -20,7 +21,7 @@ import numpy as np
 
 from .errors import ConfigError, EmptySeries, ParseError
 
-_TABLE_BLOCK_ROWS = 2000    # rows per block of lines in row_blocks: a few MB of text at K = 10
+_TABLE_BLOCK_ROWS = 2000    # rows per block of lines read or written: a few MB of text at K = 10
 # The one date grammar of a table: ``fromisoformat`` alone also takes ``19270702``
 # and ``1927-W27-1`` from Python 3.11 on, and report copies a date cell verbatim.
 _ISO_DATE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}").fullmatch
@@ -38,16 +39,21 @@ def read_text(path: str) -> str:
 
 @contextlib.contextmanager
 def replaced(path: Path) -> Iterator[IO[str]]:
-    """A UTF-8 text handle on a sibling temporary file, which replaces the output
-    file ``path`` only once the block has written all of it; on an error it is
-    removed."""
+    """A UTF-8 text handle on a sibling temporary file, its directory made if
+    missing, which replaces the output file ``path`` only once the block has
+    written all of it; on an error it is removed, and so are the directories made."""
+    made = [parent for parent in path.parents if not parent.exists()]   # the deepest first
+    path.parent.mkdir(parents=True, exist_ok=True)
     partial = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with open(partial, "w", encoding="utf-8", newline="") as handle:
             yield handle
         os.replace(partial, path)
+        made = []
     finally:
         partial.unlink(missing_ok=True)
+        for parent in made:
+            parent.rmdir()
 
 
 def read_config(text: str, parsers: dict[str, Callable[[str], object]], kind: str) -> dict:
@@ -98,31 +104,24 @@ def write_table(out: IO[str], header: Sequence[str], dates: Sequence, values: np
 
 
 def table_lines(dates: Sequence, values: np.ndarray) -> Iterator[list[str]]:
-    """The ``date,v_1,...,v_m`` lines of the rows of ``values``, a block of rows at a
-    time; cells are ``repr`` of the float, which reads back to the same bits."""
+    """The ``date,v_1,...,v_m`` lines of the rows of ``values``, ``_TABLE_BLOCK_ROWS``
+    rows at a time; cells are ``repr`` of the float, which reads back to the same bits."""
     values = np.asarray(values, dtype=float)
     line = "%s" + ",%r" * values.shape[1] + "\n"
-    return row_blocks(values.shape[0], lambda rows: [
-        line % (day, *row) for day, row in zip(dates[rows], values[rows].tolist())])
+    for start in range(0, len(values), _TABLE_BLOCK_ROWS):
+        rows = slice(start, start + _TABLE_BLOCK_ROWS)
+        yield [line % (day, *row) for day, row in zip(dates[rows], values[rows].tolist())]
 
 
-def write_columns(out: IO[str], names: Sequence[str], header: list[str], lines: list[str],
-                  added: dict[str, np.ndarray]) -> int:
-    """Write the columns ``names``: those of ``header`` as the text of the ``read_table``
-    rows ``lines``, those of ``added`` from their floats; returns the row count."""
-    position = {name: i for i, name in enumerate(header + list(added))}
+def column_lines(names: Sequence[str], header: list[str], added: list[str], lines: list[str],
+                 extra: np.ndarray) -> str:
+    """The text of the columns ``names`` of the rows ``lines``, whose columns are
+    ``header``, copied as written, and of the columns ``added``, whose floats are
+    the rows of ``extra``, as ``repr``."""
+    position = {name: i for i, name in enumerate(header + added)}
     pick = operator.itemgetter(*[position[name] for name in names])
     line = ",".join("%r" if name in added else "%s" for name in names) + "\n"
-    extra = np.column_stack(list(added.values()))
-    return write_rows(out, names, row_blocks(len(lines), lambda rows: [
-        line % pick(text.split(",") + more)
-        for text, more in zip(lines[rows], extra[rows].tolist())]))
-
-
-def row_blocks(n: int, block: Callable[[slice], list[str]]) -> Iterator[list[str]]:
-    """The lines ``block(rows)`` gives per slice of ``_TABLE_BLOCK_ROWS`` of the ``n`` rows."""
-    return (block(slice(start, start + _TABLE_BLOCK_ROWS))
-            for start in range(0, n, _TABLE_BLOCK_ROWS))
+    return "".join([line % pick(row.split(",") + more) for row, more in zip(lines, extra.tolist())])
 
 
 def write_rows(out: IO[str], header: Sequence[str], blocks: Iterable[list[str]]) -> int:
@@ -140,22 +139,28 @@ def write_rows(out: IO[str], header: Sequence[str], blocks: Iterable[list[str]])
 def read_table(path: str, dropped: Optional[list] = None,
                schema: Optional[Callable[[list[str]], dict]] = None
                ) -> tuple[list[str], list[datetime.date], np.ndarray, list[str], np.ndarray]:
-    """Header, dates, ``(rows, columns)`` values, row texts (without the line end)
-    and line numbers of a ``date,v_1,...,v_m`` file; blank lines are skipped.
+    """The whole table: the header and the joined dates, values, texts and line numbers."""
+    header, *blocks = table_blocks(path, dropped, schema)
+    dates, values, lines, linenos = zip(*blocks)
+    return (header, [*itertools.chain(*dates)], np.concatenate(values),
+            [*itertools.chain(*lines)], np.concatenate(linenos))
 
+
+def table_blocks(path: str, dropped: Optional[list] = None,
+                 schema: Optional[Callable[[list[str]], dict]] = None) -> Iterator:
+    """The header of a ``date,v_1,...,v_m`` file, then ``(dates, (rows, columns)
+    values, row texts without the line end, line numbers)`` blocks of at most
+    ``_TABLE_BLOCK_ROWS`` kept rows, each read when asked for and parsed by one
+    ``np.loadtxt`` call.  Blank lines are skipped; the last block may be empty.
     The file is read as ``INPUT_TEXT``.  A zero-byte file raises ``EmptySeries``,
     and a repeated column name or one that is not UTF-8 ``ParseError``; so does,
     with its line, a row with the wrong cell count, a date that is not
     ``YYYY-MM-DD`` (blanks around it aside) or a cell that is not a number,
     unless ``dropped`` is a list: the error then goes there and the row is left
-    out.  ``schema``, if given, gets
-    the header before any row is read: it raises to reject the header, and
-    returns the ``np.loadtxt`` converters, functions of the cell text by column
-    index (negative from the end).
+    out.  ``schema``, if given, gets the header before any row is read: it
+    raises to reject the header, and returns the ``np.loadtxt`` converters,
+    functions of the cell text by column index (negative from the end).
     """
-    dates: list[datetime.date] = []
-    lines: list[str] = []
-    linenos: list[int] = []     # the last is the row numpy is reading: one per next()
     with open(path, **INPUT_TEXT) as handle:
         first = handle.readline()
         if not first:
@@ -170,6 +175,7 @@ def read_table(path: str, dropped: Optional[list] = None,
         converters = {i % len(header): f for i, f in (schema(header) if schema else {}).items()}
         load = functools.partial(np.loadtxt, delimiter=",", comments=None, ndmin=2,
                                  usecols=range(1, len(header)), converters=converters)
+        yield header
         numbered = enumerate(handle, start=2)
 
         def bad(lineno: int, exc: ValueError) -> None:
@@ -195,20 +201,25 @@ def read_table(path: str, dropped: Optional[list] = None,
                 linenos.append(lineno)
                 lines.append(text)
                 yield text
+                if len(lines) == _TABLE_BLOCK_ROWS:
+                    return
 
-        # numpy cannot resume after a number it cannot parse: the rows before it
-        # are parsed once more
-        blocks, start = [], 0
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")     # loadtxt warns when there are no rows
-            while True:
-                try:
-                    blocks.append(load(rows()))
-                    break
-                except ValueError as exc:
-                    bad(linenos.pop(), exc)
-                    del lines[len(linenos):], dates[len(linenos):]   # the bad row's
-                    blocks.append(load(lines[start:]))
-                    start = len(lines)
-    values = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
-    return header, dates, values, lines, np.array(linenos, dtype=np.int64)
+        while True:
+            dates, lines, linenos = [], [], []  # linenos[-1]: the row numpy is reading
+            # numpy cannot resume after a bad number: the block's rows before it are parsed again
+            parts, start = [], 0
+            # loadtxt warns on no rows; the filter is process-wide: not across the yield
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                while True:
+                    try:
+                        parts.append(load(rows()))
+                        break
+                    except ValueError as exc:
+                        bad(linenos.pop(), exc)
+                        del lines[len(linenos):], dates[len(linenos):]   # the bad row's
+                        parts.append(load(lines[start:]))
+                        start = len(lines)
+            yield dates, np.concatenate(parts), lines, np.array(linenos, dtype=np.int64)
+            if len(lines) < _TABLE_BLOCK_ROWS:     # rows() ran to the end of the file
+                return

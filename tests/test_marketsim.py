@@ -264,6 +264,15 @@ class TestScenario:
         with pytest.raises(ConfigError, match=message):
             SimScenario(dim=1, cov=cov, prior=PriorSpec(mean=[0.0], cov=cov), **values)
 
+    @pytest.mark.parametrize("mean, cov, message", [
+        ([0.0], [[1.0]], "prior_cov has dim 1, scenario declares 2"),
+        ([0.0, np.nan], np.eye(2), "prior_mean must be 2 finite"),
+    ], ids=["one_dim_prior", "nan_mean"])
+    def test_prior_built_in_code_is_checked(self, mean, cov, message):
+        with pytest.raises(ConfigError, match=message):
+            SimScenario(dim=2, cov=CovMatrix(np.eye(2)),
+                        prior=PriorSpec(mean=mean, cov=CovMatrix(cov)))
+
     def test_fund_scenario_needs_theta(self):
         with pytest.raises(ConfigError, match="theta"):
             parse_scenario("dim = 2\ncov_preset = identity\nf = 1,0; 0,1\n")

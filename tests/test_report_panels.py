@@ -10,8 +10,9 @@ import datetime
 import io
 
 import numpy as np
+import pytest
 
-from fundgrowth import cli
+from fundgrowth import cli, tableio
 from fundgrowth.tableio import write_table
 
 K10_SCENARIO = (
@@ -101,3 +102,23 @@ def test_copied_cells_keep_their_text(tmp_path):
     assert cells["c_11"] == "1.50" and cells["logW_nuhat"] == " 0.03"
     assert got.replace("1.50", "1.5").replace(" 0.03", "0.03") == reference_panels(
         K2_HEADER + "\n".join(K2_ROWS) + "\n")
+
+
+def test_k10_panels_equal_reference_in_blocks_of_7(tmp_path, monkeypatch):
+    # every stage reads and writes 7 rows at a time: 60 rows end in a part block
+    monkeypatch.setattr(tableio, "_TABLE_BLOCK_ROWS", 7)
+    test_k10_panels_equal_reference(tmp_path)
+
+
+@pytest.mark.parametrize("out", ["out", "new/out"])
+def test_bad_row_past_the_first_block_leaves_no_output(tmp_path, monkeypatch, capsys, out):
+    monkeypatch.setattr(tableio, "_TABLE_BLOCK_ROWS", 2)
+    rows = K2_ROWS + [K2_ROWS[2].replace("2001-01-03,1.0", "2001-01-04,x")]
+    src = tmp_path / "backtest.csv"
+    src.write_text(K2_HEADER + "\n".join(rows) + "\n")
+    assert cli.main(["report", "--input", str(src), "--out", str(tmp_path / out)]) == 2
+    assert capsys.readouterr().err.startswith("error: line 5: ")
+    assert sorted(tmp_path.iterdir()) == [src]
+    (tmp_path / out).mkdir(parents=True)     # an existing directory keeps no partial file
+    assert cli.main(["report", "--input", str(src), "--out", str(tmp_path / out)]) == 2
+    assert list((tmp_path / out).iterdir()) == []

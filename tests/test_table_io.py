@@ -1,6 +1,8 @@
 """The CSV table writer and reader in ``tableio``: round trip, date grammar, header."""
 
 import datetime
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -8,8 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from fundgrowth.backtest import ingest_csv, output_columns
-from fundgrowth.errors import ParseError
+from fundgrowth import tableio
+from fundgrowth.backtest import ingest_csv, output_columns, read_backtest_csv
+from fundgrowth.errors import MissingColumns, ParseError
 from fundgrowth.marketsim import MarketPath, write_path_csv
 from fundgrowth.psd import CovMatrix
 from fundgrowth.tableio import read_table, write_table
@@ -198,3 +201,101 @@ def test_bad_cell_counts_and_dates_are_dropped_in_one_numpy_pass(tmp_path, monke
     assert [error.line for error in dropped] == [3, 4, 5, 6]
     assert values.tolist() == [[0.5], [4.5]] and linenos.tolist() == [2, 7]
     assert [day.day for day in dates] == [1, 6]
+
+
+# One row of each kind the reader skips, drops or reads as usual, placed in turn
+# at every position of a table, so that it falls on the first and the last row
+# of a block of every size below.
+KINDS = {"bad-number": "2001-02-01,x,1.0", "bad-count": "2001-02-02,1.0", "blank": "  ",
+         "crlf": "2001-02-03,7.5,8.5\r"}
+GOOD = [f"2001-01-{day:02d},{day}.5,{-day}.25" for day in range(1, 11)]
+
+
+def _tables(tmp_path, header, good, kinds):
+    for kind, row in kinds.items():
+        for at in range(len(good) + 1):
+            path = tmp_path / f"{kind}-{at}.csv"
+            path.write_bytes("\n".join([header, *good[:at], row, *good[at:]]).encode() + b"\n")
+            yield path
+
+
+def _message(error: ParseError) -> str:
+    # numpy's "at row N" counts the rows of its own call, which starts a block
+    return re.sub(r" at row \d+,", " at row -,", str(error))
+
+
+def _read(path, dropped):
+    try:
+        return read_table(str(path), dropped)
+    except ParseError as error:
+        return _message(error)
+
+
+@pytest.mark.parametrize("block_rows", [1, 3, tableio._TABLE_BLOCK_ROWS])
+def test_blocks_read_the_table_of_one_block(tmp_path, monkeypatch, block_rows):
+    for path in _tables(tmp_path, "date,v,w", GOOD, KINDS):
+        for policy in ("skip", "error"):
+            want_dropped, got_dropped = ([] if policy == "skip" else None for _ in range(2))
+            want = _read(path, want_dropped)
+            with monkeypatch.context() as patch:
+                patch.setattr(tableio, "_TABLE_BLOCK_ROWS", block_rows)
+                got = _read(path, got_dropped)
+            if isinstance(want, str):
+                assert got == want, path.name
+                continue
+            assert got[:2] == want[:2] and got[3] == want[3], path.name
+            assert got[2].tobytes() == want[2].tobytes() and got[2].shape == want[2].shape
+            assert got[4].tolist() == want[4].tolist(), path.name
+            assert [_message(e) for e in got_dropped or []] == [
+                _message(e) for e in want_dropped or []], path.name
+
+
+RETURN_KINDS = {"bad-number": "2001-02-01,x,0.001", "bad-count": "2001-02-02,0.01",
+                "blank": "", "crlf": "2001-02-03,0.02,0.001\r", "nan": "2001-02-04,nan,0.0",
+                "blank-rf": "2001-02-05,0.03,"}
+RETURNS = [f"2001-01-{day:02d},{day / 100!r},{day / 1000!r}" for day in range(1, 11)]
+
+
+@pytest.mark.parametrize("block_rows", [1, 3, tableio._TABLE_BLOCK_ROWS])
+def test_blocks_ingest_the_series_of_one_block(tmp_path, monkeypatch, block_rows):
+    for path in _tables(tmp_path, "date,ret_1,rf", RETURNS, RETURN_KINDS):
+        for policy in ("skip", "error"):
+            results = []
+            for rows in (tableio._TABLE_BLOCK_ROWS, block_rows):
+                monkeypatch.setattr(tableio, "_TABLE_BLOCK_ROWS", rows)
+                try:
+                    with warnings.catch_warnings():
+                        warnings.simplefilter("ignore")
+                        result = ingest_csv(str(path), drop_policy=policy)
+                    series = result.series
+                    results.append((series.dates, series.fund_returns.tobytes(),
+                                    series.risk_free.tobytes(), result.rows_read,
+                                    result.rows_dropped))
+                except ParseError as error:
+                    results.append(_message(error))
+            monkeypatch.undo()
+            assert results[0] == results[1], (path.name, policy)
+
+
+def test_a_block_comes_before_a_bad_row_two_blocks_on(tmp_path, monkeypatch):
+    monkeypatch.setattr(tableio, "_TABLE_BLOCK_ROWS", 3)
+    path = tmp_path / "table.csv"
+    path.write_text("date,v,w\n" + "\n".join(GOOD[:7] + ["2001-02-01,x,1.0"] + GOOD[7:]) + "\n")
+    blocks = tableio.table_blocks(str(path))
+    assert next(blocks) == ["date", "v", "w"]
+    dates, values, lines, linenos = next(blocks)
+    assert [day.day for day in dates] == [1, 2, 3] and values.shape == (3, 2)
+    assert lines == GOOD[:3] and linenos.tolist() == [2, 3, 4]
+    assert next(blocks)[3].tolist() == [5, 6, 7]
+    with pytest.raises(ParseError, match="^line 9: "):
+        next(blocks)
+
+
+def test_missing_column_is_reported_before_any_row_is_parsed(tmp_path, monkeypatch):
+    header = ",".join(name for name in output_columns(2) if name != "c_22")
+    table = tmp_path / "backtest.csv"
+    table.write_text(header + "\n2001-01-01,x\n")
+    calls = _counting_loadtxt(monkeypatch)
+    with pytest.raises(MissingColumns, match=r"lacks required columns: \['c_22'\]"):
+        read_backtest_csv(str(table))
+    assert calls == []
