@@ -38,7 +38,7 @@ from .errors import (ConfigError, EmptySeries, InsufficientBurnIn, MissingColumn
                      NonMonotoneDates, ParseError, SingularC)
 from .psd import PD_RTOL, CovMatrix, inverse_entries, is_definite
 from .tableio import (column_lines, parse_matrix, parse_vector, read_config, table_blocks,
-                      table_lines, write_rows)
+                      write_table)
 
 DEFAULT_BURN_IN = 7500   # trading days, about 30 years
 
@@ -103,16 +103,6 @@ def _rf_cell(text: str) -> float:
     return float(text) if text.strip() else _BLANK_RF
 
 
-def _ingest_schema(header: list[str]) -> dict:
-    """The converters of a ``date,ret_1..ret_K,rf`` header; ``ParseError`` for
-    any other header."""
-    header = [name.strip() for name in header]
-    k = len(header) - 2
-    if k < 1 or header != ["date"] + [f"ret_{j + 1}" for j in range(k)] + ["rf"]:
-        raise ParseError(1, f"header {header!r} does not match date,ret_1..ret_K,rf")
-    return {-1: _rf_cell}
-
-
 def ingest_csv(path: str, drop_policy: str = "skip") -> IngestResult:
     """Parse a ``date,ret_1..ret_K,rf`` CSV into a cleaned return series.
 
@@ -126,8 +116,11 @@ def ingest_csv(path: str, drop_policy: str = "skip") -> IngestResult:
     if drop_policy not in ("skip", "error"):
         raise ConfigError(f"unknown drop_policy {drop_policy!r}")
     dropped: list[ParseError] = []
-    blocks = table_blocks(path, dropped, _ingest_schema)
-    next(blocks)        # the header, which _ingest_schema has checked
+    blocks = table_blocks(path, dropped, {-1: _rf_cell})
+    header = [name.strip() for name in next(blocks)]
+    k = len(header) - 2
+    if k < 1 or header != ["date"] + [f"ret_{j + 1}" for j in range(k)] + ["rf"]:
+        raise ParseError(1, f"header {header!r} does not match date,ret_1..ret_K,rf")
     dates, values, linenos = zip(*((day, value, lineno) for day, value, _, lineno in blocks))
     values, linenos = np.concatenate(values), np.concatenate(linenos)
     blank_rf = values[:, -1].view(np.int64) == _BLANK_RF.view(np.int64)
@@ -518,17 +511,17 @@ def write_backtest_csv(blocks: Iterable[BacktestSeries],
     last = next(blocks)
     upper_i, upper_j = np.triu_indices(last.k)
 
-    def lines() -> Iterator[list[str]]:
+    def rows() -> Iterator[tuple]:
         nonlocal last
         for last in itertools.chain([last], blocks):
             b = last.burn_in
-            yield from table_lines(last.dates[b:], np.column_stack([
+            yield last.dates[b:], np.column_stack([
                 last.nu_hat[b:], last.a[b:], last.f_growth[b:], last.log_wealth_market[b:],
                 last.log_wealth_nuhat[b:], last.log_wealth_shrunk[b:],
                 last.c_cum[b:, upper_i, upper_j],
-            ]))
+            ])
 
-    return write_rows(out, output_columns(last.k), lines()), last
+    return write_table(out, output_columns(last.k), rows()), last
 
 
 def read_backtest_csv(path: str, panels: Optional[IO[str]] = None) -> dict:

@@ -30,6 +30,7 @@ DEFAULT_STEP = 1.0 / 252.0
 
 # The date of a simulated path's first row.
 _FIRST_DATE = datetime.date(1927, 7, 1)
+_MAX_STEPS = (datetime.date.max - _FIRST_DATE).days + 1     # the last date is 9999-12-31
 
 _REJECTION_CAP = 1_000_000
 _REJECTION_BATCH = 256
@@ -288,8 +289,9 @@ class SimScenario:
     """A simulation scenario; ``parse_scenario`` reads one from its file format.
 
     ``nu``, the prior, and ``f`` with its ``theta`` must fit ``dim`` and be finite;
-    a fund scenario has at most ``dim`` funds.  ``drift_check_paths`` is 0 (no residual
-    drift check) or at least 2.  A value out of range raises ``ConfigError``.
+    a fund scenario has at most ``dim`` funds.  ``steps`` is at most ``_MAX_STEPS``, one
+    dated row each.  ``drift_check_paths`` is 0 (no residual drift check) or at least 2.
+    A value out of range raises ``ConfigError``.
     """
 
     dim: int
@@ -317,6 +319,8 @@ class SimScenario:
         if not (0.0 < self.dt < math.inf and math.isfinite(self.o_start)):
             raise ConfigError("dt must be positive and finite and o_start finite, "
                               f"got {self.dt}, {self.o_start}")
+        if self.steps > _MAX_STEPS:
+            raise ConfigError(f"steps must be at most {_MAX_STEPS}, got {self.steps}")
         if self.seed < 0:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
         if self.drift_check_paths < 0 or self.drift_check_paths == 1:
@@ -412,4 +416,4 @@ def write_path_csv(path: MarketPath, out: IO[str], fund: Optional[FundSpec] = No
     n, k = rets.shape
     header = ["date"] + [f"ret_{j + 1}" for j in range(k)] + ["rf"]
     dates = [_FIRST_DATE + datetime.timedelta(days=i) for i in range(n)]
-    return write_table(out, header, dates, np.column_stack([rets, np.zeros(n)]))
+    return write_table(out, header, [(dates, np.column_stack([rets, np.zeros(n)]))])

@@ -21,6 +21,7 @@ _MARGIN_L = 64
 _MARGIN_R = 16
 _MARGIN_T = 34
 _MARGIN_B = 44
+_XML_TEXT = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;"})    # every title and label
 
 # ASCII, 4 bytes to a uint32: 0..1000 right-aligned with 0 bytes in front, and
 # .00 .. .99 followed by "," (entries 0-99) or by " " (entries 100-199)
@@ -89,7 +90,7 @@ def line_chart(out: IO[str], title: str, x_labels: Sequence,
         f'viewBox="0 0 {_WIDTH} {_HEIGHT}">\n'
         f'<rect x="0" y="0" width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>\n'
         f'<text x="{_MARGIN_L}" y="20" font-family="sans-serif" font-size="14" '
-        f'font-weight="bold">{title}</text>\n'
+        f'font-weight="bold">{title.translate(_XML_TEXT)}</text>\n'
         f'<rect x="{_MARGIN_L}" y="{_MARGIN_T}" width="{plot_w}" height="{plot_h}" '
         f'fill="none" stroke="#333333" stroke-width="1"/>\n'
     )
@@ -107,7 +108,7 @@ def line_chart(out: IO[str], title: str, x_labels: Sequence,
     for j in range(n_x_ticks):
         i = round(j * (n - 1) / max(n_x_ticks - 1, 1))
         x = px(i)
-        label = x_labels[i] if i < len(x_labels) else str(i)
+        label = str(x_labels[i] if i < len(x_labels) else i).translate(_XML_TEXT)
         out.write(
             f'<line x1="{x:.2f}" y1="{_MARGIN_T + plot_h}" x2="{x:.2f}" '
             f'y2="{_MARGIN_T + plot_h + 5}" stroke="#333333" stroke-width="1"/>\n'
@@ -127,7 +128,7 @@ def line_chart(out: IO[str], title: str, x_labels: Sequence,
             f'<line x1="{_MARGIN_L + 8}" y1="{ly - 4}" x2="{_MARGIN_L + 28}" y2="{ly - 4}" '
             f'stroke="{color}" stroke-width="2"/>\n'
             f'<text x="{_MARGIN_L + 33}" y="{ly}" font-family="sans-serif" '
-            f'font-size="12">{label}</text>\n'
+            f'font-size="12">{label.translate(_XML_TEXT)}</text>\n'
         )
 
     out.write("</svg>\n")

@@ -9,7 +9,6 @@ from __future__ import annotations
 import contextlib
 import datetime
 import functools
-import itertools
 import operator
 import os
 import re
@@ -29,7 +28,12 @@ _ISO_DATE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}").fullmatch
 # which no cell, column name, key or value takes, so it makes its row or line
 # malformed.
 INPUT_TEXT = {"encoding": "utf-8", "errors": "surrogateescape"}
-_UNDECODED = re.compile("[\udc80-\udcff]").search
+# The characters that XML 1.0 does not allow, lone surrogates among them: report
+# copies column names into SVG labels, so no header name may hold one.  The two
+# patterns are compiled on first use, not when the package is imported.
+_NOT_XML = "[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]"
+# numpy's own place of a bad number, whose row counts the rows of its call
+_NUMPY_PLACE = r"(.*) at row \d+, column (\d+)\."
 
 
 def read_text(path: str) -> str:
@@ -98,19 +102,21 @@ def parse_matrix(text: str) -> np.ndarray:
     return np.array([parse_vector(row) for row in rows])
 
 
-def write_table(out: IO[str], header: Sequence[str], dates: Sequence, values: np.ndarray) -> int:
-    """Write ``header`` and the ``table_lines`` of ``values``; returns the row count."""
-    return write_rows(out, header, table_lines(dates, values))
-
-
-def table_lines(dates: Sequence, values: np.ndarray) -> Iterator[list[str]]:
-    """The ``date,v_1,...,v_m`` lines of the rows of ``values``, ``_TABLE_BLOCK_ROWS``
-    rows at a time; cells are ``repr`` of the float, which reads back to the same bits."""
-    values = np.asarray(values, dtype=float)
-    line = "%s" + ",%r" * values.shape[1] + "\n"
-    for start in range(0, len(values), _TABLE_BLOCK_ROWS):
-        rows = slice(start, start + _TABLE_BLOCK_ROWS)
-        yield [line % (day, *row) for day, row in zip(dates[rows], values[rows].tolist())]
+def write_table(out: IO[str], header: Sequence[str], blocks: Iterable[tuple]) -> int:
+    """Write ``header``, then the ``date,v_1,...,v_m`` line of each row of each
+    ``(dates, (rows, m) float array)`` block as it comes, ``_TABLE_BLOCK_ROWS``
+    rows at a time; cells are ``repr`` of the float, which reads back to the same
+    bits.  Returns the number of rows written."""
+    out.write(",".join(header) + "\n")
+    line = "%s" + ",%r" * (len(header) - 1) + "\n"
+    written = 0
+    for dates, values in blocks:
+        for start in range(0, len(values), _TABLE_BLOCK_ROWS):
+            rows = slice(start, start + _TABLE_BLOCK_ROWS)
+            out.write("".join([line % (day, *row)
+                               for day, row in zip(dates[rows], values[rows].tolist())]))
+        written += len(values)
+    return written
 
 
 def column_lines(names: Sequence[str], header: list[str], added: list[str], lines: list[str],
@@ -124,42 +130,21 @@ def column_lines(names: Sequence[str], header: list[str], added: list[str], line
     return "".join([line % pick(row.split(",") + more) for row, more in zip(lines, extra.tolist())])
 
 
-def write_rows(out: IO[str], header: Sequence[str], blocks: Iterable[list[str]]) -> int:
-    """Write ``header``, then each list of lines in ``blocks`` as it comes; returns
-    the number of lines after the header."""
-    out.write(",".join(header) + "\n")
-    rows = 0
-    for lines in blocks:
-        out.write("".join(lines))
-        rows += len(lines)
-        del lines       # before the next block's lines are made
-    return rows
-
-
-def read_table(path: str, dropped: Optional[list] = None,
-               schema: Optional[Callable[[list[str]], dict]] = None
-               ) -> tuple[list[str], list[datetime.date], np.ndarray, list[str], np.ndarray]:
-    """The whole table: the header and the joined dates, values, texts and line numbers."""
-    header, *blocks = table_blocks(path, dropped, schema)
-    dates, values, lines, linenos = zip(*blocks)
-    return (header, [*itertools.chain(*dates)], np.concatenate(values),
-            [*itertools.chain(*lines)], np.concatenate(linenos))
-
-
 def table_blocks(path: str, dropped: Optional[list] = None,
-                 schema: Optional[Callable[[list[str]], dict]] = None) -> Iterator:
+                 converters: Optional[dict] = None) -> Iterator:
     """The header of a ``date,v_1,...,v_m`` file, then ``(dates, (rows, columns)
     values, row texts without the line end, line numbers)`` blocks of at most
     ``_TABLE_BLOCK_ROWS`` kept rows, each read when asked for and parsed by one
     ``np.loadtxt`` call.  Blank lines are skipped; the last block may be empty.
     The file is read as ``INPUT_TEXT``.  A zero-byte file raises ``EmptySeries``,
-    and a repeated column name or one that is not UTF-8 ``ParseError``; so does,
-    with its line, a row with the wrong cell count, a date that is not
-    ``YYYY-MM-DD`` (blanks around it aside) or a cell that is not a number,
+    and a repeated column name or one with a character that XML 1.0 does not
+    allow (a byte that is not UTF-8 among them) ``ParseError``; so does, with its
+    line, a row with the wrong cell count, a date that is not ``YYYY-MM-DD``
+    (blanks around it aside) or a cell that is not a number, named by its column,
     unless ``dropped`` is a list: the error then goes there and the row is left
-    out.  ``schema``, if given, gets the header before any row is read: it
-    raises to reject the header, and returns the ``np.loadtxt`` converters,
-    functions of the cell text by column index (negative from the end).
+    out.  ``converters`` are the ``np.loadtxt`` converters, functions of the cell
+    text by column index (negative from the end).  A caller that checks more of
+    the header does so after the header is yielded, before any row is read.
     """
     with open(path, **INPUT_TEXT) as handle:
         first = handle.readline()
@@ -169,19 +154,22 @@ def table_blocks(path: str, dropped: Optional[list] = None,
         if len(set(header)) < len(header):
             repeated = sorted({name for name in header if header.count(name) > 1})
             raise ParseError(1, f"repeated column names {repeated}")
-        undecoded = [name for name in header if _UNDECODED(name)]
-        if undecoded:       # report would copy the name into its UTF-8 output
-            raise ParseError(1, f"header names {undecoded} are not UTF-8")
-        converters = {i % len(header): f for i, f in (schema(header) if schema else {}).items()}
+        unfit = [name for name in header if re.search(_NOT_XML, name)]
+        if unfit:
+            raise ParseError(1, f"header names {unfit} are not UTF-8 text that XML 1.0 allows")
+        converters = {i % len(header): f for i, f in (converters or {}).items()}
         load = functools.partial(np.loadtxt, delimiter=",", comments=None, ndmin=2,
                                  usecols=range(1, len(header)), converters=converters)
         yield header
         numbered = enumerate(handle, start=2)
 
         def bad(lineno: int, exc: ValueError) -> None:
+            place = re.fullmatch(_NUMPY_PLACE, str(exc), re.DOTALL)
+            error = ParseError(lineno, f"{place[1]} in column {header[int(place[2]) - 1]!r}"
+                               if place else str(exc))
             if dropped is None:
-                raise ParseError(lineno, str(exc)) from None
-            dropped.append(ParseError(lineno, str(exc)))
+                raise error from None
+            dropped.append(error)
 
         def rows():     # a bad cell count or date is dropped here; numpy never sees it
             for lineno, line in numbered:

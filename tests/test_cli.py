@@ -129,6 +129,16 @@ def test_negative_seed_is_usage_error(tmp_path, monkeypatch, capsys, command):
     assert captured.out == "" and not (tmp_path / "simulated.csv").exists()
 
 
+def test_steps_past_the_last_date_are_a_usage_error(tmp_path, capsys):
+    # the dates of 2,948,423 steps from 1927-07-01 would run past 9999-12-31
+    scenario = tmp_path / "scenario.cfg"
+    scenario.write_text("dim = 1\ncov = 0.0324\nsteps = 2948423\n")
+    assert run(["simulate", "--config", str(scenario), "--out", str(tmp_path / "out")]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: steps must be at most 2948422, got 2948423\n"
+    assert captured.out == "" and not (tmp_path / "out").exists()
+
+
 class TestVerify:
     def test_default_sweep_passes(self, capsys):
         assert run(["verify", "--seed", "5"]) == 0
@@ -226,6 +236,35 @@ class TestBacktestReport:
             panels.append((out / "panels.csv").read_bytes())
         assert panels[0] == panels[1]
         assert panels[0].splitlines()[1].startswith("\u00a0".encode("utf-8"))
+
+    @staticmethod
+    def with_column(backtest_csv, tmp_path, name):
+        """``backtest_csv`` with one more column, ``name``, of 1.5 in every row."""
+        lines = backtest_csv.read_text().splitlines()
+        table = tmp_path / "more.csv"
+        table.write_text(f"{lines[0]},{name}\n" + "".join(f"{line},1.5\n" for line in lines[1:]))
+        return table
+
+    @pytest.mark.parametrize("name", ["c_<&>", "c_&amp;", "c_]]>", "c_\u00e9\U0001f600"])
+    def test_report_svgs_parse_with_markup_in_a_column_name(self, backtest_csv, tmp_path, name):
+        table = self.with_column(backtest_csv, tmp_path, name)
+        out = tmp_path / "out"
+        assert run(["report", "--input", str(table), "--out", str(out)]) == 0
+        for svg in PANEL_FILES[:4]:
+            ET.parse(out / svg)
+        labels = [element.text for element in ET.parse(out / "quadratic_variation.svg").iter()
+                  if element.tag.endswith("text")]
+        assert name in labels
+        assert name in (out / "panels.csv").read_text().splitlines()[0].split(",")
+
+    @pytest.mark.parametrize("name", ["c_\x01", "c_\x1f", "c_\ufffe"])
+    def test_report_rejects_a_column_name_xml_forbids(self, backtest_csv, tmp_path, capsys,
+                                                      name):
+        table = self.with_column(backtest_csv, tmp_path, name)
+        out = tmp_path / "out"
+        assert run(["report", "--input", str(table), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: line 1: header names")
+        assert not out.exists()
 
     def test_report_missing_columns(self, tmp_path):
         bad = tmp_path / "bad.csv"

@@ -1,3 +1,4 @@
+import datetime
 import io
 import math
 from statistics import NormalDist
@@ -272,6 +273,14 @@ class TestScenario:
         with pytest.raises(ConfigError, match=message):
             SimScenario(dim=2, cov=CovMatrix(np.eye(2)),
                         prior=PriorSpec(mean=mean, cov=CovMatrix(cov)))
+
+    def test_steps_end_by_the_last_date(self):
+        # write_path_csv dates row i as 1927-07-01 plus i days; 9999-12-31 is the last date
+        assert datetime.date(1927, 7, 1) + datetime.timedelta(days=2_948_421) == datetime.date.max
+        text = "dim = 1\ncov = 0.01\nsteps = {}\n"
+        assert parse_scenario(text.format(2_948_422)).steps == 2_948_422
+        with pytest.raises(ConfigError, match="^steps must be at most 2948422, got 2948423$"):
+            parse_scenario(text.format(2_948_423))
 
     def test_fund_scenario_needs_theta(self):
         with pytest.raises(ConfigError, match="theta"):

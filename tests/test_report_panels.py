@@ -46,7 +46,7 @@ def reference_panels(text: str) -> str:
     names += ["a", "logW_market", "logW_nuhat", "logW_shrunk", "F"]
     names += sorted(name for name in header if name.startswith("c_"))
     out = io.StringIO()
-    write_table(out, ["date"] + names, dates, np.column_stack([table[n] for n in names]))
+    write_table(out, ["date"] + names, [(dates, np.column_stack([table[n] for n in names]))])
     return out.getvalue()
 
 

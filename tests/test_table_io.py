@@ -1,6 +1,8 @@
 """The CSV table writer and reader in ``tableio``: round trip, date grammar, header."""
 
 import datetime
+import io
+import itertools
 import re
 import warnings
 
@@ -15,7 +17,16 @@ from fundgrowth.backtest import ingest_csv, output_columns, read_backtest_csv
 from fundgrowth.errors import MissingColumns, ParseError
 from fundgrowth.marketsim import MarketPath, write_path_csv
 from fundgrowth.psd import CovMatrix
-from fundgrowth.tableio import read_table, write_table
+from fundgrowth.tableio import write_table
+
+
+def read_table(path, dropped=None):
+    """The whole table: the header and the joined dates, values, texts and line numbers."""
+    header, *blocks = tableio.table_blocks(path, dropped)
+    dates, values, lines, linenos = zip(*blocks)
+    return (header, [*itertools.chain(*dates)], np.concatenate(values),
+            [*itertools.chain(*lines)], np.concatenate(linenos))
+
 
 EDGES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
          -1.7976931348623157e308, 9.999999999999999e307, np.nan, np.inf, -np.inf]
@@ -32,7 +43,7 @@ def test_write_then_read_is_bit_identical(tmp_path_factory, values):
     header = ["date"] + [f"v_{j}" for j in range(m)]
     path = tmp_path_factory.mktemp("table") / "table.csv"
     with open(path, "w", newline="") as handle:
-        assert write_table(handle, header, dates, values) == n
+        assert write_table(handle, header, [(dates, values)]) == n
     got_header, got_dates, got, got_lines, _ = read_table(str(path))
     assert got_header == header and got_dates == dates
     assert got_lines == path.read_text().splitlines()[1:]
@@ -135,6 +146,27 @@ def test_dropped_rows_are_reported_and_the_rest_kept(tmp_path):
         read_table(str(table))
 
 
+@pytest.mark.parametrize("policy", ["skip", "error"])
+def test_bad_number_names_its_line_and_column(tmp_path, policy):
+    # numpy's own "at row N" counts from the start of its call, a block, not the file
+    path, _, lines = _returns_file(tmp_path, n=12_000)
+    lines[9_999] += "x"                                      # line 10,000: rf 0.0x
+    lines[11_000] = lines[11_000][:11] + "y,0.0"             # line 11,001: ret_1 y
+    path.write_text("\n".join(lines) + "\n")
+    want = ["line 10000: could not convert string '0.0x' to float64 in column 'rf'",
+            "line 11001: could not convert string 'y' to float64 in column 'ret_1'"]
+    dropped = [] if policy == "skip" else None
+    if policy == "error":
+        with pytest.raises(ParseError) as error:
+            read_table(str(path), dropped)
+        assert str(error.value) == want[0]
+        with pytest.raises(ParseError, match=re.escape(want[0])):
+            ingest_csv(str(path), drop_policy=policy)
+        return
+    read_table(str(path), dropped)
+    assert [str(error) for error in dropped] == want
+
+
 def _returns_file(tmp_path, n=2_000, header="date,ret_1,rf"):
     days = [datetime.date(1990, 1, 1) + datetime.timedelta(days=i) for i in range(n)]
     rows = [f"{day},{i * 1e-6!r},0.0" for i, day in enumerate(days)]
@@ -201,6 +233,25 @@ def test_bad_cell_counts_and_dates_are_dropped_in_one_numpy_pass(tmp_path, monke
     assert [error.line for error in dropped] == [3, 4, 5, 6]
     assert values.tolist() == [[0.5], [4.5]] and linenos.tolist() == [2, 7]
     assert [day.day for day in dates] == [1, 6]
+
+
+def test_write_table_gives_the_same_bytes_in_any_blocks(monkeypatch):
+    monkeypatch.setattr(tableio, "_TABLE_BLOCK_ROWS", 3)
+    dates = [datetime.date(2000, 2, 27) + datetime.timedelta(days=i) for i in range(10)]
+    values = np.array([[i / 7, -0.0 if i % 2 else 5e-324] for i in range(10)])
+    values[4, 0] = np.nan
+    header = ["date", "v", "w"]
+    want = "date,v,w\n" + "".join(f"{day},{v!r},{w!r}\n" for day, (v, w) in
+                                   zip(dates, values.tolist()))
+    for size in (1, 3, tableio._TABLE_BLOCK_ROWS + 1, len(dates)):
+        blocks = [(dates[i:i + size], values[i:i + size]) for i in range(0, len(dates), size)]
+        blocks.insert(1, (dates[:0], values[:0]))      # an empty block between two others
+        out = io.StringIO()
+        assert write_table(out, header, blocks) == len(dates)
+        assert out.getvalue() == want, size
+    out = io.StringIO()
+    assert write_table(out, header, [(dates[:0], values[:0])]) == 0
+    assert out.getvalue() == "date,v,w\n"
 
 
 # One row of each kind the reader skips, drops or reads as usual, placed in turn
