@@ -1,8 +1,12 @@
 """Module boundaries inside the package, read from the source: no module takes a
 private name from a sibling, and only ``tableio`` knows how input text is decoded
-and opens a file."""
+and opens a file.  Importing the package neither imports the float formatter
+nor builds its tables."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -71,3 +75,20 @@ def test_the_guards_see_what_they_look_for():
     assert input_text_uses(ast.parse("from .tableio import INPUT_TEXT\n")) == [1]
     assert open_calls(tree) == [4]
     assert open_calls(ast.parse("with Path(p).open('w') as f:\n    f.write(open)\n")) == [1]
+
+
+def test_import_builds_no_formatter_table():
+    # import time is every subcommand's start-up: tableio imports the formatter when it
+    # first writes a float, and the formatter builds its tables on first use
+    code = ("import sys, fundgrowth, fundgrowth.cli\n"
+            "print('fundgrowth.floattext' in sys.modules)\n"
+            "from fundgrowth import floattext as f\n"
+            "tables = f._powers, f._exponent_rows, f._layouts, f._digit_words\n"
+            "print(*(table.cache_info().currsize for table in tables))\n"
+            "[*f.float_lines(f.np.ones((1, 1)))]\n"
+            "print(*(table.cache_info().currsize for table in tables))\n")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(PACKAGE.parent), *filter(None, [os.environ.get("PYTHONPATH")])])}
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True)
+    assert run.stdout.splitlines() == ["False", "0 0 0 0", "1 1 1 1"]

@@ -5,6 +5,8 @@ import io
 import itertools
 import re
 import warnings
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from fundgrowth import tableio
+from fundgrowth import cli, floattext, tableio
 from fundgrowth.backtest import ingest_csv, output_columns, read_backtest_csv
 from fundgrowth.errors import MissingColumns, ParseError
 from fundgrowth.marketsim import MarketPath, write_path_csv
@@ -235,23 +237,112 @@ def test_bad_cell_counts_and_dates_are_dropped_in_one_numpy_pass(tmp_path, monke
     assert [day.day for day in dates] == [1, 6]
 
 
+GOLDEN_K3 = Path(__file__).parent / "golden" / "k3_anchored"
+
+
+def repr_lines(header, dates, values):
+    """A table as the writer wrote it with ``"%s" + ",%r" * m`` lines, its reference."""
+    line = "%s" + ",%r" * (len(header) - 1) + "\n"
+    return ",".join(header) + "\n" + "".join(line % (day, *row)
+                                             for day, row in zip(dates, values.tolist()))
+
+
 def test_write_table_gives_the_same_bytes_in_any_blocks(monkeypatch):
-    monkeypatch.setattr(tableio, "_TABLE_BLOCK_ROWS", 3)
     dates = [datetime.date(2000, 2, 27) + datetime.timedelta(days=i) for i in range(10)]
     values = np.array([[i / 7, -0.0 if i % 2 else 5e-324] for i in range(10)])
     values[4, 0] = np.nan
     header = ["date", "v", "w"]
-    want = "date,v,w\n" + "".join(f"{day},{v!r},{w!r}\n" for day, (v, w) in
-                                   zip(dates, values.tolist()))
-    for size in (1, 3, tableio._TABLE_BLOCK_ROWS + 1, len(dates)):
+    want = repr_lines(header, dates, values)
+    for cells, size in itertools.product([1, 5, 64, floattext._FORMAT_CELLS], [1, 3, len(dates)]):
+        monkeypatch.setattr(floattext, "_FORMAT_CELLS", cells)
         blocks = [(dates[i:i + size], values[i:i + size]) for i in range(0, len(dates), size)]
         blocks.insert(1, (dates[:0], values[:0]))      # an empty block between two others
         out = io.StringIO()
         assert write_table(out, header, blocks) == len(dates)
-        assert out.getvalue() == want, size
+        assert out.getvalue() == want, (cells, size)
     out = io.StringIO()
     assert write_table(out, header, [(dates[:0], values[:0])]) == 0
     assert out.getvalue() == "date,v,w\n"
+
+
+def test_chain_tables_are_the_repr_lines(monkeypatch, tmp_path):
+    # the simulated.csv and backtest.csv of a seeded K = 3 chain
+    for stage in (["simulate", "--config", str(GOLDEN_K3 / "scenario.cfg")],
+                  ["backtest", "--input", str(tmp_path / "simulated.csv"),
+                   "--config", str(GOLDEN_K3 / "backtest.cfg")]):
+        assert cli.main([*stage, "--out", str(tmp_path)]) == 0
+    for name in ("simulated.csv", "backtest.csv"):
+        header, dates, values, _, _ = read_table(str(tmp_path / name))
+        want = repr_lines(header, dates, values)
+        assert (tmp_path / name).read_text() == want
+        monkeypatch.setattr(floattext, "_FORMAT_CELLS", 100)
+        out = io.StringIO()
+        write_table(out, header, [(dates[i:i + 333], values[i:i + 333])
+                                  for i in range(0, len(dates), 333)])
+        assert out.getvalue() == want
+        monkeypatch.undo()
+
+
+def float_texts(values) -> list[str]:
+    """The cell text of each float of ``values``."""
+    values = np.asarray(values, dtype=np.float64).reshape(-1, 1)
+    return "".join(floattext.float_lines(values)).splitlines()
+
+
+FLOAT_EDGES = [0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, 2.2250738585072014e-308,
+               1.7976931348623157e308, -1.7976931348623157e308, 9999999999999998.0, 1e16,
+               9.999999999999999e-05, 1e-4, 1e22, 1e23, np.nan, np.inf, -np.inf,
+               *(sign * float(f"1e{k}") for k in range(-30, 31) for sign in (1, -1))]
+
+
+def test_float_text_of_the_edges_is_repr():
+    assert float_texts(FLOAT_EDGES) == [repr(v) for v in FLOAT_EDGES]
+
+
+@settings(max_examples=150, deadline=None)
+@given(values=st.lists(st.floats(), min_size=1, max_size=40))
+def test_float_text_is_repr(values):
+    assert float_texts(values) == [repr(v) for v in values]
+
+
+@settings(max_examples=150, deadline=None)
+@given(patterns=st.lists(st.integers(0, 2 ** 64 - 1), min_size=1, max_size=40))
+def test_float_text_of_any_bits_is_repr(patterns):
+    values = np.array(patterns, dtype=np.uint64).view(np.float64)
+    assert float_texts(values) == [repr(v) for v in values.tolist()]
+
+
+def test_float_text_of_a_million_bit_patterns_is_repr():
+    patterns = np.random.default_rng(20261018).integers(0, 2 ** 64, size=1_000_000,
+                                                         dtype=np.uint64)
+    values = patterns.view(np.float64)
+    assert float_texts(values) == list(map(repr, values.tolist()))
+
+
+def test_every_power_of_ten_and_exponent_entry_is_exact():
+    powers = floattext._powers()
+    assert len(powers) == floattext._K_MAX - floattext._K_MIN + 1
+    exact = {}
+    for k, row in zip(range(floattext._K_MIN, floattext._K_MAX + 1), powers.tolist()):
+        assert all(0 <= limb < 2 ** 27 for limb in row[:5])
+        g, e = sum(limb << 27 * i for i, limb in enumerate(row[:5])), row[5]
+        assert Fraction(2) ** e <= Fraction(10) ** -k < Fraction(2) ** (e + 1)
+        assert g - 1 <= Fraction(10) ** -k * Fraction(2) ** (125 - e) < g
+        exact[k] = g, e
+    rows = floattext._exponent_rows().T.tolist()
+    for column, row in enumerate(rows):
+        biased, irregular = column % 2048, column >= 2048
+        q = max(biased, 1) - 1075
+        k, h = row[5], row[6]
+        # 10^k <= 2^q < 10^(k+1), or 3/4 2^q for the irregular spacing below c = 2^52
+        scale = Fraction(3, 4) if irregular else 1
+        assert Fraction(10) ** k <= scale * Fraction(2) ** q < Fraction(10) ** (k + 1)
+        g, e = exact[k]
+        assert row[:5] == powers[k - floattext._K_MIN, :5].tolist() and h == q + e + 2
+        assert 2 <= h <= 5
+        for offset, split in ((2 - irregular) * g, row[7:10]), (2 * g, row[10:13]):
+            assert split == [offset >> 127 - h, offset >> 64 - h & 2 ** 63 - 1,
+                             offset & 2 ** (64 - h) - 1]
 
 
 # One row of each kind the reader skips, drops or reads as usual, placed in turn
