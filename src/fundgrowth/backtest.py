@@ -530,7 +530,7 @@ def read_backtest_csv(path: str, panels: Optional[IO[str]] = None) -> dict:
     when core columns are absent, ``ParseError`` (with the line) on a row that
     does not parse.  ``panels``, if given, gets ``report``'s ``panels.csv`` block
     by block as the rows are read: cells as written and ``shrunk_j = a *
-    nu_hat_j`` as ``repr``, so no row text outlives its block."""
+    nu_hat_j`` as ``write_table`` writes a cell, so no row text outlives its block."""
     blocks = table_blocks(path)
     header = next(blocks)
     k = sum(1 for name in header if name.startswith("nu_hat_"))

@@ -16,7 +16,7 @@ import datetime
 import math
 from dataclasses import dataclass
 from statistics import NormalDist
-from typing import IO, Optional
+from typing import IO, Iterator, Optional
 
 import numpy as np
 
@@ -31,6 +31,9 @@ DEFAULT_STEP = 1.0 / 252.0
 # The date of a simulated path's first row.
 _FIRST_DATE = datetime.date(1927, 7, 1)
 _MAX_STEPS = (datetime.date.max - _FIRST_DATE).days + 1     # the last date is 9999-12-31
+# Rows of a path turned into dates and table rows at a time, so that writing a
+# path holds a block of them, not the whole table
+_WRITE_BLOCK_ROWS = 2000
 
 _REJECTION_CAP = 1_000_000
 _REJECTION_BATCH = 256
@@ -412,8 +415,15 @@ def write_path_csv(path: MarketPath, out: IO[str], fund: Optional[FundSpec] = No
     exported as its own column.  Simulated returns are already excess returns,
     so ``rf`` is written as zero.  Returns the number of data rows written.
     """
+    # one product for the whole path: BLAS may round a row of a smaller product otherwise
     rets = path.increments if fund is None else path.increments @ fund.f
-    n, k = rets.shape
-    header = ["date"] + [f"ret_{j + 1}" for j in range(k)] + ["rf"]
-    dates = [_FIRST_DATE + datetime.timedelta(days=i) for i in range(n)]
-    return write_table(out, header, [(dates, np.column_stack([rets, np.zeros(n)]))])
+    header = ["date"] + [f"ret_{j + 1}" for j in range(rets.shape[1])] + ["rf"]
+
+    def blocks() -> Iterator[tuple]:
+        for start in range(0, len(rets), _WRITE_BLOCK_ROWS):
+            block = rets[start:start + _WRITE_BLOCK_ROWS]
+            days = range(start, start + len(block))
+            yield ([_FIRST_DATE + datetime.timedelta(days=i) for i in days],
+                   np.column_stack([block, np.zeros(len(block))]))
+
+    return write_table(out, header, blocks())

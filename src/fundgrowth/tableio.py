@@ -1,7 +1,8 @@
 """Text in and out: the ``key = value`` config files and the ``date,v_1,...,v_m``
 tables of the subcommands.  How input is decoded (``INPUT_TEXT``), how an output
 file is written (``replaced``: UTF-8, in place only once whole), how a float cell
-is written and where a cell ends are decided here and nowhere else.
+is written (by ``floattext``, which only this module calls) and where a cell ends
+are decided here and nowhere else.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import numpy as np
 
 from .errors import ConfigError, EmptySeries, ParseError
 
-_TABLE_BLOCK_ROWS = 2000    # rows per block of lines read or written: a few MB of text at K = 10
+_TABLE_BLOCK_ROWS = 2000    # rows per block of lines read: a few MB of text at K = 10
 # The one date grammar of a table: ``fromisoformat`` alone also takes ``19270702``
 # and ``1927-W27-1`` from Python 3.11 on, and report copies a date cell verbatim.
 _ISO_DATE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}").fullmatch
@@ -104,17 +105,15 @@ def parse_matrix(text: str) -> np.ndarray:
 
 def write_table(out: IO[str], header: Sequence[str], blocks: Iterable[tuple]) -> int:
     """Write ``header``, then the ``date,v_1,...,v_m`` line of each row of each
-    ``(dates, (rows, m) float array)`` block as it comes, ``_TABLE_BLOCK_ROWS``
-    rows at a time; cells are ``repr`` of the float, which reads back to the same
-    bits.  Returns the number of rows written."""
+    ``(dates, (rows, m) float array)`` block as it comes; ``dates`` are
+    ``datetime.date``s, and each cell is the shortest text that reads back to the
+    same bits, byte for byte what ``repr`` gives.  Returns the number of rows
+    written."""
+    from .floattext import float_lines      # compiled only once a float is written
     out.write(",".join(header) + "\n")
-    line = "%s" + ",%r" * (len(header) - 1) + "\n"
     written = 0
     for dates, values in blocks:
-        for start in range(0, len(values), _TABLE_BLOCK_ROWS):
-            rows = slice(start, start + _TABLE_BLOCK_ROWS)
-            out.write("".join([line % (day, *row)
-                               for day, row in zip(dates[rows], values[rows].tolist())]))
+        out.writelines(float_lines(values, dates))
         written += len(values)
     return written
 
@@ -123,11 +122,13 @@ def column_lines(names: Sequence[str], header: list[str], added: list[str], line
                  extra: np.ndarray) -> str:
     """The text of the columns ``names`` of the rows ``lines``, whose columns are
     ``header``, copied as written, and of the columns ``added``, whose floats are
-    the rows of ``extra``, as ``repr``."""
+    the rows of ``extra``, written as ``write_table`` writes a cell."""
+    from .floattext import float_lines
     position = {name: i for i, name in enumerate(header + added)}
     pick = operator.itemgetter(*[position[name] for name in names])
-    line = ",".join("%r" if name in added else "%s" for name in names) + "\n"
-    return "".join([line % pick(row.split(",") + more) for row, more in zip(lines, extra.tolist())])
+    more = "".join(float_lines(extra)).splitlines()
+    return "".join([",".join(pick(row.split(",") + cells.split(","))) + "\n"
+                    for row, cells in zip(lines, more)])
 
 
 def table_blocks(path: str, dropped: Optional[list] = None,

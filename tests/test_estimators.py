@@ -80,6 +80,13 @@ class TestEstimateTheta:
         with pytest.raises(SingularCrossCovariance):
             estimate_theta(window, f)
 
+    def test_cross_covariance_below_the_rank_rule(self):
+        # singular values 1 and 1e-11: dependent by psd.RANK_RTOL = 1e-10
+        window = LocalWindow(increments=np.ones((1, 2)), cov_rate=CovMatrix(np.eye(2)), d_o=1.0,
+                             combination=np.eye(2))
+        with pytest.raises(SingularCrossCovariance):
+            estimate_theta(window, np.diag([1.0, 1e-11]))
+
 
 class TestMse:
     def test_diagonal_fund_covariance(self):

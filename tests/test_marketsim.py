@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy import special
 
+from fundgrowth import marketsim
 from fundgrowth.errors import BadTruncation, ConfigError, EmptyGrid, RankDeficient
 from fundgrowth.marketsim import (
     PriorSpec,
@@ -302,3 +303,27 @@ class TestScenario:
         assert lines[0] == "date,ret_1,rf"
         assert len(lines) == 6
         assert lines[1].endswith(",0.0")
+
+    @pytest.mark.parametrize("funds", [False, True])
+    def test_csv_export_streams_the_same_bytes_in_blocks(self, monkeypatch, funds):
+        c = random_cov(np.random.default_rng(4), 3)
+        path = simulate_path([0.5, -0.2, 1.0], c, uniform_clock(11), seed=7)
+        loadings = np.array([[1.0, 0.0], [0.0, 1.0], [0.5, 0.5]])
+        fund = build_fund_model(c, loadings) if funds else None
+        written = []
+
+        def write_table(out, header, blocks):
+            blocks = list(blocks)
+            written.append([len(values) for _, values in blocks])
+            return real_write_table(out, header, blocks)
+
+        real_write_table = marketsim.write_table
+        monkeypatch.setattr(marketsim, "write_table", write_table)
+        texts = []
+        for rows in (marketsim._WRITE_BLOCK_ROWS, 3):
+            monkeypatch.setattr(marketsim, "_WRITE_BLOCK_ROWS", rows)
+            buf = io.StringIO()
+            assert write_path_csv(path, buf, fund=fund) == 11
+            texts.append(buf.getvalue())
+        assert written == [[11], [3, 3, 3, 2]]
+        assert texts[0] == texts[1]
