@@ -198,7 +198,8 @@ def run_cli(*argv):
     assert cli.main(list(argv)) == 0
 
 
-@pytest.mark.parametrize("case", ["k1_uninformative", "k3_anchored", "k1_truncated"])
+@pytest.mark.parametrize("case", ["k1_uninformative", "k3_anchored", "k1_truncated",
+                                  "k30_blocks"])
 def test_golden_backtest_csv(case, tmp_path):
     golden = GOLDEN / case
     run_cli("simulate", "--config", str(golden / "scenario.cfg"), "--out", str(tmp_path))

@@ -218,6 +218,21 @@ class TestBacktestReport:
         for name, digest in want.items():
             assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
 
+    def test_golden_k30_report(self, tmp_path):
+        # report.sha256 holds the digests of the report outputs on the golden
+        # K = 30 backtest table of 135 rows of 501 cells; any change to their
+        # bytes fails here
+        golden = GOLDEN / "k30_blocks"
+        lines = (golden / "backtest.csv").read_text().splitlines()
+        assert len(lines) == 136 and len(lines[0].split(",")) == 501
+        assert run(["report", "--input", str(golden / "backtest.csv"),
+                    "--out", str(tmp_path)]) == 0
+        want = dict(reversed(line.split()) for line in
+                    (golden / "report.sha256").read_text().splitlines())
+        assert sorted(want) == sorted(PANEL_FILES)
+        for name, digest in want.items():
+            assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+
     def test_report_writes_utf8_in_a_c_locale(self, backtest_csv, tmp_path):
         # report copies a date cell verbatim, a no-break space before it included
         lines = backtest_csv.read_text().splitlines(keepends=True)
