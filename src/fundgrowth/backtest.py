@@ -525,12 +525,11 @@ def write_backtest_csv(blocks: Iterable[BacktestSeries],
 
 
 def read_backtest_csv(path: str, panels: Optional[IO[str]] = None) -> dict:
-    """Read a backtest output CSV: a dict with one numpy array per column, ``k``,
-    ``dates`` and ``header``.  ``MissingColumns`` is raised before any row is read
-    when core columns are absent, ``ParseError`` (with the line) on a row that
-    does not parse.  ``panels``, if given, gets ``report``'s ``panels.csv`` block
-    by block as the rows are read: cells as written and ``shrunk_j = a *
-    nu_hat_j`` as ``write_table`` writes a cell, so no row text outlives its block."""
+    """Read a backtest output CSV: a dict of one numpy array per column, ``k``, ``dates``,
+    ``header`` and ``c_names``, the sorted ``c_`` names.  ``MissingColumns`` is raised
+    before any row is read when core columns are absent, ``ParseError`` (with the line) on
+    a row that does not parse.  ``panels``, if given, gets ``report``'s ``panels.csv`` block
+    by block, cells as written and each ``shrunk_j = a * nu_hat_j`` added; the dict holds them."""
     blocks = table_blocks(path)
     header = next(blocks)
     k = sum(1 for name in header if name.startswith("nu_hat_"))
@@ -538,16 +537,20 @@ def read_backtest_csv(path: str, panels: Optional[IO[str]] = None) -> dict:
     if missing:
         raise MissingColumns(f"{path} lacks required columns: {sorted(missing)}")
     nu_hat, shrunk = ([f"{name}_{j}" for j in range(1, k + 1)] for name in ("nu_hat", "shrunk"))
-    names = ["date", *nu_hat, *shrunk, "a", "logW_market", "logW_nuhat", "logW_shrunk", "F"]
-    names += sorted(name for name in header if name.startswith("c_"))
+    c_names = sorted(name for name in header if name.startswith("c_"))
+    names = ["date", *nu_hat, *shrunk, "a", "logW_market", "logW_nuhat", "logW_shrunk", "F",
+             *c_names]
     a, nu = header.index("a") - 1, [header.index(name) - 1 for name in nu_hat]
     if panels is not None:
         panels.write(",".join(names) + "\n")
-    dates, values = [], []
+    dates, values, products = [], [], []
     for day, value, lines, _ in blocks:
         if panels is not None:
-            panels.write(column_lines(names, header, shrunk, lines, value[:, [a]] * value[:, nu]))
+            products.append(value[:, [a]] * value[:, nu])
+            panels.write(column_lines(names, header, shrunk, lines, products[-1]))
         dates += day
         values.append(value)
-    return {**dict(zip(header[1:], np.concatenate(values).T)), "k": k, "dates": tuple(dates),
-            "header": header}
+    table = dict(zip(header[1:], np.concatenate(values).T))
+    values.clear()      # the blocks go before the products are joined
+    table.update(zip(shrunk, np.concatenate(products).T) if products else ())
+    return dict(table, k=k, dates=tuple(dates), header=header, c_names=c_names)

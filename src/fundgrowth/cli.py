@@ -158,13 +158,9 @@ def cmd_report(args: argparse.Namespace) -> int:
         table = bt.read_backtest_csv(args.input, handle)
         if len(table["dates"]) == 0:
             raise EmptyRange(f"{args.input} has no data rows")
-    k = table["k"]
-    table.update({f"shrunk_{j}": table["a"] * table[f"nu_hat_{j}"] for j in range(1, k + 1)})
-    c_names = sorted(name for name in table if name.startswith("c_"))
-
     panels = {
         "portfolio.svg": ("Filtered growth-optimal portfolio and its shrunk version",
-                          [(name, table[name]) for j in range(1, k + 1)
+                          [(name, table[name]) for j in range(1, table["k"] + 1)
                            for name in (f"nu_hat_{j}", f"shrunk_{j}")]),
         "shrink_factor.svg": ("Uniform shrink factor a", [("a", table["a"])]),
         "wealth.svg": ("Log wealth (excess of risk-free) and achievable growth F",
@@ -173,7 +169,7 @@ def cmd_report(args: argparse.Namespace) -> int:
                         ("shrunk", table["logW_shrunk"]),
                         ("F", table["F"])]),
         "quadratic_variation.svg": ("Cumulative quadratic variation C",
-                                    [(name, table[name]) for name in c_names]),
+                                    [(name, table[name]) for name in table["c_names"]]),
     }
     for filename, (title, series) in panels.items():
         with tableio.replaced(combined.with_name(filename)) as handle:

@@ -23,7 +23,7 @@ import numpy as np
 from .errors import BadTruncation, ConfigError, EmptyGrid, RankDeficient
 from .filtering import ndtr
 from .psd import CovMatrix, check_full_rank, is_definite, sqrt_entries
-from .tableio import parse_matrix, parse_vector, read_config, write_table
+from .tableio import block_rows, parse_matrix, parse_vector, read_config, write_table
 
 # Trading-day step of the operational clock, used as the default everywhere.
 DEFAULT_STEP = 1.0 / 252.0
@@ -31,9 +31,6 @@ DEFAULT_STEP = 1.0 / 252.0
 # The date of a simulated path's first row.
 _FIRST_DATE = datetime.date(1927, 7, 1)
 _MAX_STEPS = (datetime.date.max - _FIRST_DATE).days + 1     # the last date is 9999-12-31
-# Rows of a path turned into dates and table rows at a time, so that writing a
-# path holds a block of them, not the whole table
-_WRITE_BLOCK_ROWS = 2000
 
 _REJECTION_CAP = 1_000_000
 _REJECTION_BATCH = 256
@@ -419,11 +416,10 @@ def write_path_csv(path: MarketPath, out: IO[str], fund: Optional[FundSpec] = No
     rets = path.increments if fund is None else path.increments @ fund.f
     header = ["date"] + [f"ret_{j + 1}" for j in range(rets.shape[1])] + ["rf"]
 
-    def blocks() -> Iterator[tuple]:
-        for start in range(0, len(rets), _WRITE_BLOCK_ROWS):
-            block = rets[start:start + _WRITE_BLOCK_ROWS]
-            days = range(start, start + len(block))
-            yield ([_FIRST_DATE + datetime.timedelta(days=i) for i in days],
+    def blocks() -> Iterator[tuple]:     # dates and rows are made a block at a time
+        for start in range(0, len(rets), size := block_rows(len(header))):
+            block = rets[start:start + size]
+            yield ([_FIRST_DATE + datetime.timedelta(days=start + i) for i in range(len(block))],
                    np.column_stack([block, np.zeros(len(block))]))
 
     return write_table(out, header, blocks())

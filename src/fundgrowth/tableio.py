@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import ConfigError, EmptySeries, ParseError
 
-_TABLE_BLOCK_ROWS = 2000    # rows per block of lines read: a few MB of text at K = 10
+_TABLE_BLOCK_CELLS = 2 ** 15   # cells per block of a table read or written: a few MB at any K
 # The one date grammar of a table: ``fromisoformat`` alone also takes ``19270702``
 # and ``1927-W27-1`` from Python 3.11 on, and report copies a date cell verbatim.
 _ISO_DATE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}").fullmatch
@@ -103,6 +103,11 @@ def parse_matrix(text: str) -> np.ndarray:
     return np.array([parse_vector(row) for row in rows])
 
 
+def block_rows(width: int) -> int:
+    """Rows per block of a table of ``width`` cells a row, read or written: at least one."""
+    return max(1, _TABLE_BLOCK_CELLS // width)
+
+
 def write_table(out: IO[str], header: Sequence[str], blocks: Iterable[tuple]) -> int:
     """Write ``header``, then the ``date,v_1,...,v_m`` line of each row of each
     ``(dates, (rows, m) float array)`` block as it comes; ``dates`` are
@@ -135,8 +140,8 @@ def table_blocks(path: str, dropped: Optional[list] = None,
                  converters: Optional[dict] = None) -> Iterator:
     """The header of a ``date,v_1,...,v_m`` file, then ``(dates, (rows, columns)
     values, row texts without the line end, line numbers)`` blocks of at most
-    ``_TABLE_BLOCK_ROWS`` kept rows, each read when asked for and parsed by one
-    ``np.loadtxt`` call.  Blank lines are skipped; the last block may be empty.
+    ``block_rows(len(header))`` kept rows, each read when asked for and parsed by
+    one ``np.loadtxt`` call.  Blank lines are skipped; the last block may be empty.
     The file is read as ``INPUT_TEXT``.  A zero-byte file raises ``EmptySeries``,
     and a repeated column name or one with a character that XML 1.0 does not
     allow (a byte that is not UTF-8 among them) ``ParseError``; so does, with its
@@ -162,7 +167,7 @@ def table_blocks(path: str, dropped: Optional[list] = None,
         load = functools.partial(np.loadtxt, delimiter=",", comments=None, ndmin=2,
                                  usecols=range(1, len(header)), converters=converters)
         yield header
-        numbered = enumerate(handle, start=2)
+        numbered, size = enumerate(handle, start=2), block_rows(len(header))
 
         def bad(lineno: int, exc: ValueError) -> None:
             place = re.fullmatch(_NUMPY_PLACE, str(exc), re.DOTALL)
@@ -190,7 +195,7 @@ def table_blocks(path: str, dropped: Optional[list] = None,
                 linenos.append(lineno)
                 lines.append(text)
                 yield text
-                if len(lines) == _TABLE_BLOCK_ROWS:
+                if len(lines) == size:
                     return
 
         while True:
@@ -210,5 +215,5 @@ def table_blocks(path: str, dropped: Optional[list] = None,
                         parts.append(load(lines[start:]))
                         start = len(lines)
             yield dates, np.concatenate(parts), lines, np.array(linenos, dtype=np.int64)
-            if len(lines) < _TABLE_BLOCK_ROWS:     # rows() ran to the end of the file
+            if len(lines) < size:     # rows() ran to the end of the file
                 return

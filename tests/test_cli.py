@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fundgrowth import cli
+from fundgrowth import cli, tableio
 
 ONE_FUND_SCENARIO = """
 # one-fund market at 18% annualised volatility on a trading-day clock
@@ -220,11 +220,12 @@ class TestBacktestReport:
 
     def test_golden_k30_report(self, tmp_path):
         # report.sha256 holds the digests of the report outputs on the golden
-        # K = 30 backtest table of 135 rows of 501 cells; any change to their
-        # bytes fails here
+        # K = 30 backtest table, whose 135 rows of 501 cells report reads in three
+        # blocks; any change to their bytes fails here
         golden = GOLDEN / "k30_blocks"
         lines = (golden / "backtest.csv").read_text().splitlines()
         assert len(lines) == 136 and len(lines[0].split(",")) == 501
+        assert 2 * tableio.block_rows(501) < 135 <= 3 * tableio.block_rows(501)
         assert run(["report", "--input", str(golden / "backtest.csv"),
                     "--out", str(tmp_path)]) == 0
         want = dict(reversed(line.split()) for line in

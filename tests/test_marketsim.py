@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy import special
 
-from fundgrowth import marketsim
+from fundgrowth import marketsim, tableio
 from fundgrowth.errors import BadTruncation, ConfigError, EmptyGrid, RankDeficient
 from fundgrowth.marketsim import (
     PriorSpec,
@@ -320,8 +320,9 @@ class TestScenario:
         real_write_table = marketsim.write_table
         monkeypatch.setattr(marketsim, "write_table", write_table)
         texts = []
-        for rows in (marketsim._WRITE_BLOCK_ROWS, 3):
-            monkeypatch.setattr(marketsim, "_WRITE_BLOCK_ROWS", rows)
+        width = 1 + (2 if funds else 3) + 1        # date, the returns and rf
+        for cells in (tableio._TABLE_BLOCK_CELLS, 3 * width):
+            monkeypatch.setattr(tableio, "_TABLE_BLOCK_CELLS", cells)
             buf = io.StringIO()
             assert write_path_csv(path, buf, fund=fund) == 11
             texts.append(buf.getvalue())

@@ -105,14 +105,15 @@ def test_copied_cells_keep_their_text(tmp_path):
 
 
 def test_k10_panels_equal_reference_in_blocks_of_7(tmp_path, monkeypatch):
-    # every stage reads and writes 7 rows at a time: 60 rows end in a part block
-    monkeypatch.setattr(tableio, "_TABLE_BLOCK_ROWS", 7)
+    # blocks of 497 cells: report reads backtest.csv's 71-cell rows 7 at a time, so
+    # 60 rows end in a part block; simulated.csv's 12-cell rows go 41 at a time
+    monkeypatch.setattr(tableio, "_TABLE_BLOCK_CELLS", 7 * 71)
     test_k10_panels_equal_reference(tmp_path)
 
 
 @pytest.mark.parametrize("out", ["out", "new/out"])
 def test_bad_row_past_the_first_block_leaves_no_output(tmp_path, monkeypatch, capsys, out):
-    monkeypatch.setattr(tableio, "_TABLE_BLOCK_ROWS", 2)
+    monkeypatch.setattr(tableio, "_TABLE_BLOCK_CELLS", 2 * 11)    # 2 rows of K2_HEADER
     rows = K2_ROWS + [K2_ROWS[2].replace("2001-01-03,1.0", "2001-01-04,x")]
     src = tmp_path / "backtest.csv"
     src.write_text(K2_HEADER + "\n".join(rows) + "\n")

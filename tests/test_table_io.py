@@ -373,14 +373,15 @@ def _read(path, dropped):
         return _message(error)
 
 
-@pytest.mark.parametrize("block_rows", [1, 3, tableio._TABLE_BLOCK_ROWS])
+# the tables below have three cells a row: blocks of 1, 3 and 2,000 of their rows
+@pytest.mark.parametrize("block_rows", [1, 3, 2000])
 def test_blocks_read_the_table_of_one_block(tmp_path, monkeypatch, block_rows):
     for path in _tables(tmp_path, "date,v,w", GOOD, KINDS):
         for policy in ("skip", "error"):
             want_dropped, got_dropped = ([] if policy == "skip" else None for _ in range(2))
             want = _read(path, want_dropped)
             with monkeypatch.context() as patch:
-                patch.setattr(tableio, "_TABLE_BLOCK_ROWS", block_rows)
+                patch.setattr(tableio, "_TABLE_BLOCK_CELLS", 3 * block_rows)
                 got = _read(path, got_dropped)
             if isinstance(want, str):
                 assert got == want, path.name
@@ -398,13 +399,13 @@ RETURN_KINDS = {"bad-number": "2001-02-01,x,0.001", "bad-count": "2001-02-02,0.0
 RETURNS = [f"2001-01-{day:02d},{day / 100!r},{day / 1000!r}" for day in range(1, 11)]
 
 
-@pytest.mark.parametrize("block_rows", [1, 3, tableio._TABLE_BLOCK_ROWS])
+@pytest.mark.parametrize("block_rows", [1, 3, 2000])
 def test_blocks_ingest_the_series_of_one_block(tmp_path, monkeypatch, block_rows):
     for path in _tables(tmp_path, "date,ret_1,rf", RETURNS, RETURN_KINDS):
         for policy in ("skip", "error"):
             results = []
-            for rows in (tableio._TABLE_BLOCK_ROWS, block_rows):
-                monkeypatch.setattr(tableio, "_TABLE_BLOCK_ROWS", rows)
+            for cells in (tableio._TABLE_BLOCK_CELLS, 3 * block_rows):
+                monkeypatch.setattr(tableio, "_TABLE_BLOCK_CELLS", cells)
                 try:
                     with warnings.catch_warnings():
                         warnings.simplefilter("ignore")
@@ -420,7 +421,7 @@ def test_blocks_ingest_the_series_of_one_block(tmp_path, monkeypatch, block_rows
 
 
 def test_a_block_comes_before_a_bad_row_two_blocks_on(tmp_path, monkeypatch):
-    monkeypatch.setattr(tableio, "_TABLE_BLOCK_ROWS", 3)
+    monkeypatch.setattr(tableio, "_TABLE_BLOCK_CELLS", 3 * 3)     # 3 rows of 3 cells
     path = tmp_path / "table.csv"
     path.write_text("date,v,w\n" + "\n".join(GOOD[:7] + ["2001-02-01,x,1.0"] + GOOD[7:]) + "\n")
     blocks = tableio.table_blocks(str(path))
