@@ -169,6 +169,67 @@ def test_bad_number_names_its_line_and_column(tmp_path, policy):
     assert [str(error) for error in dropped] == want
 
 
+def _every_tenth_bad(tmp_path, n=6_000, k=10):
+    """A ``date,ret_1..ret_K,rf`` file of ``n`` rows, three blocks of its width,
+    with ``x`` put in front of ``ret_1`` on every tenth row and a few rows of every
+    other kind the reader drops or keeps.  Returns the file, the clean file with
+    the dropped rows left out, the dropped messages, and the kept lines, line
+    numbers and values."""
+    rng = np.random.default_rng(11)
+    values = rng.normal(0.0, 0.01, (n, k + 1))
+    days = [datetime.date(1950, 1, 1) + datetime.timedelta(days=i) for i in range(n)]
+    header = ["date", *(f"ret_{j + 1}" for j in range(k)), "rf"]
+    lines = [",".join([str(day), *map(repr, row.tolist())]) for day, row in zip(days, values)]
+    dropped = {}
+    for i in range(9, n, 10):          # line i + 2
+        cell = lines[i].split(",")[1]
+        lines[i] = lines[i].replace(f",{cell},", f",x{cell},", 1)
+        dropped[i] = f"could not convert string {'x' + cell!r} to float64 in column 'ret_1'"
+    lines[6] = f"  {lines[6]}".replace(",", " ,", 1)           # blank-padded date, kept
+    lines[12] = "\u00a0" + lines[12]                           # no-break space, kept
+    lines[33] = lines[33].rsplit(",", 1)[0]
+    dropped[33] = f"{k + 1} cells, header has {k + 2}"
+    lines[47] = lines[47].replace(str(days[47]), "1950-2-17")
+    dropped[47] = "date '1950-2-17' is not YYYY-MM-DD"
+    for i, column, cell in [(25, 3, "1.2.3"), (4_001, 11, "1e"), (5_998, 5, "--0.5")]:
+        cells = lines[i].split(",")                 # bad numbers of number characters only
+        cells[column] = cell
+        lines[i] = ",".join(cells)
+        dropped[i] = f"could not convert string {cell!r} to float64 in column {header[column]!r}"
+    path = tmp_path / "returns.csv"
+    path.write_text("\n".join([",".join(header), *lines]) + "\n", encoding="utf-8")
+    clean = tmp_path / "clean.csv"
+    kept = [i for i in range(n) if i not in dropped]
+    clean.write_text("\n".join([",".join(header), *(lines[i] for i in kept)]) + "\n",
+                     encoding="utf-8")
+    return (path, clean, [f"line {i + 2}: {dropped[i]}" for i in sorted(dropped)],
+            [lines[i] for i in kept], [i + 2 for i in kept], values[kept])
+
+
+def test_bad_numbers_on_every_tenth_row_are_dropped_and_the_rest_read(tmp_path):
+    path, clean, want_dropped, lines, linenos, values = _every_tenth_bad(tmp_path)
+    dropped = []
+    header, dates, got, got_lines, got_linenos = read_table(str(path), dropped)
+    assert [str(error) for error in dropped] == want_dropped
+    assert got_lines == lines and got_linenos.tolist() == linenos
+    assert got.tobytes() == values.tobytes()
+    assert len(header) == 12 and 6_000 > 2 * tableio.block_rows(len(header))   # 3 blocks
+    with pytest.raises(ParseError) as error:
+        read_table(str(path))
+    assert str(error.value) == want_dropped[0]
+    for table in (path, clean):     # a blank rf cell, which ingest forward-fills
+        text = table.read_text(encoding="utf-8")
+        table.write_text(text.replace(lines[55], lines[55].rsplit(",", 1)[0] + ","),
+                         encoding="utf-8")
+    with pytest.warns(UserWarning, match=f"dropped {len(want_dropped)} "):
+        result = ingest_csv(str(path))
+    want = ingest_csv(str(clean), drop_policy="error")
+    assert (result.rows_read, result.rows_dropped) == (6_000, len(want_dropped))
+    assert result.series.dates == want.series.dates
+    assert result.series.fund_returns.tobytes() == want.series.fund_returns.tobytes()
+    assert result.series.risk_free.tobytes() == want.series.risk_free.tobytes()
+
+
 def _returns_file(tmp_path, n=2_000, header="date,ret_1,rf"):
     days = [datetime.date(1990, 1, 1) + datetime.timedelta(days=i) for i in range(n)]
     rows = [f"{day},{i * 1e-6!r},0.0" for i, day in enumerate(days)]
