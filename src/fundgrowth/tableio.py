@@ -10,6 +10,7 @@ from __future__ import annotations
 import contextlib
 import datetime
 import functools
+import itertools
 import operator
 import os
 import re
@@ -35,6 +36,9 @@ INPUT_TEXT = {"encoding": "utf-8", "errors": "surrogateescape"}
 _NOT_XML = "[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]"
 # numpy's own place of a bad number, whose row counts the rows of its call
 _NUMPY_PLACE = r"(.*) at row \d+, column (\d+)\."
+# The bytes of good numbers, but for ``inf``, ``nan`` and blanks: a row with any
+# other byte most likely holds a bad number.
+_NUMBER_BYTES = b"-+.,0123456789eE"
 
 
 def read_text(path: str) -> str:
@@ -141,7 +145,8 @@ def table_blocks(path: str, dropped: Optional[list] = None,
     """The header of a ``date,v_1,...,v_m`` file, then ``(dates, (rows, columns)
     values, row texts without the line end, line numbers)`` blocks of at most
     ``block_rows(len(header))`` kept rows, each read when asked for and parsed by
-    one ``np.loadtxt`` call.  Blank lines are skipped; the last block may be empty.
+    one ``np.loadtxt`` call, or by ``salvage`` if it holds a bad number.  Blank
+    lines are skipped; the last block may be empty.
     The file is read as ``INPUT_TEXT``.  A zero-byte file raises ``EmptySeries``,
     and a repeated column name or one with a character that XML 1.0 does not
     allow (a byte that is not UTF-8 among them) ``ParseError``; so does, with its
@@ -169,16 +174,51 @@ def table_blocks(path: str, dropped: Optional[list] = None,
         yield header
         numbered, size = enumerate(handle, start=2), block_rows(len(header))
 
-        def bad(lineno: int, exc: ValueError) -> None:
+        def error(lineno: int, exc: ValueError) -> ParseError:
             place = re.fullmatch(_NUMPY_PLACE, str(exc), re.DOTALL)
-            error = ParseError(lineno, f"{place[1]} in column {header[int(place[2]) - 1]!r}"
-                               if place else str(exc))
-            if dropped is None:
-                raise error from None
-            dropped.append(error)
+            return ParseError(lineno, f"{place[1]} in column {header[int(place[2]) - 1]!r}"
+                              if place else str(exc))
 
-        def rows():     # a bad cell count or date is dropped here; numpy never sees it
-            for lineno, line in numbered:
+        def salvage(lines: list[str], linenos: list[int], errors: list) -> tuple:
+            """The values of a block's rows, a bad number among them, and which rows
+            are kept.  numpy stops at a bad number: the rows it read before it are
+            parsed again, and a new call goes on after it.  The rows of
+            ``_NUMBER_BYTES`` alone are read first, in one call unless one of them
+            is bad; the others follow, and each of those that is bad costs one call."""
+            values = np.empty((len(lines), len(header) - 1))
+            kept = np.ones(len(lines), dtype=bool)
+
+            def parse(rows: Iterable[int]) -> None:
+                rows = iter(rows)
+
+                def fed(read: list[int]) -> Iterator[str]:
+                    for i in rows:
+                        read.append(i)      # read[-1]: the row numpy is reading
+                        yield lines[i]
+
+                while True:
+                    read = []
+                    try:
+                        parsed = load(fed(read))
+                    except ValueError as exc:
+                        bad = read.pop()
+                        kept[bad] = False
+                        errors.append(error(linenos[bad], exc))
+                        if read:
+                            values[read] = load([lines[i] for i in read])
+                        continue
+                    values[read] = parsed
+                    return
+
+            others = "\n".join(lines).encode(**INPUT_TEXT).translate(None, _NUMBER_BYTES)
+            others = others.split(b"\n")      # each row's bytes that are not _NUMBER_BYTES
+            parse([i for i, chars in enumerate(others) if not chars])
+            parse(itertools.compress(itertools.count(), others))
+            return values[kept], kept
+
+        while True:
+            dates, lines, linenos, errors = [], [], [], []
+            for lineno, line in numbered:   # a bad cell count or date is dropped here
                 if line.isspace():
                     continue
                 text = line.rstrip("\n")
@@ -190,30 +230,27 @@ def table_blocks(path: str, dropped: Optional[list] = None,
                         raise ValueError(f"date {day!r} is not YYYY-MM-DD")
                     dates.append(datetime.date.fromisoformat(day))
                 except ValueError as exc:
-                    bad(lineno, exc)
+                    errors.append(error(lineno, exc))
                     continue
                 linenos.append(lineno)
                 lines.append(text)
-                yield text
                 if len(lines) == size:
-                    return
-
-        while True:
-            dates, lines, linenos = [], [], []  # linenos[-1]: the row numpy is reading
-            # numpy cannot resume after a bad number: the block's rows before it are parsed again
-            parts, start = [], 0
+                    break
+            last = len(lines) < size     # the file ended in this block
             # loadtxt warns on no rows; the filter is process-wide: not across the yield
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
-                while True:
-                    try:
-                        parts.append(load(rows()))
-                        break
-                    except ValueError as exc:
-                        bad(linenos.pop(), exc)
-                        del lines[len(linenos):], dates[len(linenos):]   # the bad row's
-                        parts.append(load(lines[start:]))
-                        start = len(lines)
-            yield dates, np.concatenate(parts), lines, np.array(linenos, dtype=np.int64)
-            if len(lines) < size:     # rows() ran to the end of the file
+                try:
+                    values = load(lines)
+                except ValueError:      # numpy cannot resume after a bad number
+                    values, kept = salvage(lines, linenos, errors)
+                    dates, lines, linenos = (list(itertools.compress(items, kept))
+                                             for items in (dates, lines, linenos))
+            if errors:
+                errors.sort(key=operator.attrgetter("line"))
+                if dropped is None:
+                    raise errors[0]
+                dropped += errors
+            yield dates, values, lines, np.array(linenos, dtype=np.int64)
+            if last:
                 return

@@ -503,3 +503,23 @@ def test_missing_column_is_reported_before_any_row_is_parsed(tmp_path, monkeypat
     with pytest.raises(MissingColumns, match=r"lacks required columns: \['c_22'\]"):
         read_backtest_csv(str(table))
     assert calls == []
+
+
+def test_a_bad_number_does_not_make_numpy_read_its_rows_again(tmp_path, monkeypatch):
+    # x in front of ret_1 on every tenth row; each row before a bad one was read twice
+    path, _, lines = _returns_file(tmp_path, n=6_000)
+    for i in range(10, 6_001, 10):
+        lines[i] = lines[i].replace(",", ",x", 1)
+    path.write_text("\n".join(lines) + "\n")
+    handed = []
+    loadtxt = np.loadtxt
+
+    def counted(rows):
+        for row in rows:
+            handed.append(row)
+            yield row
+
+    monkeypatch.setattr(np, "loadtxt", lambda rows, **kw: loadtxt(counted(rows), **kw))
+    dropped = []
+    assert read_table(str(path), dropped)[2].shape == (5_400, 2) and len(dropped) == 600
+    assert len(handed) < 1.01 * 6_000
