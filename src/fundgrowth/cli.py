@@ -10,7 +10,8 @@ Subcommands
 All randomness flows from a single ``--seed`` (default ``DEFAULT_SEED``);
 per-task seeds are derived by documented offsets, so every subcommand is
 deterministic and idempotent on identical inputs.  Exit codes: 0 success,
-1 verify-check failure, 2 usage/config/IO errors.
+1 verify-check failure, 2 usage/config/IO errors.  Each subcommand imports the
+modules it runs when it runs, so that no stage loads another's.
 """
 
 from __future__ import annotations
@@ -19,11 +20,7 @@ import argparse
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from . import backtest as bt
-from . import marketsim, svgchart, tableio, verify
-from .errors import EmptyRange, FundgrowthError
+from .errors import FundgrowthError
 
 DEFAULT_SEED = 43210
 
@@ -34,6 +31,17 @@ def non_negative_int(text: str) -> int:
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
     return value
+
+
+class _CheckNames(argparse.HelpFormatter):
+    """Appends the names of ``verify``'s checks to the help of ``--checks``: only
+    ``verify --help`` imports ``verify`` to build the parser."""
+
+    def _get_help_string(self, action: argparse.Action) -> str:
+        if action.dest != "checks":
+            return action.help
+        from . import verify
+        return f"{action.help} {', '.join(verify.CHECKS)}"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -50,9 +58,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--out", required=True, help="output directory")
     p_sim.set_defaults(func=cmd_simulate)
 
-    p_ver = sub.add_parser("verify", help="run property sweeps")
-    p_ver.add_argument("--checks", default=None,
-                       help=f"comma list from: {', '.join(verify.CHECKS)}")
+    p_ver = sub.add_parser("verify", help="run property sweeps", formatter_class=_CheckNames)
+    p_ver.add_argument("--checks", default=None, help="comma list from:")
     p_ver.add_argument("--instances", type=int, default=None,
                        help="instances per check (default: each check's own count)")
     p_ver.add_argument("--seed", type=non_negative_int, default=DEFAULT_SEED,
@@ -75,6 +82,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    import numpy as np
+
+    from . import marketsim, tableio
     scenario = marketsim.parse_scenario(tableio.read_text(args.config))
     seed = scenario.seed if args.seed is None else args.seed
     path = marketsim.run_scenario(scenario, seed=seed)
@@ -107,6 +117,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    from . import verify
     names = None if not args.checks else [s.strip() for s in args.checks.split(",") if s.strip()]
     if args.instances is not None and args.instances < 1:
         print(f"error: --instances must be at least 1, got {args.instances}", file=sys.stderr)
@@ -134,6 +145,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_backtest(args: argparse.Namespace) -> int:
+    from . import backtest as bt
+    from . import tableio
     config = bt.BacktestConfig()
     if args.config is not None:
         config = bt.parse_backtest_config(tableio.read_text(args.config))
@@ -152,6 +165,9 @@ def cmd_backtest(args: argparse.Namespace) -> int:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
+    from . import backtest as bt
+    from . import svgchart, tableio
+    from .errors import EmptyRange
     # panels.csv is written from each block's row texts as the input is read
     combined = Path(args.out) / "panels.csv"
     with tableio.replaced(combined) as handle:

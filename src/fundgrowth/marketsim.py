@@ -15,7 +15,6 @@ from __future__ import annotations
 import datetime
 import math
 from dataclasses import dataclass
-from statistics import NormalDist
 from typing import IO, Iterator, Optional
 
 import numpy as np
@@ -190,6 +189,7 @@ def _truncated_inverse_cdf(rng, mu: float, sd: float, lower: float, upper: float
     if not p_lo < p_hi:
         raise BadTruncation(f"interval ({lower}, {upper}) has no prior probability "
                             "in double precision")
+    from statistics import NormalDist     # imports fractions and decimal: only when drawn
     return mu + sign * sd * NormalDist().inv_cdf(rng.uniform(p_lo, p_hi))
 
 

@@ -1,9 +1,11 @@
 """Module boundaries inside the package, read from the source: no module takes a
 private name from a sibling, and only ``tableio`` knows how input text is decoded
-and opens a file.  Importing the package neither imports the float formatter
-nor builds its tables."""
+and opens a file.  Importing the package imports none of its modules, each
+subcommand imports only the modules it runs, and neither builds the float
+formatter's tables."""
 
 import ast
+import json
 import os
 import subprocess
 import sys
@@ -11,9 +13,19 @@ from pathlib import Path
 
 import pytest
 
+from fundgrowth import cli, verify
+
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "fundgrowth"
 MODULES = sorted(PACKAGE.glob("*.py"))
 SIBLINGS = {path.stem for path in MODULES}
+
+
+def run_python(code: str, *argv: str, cwd=None) -> str:
+    """The output of ``code`` run by a new interpreter that imports this package."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(PACKAGE.parent), *filter(None, [os.environ.get("PYTHONPATH")])])}
+    return subprocess.run([sys.executable, "-c", code, *argv], env=env, cwd=cwd,
+                          capture_output=True, text=True, check=True).stdout
 
 
 def sibling_of(node: ast.ImportFrom):
@@ -87,8 +99,44 @@ def test_import_builds_no_formatter_table():
             "print(*(table.cache_info().currsize for table in tables))\n"
             "[*f.float_lines(f.np.ones((1, 1)))]\n"
             "print(*(table.cache_info().currsize for table in tables))\n")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [str(PACKAGE.parent), *filter(None, [os.environ.get("PYTHONPATH")])])}
-    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
-                         check=True)
-    assert run.stdout.splitlines() == ["False", "0 0 0 0", "1 1 1 1"]
+    assert run_python(code).splitlines() == ["False", "0 0 0 0", "1 1 1 1"]
+
+
+def test_import_loads_no_module_and_no_numpy():
+    code = ("import sys, fundgrowth\n"
+            "print(sorted(m for m in sys.modules if m.startswith('fundgrowth.')), "
+            "'numpy' in sys.modules)\n"
+            "print(fundgrowth.psd.CovMatrix.__qualname__, 'fundgrowth.backtest' in sys.modules)\n"
+            "print(hasattr(fundgrowth, 'no_such_module'))\n")
+    assert run_python(code).splitlines() == ["[] False", "CovMatrix False", "False"]
+
+
+# The package modules each subcommand loads, cli itself among them: floattext once
+# a float is written, marketsim (with filtering's ndtr) only to simulate, and
+# neither estimators nor verify to run the chain.
+SIMULATE = {"cli", "errors", "filtering", "floattext", "marketsim", "psd", "tableio"}
+BACKTEST = {"backtest", "cli", "errors", "filtering", "floattext", "psd", "shrinkage", "tableio"}
+STAGE_MODULES = {"simulate": SIMULATE, "backtest": BACKTEST, "report": BACKTEST | {"svgchart"}}
+
+
+def test_each_subcommand_loads_only_the_modules_it_runs(tmp_path):
+    (tmp_path / "scenario.cfg").write_text(
+        "dim = 2\ncov_preset = us_one_fund\nnu = 1.0, 0.5\nsteps = 300\nseed = 5\n")
+    (tmp_path / "bt.cfg").write_text("burn_in_days = 100\n")
+    code = ("import json, sys\n"
+            "from fundgrowth import cli\n"
+            "code = cli.main(sys.argv[1:])\n"
+            "print(json.dumps([code, 'statistics' in sys.modules,\n"
+            "                  sorted(m[11:] for m in sys.modules if m.startswith('fundgrowth.'))]))\n")
+    stages = {"simulate": ["--config", "scenario.cfg"],
+              "backtest": ["--input", "simulated.csv", "--config", "bt.cfg"],
+              "report": ["--input", "backtest.csv"]}
+    for stage, argv in stages.items():
+        out = run_python(code, stage, *argv, "--out", ".", cwd=tmp_path)
+        code_, statistics, modules = json.loads(out.splitlines()[-1])
+        assert (code_, statistics, set(modules)) == (0, False, STAGE_MODULES[stage]), stage
+
+
+def test_verify_help_names_every_check(capsys):
+    assert cli.main(["verify", "--help"]) == 0
+    assert set(verify.CHECKS) <= set(capsys.readouterr().out.replace(",", " ").split())
