@@ -90,9 +90,13 @@ class ReturnSeries:
 
 @dataclass(frozen=True)
 class IngestResult:
+    """A cleaned series, the data rows read and dropped, and the kept rows on which
+    some fund returned -100% or less: each floors a wealth step if held."""
+
     series: ReturnSeries
     rows_read: int
     rows_dropped: int
+    rows_wiped_out: int
 
 
 def _rf_cell(text: str) -> float:
@@ -143,7 +147,8 @@ def ingest_csv(path: str, drop_policy: str = "skip") -> IngestResult:
     last_rf = np.maximum.accumulate(np.where(blank_rf[rows], 0, np.arange(1, rows.size + 1)))
     series = ReturnSeries(dates=tuple(days[rows]), fund_returns=values[rows, :-1],
                           risk_free=np.concatenate([[0.0], values[rows, -1]])[last_rf])
-    return IngestResult(series, len(values) + len(dropped), n_dropped)
+    wiped_out = int(np.count_nonzero((series.fund_returns <= -1.0).any(axis=1)))
+    return IngestResult(series, len(values) + len(dropped), n_dropped, wiped_out)
 
 
 @dataclass(frozen=True)

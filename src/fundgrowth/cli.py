@@ -160,7 +160,7 @@ def cmd_backtest(args: argparse.Namespace) -> int:
     print(f"read {ingest.rows_read} rows ({ingest.rows_dropped} dropped), "
           f"{series.k} fund(s); burn-in {config.burn_in_days} days")
     print(f"wrote {out_csv} rows={rows} final a={float(last.a[-1]):.4f} "
-          f"floored_steps={last.floored_steps}")
+          f"floored_steps={last.floored_steps} rows_wiped_out={ingest.rows_wiped_out}")
     return 0
 
 

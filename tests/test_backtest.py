@@ -154,6 +154,14 @@ class TestIngest:
         assert result.rows_read == 4 and result.rows_dropped == 2
         np.testing.assert_array_equal(result.series.fund_returns[:, 0], [0.01, 0.03])
 
+    def test_a_return_of_minus_100_percent_or_less_is_counted(self, tmp_path):
+        path = write_csv(tmp_path, "date,ret_1,ret_2,rf\n2001-01-01,0.01,-0.5,0.0\n"
+                                   "2001-01-02,0.02,-1.0,0.0\n2001-01-03,-1.5,-1.25,0.0\n"
+                                   "2001-01-04,-0.99,0.0,0.0\n")
+        result = ingest_csv(path, drop_policy="error")
+        assert (result.rows_read, result.rows_dropped, result.rows_wiped_out) == (4, 0, 2)
+        assert result.series.n == 4
+
     @pytest.mark.parametrize("row", ["2001-01-02,nan,0.0", "2001-01-02,0.02,inf"])
     def test_non_finite_cell_raises_under_error_policy(self, tmp_path, row):
         path = write_csv(tmp_path, f"date,ret_1,rf\n2001-01-01,0.01,0.0\n{row}\n")

@@ -483,3 +483,15 @@ def test_import_loads_no_scipy():
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, check=True)
     assert done.stdout.strip() == "[]"
+
+
+def test_a_wiped_out_row_is_counted_next_to_the_floored_steps(tmp_path, capsys):
+    rows = [f"2001-{1 + i // 28:02d}-{1 + i % 28:02d},{(-1) ** i * 0.01},0.0\n" for i in range(60)]
+    rows[41] = rows[41].replace("0.01", "1.5")       # a return of -150%
+    returns = tmp_path / "returns.csv"
+    returns.write_text("date,ret_1,rf\n" + "".join(rows))
+    config = tmp_path / "bt.cfg"
+    config.write_text("burn_in_days = 10\n")
+    assert run(["backtest", "--input", str(returns), "--config", str(config),
+                "--out", str(tmp_path)]) == 0
+    assert re.search(r" floored_steps=[1-9][0-9]* rows_wiped_out=1\n\Z", capsys.readouterr().out)
