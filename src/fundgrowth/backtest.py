@@ -90,8 +90,8 @@ class ReturnSeries:
 
 @dataclass(frozen=True)
 class IngestResult:
-    """A cleaned series, the data rows read and dropped, and the kept rows on which
-    some fund returned -100% or less: each floors a wealth step if held."""
+    """A cleaned series with the counts of data rows read and dropped, and of kept
+    rows on which some fund returned -100% or less."""
 
     series: ReturnSeries
     rows_read: int

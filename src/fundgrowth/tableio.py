@@ -210,8 +210,8 @@ def table_blocks(path: str, dropped: Optional[list] = None,
                     values[read] = parsed
                     return
 
-            others = "\n".join(lines).encode(**INPUT_TEXT).translate(None, _NUMBER_BYTES)
-            others = others.split(b"\n")      # each row's bytes that are not _NUMBER_BYTES
+            text = "\n".join(lines).encode(**INPUT_TEXT)
+            others = text.translate(None, _NUMBER_BYTES).split(b"\n")   # each row's other bytes
             parse([i for i, chars in enumerate(others) if not chars])
             parse(itertools.compress(itertools.count(), others))
             return values[kept], kept

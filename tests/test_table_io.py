@@ -506,7 +506,7 @@ def test_missing_column_is_reported_before_any_row_is_parsed(tmp_path, monkeypat
 
 
 def test_a_bad_number_does_not_make_numpy_read_its_rows_again(tmp_path, monkeypatch):
-    # x in front of ret_1 on every tenth row; each row before a bad one was read twice
+    # x in front of ret_1 on every tenth row: numpy stops at each, yet reads a row about once
     path, _, lines = _returns_file(tmp_path, n=6_000)
     for i in range(10, 6_001, 10):
         lines[i] = lines[i].replace(",", ",x", 1)
