@@ -183,8 +183,9 @@ def table_blocks(path: str, dropped: Optional[list] = None,
             """The values of a block's rows, a bad number among them, and which rows
             are kept.  numpy stops at a bad number: the rows it read before it are
             parsed again, and a new call goes on after it.  The rows of
-            ``_NUMBER_BYTES`` alone are read first, in one call unless one of them
-            is bad; the others follow, and each of those that is bad costs one call."""
+            ``_NUMBER_BYTES`` alone and no blank cell but the last are read first, in
+            one call unless one of them is bad; the others follow, and each of those
+            that is bad costs one call."""
             values = np.empty((len(lines), len(header) - 1))
             kept = np.ones(len(lines), dtype=bool)
 
@@ -210,7 +211,7 @@ def table_blocks(path: str, dropped: Optional[list] = None,
                     values[read] = parsed
                     return
 
-            text = "\n".join(lines).encode(**INPUT_TEXT)
+            text = "\n".join(lines).encode(**INPUT_TEXT).replace(b",,", b",_,")  # a blank cell
             others = text.translate(None, _NUMBER_BYTES).split(b"\n")   # each row's other bytes
             parse([i for i, chars in enumerate(others) if not chars])
             parse(itertools.compress(itertools.count(), others))

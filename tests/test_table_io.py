@@ -171,8 +171,8 @@ def test_bad_number_names_its_line_and_column(tmp_path, policy):
 
 def _every_tenth_bad(tmp_path, n=6_000, k=10):
     """A ``date,ret_1..ret_K,rf`` file of ``n`` rows, three blocks of its width,
-    with ``x`` put in front of ``ret_1`` on every tenth row and a few rows of every
-    other kind the reader drops or keeps.  Returns the file, the clean file with
+    with ``x`` put in front of ``ret_1`` on every tenth row, a blank ``ret_j`` on
+    every tenth row, and a few rows of every other kind the reader drops or keeps.  Returns the file, the clean file with
     the dropped rows left out, the dropped messages, and the kept lines, line
     numbers and values."""
     rng = np.random.default_rng(11)
@@ -185,6 +185,12 @@ def _every_tenth_bad(tmp_path, n=6_000, k=10):
         cell = lines[i].split(",")[1]
         lines[i] = lines[i].replace(f",{cell},", f",x{cell},", 1)
         dropped[i] = f"could not convert string {'x' + cell!r} to float64 in column 'ret_1'"
+    for i in range(4, n, 10):          # a blank fund return, ret_1 to ret_K in turn
+        column = 1 + i // 10 % k
+        cells = lines[i].split(",")
+        cells[column] = ""
+        lines[i] = ",".join(cells)
+        dropped[i] = f"could not convert string '' to float64 in column {header[column]!r}"
     lines[6] = f"  {lines[6]}".replace(",", " ,", 1)           # blank-padded date, kept
     lines[12] = "\u00a0" + lines[12]                           # no-break space, kept
     lines[33] = lines[33].rsplit(",", 1)[0]
@@ -506,10 +512,12 @@ def test_missing_column_is_reported_before_any_row_is_parsed(tmp_path, monkeypat
 
 
 def test_a_bad_number_does_not_make_numpy_read_its_rows_again(tmp_path, monkeypatch):
-    # x in front of ret_1 on every tenth row: numpy stops at each, yet reads a row about once
+    # x in front of ret_1 on every tenth row and a blank ret_1 on every tenth row: numpy
+    # stops at each, yet reads a row about once
     path, _, lines = _returns_file(tmp_path, n=6_000)
     for i in range(10, 6_001, 10):
         lines[i] = lines[i].replace(",", ",x", 1)
+        lines[i - 5] = lines[i - 5].split(",")[0] + ",,0.0"
     path.write_text("\n".join(lines) + "\n")
     handed = []
     loadtxt = np.loadtxt
@@ -521,5 +529,5 @@ def test_a_bad_number_does_not_make_numpy_read_its_rows_again(tmp_path, monkeypa
 
     monkeypatch.setattr(np, "loadtxt", lambda rows, **kw: loadtxt(counted(rows), **kw))
     dropped = []
-    assert read_table(str(path), dropped)[2].shape == (5_400, 2) and len(dropped) == 600
+    assert read_table(str(path), dropped)[2].shape == (4_800, 2) and len(dropped) == 1_200
     assert len(handed) < 1.01 * 6_000
