@@ -269,6 +269,49 @@ class TestIngest:
         np.testing.assert_allclose(excess[:, 0], path.increments[:, 0], atol=1e-12, rtol=0)
 
 
+class CountedDay:
+    """A date-like day number that counts the ``<`` comparisons made on its class."""
+
+    comparisons = 0
+
+    def __init__(self, day):
+        self.day = day
+
+    def __lt__(self, other):
+        CountedDay.comparisons += 1
+        return self.day < other.day
+
+    def __eq__(self, other):
+        return self.day == other.day
+
+
+def series_on(dates):
+    return ReturnSeries(dates=dates, fund_returns=np.zeros((len(dates), 1)),
+                        risk_free=np.zeros(len(dates)))
+
+
+class TestDateCheck:
+    def test_an_equal_copy_is_checked_again(self):
+        dates = tuple(map(CountedDay, range(50)))
+        series_on(dates)
+        copy = tuple(list(dates))
+        assert copy == dates and copy is not dates
+        before = CountedDay.comparisons
+        series_on(copy)
+        assert CountedDay.comparisons - before == len(dates) - 1
+
+    @pytest.mark.parametrize("bad", [(0, 1, 3, 2, 4), (0, 1, 1, 2, 3)], ids=["swapped", "repeated"])
+    def test_a_bad_tuple_raises_each_time(self, bad):
+        good = tuple(datetime.date(2001, 1, 1 + i) for i in range(5))
+        bad = tuple(good[i] for i in bad)
+        for dates in (good, bad, bad, good, bad):
+            if dates is good:
+                assert series_on(dates).n == 5
+            else:
+                with pytest.raises(NonMonotoneDates):
+                    series_on(dates)
+
+
 class TestRunBacktest:
     @pytest.mark.parametrize("day, fund, rf", [(7, math.nan, 0.0), (0, 0.01, math.inf),
                                                (19, -math.inf, 0.0), (3, 0.01, math.nan)])
