@@ -33,12 +33,10 @@ from typing import IO, Iterable, Iterator, Optional
 
 import numpy as np
 
-from . import filtering, shrinkage
+from . import shrinkage
 from .errors import (ConfigError, EmptySeries, InsufficientBurnIn, MissingColumns,
                      NonMonotoneDates, ParseError, SingularC)
 from .psd import PD_RTOL, CovMatrix, inverse_entries, is_definite
-from .tableio import (column_lines, parse_matrix, parse_vector, read_config, table_blocks,
-                      write_table)
 
 DEFAULT_BURN_IN = 7500   # trading days, about 30 years
 
@@ -54,6 +52,11 @@ _BLOCK_ENTRIES = 2 ** 18
 # A blank ``rf`` cell reads as this NaN, whose payload no number's text gives: a
 # literal ``nan`` reads as numpy's own NaN and ``-inf`` as -inf.
 _BLANK_RF = np.int64(0x7FF8_0000_00B1_A4C5).view(np.float64)
+
+# The last dates tuple that ReturnSeries found strictly increasing, held so that its
+# id is not reused: a tuple of dates cannot change, so a loop that passes one calendar
+# to every path checks it once, and any other tuple, an equal copy too, in full.
+_increasing_dates = None
 
 
 @dataclass(frozen=True)
@@ -76,8 +79,11 @@ class ReturnSeries:
             raise ValueError("dates, fund_returns and risk_free lengths disagree")
         if not (np.isfinite(rets).all() and np.isfinite(rf).all()):
             raise ValueError("fund_returns and risk_free must be finite")
-        if not all(map(operator.lt, self.dates, self.dates[1:])):
-            raise NonMonotoneDates("dates must be strictly increasing")
+        global _increasing_dates
+        if self.dates is not _increasing_dates:
+            if not all(map(operator.lt, self.dates, self.dates[1:])):
+                raise NonMonotoneDates("dates must be strictly increasing")
+            _increasing_dates = self.dates
 
     @property
     def n(self) -> int:
@@ -119,6 +125,7 @@ def ingest_csv(path: str, drop_policy: str = "skip") -> IngestResult:
     """
     if drop_policy not in ("skip", "error"):
         raise ConfigError(f"unknown drop_policy {drop_policy!r}")
+    from .tableio import table_blocks
     dropped: list[ParseError] = []
     blocks = table_blocks(path, dropped, {-1: _rf_cell})
     header = [name.strip() for name in next(blocks)]
@@ -204,18 +211,17 @@ def _parse_bool(text: str) -> bool:
     return value in ("1", "true", "yes")
 
 
-_CONFIG_PARSERS = {
-    "burn_in_days": int, "prior": str, "nu0": parse_vector,
-    "kappa0": parse_matrix, "truncation_l": float, "truncation_r": float,
-    "drop_policy": str, "demean_covariance": _parse_bool, "force_a": float,
-    "force_nu_hat": parse_vector,
-}
-
-
 def parse_backtest_config(text: str) -> BacktestConfig:
     """Parse ``key = value`` lines into a config; unknown and repeated keys
     and unparsable values raise ``ConfigError``."""
-    return BacktestConfig(**read_config(text, _CONFIG_PARSERS, "config"))
+    from .tableio import parse_matrix, parse_vector, read_config
+    parsers = {
+        "burn_in_days": int, "prior": str, "nu0": parse_vector,
+        "kappa0": parse_matrix, "truncation_l": float, "truncation_r": float,
+        "drop_policy": str, "demean_covariance": _parse_bool, "force_a": float,
+        "force_nu_hat": parse_vector,
+    }
+    return BacktestConfig(**read_config(text, parsers, "config"))
 
 
 @dataclass
@@ -316,7 +322,8 @@ def _one_fund_posterior(r: np.ndarray, c: np.ndarray, truncation) -> tuple[np.nd
     """``nu_hat`` and ``kappa`` of one fund: the truncated closed forms, or ``R/C``
     and ``1/C``."""
     if truncation is not None:
-        return filtering.truncated_moments(r, c, *truncation)
+        from .filtering import truncated_moments
+        return truncated_moments(r, c, *truncation)
     return r / c, 1.0 / c
 
 
@@ -512,6 +519,7 @@ def write_backtest_csv(blocks: Iterable[BacktestSeries],
                        out: IO[str]) -> tuple[int, BacktestSeries]:
     """Write the post-burn-in rows of each block as it comes; full-precision
     floats keep output stable.  Returns the row count and the last block."""
+    from .tableio import write_table
     blocks = iter(blocks)
     last = next(blocks)
     upper_i, upper_j = np.triu_indices(last.k)
@@ -535,6 +543,7 @@ def read_backtest_csv(path: str, panels: Optional[IO[str]] = None) -> dict:
     before any row is read when core columns are absent, ``ParseError`` (with the line) on
     a row that does not parse.  ``panels``, if given, gets ``report``'s ``panels.csv`` block
     by block, cells as written and each ``shrunk_j = a * nu_hat_j`` added; the dict holds them."""
+    from .tableio import column_lines, table_blocks
     blocks = table_blocks(path)
     header = next(blocks)
     k = sum(1 for name in header if name.startswith("nu_hat_"))

@@ -20,9 +20,7 @@ from typing import IO, Iterator, Optional
 import numpy as np
 
 from .errors import BadTruncation, ConfigError, EmptyGrid, RankDeficient
-from .filtering import ndtr
 from .psd import CovMatrix, check_full_rank, is_definite, sqrt_entries
-from .tableio import block_rows, parse_matrix, parse_vector, read_config, write_table
 
 # Trading-day step of the operational clock, used as the default everywhere.
 DEFAULT_STEP = 1.0 / 252.0
@@ -157,6 +155,7 @@ def draw_prior(spec: PriorSpec, seed: int) -> np.ndarray:
         root = sqrt_entries(spec.cov)
         return spec.mean + root @ rng.standard_normal(spec.dim)
 
+    from .filtering import ndtr
     lower, upper = spec.truncation
     mu = float(spec.mean[0])
     sd = math.sqrt(float(spec.cov.entries[0, 0]))
@@ -182,6 +181,8 @@ def _truncated_inverse_cdf(rng, mu: float, sd: float, lower: float, upper: float
     needs no mapping: ``ndtr`` keeps full relative precision below zero.
     Raises ``BadTruncation`` when the interval's probability underflows.
     """
+    from statistics import NormalDist     # imports fractions and decimal: only when drawn
+    from .filtering import ndtr
     alpha = (lower - mu) / sd
     beta = (upper - mu) / sd
     sign, lo, hi = (-1.0, -beta, -alpha) if alpha >= 0.0 else (1.0, alpha, beta)
@@ -189,7 +190,6 @@ def _truncated_inverse_cdf(rng, mu: float, sd: float, lower: float, upper: float
     if not p_lo < p_hi:
         raise BadTruncation(f"interval ({lower}, {upper}) has no prior probability "
                             "in double precision")
-    from statistics import NormalDist     # imports fractions and decimal: only when drawn
     return mu + sign * sd * NormalDist().inv_cdf(rng.uniform(p_lo, p_hi))
 
 
@@ -329,6 +329,7 @@ class SimScenario:
 
 
 def _parse_cov(text: str) -> CovMatrix:
+    from .tableio import parse_matrix
     return CovMatrix(parse_matrix(text))
 
 
@@ -349,13 +350,6 @@ def _sized(name: str, value: Optional[np.ndarray], shape: tuple) -> None:
 # trading-day step, ``us_one_fund`` gives 18% annualised volatility.
 _COV_PRESETS = {"identity": 1.0, "us_one_fund": 0.18 ** 2}
 
-_SCENARIO_PARSERS = {
-    "dim": int, "cov": _parse_cov, "cov_preset": str, "prior_mean": parse_vector,
-    "prior_cov": _parse_cov, "truncation_l": float, "truncation_r": float,
-    "nu": parse_vector, "dt": float, "steps": int, "o_start": float, "seed": int,
-    "f": parse_matrix, "theta": parse_vector, "drift_check_paths": int,
-}
-
 
 def parse_scenario(text: str) -> SimScenario:
     """Parse a plain ``key = value`` scenario description.
@@ -365,7 +359,14 @@ def parse_scenario(text: str) -> SimScenario:
     ``cov_preset`` gives the covariance rate; ``prior_mean``, ``prior_cov``
     (identity by default) and ``truncation_l``/``truncation_r`` the prior.
     """
-    values = read_config(text, _SCENARIO_PARSERS, "scenario")
+    from .tableio import parse_matrix, parse_vector, read_config
+    parsers = {
+        "dim": int, "cov": _parse_cov, "cov_preset": str, "prior_mean": parse_vector,
+        "prior_cov": _parse_cov, "truncation_l": float, "truncation_r": float,
+        "nu": parse_vector, "dt": float, "steps": int, "o_start": float, "seed": int,
+        "f": parse_matrix, "theta": parse_vector, "drift_check_paths": int,
+    }
+    values = read_config(text, parsers, "scenario")
     if "dim" not in values:
         raise ConfigError("scenario must declare 'dim'")
     dim = values["dim"]
@@ -412,6 +413,7 @@ def write_path_csv(path: MarketPath, out: IO[str], fund: Optional[FundSpec] = No
     exported as its own column.  Simulated returns are already excess returns,
     so ``rf`` is written as zero.  Returns the number of data rows written.
     """
+    from .tableio import block_rows, write_table
     # one product for the whole path: BLAS may round a row of a smaller product otherwise
     rets = path.increments if fund is None else path.increments @ fund.f
     header = ["date"] + [f"ret_{j + 1}" for j in range(rets.shape[1])] + ["rf"]

@@ -300,6 +300,12 @@ class TestDateCheck:
         series_on(copy)
         assert CountedDay.comparisons - before == len(dates) - 1
 
+    def test_one_tuple_is_checked_once(self):
+        dates = tuple(map(CountedDay, range(50)))
+        before = CountedDay.comparisons
+        series_on(dates), series_on(dates)
+        assert CountedDay.comparisons - before == len(dates) - 1
+
     @pytest.mark.parametrize("bad", [(0, 1, 3, 2, 4), (0, 1, 1, 2, 3)], ids=["swapped", "repeated"])
     def test_a_bad_tuple_raises_each_time(self, bad):
         good = tuple(datetime.date(2001, 1, 1 + i) for i in range(5))

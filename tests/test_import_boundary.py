@@ -1,8 +1,8 @@
 """Module boundaries inside the package, read from the source: no module takes a
 private name from a sibling, and only ``tableio`` knows how input text is decoded
 and opens a file.  Importing the package imports none of its modules, each
-subcommand imports only the modules it runs, and neither builds the float
-formatter's tables."""
+subcommand and a Monte Carlo path import only the modules they run, and none of
+them builds the float formatter's tables."""
 
 import ast
 import json
@@ -112,10 +112,10 @@ def test_import_loads_no_module_and_no_numpy():
 
 
 # The package modules each subcommand loads, cli itself among them: floattext once
-# a float is written, marketsim (with filtering's ndtr) only to simulate, and
-# neither estimators nor verify to run the chain.
-SIMULATE = {"cli", "errors", "filtering", "floattext", "marketsim", "psd", "tableio"}
-BACKTEST = {"backtest", "cli", "errors", "filtering", "floattext", "psd", "shrinkage", "tableio"}
+# a float is written, marketsim only to simulate, filtering only for a truncated
+# prior or posterior, and neither estimators nor verify to run the chain.
+SIMULATE = {"cli", "errors", "floattext", "marketsim", "psd", "tableio"}
+BACKTEST = {"backtest", "cli", "errors", "floattext", "psd", "shrinkage", "tableio"}
 STAGE_MODULES = {"simulate": SIMULATE, "backtest": BACKTEST, "report": BACKTEST | {"svgchart"}}
 
 
@@ -136,6 +136,25 @@ def test_each_subcommand_loads_only_the_modules_it_runs(tmp_path):
         exit_code, statistics_loaded, modules = json.loads(out.splitlines()[-1])
         assert (exit_code, statistics_loaded) == (0, False), stage
         assert set(modules) == STAGE_MODULES[stage], stage
+
+
+def test_a_monte_carlo_path_loads_no_text_io():
+    # criterion 10's loop: simulate a K = 1 path and backtest it, reading and writing no text
+    code = ("import datetime, sys\n"
+            "from fundgrowth import backtest, marketsim, psd\n"
+            "loaded = lambda: sorted(m[11:] for m in sys.modules if m.startswith('fundgrowth.'))\n"
+            "days = tuple(datetime.date(2001, 1, 1) + datetime.timedelta(i) for i in range(60))\n"
+            "path = marketsim.simulate_path([2.0], psd.CovMatrix([[0.03]]), "
+            "marketsim.uniform_clock(60), 1)\n"
+            "series = backtest.ReturnSeries(days, path.increments, [0.0] * 60)\n"
+            "backtest.run_backtest(series, backtest.BacktestConfig(burn_in_days=30))\n"
+            "print(*loaded())\n"
+            "backtest.run_backtest(series, backtest.BacktestConfig(burn_in_days=30, "
+            "truncation_l=0.0))\n"
+            "print(*loaded())\n")
+    path = {"backtest", "errors", "marketsim", "psd", "shrinkage"}
+    assert [set(line.split()) for line in run_python(code).splitlines()] == [
+        path, path | {"filtering"}]
 
 
 def test_verify_help_names_every_check(capsys):

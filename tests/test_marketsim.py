@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy import special
 
-from fundgrowth import marketsim, tableio
+from fundgrowth import tableio
 from fundgrowth.errors import BadTruncation, ConfigError, EmptyGrid, RankDeficient
 from fundgrowth.marketsim import (
     PriorSpec,
@@ -317,8 +317,8 @@ class TestScenario:
             written.append([len(values) for _, values in blocks])
             return real_write_table(out, header, blocks)
 
-        real_write_table = marketsim.write_table
-        monkeypatch.setattr(marketsim, "write_table", write_table)
+        real_write_table = tableio.write_table
+        monkeypatch.setattr(tableio, "write_table", write_table)     # imported at each call
         texts = []
         width = 1 + (2 if funds else 3) + 1        # date, the returns and rf
         for cells in (tableio._TABLE_BLOCK_CELLS, 3 * width):
