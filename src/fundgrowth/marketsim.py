@@ -181,7 +181,6 @@ def _truncated_inverse_cdf(rng, mu: float, sd: float, lower: float, upper: float
     needs no mapping: ``ndtr`` keeps full relative precision below zero.
     Raises ``BadTruncation`` when the interval's probability underflows.
     """
-    from statistics import NormalDist     # imports fractions and decimal: only when drawn
     from .filtering import ndtr
     alpha = (lower - mu) / sd
     beta = (upper - mu) / sd
@@ -190,6 +189,7 @@ def _truncated_inverse_cdf(rng, mu: float, sd: float, lower: float, upper: float
     if not p_lo < p_hi:
         raise BadTruncation(f"interval ({lower}, {upper}) has no prior probability "
                             "in double precision")
+    from statistics import NormalDist     # imports fractions and decimal: only when drawn
     return mu + sign * sd * NormalDist().inv_cdf(rng.uniform(p_lo, p_hi))
 
 
