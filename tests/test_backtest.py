@@ -57,15 +57,17 @@ def write_csv(tmp_path, text, name="returns.csv"):
 
 
 # Ingest cases on a two-fund file: (text, rows read, rows dropped under 'skip', the
-# kept (date, ret_1, ret_2, rf) rows, the ParseError line under 'error' or None).
+# kept (date, ret_1, ret_2, rf) rows, the ParseError line under 'error' or None, and
+# the end of its message, if checked).
 HEADER2 = "date,ret_1,ret_2,rf\n"
 ROW1, ROW3 = "2001-01-01,0.01,0.02,0.0005", "2001-01-03,0.03,0.04,0.001"
 KEPT13 = [("2001-01-01", 0.01, 0.02, 0.0005), ("2001-01-03", 0.03, 0.04, 0.001)]
 
 
-def between(row, case_id):
+def between(row, case_id, message=None):
     """A bad ``row`` on line 3, between two good ones."""
-    return pytest.param(f"{HEADER2}{ROW1}\n{row}\n{ROW3}\n", 3, 1, KEPT13, 3, id=case_id)
+    return pytest.param(f"{HEADER2}{ROW1}\n{row}\n{ROW3}\n", 3, 1, KEPT13, 3, message,
+                        id=case_id)
 
 
 def with_cell(column, cell):
@@ -85,29 +87,44 @@ INGEST_CASES = [
     *[between(with_cell(column, cell), f"{cell}-in-{name}")
       for column, name in enumerate(["ret_1", "ret_2", "rf"])
       for cell in ["nan", "inf", "-inf"]],
+    # the number grammar of every other column: float() alone takes these
+    *[between(with_cell(2, cell), f"{name}-rf",
+              f"could not convert string {cell!r} to float64 in column 'rf'")
+      for cell, name in [("1_0", "separator"), ("\uff10.\uff15", "full-width"),
+                         ('"0.01"', "quoted")]],
     pytest.param(f"{HEADER2}2001-01-01,0.01,0.02,\n{ROW3}\n", 2, 0,
-                 [("2001-01-01", 0.01, 0.02, 0.0), KEPT13[1]], None, id="blank-rf-first-row"),
-    pytest.param(f"{HEADER2}{ROW1}\n2001-01-02,0.05,0.06, \t\n{ROW3}\n", 3, 0,
-                 [KEPT13[0], ("2001-01-02", 0.05, 0.06, 0.0005), KEPT13[1]], None,
-                 id="whitespace-rf-filled"),
-    pytest.param(f"{HEADER2}{ROW1}\n\n \t\n2001-01-02,0.01\n{ROW3}\n", 3, 1, KEPT13, 5,
+                 [("2001-01-01", 0.01, 0.02, 0.0), KEPT13[1]], None, None,
+                 id="blank-rf-first-row"),
+    pytest.param(f"{HEADER2}2001-01-01,x,0.02,0.0007\n2001-01-02,0.01,0.02,\n{ROW3}\n", 3, 1,
+                 [("2001-01-02", 0.01, 0.02, 0.0), KEPT13[1]], 2, None,
+                 id="blank-rf-first-kept-row"),
+    *[pytest.param(f"{HEADER2}{ROW1}\n2001-01-02,0.05,0.06,{blank}\n{ROW3}\n", 3, 0,
+                   [KEPT13[0], ("2001-01-02", 0.05, 0.06, 0.0005), KEPT13[1]], None, None,
+                   id=f"{name}-rf-filled")
+      for blank, name in [(" \t", "whitespace"), ("\u00a0", "no-break-space"),
+                          ("\u3000", "ideographic-space")]],
+    pytest.param(f"{HEADER2}{ROW1}\n\n \t\n2001-01-02,0.01\n{ROW3}\n", 3, 1, KEPT13, 5, None,
                  id="blank-and-whitespace-lines"),
     pytest.param("date,ret_1,ret_2,rf\r\n" + ROW1 + "\r\n2001-01-02,abc,0.04,0.001\r\n"
                  "2001-01-03,0.05,0.06,", 3, 1,
-                 [KEPT13[0], ("2001-01-03", 0.05, 0.06, 0.0005)], 3, id="crlf-no-final-newline"),
+                 [KEPT13[0], ("2001-01-03", 0.05, 0.06, 0.0005)], 3, None,
+                 id="crlf-no-final-newline"),
     pytest.param(" date , ret_1,ret_2 ,\trf \n 2001-01-01 ,0.01,0.02,0.0005\n"
-                 "\t2001-01-03, 0.03 ,0.04,0.001\n", 2, 0, KEPT13, None,
+                 "\t2001-01-03, 0.03 ,0.04,0.001\n", 2, 0, KEPT13, None, None,
                  id="blanks-around-names-and-dates"),
     pytest.param(f"{HEADER2}2001-01-03,0.05,0.06,\n2001-01-01,0.01,0.02,\n"
                  "2001-01-02,0.03,0.04,0.0002\n", 3, 0,
                  [("2001-01-01", 0.01, 0.02, 0.0), ("2001-01-02", 0.03, 0.04, 0.0002),
-                  ("2001-01-03", 0.05, 0.06, 0.0002)], None, id="unsorted-rf-filled-after-sort"),
+                  ("2001-01-03", 0.05, 0.06, 0.0002)], None, None,
+                 id="unsorted-rf-filled-after-sort"),
     pytest.param(f"{HEADER2}{ROW1}\n2001-01-02,nan,0.02,0.0\n2001-01-03,0.01\n"
                  "2001-01-04,0.03,0.04,0.001\n", 4, 2,
-                 [KEPT13[0], ("2001-01-04", 0.03, 0.04, 0.001)], 3, id="non-finite-then-short"),
+                 [KEPT13[0], ("2001-01-04", 0.03, 0.04, 0.001)], 3, None,
+                 id="non-finite-then-short"),
     pytest.param(f"{HEADER2}{ROW1}\n2001-01-02,0.01\n2001-01-03,0.01,inf,0.0\n"
                  "2001-01-04,0.03,0.04,0.001\n", 4, 2,
-                 [KEPT13[0], ("2001-01-04", 0.03, 0.04, 0.001)], 3, id="short-then-non-finite"),
+                 [KEPT13[0], ("2001-01-04", 0.03, 0.04, 0.001)], 3, None,
+                 id="short-then-non-finite"),
 ]
 
 
@@ -202,8 +219,8 @@ class TestIngest:
         series = ingest_csv(path).series
         np.testing.assert_allclose(series.risk_free, [0.0002, 0.0002, 0.0004])
 
-    @pytest.mark.parametrize("text, read, dropped, kept, line", INGEST_CASES)
-    def test_case_under_skip(self, tmp_path, text, read, dropped, kept, line):
+    @pytest.mark.parametrize("text, read, dropped, kept, line, message", INGEST_CASES)
+    def test_case_under_skip(self, tmp_path, text, read, dropped, kept, line, message):
         path = write_csv(tmp_path, text, name="case.csv")
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -217,8 +234,8 @@ class TestIngest:
         got = np.column_stack([series.fund_returns, series.risk_free])
         assert got.tobytes() == want.tobytes()
 
-    @pytest.mark.parametrize("text, read, dropped, kept, line", INGEST_CASES)
-    def test_case_under_error(self, tmp_path, text, read, dropped, kept, line):
+    @pytest.mark.parametrize("text, read, dropped, kept, line, message", INGEST_CASES)
+    def test_case_under_error(self, tmp_path, text, read, dropped, kept, line, message):
         path = write_csv(tmp_path, text, name="case.csv")
         if line is None:
             result = ingest_csv(path, drop_policy="error")
@@ -227,6 +244,7 @@ class TestIngest:
         with pytest.raises(ParseError) as excinfo:
             ingest_csv(path, drop_policy="error")
         assert excinfo.value.line == line
+        assert message is None or str(excinfo.value) == f"line {line}: {message}"
 
     @pytest.mark.parametrize("policy", ["skip", "error"])
     def test_zero_byte_file(self, tmp_path, policy):
