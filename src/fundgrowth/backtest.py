@@ -49,10 +49,6 @@ _WEALTH_FLOOR = 1e-12
 # 262,144 days runs as one block.
 _BLOCK_ENTRIES = 2 ** 18
 
-# A blank ``rf`` cell reads as this NaN, whose payload no number's text gives: a
-# literal ``nan`` reads as numpy's own NaN and ``-inf`` as -inf.
-_BLANK_RF = np.int64(0x7FF8_0000_00B1_A4C5).view(np.float64)
-
 # The last dates tuple that ReturnSeries found strictly increasing, held so that its
 # id is not reused: a tuple of dates cannot change, so a loop that passes one calendar
 # to every path checks it once, and any other tuple, an equal copy too, in full.
@@ -105,14 +101,6 @@ class IngestResult:
     rows_wiped_out: int
 
 
-def _rf_cell(text: str) -> float:
-    """An ``rf`` cell: ``_BLANK_RF`` if blank, else its number in ``np.loadtxt``'s
-    grammar (``float`` alone also takes ``_`` separators and non-ASCII digits)."""
-    if "_" in text or not text.strip().isascii():
-        raise ValueError(f"could not convert string {text!r} to float64")
-    return float(text) if text.strip() else _BLANK_RF
-
-
 def ingest_csv(path: str, drop_policy: str = "skip") -> IngestResult:
     """Parse a ``date,ret_1..ret_K,rf`` CSV into a cleaned return series.
 
@@ -127,14 +115,19 @@ def ingest_csv(path: str, drop_policy: str = "skip") -> IngestResult:
         raise ConfigError(f"unknown drop_policy {drop_policy!r}")
     from .tableio import table_blocks
     dropped: list[ParseError] = []
-    blocks = table_blocks(path, dropped, {-1: _rf_cell})
+    blocks = table_blocks(path, dropped, blank_last=True)
     header = [name.strip() for name in next(blocks)]
     k = len(header) - 2
     if k < 1 or header != ["date"] + [f"ret_{j + 1}" for j in range(k)] + ["rf"]:
         raise ParseError(1, f"header {header!r} does not match date,ret_1..ret_K,rf")
-    dates, values, linenos = zip(*((day, value, lineno) for day, value, _, lineno in blocks))
+    # the texts of the rows whose rf read NaN: blank, or a literal nan
+    dates, values, linenos, nan_rf = zip(*(
+        (day, value, lineno, [lines[i] for i in np.flatnonzero(np.isnan(value[:, -1]))])
+        for day, value, lines, lineno in blocks))
     values, linenos = np.concatenate(values), np.concatenate(linenos)
-    blank_rf = values[:, -1].view(np.int64) == _BLANK_RF.view(np.int64)
+    blank_rf = np.isnan(values[:, -1])
+    blank_rf[blank_rf] = [not line.rpartition(",")[2].strip()
+                          for line in itertools.chain(*nan_rf)]
     values[blank_rf, -1] = 0.0
     bad = ~np.isfinite(values).all(axis=1)
     first_bad = dropped[:1] + [ParseError(int(line), "non-finite return or risk-free rate")

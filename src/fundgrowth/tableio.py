@@ -140,8 +140,7 @@ def column_lines(names: Sequence[str], header: list[str], added: list[str], line
                     for row, cells in zip(lines, more)])
 
 
-def table_blocks(path: str, dropped: Optional[list] = None,
-                 converters: Optional[dict] = None) -> Iterator:
+def table_blocks(path: str, dropped: Optional[list] = None, blank_last: bool = False) -> Iterator:
     """The header of a ``date,v_1,...,v_m`` file, then ``(dates, (rows, columns)
     values, row texts without the line end, line numbers)`` blocks of at most
     ``block_rows(len(header))`` kept rows, each read when asked for and parsed by
@@ -153,9 +152,9 @@ def table_blocks(path: str, dropped: Optional[list] = None,
     line, a row with the wrong cell count, a date that is not ``YYYY-MM-DD``
     (blanks around it aside) or a cell that is not a number, named by its column,
     unless ``dropped`` is a list: the error then goes there and the row is left
-    out.  ``converters`` are the ``np.loadtxt`` converters, functions of the cell
-    text by column index (negative from the end).  A caller that checks more of
-    the header does so after the header is yielded, before any row is read.
+    out.  With ``blank_last``, a last cell of blanks alone reads as NaN.  A
+    caller that checks more of the header does so after the header is yielded,
+    before any row is read.
     """
     with open(path, **INPUT_TEXT) as handle:
         first = handle.readline()
@@ -168,9 +167,8 @@ def table_blocks(path: str, dropped: Optional[list] = None,
         unfit = [name for name in header if re.search(_NOT_XML, name)]
         if unfit:
             raise ParseError(1, f"header names {unfit} are not UTF-8 text that XML 1.0 allows")
-        converters = {i % len(header): f for i, f in (converters or {}).items()}
         load = functools.partial(np.loadtxt, delimiter=",", comments=None, ndmin=2,
-                                 usecols=range(1, len(header)), converters=converters)
+                                 usecols=range(1, len(header)))
         yield header
         numbered, size = enumerate(handle, start=2), block_rows(len(header))
 
@@ -186,8 +184,13 @@ def table_blocks(path: str, dropped: Optional[list] = None,
             ``_NUMBER_BYTES`` alone and no blank cell but the last are read first, in
             one call unless one of them is bad; the others follow, and each of those
             that is bad costs one call."""
-            values = np.empty((len(lines), len(header) - 1))
             kept = np.ones(len(lines), dtype=bool)
+            if blank_last:      # numpy reads no blank cell: a blank last one is given as nan
+                lines = [line + "nan" if not line.rpartition(",")[2].strip() else line
+                         for line in lines]
+                with contextlib.suppress(ValueError):   # no other cell is bad
+                    return load(lines), kept
+            values = np.empty((len(lines), len(header) - 1))
 
             def parse(rows: Iterable[int]) -> None:
                 rows = iter(rows)
