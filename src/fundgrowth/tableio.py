@@ -26,10 +26,10 @@ _TABLE_BLOCK_CELLS = 2 ** 15   # cells per block of a table read or written: a f
 # The one date grammar of a table: ``fromisoformat`` alone also takes ``19270702``
 # and ``1927-W27-1`` from Python 3.11 on, and report copies a date cell verbatim.
 _ISO_DATE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}").fullmatch
-# How every input file is read: a byte that is not UTF-8 becomes a lone surrogate,
-# which no cell, column name, key or value takes, so it makes its row or line
-# malformed.
-INPUT_TEXT = {"encoding": "utf-8", "errors": "surrogateescape"}
+# How every input file is read: a byte order mark at its start is dropped, and a
+# byte that is not UTF-8 becomes a lone surrogate, which no cell, column name, key
+# or value takes, so it makes its row or line malformed.
+INPUT_TEXT = {"encoding": "utf-8-sig", "errors": "surrogateescape"}
 # The characters that XML 1.0 does not allow, lone surrogates among them: report
 # copies column names into SVG labels, so no header name may hold one.  The two
 # patterns are compiled on first use, not when the package is imported.
@@ -214,7 +214,8 @@ def table_blocks(path: str, dropped: Optional[list] = None, blank_last: bool = F
                     values[read] = parsed
                     return
 
-            text = "\n".join(lines).encode(**INPUT_TEXT).replace(b",,", b",_,")  # a blank cell
+            text = "\n".join(lines).encode("utf-8", "surrogateescape")   # no mark added
+            text = text.replace(b",,", b",_,")      # a blank cell
             others = text.translate(None, _NUMBER_BYTES).split(b"\n")   # each row's other bytes
             parse([i for i, chars in enumerate(others) if not chars])
             parse(itertools.compress(itertools.count(), others))

@@ -475,6 +475,28 @@ def test_non_utf8_row_is_dropped_and_counted(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: line 102: ")
 
 
+def test_a_byte_order_mark_starts_no_name(tmp_path, capsys):
+    # Excel's "CSV UTF-8" and Notepad write one in front of every file
+    outputs = []
+    for mark in ("", "\ufeff"):
+        out = tmp_path / f"out{len(mark)}"
+        scenario, config = tmp_path / f"scenario{len(mark)}.cfg", tmp_path / f"bt{len(mark)}.cfg"
+        scenario.write_text(mark + BACKTEST_SCENARIO.lstrip(), encoding="utf-8")
+        config.write_text(mark + "burn_in_days = 120\n", encoding="utf-8")
+        assert run(["simulate", "--config", str(scenario), "--out", str(out)]) == 0
+        returns = out / "simulated.csv"
+        returns.write_text(mark + returns.read_text(encoding="utf-8"), encoding="utf-8")
+        assert run(["backtest", "--input", str(returns), "--config", str(config),
+                    "--out", str(out)]) == 0
+        assert "read 420 rows (0 dropped)" in capsys.readouterr().out
+        assert run(["report", "--input", str(out / "backtest.csv"), "--out", str(out)]) == 0
+        outputs.append([(out / name).read_bytes() for name in ("backtest.csv", *PANEL_FILES)])
+    assert outputs[0] == outputs[1]
+    (tmp_path / "marked.csv").write_bytes(b"\xef\xbb\xbf" + outputs[0][0])
+    assert run(["report", "--input", str(tmp_path / "marked.csv"), "--out", str(tmp_path)]) == 0
+    assert [(tmp_path / name).read_bytes() for name in PANEL_FILES] == outputs[0][1:]
+
+
 def test_import_loads_no_scipy():
     # numpy is the only run-time dependency; scipy serves the tests' oracles
     code = ("import sys, fundgrowth, fundgrowth.cli; "
