@@ -223,8 +223,7 @@ class BacktestSeries:
     estimate columns are NaN in burn-in.
 
     ``burn_in`` counts the leading burn-in rows and ``floored_steps`` the
-    wealth steps clamped at the floor up to the last row.  ``truncation`` is
-    the config's, which ``kappa`` needs for one fund.
+    wealth steps clamped at the floor up to the last row.
     """
 
     dates: tuple
@@ -240,7 +239,6 @@ class BacktestSeries:
     f_growth: np.ndarray
     burn_in: int
     floored_steps: int
-    truncation: Optional[tuple[float, float]] = None
 
     @property
     def n(self) -> int:
@@ -249,26 +247,6 @@ class BacktestSeries:
     @property
     def k(self) -> int:
         return self.excess.shape[1]
-
-    @property
-    def kappa(self) -> np.ndarray:
-        """Posterior covariance per date: ``C^{-1}`` symmetrised, or for one fund
-        the closed forms of ``_one_fund_posterior``."""
-        b = self.burn_in
-        kappa = np.full(self.c_cum.shape, math.nan)
-        if self.k == 1:
-            kappa[b:, 0, 0] = _one_fund_posterior(self.r_cum[b:, 0], self.c_cum[b:, 0, 0],
-                                                  self.truncation)[1]
-        else:
-            inverse = np.linalg.inv(self.c_cum[b:])
-            np.add(inverse, inverse.swapaxes(1, 2), out=kappa[b:])
-            kappa[b:] *= 0.5
-        return kappa
-
-    @property
-    def rho(self) -> np.ndarray:
-        """The shrunk portfolio ``a * nu_hat`` per date."""
-        return self.a[:, None] * self.nu_hat
 
 
 # Columns of a BacktestSeries with one entry per row; run_backtest joins them.
@@ -462,7 +440,6 @@ def backtest_blocks(series: ReturnSeries,
             f_growth=tracks[3],
             burn_in=p,
             floored_steps=floored_steps,
-            truncation=config.truncation,
         )
 
 
@@ -484,7 +461,7 @@ def run_backtest(series: ReturnSeries, config: Optional[BacktestConfig] = None) 
             column[start:start + last.n] = getattr(last, name)
         start, burn_in = start + last.n, burn_in + last.burn_in
     return BacktestSeries(dates=series.dates, **columns, burn_in=burn_in,
-                          floored_steps=last.floored_steps, truncation=last.truncation)
+                          floored_steps=last.floored_steps)
 
 
 # ---------------------------------------------------------------------------

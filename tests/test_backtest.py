@@ -29,6 +29,7 @@ from fundgrowth.errors import (
 from fundgrowth.filtering import truncated_posterior_1d
 from fundgrowth.marketsim import simulate_path, uniform_clock
 from fundgrowth.psd import CovMatrix
+from posterior_columns import kappa, with_posterior
 
 US_LIKE_DAILY_V  = 0.18 ** 2 / 252.0          # 18% annualised volatility
 US_LIKE_NU = 0.4 / 0.18                        # Sharpe 0.4
@@ -384,13 +385,13 @@ class TestRunBacktest:
     def test_prefix_equals_head_of_full_run(self):
         series = simulated_series(400, seed=6)
         config = BacktestConfig(burn_in_days=150)
-        full = run_backtest(series, config)
+        full = with_posterior(run_backtest(series, config), config)
         for m in (151, 152, 277, 400):
-            prefix = run_backtest(
+            prefix = with_posterior(run_backtest(
                 ReturnSeries(dates=series.dates[:m], fund_returns=series.fund_returns[:m],
                              risk_free=series.risk_free[:m]),
                 config,
-            )
+            ), config)
             assert prefix.dates == full.dates[:m]
             for name in ("excess", "r_cum", "c_cum", "nu_hat", "kappa", "psi", "a", "rho",
                          "log_wealth_market", "log_wealth_nuhat", "log_wealth_shrunk",
@@ -422,7 +423,7 @@ class TestRunBacktest:
             nu = nu0 + math.sqrt(kappa0) * rng.standard_normal()
             path = simulate_path([nu], c, uniform_clock(600), seed=9000 + i)
             bt = run_backtest(make_series(path.increments), config)
-            half_width = 1.96 * math.sqrt(bt.kappa[-1, 0, 0])
+            half_width = 1.96 * math.sqrt(kappa(bt)[-1, 0, 0])
             hits += abs(bt.nu_hat[-1, 0] - nu) <= half_width
         assert 0.93 <= hits / n_runs <= 0.97
 
@@ -444,7 +445,8 @@ class TestRunBacktest:
             float(bt.r_cum[-1, 0]), float(bt.c_cum[-1, 0, 0]), 0.0, math.inf
         )
         assert bt.nu_hat[-1, 0] == pytest.approx(state.nu_hat[0], rel=1e-12)
-        assert bt.kappa[-1, 0, 0] == pytest.approx(state.kappa.entries[0, 0], rel=1e-12)
+        assert kappa(bt, config.truncation)[-1, 0, 0] == pytest.approx(
+            state.kappa.entries[0, 0], rel=1e-12)
 
     def test_demeaned_covariance_variant(self):
         series = simulated_series(300, seed=9)

@@ -20,6 +20,7 @@ import numpy as np
 import pytest
 
 from backtest_oracle import run_oracle
+from posterior_columns import with_posterior
 from fundgrowth import backtest, cli
 from fundgrowth.backtest import (BacktestConfig, ReturnSeries, backtest_blocks, read_backtest_csv,
                                  run_backtest, write_backtest_csv)
@@ -65,7 +66,7 @@ def anchored(k, **kwargs):
 
 
 def assert_matches_oracle(series, config, exact_c=True, rtol=RTOL, atol=ATOL):
-    new, old = run_backtest(series, config), run_oracle(series, config)
+    new, old = with_posterior(run_backtest(series, config), config), run_oracle(series, config)
     assert new.dates == old.dates
     assert new.burn_in == old.burn_in
     assert new.floored_steps == old.floored_steps
@@ -181,11 +182,11 @@ def test_block_size_invariance(monkeypatch, k, case):
     # blocks of 7 rows carry R, C, the held estimate and the tracks across 43
     # boundaries; the crash on day 200 floors wealth steps
     series, config = random_series(k, 300, seed=70 + k, crash_day=200), BLOCK_CONFIGS[case](k)
-    whole, whole_csv = run_backtest(series, config), io.StringIO()
+    whole, whole_csv = with_posterior(run_backtest(series, config), config), io.StringIO()
     write_backtest_csv(backtest_blocks(series, config), whole_csv)
     monkeypatch.setattr(backtest, "_BLOCK_ENTRIES", 7 * k * k)
     assert len(list(backtest_blocks(series, config))) == 43
-    blocked, blocked_csv = run_backtest(series, config), io.StringIO()
+    blocked, blocked_csv = with_posterior(run_backtest(series, config), config), io.StringIO()
     write_backtest_csv(backtest_blocks(series, config), blocked_csv)
     assert (blocked.dates, blocked.burn_in, blocked.floored_steps) == \
         (whole.dates, whole.burn_in, whole.floored_steps)
