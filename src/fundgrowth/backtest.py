@@ -122,7 +122,7 @@ def ingest_csv(path: str, drop_policy: str = "skip") -> IngestResult:
         raise ParseError(1, f"header {header!r} does not match date,ret_1..ret_K,rf")
     # the texts of the rows whose rf read NaN: blank, or a literal nan
     dates, values, linenos, nan_rf = zip(*(
-        (day, value, lineno, [lines[i] for i in np.flatnonzero(np.isnan(value[:, -1]))])
+        (day, value, lineno, [*itertools.compress(lines, np.isnan(value[:, -1]).tolist())])
         for day, value, lines, lineno in blocks))
     values, linenos = np.concatenate(values), np.concatenate(linenos)
     blank_rf = np.isnan(values[:, -1])

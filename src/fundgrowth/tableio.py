@@ -214,7 +214,7 @@ def table_blocks(path: str, dropped: Optional[list] = None, blank_last: bool = F
                     values[read] = parsed
                     return
 
-            text = "\n".join(lines).encode("utf-8", "surrogateescape")   # no mark added
+            text = "\n".join(lines).encode("utf-8", "surrogateescape")  # utf-8-sig adds a mark
             text = text.replace(b",,", b",_,")      # a blank cell
             others = text.translate(None, _NUMBER_BYTES).split(b"\n")   # each row's other bytes
             parse([i for i, chars in enumerate(others) if not chars])
