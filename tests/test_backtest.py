@@ -59,7 +59,7 @@ def write_csv(tmp_path, text, name="returns.csv"):
 
 # Ingest cases on a two-fund file: (text, rows read, rows dropped under 'skip', the
 # kept (date, ret_1, ret_2, rf) rows, the ParseError line under 'error' or None, and
-# the end of its message, if checked).
+# its message after "line N: ", if checked).
 HEADER2 = "date,ret_1,ret_2,rf\n"
 ROW1, ROW3 = "2001-01-01,0.01,0.02,0.0005", "2001-01-03,0.03,0.04,0.001"
 KEPT13 = [("2001-01-01", 0.01, 0.02, 0.0005), ("2001-01-03", 0.03, 0.04, 0.001)]
