@@ -332,6 +332,23 @@ def test_write_table_gives_the_same_bytes_in_any_blocks(monkeypatch):
     assert out.getvalue() == "date,v,w\n"
 
 
+def test_every_date_is_written_as_its_isoformat(monkeypatch):
+    # all 3,652,059 dates from 0001-01-01 to 9999-12-31, in blocks that chunks of
+    # 99,991 rows cut at uneven places; a table of dates alone, so that the time
+    # goes to the dates (the other tests here check the cells after them)
+    monkeypatch.setattr(floattext, "_FORMAT_CELLS", 99_991)
+    last = datetime.date.max.toordinal()
+    for first in range(1, last + 1, 2 ** 19):
+        days = [*map(datetime.date.fromordinal, range(first, min(first + 2 ** 19, last + 1)))]
+        out = io.StringIO()
+        assert write_table(out, ["date"], [(days, np.empty((len(days), 0)))]) == len(days)
+        lines = np.frombuffer(out.getvalue().encode("ascii"), dtype=np.uint8, offset=5)
+        lines = lines.reshape(len(days), 11)
+        want = "".join(map(datetime.date.isoformat, days)).encode("ascii")
+        assert (lines[:, :10] == np.frombuffer(want, dtype=np.uint8).reshape(-1, 10)).all()
+        assert (lines[:, 10] == ord("\n")).all()
+
+
 def test_chain_tables_are_the_repr_lines(monkeypatch, tmp_path):
     # the simulated.csv and backtest.csv of a seeded K = 3 chain
     for stage in (["simulate", "--config", str(GOLDEN_K3 / "scenario.cfg")],
