@@ -13,6 +13,7 @@ subcommand that writes no table does not compile it.
 
 from __future__ import annotations
 
+import datetime
 import functools
 import itertools
 from typing import Iterator, Optional, Sequence
@@ -130,7 +131,7 @@ def _layouts() -> tuple:
     p`` has ``n`` significant digits; ``p < 20`` is the fixed notation of ``0.d
     10^(p - 3)``, and 20 + 2 (exponent < 0) + (|exponent| >= 100) the scientific
     one; 816-820 are ``0.0``, ``-0.0``, ``nan``, ``inf`` and ``-inf``.  Returns the
-    (kinds, 24) positions and keep-mask."""
+    positions as two contiguous (kinds, 12) halves, and the (kinds, 24) keep-mask."""
     const = {ch: 24 + i for i, ch in enumerate("-.e+nafi")} | {"0": 0}
     texts = []
     for sign, n in itertools.product(("", "-"), range(1, 18)):
@@ -151,14 +152,17 @@ def _layouts() -> tuple:
     index = np.zeros((len(texts), _CELL), dtype=np.intp)
     for row, text in zip(index, texts):
         row[:len(text)] = [const.get(part, part) for part in text]
-    return index, np.arange(_CELL) < np.array([len(text) for text in texts])[:, None]
+    halves = index.reshape(len(texts), 2, _CELL // 2).transpose(1, 0, 2).copy()
+    return halves, np.arange(_CELL) < np.array([len(text) for text in texts])[:, None]
 
 
 @functools.cache
-def _digit_words() -> np.ndarray:
-    """The four ASCII digits of each of 0-9999 as one uint32 in memory order."""
-    digits = np.arange(10000)[:, None] // np.array([1000, 100, 10, 1]) % 10 + ord("0")
-    return digits.astype(np.uint8).view(np.uint32).ravel()
+def _digit_words() -> tuple:
+    """The four ASCII digits of each of 0-9999 as one uint32 in memory order, and
+    the number of its trailing zero digits, 4 for 0."""
+    digits = np.arange(10000)[:, None] // np.array([1000, 100, 10, 1]) % 10
+    zeros = (digits[:, ::-1] == 0).cumprod(axis=1).sum(axis=1).astype(np.uint8)
+    return (digits + ord("0")).astype(np.uint8).view(np.uint32).ravel(), zeros
 
 
 def _cell_sources(bits: np.ndarray) -> tuple:
@@ -169,17 +173,19 @@ def _cell_sources(bits: np.ndarray) -> tuple:
     length = np.searchsorted(_TEN_POWERS, f, side="right")
     f = f * _TEN_POWERS[17 - length]                  # 17 digits, the first not 0
     point = k + length                                # the value is 0.f 10^point
-    words = _digit_words()
+    words, zeros = _digit_words()
     source = np.empty((len(bits), 8), dtype=np.uint32)
-    upper, lower = np.divmod(f, 10 ** 8)
-    first, upper = np.divmod(upper, 10 ** 8)
-    source[:, 0] = words[first]
-    source[:, 1], source[:, 2] = (words[part] for part in np.divmod(upper, 10 ** 4))
-    source[:, 3], source[:, 4] = (words[part] for part in np.divmod(lower, 10 ** 4))
-    source[:, 5] = words[np.abs(point - 1)]
+    heads = [f // 10 ** (16 - 4 * i) for i in range(5)]     # f's first 1, 5, 9, 13, 17 digits
+    parts = heads[:1] + [low - high * 10 ** 4 for high, low in zip(heads, heads[1:])]
+    for column, part in enumerate([*parts, np.abs(point - 1)]):
+        source[:, column] = words.take(part)
     source[:, 6:] = np.frombuffer(b"-.e+nafi", dtype=np.uint32)
     source = source.view(np.uint8)
-    n = 17 - np.argmax(source[:, 19:2:-1] != ord("0"), axis=1)
+    trailing, zero = zeros.take(parts[4]), parts[4] == 0   # f's zero digits at its end
+    for part in parts[3:0:-1]:
+        trailing += zero * zeros.take(part)
+        zero &= part == 0
+    n = 17 - trailing
     fixed = (point >= -3) & (point <= 16)
     kind = ((bits < 0) * 17 + n - 1) * 24 + np.where(
         fixed, point + 3, 20 + 2 * (point <= 0) + (np.abs(point - 1) >= 100))
@@ -198,8 +204,11 @@ def float_lines(values: np.ndarray, dates: Optional[Sequence] = None) -> Iterato
     a ``,`` if ``dates`` is given."""
     m = values.shape[1]
     step = max(1, _FORMAT_CELLS // max(m, 1))
-    index, keep = _layouts()
+    halves, keep = _layouts()
     start = 0 if dates is None else 10
+    if dates is not None:       # the ISO text of all dates, in one conversion
+        days = np.fromiter(map(datetime.date.toordinal, dates), np.int64, len(dates))
+        days = (days + np.datetime64("0000-12-31")).astype("S10").view(np.uint8).reshape(-1, 10)
     for first in range(0, len(values), step):
         chunk = np.ascontiguousarray(values[first:first + step], dtype=np.float64)
         rows = len(chunk)
@@ -208,15 +217,15 @@ def float_lines(values: np.ndarray, dates: Optional[Sequence] = None) -> Iterato
         line = np.empty((rows, start + (_CELL + 1) * m + 1), dtype=np.uint8)
         kept = np.ones(line.shape, dtype=bool)
         if dates is not None:
-            text = "".join(map(str, dates[first:first + step])).encode("ascii")
-            line[:, :10] = np.frombuffer(text, dtype=np.uint8).reshape(rows, 10)
+            line[:, :10] = days[first:first + rows]
         cells = line[:, start:-1].reshape(rows, m, _CELL + 1)
         cells[:, :, 0] = ord(",")
         offsets = np.arange(0, source.size, 32).reshape(rows, m, 1)
-        for part in range(0, _CELL, 8):     # 8 positions at a time keep the indices small
-            positions = index[:, part:part + 8].take(kind, axis=0)
+        positions = np.empty((rows, m, _CELL // 2), dtype=np.intp)     # for both halves
+        for part, index in enumerate(halves):   # half a cell at a time keeps the indices small
+            index.take(kind, axis=0, out=positions, mode="clip")    # "raise" would copy out
             positions += offsets
-            cells[:, :, 1 + part:9 + part] = source.ravel().take(positions)
+            cells[:, :, 1 + 12 * part:13 + 12 * part] = source.ravel().take(positions)
         kept[:, start:-1].reshape(rows, m, _CELL + 1)[:, :, 1:] = keep.take(kind, axis=0)
         kept[:, 0] = dates is not None          # no "," before a line's first cell
         line[:, -1] = ord("\n")
