@@ -107,9 +107,10 @@ def ingest_csv(path: str, drop_policy: str = "skip") -> IngestResult:
     Rows are read by ``tableio.table_blocks`` once the header has been checked.
     Malformed rows, including rows with a ``nan`` or ``inf`` cell, are dropped
     with a warning under ``drop_policy='skip'``; under ``'error'`` the first of
-    them raises ``ParseError``.  Blank risk-free cells are forward-filled (zero
-    before the first observation); rows missing a fund return are dropped.  Rows
-    come back date-sorted; duplicate dates raise ``NonMonotoneDates``.
+    them raises ``ParseError`` once its block is read.  Blank risk-free cells are
+    forward-filled (zero before the first observation); rows missing a fund return
+    are dropped.  Rows come back date-sorted; duplicate dates raise
+    ``NonMonotoneDates``.
     """
     if drop_policy not in ("skip", "error"):
         raise ConfigError(f"unknown drop_policy {drop_policy!r}")
@@ -120,20 +121,20 @@ def ingest_csv(path: str, drop_policy: str = "skip") -> IngestResult:
     k = len(header) - 2
     if k < 1 or header != ["date"] + [f"ret_{j + 1}" for j in range(k)] + ["rf"]:
         raise ParseError(1, f"header {header!r} does not match date,ret_1..ret_K,rf")
-    # the texts of the rows whose rf read NaN: blank, or a literal nan
-    dates, values, linenos, nan_rf = zip(*(
-        (day, value, lineno, [*itertools.compress(lines, np.isnan(value[:, -1]).tolist())])
-        for day, value, lines, lineno in blocks))
-    values, linenos = np.concatenate(values), np.concatenate(linenos)
-    blank_rf = np.isnan(values[:, -1])
-    blank_rf[blank_rf] = [not line.rpartition(",")[2].strip()
-                          for line in itertools.chain(*nan_rf)]
-    values[blank_rf, -1] = 0.0
-    bad = ~np.isfinite(values).all(axis=1)
-    first_bad = dropped[:1] + [ParseError(int(line), "non-finite return or risk-free rate")
-                               for line in linenos[bad][:1]]
-    if drop_policy == "error" and first_bad:
-        raise min(first_bad, key=operator.attrgetter("line"))
+    read = []       # each block's dates, values, blank rf cells and non-finite rows
+    for day, value, lines, lineno in blocks:
+        blank = np.isnan(value[:, -1])      # a NaN rf is blank or a literal nan: its text tells
+        blank[blank] = [not line.rpartition(",")[2].strip()
+                        for line in itertools.compress(lines, blank.tolist())]
+        value[blank, -1] = 0.0
+        bad = ~np.isfinite(value).all(axis=1)
+        first_bad = dropped[:1] + [ParseError(int(line), "non-finite return or risk-free rate")
+                                   for line in lineno[bad][:1]]
+        if drop_policy == "error" and first_bad:    # the rest of the file is not read
+            raise min(first_bad, key=operator.attrgetter("line"))
+        read.append((day, value, blank, bad))
+    dates, values, blank_rf, bad = zip(*read)
+    values, blank_rf, bad = map(np.concatenate, (values, blank_rf, bad))
     rows = np.flatnonzero(~bad)
     if not rows.size:
         raise EmptySeries(f"{path} contains no usable rows")

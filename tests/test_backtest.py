@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fundgrowth import tableio
 from fundgrowth.backtest import (
     BacktestConfig,
     ReturnSeries,
@@ -275,6 +276,32 @@ class TestIngest:
         assert (result.rows_read, result.rows_dropped) == (10_000, 1)
         assert result.series.dates == tuple(days[:4_999] + days[5_000:])
         assert result.series.fund_returns[4_999, 0] == 5_000 * 1e-6
+
+    @pytest.mark.parametrize("bad", [{6: "nan,0.0", 7: "x,0.0"}, {6: "--1,0.0", 7: "0.01,inf"}])
+    def test_error_policy_reads_no_block_after_a_bad_row(self, tmp_path, monkeypatch, bad):
+        # blocks of three kept rows; the second starts at line 5 and holds both bad rows,
+        # a non-finite one and a malformed one, and the lower line is raised
+        monkeypatch.setattr(tableio, "_TABLE_BLOCK_CELLS", 9)
+        rows = [f"2001-01-{day:02d},0.01,0.0" for day in range(1, 31)]
+        for line, cells in bad.items():
+            rows[line - 2] = rows[line - 2][:11] + cells
+        path = write_csv(tmp_path, "date,ret_1,rf\n" + "\n".join(rows) + "\n")
+        blocks, read = tableio.table_blocks, []
+
+        def counted(*args, **kwargs):
+            for block in blocks(*args, **kwargs):
+                read.append(block)
+                yield block
+
+        monkeypatch.setattr(tableio, "table_blocks", counted)
+        with pytest.raises(ParseError) as excinfo:
+            ingest_csv(path, drop_policy="error")
+        assert excinfo.value.line == 6
+        assert len(read) == 3       # the header and two blocks
+        read.clear()
+        with pytest.warns(UserWarning, match="dropped 2 "):
+            assert ingest_csv(path).rows_read == 30
+        assert len(read) == 12      # the header, ten blocks and the empty last one
 
     def test_round_trip_from_simulated_path(self, tmp_path):
         from fundgrowth.marketsim import write_path_csv
