@@ -107,10 +107,9 @@ def ingest_csv(path: str, drop_policy: str = "skip") -> IngestResult:
     Rows are read by ``tableio.table_blocks`` once the header has been checked.
     Malformed rows, including rows with a ``nan`` or ``inf`` cell, are dropped
     with a warning under ``drop_policy='skip'``; under ``'error'`` the first of
-    them raises ``ParseError`` once its block is read.  Blank risk-free cells are
-    forward-filled (zero before the first observation); rows missing a fund return
-    are dropped.  Rows come back date-sorted; duplicate dates raise
-    ``NonMonotoneDates``.
+    them raises ``ParseError``.  Blank risk-free cells are forward-filled (zero
+    before the first observation); rows missing a fund return are dropped.  Rows
+    come back date-sorted; duplicate dates raise ``NonMonotoneDates``.
     """
     if drop_policy not in ("skip", "error"):
         raise ConfigError(f"unknown drop_policy {drop_policy!r}")
@@ -130,7 +129,7 @@ def ingest_csv(path: str, drop_policy: str = "skip") -> IngestResult:
         bad = ~np.isfinite(value).all(axis=1)
         first_bad = dropped[:1] + [ParseError(int(line), "non-finite return or risk-free rate")
                                    for line in lineno[bad][:1]]
-        if drop_policy == "error" and first_bad:    # the rest of the file is not read
+        if drop_policy == "error" and first_bad:    # before the next block is read
             raise min(first_bad, key=operator.attrgetter("line"))
         read.append((day, value, blank, bad))
     dates, values, blank_rf, bad = zip(*read)

@@ -208,7 +208,8 @@ def float_lines(values: np.ndarray, dates: Optional[Sequence] = None) -> Iterato
     start = 0 if dates is None else 10
     if dates is not None:       # the ISO text of all dates, in one conversion
         days = np.fromiter(map(datetime.date.toordinal, dates), np.int64, len(dates))
-        days = (days + np.datetime64("0000-12-31")).astype("S10").view(np.uint8).reshape(-1, 10)
+        days = (days + np.datetime64("0000-12-31")).astype("S10").view(np.uint8)
+        days = days.reshape(len(values), 10)        # one date a row, or a ValueError
     for first in range(0, len(values), step):
         chunk = np.ascontiguousarray(values[first:first + step], dtype=np.float64)
         rows = len(chunk)

@@ -332,6 +332,13 @@ def test_write_table_gives_the_same_bytes_in_any_blocks(monkeypatch):
     assert out.getvalue() == "date,v,w\n"
 
 
+@pytest.mark.parametrize("days, rows", [(3, 2), (3, 4), (1, 4)])
+def test_a_block_needs_one_date_a_row(days, rows):
+    dates = [datetime.date(2001, 1, 1) + datetime.timedelta(days=i) for i in range(days)]
+    with pytest.raises(ValueError):
+        write_table(io.StringIO(), ["date", "v"], [(dates, np.zeros((rows, 1)))])
+
+
 def test_every_date_is_written_as_its_isoformat(monkeypatch):
     # all 3,652,059 dates from 0001-01-01 to 9999-12-31, in blocks that chunks of
     # 99,991 rows cut at uneven places; a table of dates alone, so that the time
