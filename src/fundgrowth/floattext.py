@@ -6,9 +6,9 @@ built from Python integers on first use, 189-bit products in 27-bit limbs, and
 round-to-odd, then the shorter-or-same-length choice.  The layout is
 ``repr``'s: fixed notation for decimal exponents -4 <= e < 16, ``d.ddde±XX``
 otherwise, and ``0.0``, ``-0.0``, ``nan``, ``inf`` and ``-inf``.  Each cell goes
-into a fixed slot with a keep-mask, and one boolean compress joins a chunk's
-cells.  ``tableio`` imports this module when it first writes a float, so a
-subcommand that writes no table does not compile it.
+into a fixed slot padded with NUL bytes, and one ``bytes.translate`` that deletes
+them joins a chunk's cells.  ``tableio`` imports this module when it first
+writes a float, so a subcommand that writes no table does not compile it.
 """
 
 from __future__ import annotations
@@ -124,14 +124,15 @@ def _shortest(bits: np.ndarray) -> tuple:
 
 
 @functools.cache
-def _layouts() -> tuple:
+def _layouts() -> np.ndarray:
     """The text of each kind of cell as positions into its 32 source bytes: the
     digit ``j`` of 17 at ``3 + j``, the decimal exponent's three digits at 21-23,
-    ``-.e+nafi`` at 24-31 and a ``0`` at 0.  Kind ``(sign * 17 + n - 1) * 24 +
-    p`` has ``n`` significant digits; ``p < 20`` is the fixed notation of ``0.d
-    10^(p - 3)``, and 20 + 2 (exponent < 0) + (|exponent| >= 100) the scientific
-    one; 816-820 are ``0.0``, ``-0.0``, ``nan``, ``inf`` and ``-inf``.  Returns the
-    positions as two contiguous (kinds, 12) halves, and the (kinds, 24) keep-mask."""
+    ``-.e+nafi`` at 24-31, a ``0`` at 0 and the pad, a NUL, at 1.  Kind ``(sign *
+    17 + n - 1) * 24 + p`` has ``n`` significant digits; ``p < 20`` is the fixed
+    notation of ``0.d 10^(p - 3)``, and 20 + 2 (exponent < 0) + (|exponent| >=
+    100) the scientific one; 816-820 are ``0.0``, ``-0.0``, ``nan``, ``inf`` and
+    ``-inf``.  Returns each text's 24 positions, padded, as two contiguous (kinds,
+    12) halves."""
     const = {ch: 24 + i for i, ch in enumerate("-.e+nafi")} | {"0": 0}
     texts = []
     for sign, n in itertools.product(("", "-"), range(1, 18)):
@@ -149,11 +150,10 @@ def _layouts() -> tuple:
             texts.append([*sign, digits[0], *fraction, "e", exponent_sign,
                           *range(24 - width, 24)])
     texts += [["0", ".", "0"], ["-", "0", ".", "0"], [*"nan"], [*"inf"], [*"-inf"]]
-    index = np.zeros((len(texts), _CELL), dtype=np.intp)
+    index = np.ones((len(texts), _CELL), dtype=np.intp)
     for row, text in zip(index, texts):
         row[:len(text)] = [const.get(part, part) for part in text]
-    halves = index.reshape(len(texts), 2, _CELL // 2).transpose(1, 0, 2).copy()
-    return halves, np.arange(_CELL) < np.array([len(text) for text in texts])[:, None]
+    return index.reshape(len(texts), 2, _CELL // 2).transpose(1, 0, 2).copy()
 
 
 @functools.cache
@@ -181,6 +181,7 @@ def _cell_sources(bits: np.ndarray) -> tuple:
         source[:, column] = words.take(part)
     source[:, 6:] = np.frombuffer(b"-.e+nafi", dtype=np.uint32)
     source = source.view(np.uint8)
+    source[:, 1] = 0                                  # the pad
     trailing, zero = zeros.take(parts[4]), parts[4] == 0   # f's zero digits at its end
     for part in parts[3:0:-1]:
         trailing += zero * zeros.take(part)
@@ -204,7 +205,7 @@ def float_lines(values: np.ndarray, dates: Optional[Sequence] = None) -> Iterato
     a ``,`` if ``dates`` is given."""
     m = values.shape[1]
     step = max(1, _FORMAT_CELLS // max(m, 1))
-    halves, keep = _layouts()
+    halves = _layouts()
     start = 0 if dates is None else 10
     if dates is not None:       # the ISO text of all dates, in one conversion
         days = np.fromiter(map(datetime.date.toordinal, dates), np.int64, len(dates))
@@ -216,7 +217,6 @@ def float_lines(values: np.ndarray, dates: Optional[Sequence] = None) -> Iterato
         source, kind = _cell_sources(chunk.view(np.int64).ravel())
         kind = kind.reshape(rows, m)
         line = np.empty((rows, start + (_CELL + 1) * m + 1), dtype=np.uint8)
-        kept = np.ones(line.shape, dtype=bool)
         if dates is not None:
             line[:, :10] = days[first:first + rows]
         cells = line[:, start:-1].reshape(rows, m, _CELL + 1)
@@ -227,7 +227,7 @@ def float_lines(values: np.ndarray, dates: Optional[Sequence] = None) -> Iterato
             index.take(kind, axis=0, out=positions, mode="clip")    # "raise" would copy out
             positions += offsets
             cells[:, :, 1 + 12 * part:13 + 12 * part] = source.ravel().take(positions)
-        kept[:, start:-1].reshape(rows, m, _CELL + 1)[:, :, 1:] = keep.take(kind, axis=0)
-        kept[:, 0] = dates is not None          # no "," before a line's first cell
+        if dates is None:
+            line[:, 0] = 0                      # no "," before a line's first cell
         line[:, -1] = ord("\n")
-        yield line[kept].tobytes().decode("ascii")
+        yield line.tobytes().translate(None, b"\0").decode("ascii")
