@@ -34,8 +34,8 @@ INPUT_TEXT = {"encoding": "utf-8-sig", "errors": "surrogateescape"}
 # copies column names into SVG labels, so no header name may hold one.  The two
 # patterns are compiled on first use, not when the package is imported.
 _NOT_XML = "[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]"
-# numpy's own place of a bad number, whose row counts the rows of its call
-_NUMPY_PLACE = r"(.*) at row \d+, column (\d+)\."
+# numpy's own place of a bad number: its row counts the rows of its call from 0
+_NUMPY_PLACE = r"(.*) at row (\d+), column (\d+)\."
 # The bytes of good numbers, but for ``inf``, ``nan`` and blanks: a row with any
 # other byte most likely holds a bad number.
 _NUMBER_BYTES = b"-+.,0123456789eE"
@@ -144,7 +144,7 @@ def table_blocks(path: str, dropped: Optional[list] = None, blank_last: bool = F
     """The header of a ``date,v_1,...,v_m`` file, then ``(dates, (rows, columns)
     values, row texts without the line end, line numbers)`` blocks of at most
     ``block_rows(len(header))`` kept rows, each read when asked for and parsed by
-    one ``np.loadtxt`` call, or by ``salvage`` if it holds a bad number.  Blank
+    ``parse``: one ``np.loadtxt`` call unless it holds a bad number.  Blank
     lines are skipped; the last block may be empty.
     The file is read as ``INPUT_TEXT``.  A zero-byte file raises ``EmptySeries``,
     and a repeated column name or one with a character that XML 1.0 does not
@@ -172,53 +172,45 @@ def table_blocks(path: str, dropped: Optional[list] = None, blank_last: bool = F
         yield header
         numbered, size = enumerate(handle, start=2), block_rows(len(header))
 
-        def error(lineno: int, exc: ValueError) -> ParseError:
-            place = re.fullmatch(_NUMPY_PLACE, str(exc), re.DOTALL)
-            return ParseError(lineno, f"{place[1]} in column {header[int(place[2]) - 1]!r}"
-                              if place else str(exc))
-
-        def salvage(lines: list[str], linenos: list[int], errors: list) -> tuple:
-            """The values of a block's rows, a bad number among them, and which rows
-            are kept.  numpy stops at a bad number: the rows it read before it are
-            parsed again, and a new call goes on after it.  The rows of
+        def parse(lines: list[str], linenos: list[int], errors: list) -> tuple:
+            """The values of a block's rows, and which rows are kept (``None``: all).
+            One call reads a block with no bad number.  Otherwise numpy stops at one
+            and names its row R among the rows of its call: the rows before R are
+            parsed again, and the next call starts at R + 1.  The rows of
             ``_NUMBER_BYTES`` alone and no blank cell but the last are read first, in
             one call unless one of them is bad; the others follow, and each of those
             that is bad costs one call."""
-            kept = np.ones(len(lines), dtype=bool)
+            with contextlib.suppress(ValueError):
+                return load(lines), None
             if blank_last:      # numpy reads no blank cell: a blank last one is given as nan
                 lines = [line + "nan" if not line.rpartition(",")[2].strip() else line
                          for line in lines]
                 with contextlib.suppress(ValueError):   # no other cell is bad
-                    return load(lines), kept
+                    return load(lines), None
+            kept = np.ones(len(lines), dtype=bool)
             values = np.empty((len(lines), len(header) - 1))
-
-            def parse(rows: Iterable[int]) -> None:
-                rows = iter(rows)
-
-                def fed(read: list[int]) -> Iterator[str]:
-                    for i in rows:
-                        read.append(i)      # read[-1]: the row numpy is reading
-                        yield lines[i]
-
-                while True:
-                    read = []
-                    try:
-                        parsed = load(fed(read))
-                    except ValueError as exc:
-                        bad = read.pop()
-                        kept[bad] = False
-                        errors.append(error(linenos[bad], exc))
-                        if read:
-                            values[read] = load([lines[i] for i in read])
-                        continue
-                    values[read] = parsed
-                    return
-
             text = "\n".join(lines).encode("utf-8", "surrogateescape")  # utf-8-sig adds a mark
             text = text.replace(b",,", b",_,")      # a blank cell
-            others = text.translate(None, _NUMBER_BYTES).split(b"\n")   # each row's other bytes
-            parse([i for i, chars in enumerate(others) if not chars])
-            parse(itertools.compress(itertools.count(), others))
+            others = np.fromiter(map(bool, text.translate(None, _NUMBER_BYTES).split(b"\n")),
+                                 bool, len(lines))      # whether a row has other bytes
+            lines = np.array(lines, dtype=object)    # a slice of it is a view, not a copy
+            for rows in np.flatnonzero(~others), np.flatnonzero(others):
+                texts, start = lines[rows], 0
+                while start < len(rows):
+                    try:
+                        values[rows[start:]] = load(texts[start:])
+                        break
+                    except ValueError as exc:
+                        place = re.fullmatch(_NUMPY_PLACE, str(exc), re.DOTALL)
+                        if place is None:   # not a bad number: there is no row to resume after
+                            raise
+                    bad = start + int(place[2])
+                    kept[rows[bad]] = False
+                    errors.append(ParseError(linenos[rows[bad]], f"{place[1]} in column "
+                                                                 f"{header[int(place[3]) - 1]!r}"))
+                    if bad > start:
+                        values[rows[start:bad]] = load(texts[start:bad])
+                    start = bad + 1
             return values[kept], kept
 
         while True:
@@ -235,7 +227,7 @@ def table_blocks(path: str, dropped: Optional[list] = None, blank_last: bool = F
                         raise ValueError(f"date {day!r} is not YYYY-MM-DD")
                     dates.append(datetime.date.fromisoformat(day))
                 except ValueError as exc:
-                    errors.append(error(lineno, exc))
+                    errors.append(ParseError(lineno, str(exc)))
                     continue
                 linenos.append(lineno)
                 lines.append(text)
@@ -245,12 +237,10 @@ def table_blocks(path: str, dropped: Optional[list] = None, blank_last: bool = F
             # loadtxt warns on no rows; the filter is process-wide: not across the yield
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
-                try:
-                    values = load(lines)
-                except ValueError:      # numpy cannot resume after a bad number
-                    values, kept = salvage(lines, linenos, errors)
-                    dates, lines, linenos = (list(itertools.compress(items, kept))
-                                             for items in (dates, lines, linenos))
+                values, kept = parse(lines, linenos, errors)
+            if kept is not None:
+                dates, lines, linenos = (list(itertools.compress(items, kept))
+                                         for items in (dates, lines, linenos))
             if errors:
                 errors.sort(key=operator.attrgetter("line"))
                 if dropped is None:

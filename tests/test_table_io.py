@@ -236,6 +236,24 @@ def test_bad_numbers_on_every_tenth_row_are_dropped_and_the_rest_read(tmp_path):
     assert result.series.risk_free.tobytes() == want.series.risk_free.tobytes()
 
 
+@pytest.mark.parametrize("row, column, cell", [(0, 2, "x0.5"), (3, 3, "1.2.3"), (6, 4, "--0.5"),
+                                               (4, 2, ""), (6, 4, "")])
+def test_numpy_names_a_bad_cell_by_its_row_in_the_call_and_its_column(row, column, cell):
+    # the reader resumes a block after the row numpy names: R counts the rows of the
+    # list, or of the object array it resumes on, from 0, C the cells of a row, the
+    # date included, from 1
+    rows = [[f"2001-01-{day:02}", "0.5", "-1.5", "2.5e-3"] for day in range(1, 8)]
+    rows[row][column - 1] = cell
+    lines = [",".join(cells) for cells in rows]
+    message = f"could not convert string {cell!r} to float64 at row {row}, column {column}."
+    for source in (lines, np.array(["2001-02-01,0.5,-1.5,2.5e-3"] + lines, dtype=object)[1:]):
+        with pytest.raises(ValueError) as error:
+            np.loadtxt(source, delimiter=",", comments=None, ndmin=2, usecols=range(1, 4))
+        assert str(error.value) == message
+    assert re.fullmatch(tableio._NUMPY_PLACE, message).groups() == (
+        f"could not convert string {cell!r} to float64", str(row), str(column))
+
+
 def _returns_file(tmp_path, n=2_000, header="date,ret_1,rf"):
     days = [datetime.date(1990, 1, 1) + datetime.timedelta(days=i) for i in range(n)]
     rows = [f"{day},{i * 1e-6!r},0.0" for i, day in enumerate(days)]
