@@ -24,13 +24,13 @@ _MARGIN_B = 44
 _XML_TEXT = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;"})    # every title and label
 
 # ASCII, 4 bytes to a uint32: 0..1000 right-aligned with 0 bytes in front, and
-# .00 .. .99 followed by "," (entries 0-99) or by " " (entries 100-199)
+# .00 .. .99 followed by the separator after an x (",") or after a y (" ")
 _N = np.arange(1001)[:, None]
 _INTEGERS = np.where(_N >= [1000, 100, 10, 0], ord("0") + _N // [1000, 100, 10, 1] % 10, 0)
 _INTEGERS = _INTEGERS.astype(np.uint8).view(np.uint32).ravel()
 _FRACTIONS = np.column_stack([np.full(200, ord(".")), ord("0") + _N[:200] // [10, 1] % 10,
                               np.repeat([ord(","), ord(" ")], 100)])
-_FRACTIONS = _FRACTIONS.astype(np.uint8).view(np.uint32).ravel()
+_FRACTIONS = dict(zip(", ", _FRACTIONS.astype(np.uint8).view(np.uint32).reshape(2, 100)))
 
 
 def _nice_ticks(lo: float, hi: float) -> list[float]:
@@ -116,13 +116,13 @@ def line_chart(out: IO[str], title: str, x_labels: Sequence,
             f'font-size="11" text-anchor="middle">{label}</text>\n'
         )
 
+    xw = _words(px(np.arange(n)), ",")
     for idx, ((label, _), v) in enumerate(zip(series, values)):
         color = PALETTE[idx % len(PALETTE)]
-        x, y = px(np.arange(v.size)), py(v)
         # finite runs start and stop where the finite mask flips
         edges = np.flatnonzero(np.diff(np.isfinite(v), prepend=False, append=False))
         for start, stop in zip(edges[::2].tolist(), edges[1::2].tolist()):
-            out.write(_polyline(x[start:stop], y[start:stop], color))
+            out.write(_polyline(xw[start:stop], _words(py(v[start:stop]), " "), color))
         ly = _MARGIN_T + 16 + 16 * idx
         out.write(
             f'<line x1="{_MARGIN_L + 8}" y1="{ly - 4}" x2="{_MARGIN_L + 28}" y2="{ly - 4}" '
@@ -134,9 +134,10 @@ def line_chart(out: IO[str], title: str, x_labels: Sequence,
     out.write("</svg>\n")
 
 
-def _polyline(x: np.ndarray, y: np.ndarray, color: str) -> str:
-    """A lone point as a circle, a longer run as a polyline, each coordinate
-    written as ``"%.2f" % v`` would write it; every one must lie in (0, 1000).
+def _words(v: np.ndarray, sep: str) -> np.ndarray:
+    """The text of each coordinate ``v`` as ``"%.2f" % v`` writes it, followed by
+    ``sep``: two uint32 words a coordinate, padded with NUL bytes.  Every one must
+    lie in (0, 1000).
 
     ``%.2f`` writes ``m / 100``, ``m`` the integer nearest to ``x = 100 v``
     (ties to even) for the exact binary ``v``.  Let ``p = fl(100 v)``.  Dekker's
@@ -150,22 +151,26 @@ def _polyline(x: np.ndarray, y: np.ndarray, color: str) -> str:
     1/2``) or on it (``e = 0``, the even neighbour ``rint(p)``): ``m = rint(p +
     sign(e)/2)``.
     """
-    v = np.column_stack([x, y]).ravel()
     if not ((v > 0.0) & (v < 1000.0)).all():
         raise ValueError("chart coordinates must lie in (0, 1000)")
     p = v * 100.0
     m = np.rint(p)
-    tie = np.modf(p)[0] == 0.5
+    tie = np.abs(p - m) == 0.5
     t, u = p[tie], v[tie]
     hi = u * (2.0**27 + 1.0)
     hi -= hi - u
     e = (100.0 * hi - t) + 100.0 * (u - hi)
     m[tie] = np.rint(t + 0.5 * np.sign(e))
-    whole, cents = np.divmod(m.astype(np.int32), 100)
-    cents[1::2] += 100
-    text = np.column_stack([_INTEGERS[whole], _FRACTIONS[cents]]).view(np.uint8).ravel()
-    points = text[text != 0][:-1].tobytes().decode("ascii")
-    if x.size == 1:
+    m = m.astype(np.int32)
+    whole = m // 100
+    return np.column_stack([_INTEGERS[whole], _FRACTIONS[sep][m - 100 * whole]])
+
+
+def _polyline(xw: np.ndarray, yw: np.ndarray, color: str) -> str:
+    """A lone point as a circle, a longer run as a polyline, from the ``_words``
+    of its x (followed by ``","``) and y (by ``" "``, but for the last) coordinates."""
+    points = np.column_stack([xw, yw]).tobytes().translate(None, b"\0")[:-1].decode("ascii")
+    if len(xw) == 1:
         cx, cy = points.split(",")
         return f'<circle cx="{cx}" cy="{cy}" r="1.5" fill="{color}"/>\n'
     return f'<polyline fill="none" stroke="{color}" stroke-width="1.5" points="{points}"/>\n'

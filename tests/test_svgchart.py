@@ -87,8 +87,10 @@ def test_span_too_small_to_step_is_rejected_before_writing(values):
 
 
 def points_text(x, y):
-    """The points of ``_polyline``; a lone point comes back as its circle's centre."""
-    mark = svgchart._polyline(np.asarray(x, float), np.asarray(y, float), "#000000")
+    """The points of ``_polyline`` of the ``_words`` of ``x`` and ``y``; a lone point
+    comes back as its circle's centre."""
+    mark = svgchart._polyline(svgchart._words(np.asarray(x, float), ","),
+                              svgchart._words(np.asarray(y, float), " "), "#000000")
     found = re.fullmatch(r'<polyline [^>]*points="([^"]*)"/>\n|<circle cx="([^"]*)" cy="([^"]*)".*\n',
                          mark)
     return found[1] if found[1] is not None else f"{found[2]},{found[3]}"
@@ -136,4 +138,5 @@ def test_lone_point_is_formatted_like_a_run():
 def test_points_outside_the_domain_are_refused(bad):
     # -0.001 would be written -0.00 by %.2f; no coordinate may wrap a table index
     with pytest.raises(ValueError, match=r"\(0, 1000\)"):
-        svgchart._polyline(np.array([64.0, 100.0]), np.array([100.0, bad]), "#000000")
+        svgchart._polyline(svgchart._words(np.array([64.0, 100.0]), ","),
+                           svgchart._words(np.array([100.0, bad]), " "), "#000000")
