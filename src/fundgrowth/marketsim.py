@@ -420,8 +420,8 @@ def write_path_csv(path: MarketPath, out: IO[str], fund: Optional[FundSpec] = No
 
     def blocks() -> Iterator[tuple]:     # dates and rows are made a block at a time
         for start in range(0, len(rets), size := block_rows(len(header))):
-            block = rets[start:start + size]
-            yield ([_FIRST_DATE + datetime.timedelta(days=start + i) for i in range(len(block))],
+            block, first = rets[start:start + size], _FIRST_DATE.toordinal() + start
+            yield (list(map(datetime.date.fromordinal, range(first, first + len(block)))),
                    np.column_stack([block, np.zeros(len(block))]))
 
     return write_table(out, header, blocks())
