@@ -507,12 +507,12 @@ def write_backtest_csv(blocks: Iterable[BacktestSeries],
     return write_table(out, output_columns(last.k), rows()), last
 
 
-def read_backtest_csv(path: str, panels: Optional[IO[str]] = None) -> dict:
-    """Read a backtest output CSV: a dict of one numpy array per column, ``k``, ``dates``,
-    ``header`` and ``c_names``, the sorted ``c_`` names.  ``MissingColumns`` is raised
-    before any row is read when core columns are absent, ``ParseError`` (with the line) on
-    a row that does not parse.  ``panels``, if given, gets ``report``'s ``panels.csv`` block
-    by block, cells as written and each ``shrunk_j = a * nu_hat_j`` added; the dict holds them."""
+def read_backtest_csv(path: str, panels: IO[str]) -> tuple[tuple, int, dict]:
+    """Read a backtest output CSV, writing ``report``'s ``panels.csv`` to ``panels`` block by
+    block: cells as written, each ``shrunk_j = a * nu_hat_j`` added.  Returns the dates, K
+    and a dict of one float array per ``panels.csv`` column but the date, in its order (the
+    ``c_`` names sorted).  ``MissingColumns`` is raised before any row is read when core
+    columns are absent, ``ParseError`` (with the line) on a row that does not parse."""
     from .tableio import column_lines, table_blocks
     blocks = table_blocks(path)
     header = next(blocks)
@@ -521,20 +521,16 @@ def read_backtest_csv(path: str, panels: Optional[IO[str]] = None) -> dict:
     if missing:
         raise MissingColumns(f"{path} lacks required columns: {sorted(missing)}")
     nu_hat, shrunk = ([f"{name}_{j}" for j in range(1, k + 1)] for name in ("nu_hat", "shrunk"))
-    c_names = sorted(name for name in header if name.startswith("c_"))
     names = ["date", *nu_hat, *shrunk, "a", "logW_market", "logW_nuhat", "logW_shrunk", "F",
-             *c_names]
+             *sorted(name for name in header if name.startswith("c_"))]
     a, nu = header.index("a") - 1, [header.index(name) - 1 for name in nu_hat]
-    if panels is not None:
-        panels.write(",".join(names) + "\n")
-    dates, values, products = [], [], []
+    panels.write(",".join(names) + "\n")
+    dates, values = [], []
     for day, value, lines, _ in blocks:
-        if panels is not None:
-            products.append(value[:, [a]] * value[:, nu])
-            panels.write(column_lines(names, header, shrunk, lines, products[-1]))
+        panels.write(column_lines(names, header, shrunk, lines, value[:, [a]] * value[:, nu]))
         dates += day
         values.append(value)
     table = dict(zip(header[1:], np.concatenate(values).T))
-    values.clear()      # the blocks go before the products are joined
-    table.update(zip(shrunk, np.concatenate(products).T) if products else ())
-    return dict(table, k=k, dates=tuple(dates), header=header, c_names=c_names)
+    values.clear()      # the blocks go before the shrunk columns are made
+    table.update((name, table["a"] * table[nu_name]) for name, nu_name in zip(shrunk, nu_hat))
+    return tuple(dates), k, {name: table[name] for name in names[1:]}

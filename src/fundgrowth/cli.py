@@ -171,12 +171,12 @@ def cmd_report(args: argparse.Namespace) -> int:
     # panels.csv is written from each block's row texts as the input is read
     combined = Path(args.out) / "panels.csv"
     with tableio.replaced(combined) as handle:
-        table = bt.read_backtest_csv(args.input, handle)
-        if len(table["dates"]) == 0:
+        dates, k, table = bt.read_backtest_csv(args.input, handle)
+        if not dates:
             raise EmptyRange(f"{args.input} has no data rows")
     panels = {
         "portfolio.svg": ("Filtered growth-optimal portfolio and its shrunk version",
-                          [(name, table[name]) for j in range(1, table["k"] + 1)
+                          [(name, table[name]) for j in range(1, k + 1)
                            for name in (f"nu_hat_{j}", f"shrunk_{j}")]),
         "shrink_factor.svg": ("Uniform shrink factor a", [("a", table["a"])]),
         "wealth.svg": ("Log wealth (excess of risk-free) and achievable growth F",
@@ -185,11 +185,12 @@ def cmd_report(args: argparse.Namespace) -> int:
                         ("shrunk", table["logW_shrunk"]),
                         ("F", table["F"])]),
         "quadratic_variation.svg": ("Cumulative quadratic variation C",
-                                    [(name, table[name]) for name in table["c_names"]]),
+                                    [(name, column) for name, column in table.items()
+                                     if name.startswith("c_")]),
     }
     for filename, (title, series) in panels.items():
         with tableio.replaced(combined.with_name(filename)) as handle:
-            svgchart.line_chart(handle, title, table["dates"], series)
+            svgchart.line_chart(handle, title, dates, series)
     print(f"wrote {len(panels)} panels + {combined}")
     return 0
 

@@ -521,18 +521,19 @@ class TestCsvRoundTrip:
         with open(target, "w") as handle:
             rows, _ = write_backtest_csv([bt], handle)
         assert rows == 100
-        table = read_backtest_csv(str(target))
+        dates, k, table = read_backtest_csv(str(target), io.StringIO())
+        assert k == 1
         np.testing.assert_array_equal(table["nu_hat_1"], bt.nu_hat[60:, 0])
         np.testing.assert_array_equal(table["a"], bt.a[60:])
         np.testing.assert_array_equal(table["logW_shrunk"], bt.log_wealth_shrunk[60:])
         np.testing.assert_array_equal(table["c_11"], bt.c_cum[60:, 0, 0])
-        assert table["dates"][0] == bt.dates[60]
+        assert dates == bt.dates[60:]
 
     def test_missing_columns_rejected(self, tmp_path):
         target = tmp_path / "bad.csv"
         target.write_text("date,a,F\n2001-01-01,0.5,0.1\n")
         with pytest.raises(MissingColumns):
-            read_backtest_csv(str(target))
+            read_backtest_csv(str(target), io.StringIO())
 
 
 class TestConfigParsing:

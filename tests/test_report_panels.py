@@ -123,3 +123,12 @@ def test_bad_row_past_the_first_block_leaves_no_output(tmp_path, monkeypatch, ca
     (tmp_path / out).mkdir(parents=True)     # an existing directory keeps no partial file
     assert cli.main(["report", "--input", str(src), "--out", str(tmp_path / out)]) == 2
     assert list((tmp_path / out).iterdir()) == []
+
+
+def test_columns_named_c_names_k_dates_or_header_are_float_columns(tmp_path):
+    # no header name can stand for the dates, K or the list of c_ names: c_names is drawn
+    header = K2_HEADER.rstrip("\n") + ",c_names,k,dates,header\n"
+    text = header + "".join(f"{row},{i}.5,2.0,3.0,4.0\n" for i, row in enumerate(K2_ROWS))
+    assert report_panels(tmp_path, text.encode()) == reference_panels(text)
+    chart = (tmp_path / "out" / "quadratic_variation.svg").read_text()
+    assert ">c_names<" in chart and ">c_22<" in chart

@@ -549,7 +549,7 @@ def test_missing_column_is_reported_before_any_row_is_parsed(tmp_path, monkeypat
     table.write_text(header + "\n2001-01-01,x\n")
     calls = _counting_loadtxt(monkeypatch)
     with pytest.raises(MissingColumns, match=r"lacks required columns: \['c_22'\]"):
-        read_backtest_csv(str(table))
+        read_backtest_csv(str(table), io.StringIO())
     assert calls == []
 
 
