@@ -397,16 +397,15 @@ def backtest_blocks(series: ReturnSeries,
             _check_definite(c_post, lam_b, start + p)
 
             nu_post, psi_post, a_post = nu[p:], psi[p:], a[p:]
-            if k == 1:
+            if k == 1:     # under a pin too: psi needs kappa, and truncation may raise
                 nu_post[:, 0], kappa = _one_fund_posterior(r_post[:, 0], c_post[:, 0, 0],
                                                            config.truncation)
-            else:
-                nu_post[:] = np.linalg.solve(c_post, r_post[:, :, None])[:, :, 0]
-            if force_nu is not None:
-                nu_post[:] = force_nu
-            if k == 1:
+                if force_nu is not None:
+                    nu_post[:] = force_nu
                 psi_post[:] = shrinkage.psi_one_fund(nu_post[:, 0], kappa)
             else:
+                nu_post[:] = (force_nu if force_nu is not None
+                              else np.linalg.solve(c_post, r_post[:, :, None])[:, :, 0])
                 # = (3/2)^3 R'C^{-1}R when nu = C^{-1}R
                 psi_post[:] = 3.375 * np.einsum("ti,tij,tj->t", nu_post, c_post, nu_post)
             a_post[:] = (config.force_a if config.force_a is not None

@@ -165,6 +165,24 @@ class TestDifferential:
             run_backtest(series, config)
 
 
+def test_a_pinned_estimate_makes_no_solve(monkeypatch):
+    # at K = 3 the pin takes the place of the batched solve: no solve runs, and every
+    # column is what a solve that returned the pin gives
+    series, pin = random_series(3, 300, seed=80), np.array([0.5, -0.25, 1.0])
+    solved, solve = [], np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve", lambda c, r: solved.append(len(c)) or solve(c, r))
+    pinned = run_backtest(series, BacktestConfig(burn_in_days=100, force_nu_hat=pin))
+    assert solved == []
+    run_backtest(series, BacktestConfig(burn_in_days=100))
+    assert solved == [200]
+    monkeypatch.setattr(np.linalg, "solve",
+                        lambda c, r: np.broadcast_to(pin[:, None], r.shape).copy())
+    solved_pin = run_backtest(series, BacktestConfig(burn_in_days=100))
+    assert (pinned.burn_in, pinned.floored_steps) == (solved_pin.burn_in, solved_pin.floored_steps)
+    for name in backtest._ROW_COLUMNS:
+        assert getattr(pinned, name).tobytes() == getattr(solved_pin, name).tobytes(), name
+
+
 BLOCK_CONFIGS = {
     "uninformative": lambda k: BacktestConfig(burn_in_days=100),
     "anchored_no_burn_in": lambda k: anchored(k, burn_in_days=0),
