@@ -106,16 +106,12 @@ class MarketPath:
 
     times: np.ndarray
     increments: np.ndarray
-    nu_true: np.ndarray
-    cov_rate: CovMatrix
-    seed: int
 
     def __post_init__(self):
         times = np.asarray(self.times, dtype=float)
         incr = np.asarray(self.increments, dtype=float)
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "increments", incr)
-        object.__setattr__(self, "nu_true", np.asarray(self.nu_true, float).reshape(-1))
         if incr.shape[0] != times.size - 1:
             raise ValueError("increment rows must match the number of clock steps")
 
@@ -209,7 +205,7 @@ def simulate_path(nu: np.ndarray, c: CovMatrix, clock: np.ndarray, seed: int) ->
     root = sqrt_entries(c)
     drift = np.outer(d_o, c.entries @ nu)
     incr = drift + np.sqrt(d_o)[:, None] * (xi @ root)
-    return MarketPath(times=clock, increments=incr, nu_true=nu, cov_rate=c, seed=seed)
+    return MarketPath(times=clock, increments=incr)
 
 
 def build_fund_model(c: CovMatrix, f: np.ndarray) -> FundSpec:
@@ -391,9 +387,9 @@ def parse_scenario(text: str) -> SimScenario:
                        **values)
 
 
-def run_scenario(scenario: SimScenario, seed: Optional[int] = None) -> MarketPath:
-    """Simulate one path for a scenario, drawing ``nu`` from the prior if unset."""
-    seed = scenario.seed if seed is None else seed
+def run_scenario(scenario: SimScenario, seed: int) -> MarketPath:
+    """Simulate one path for a scenario from ``seed``, drawing ``nu`` from the prior
+    if unset."""
     if scenario.nu is not None:
         nu = np.asarray(scenario.nu, dtype=float).reshape(-1)
     elif scenario.theta is not None and scenario.f is not None:

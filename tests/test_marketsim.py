@@ -290,12 +290,12 @@ class TestScenario:
     def test_run_scenario_deterministic(self):
         text = "dim = 2\ncov_preset = identity\nprior_mean = 0.1, 0.2\nsteps = 20\nseed = 3\n"
         scenario = parse_scenario(text)
-        p1, p2 = run_scenario(scenario), run_scenario(scenario)
+        p1, p2 = run_scenario(scenario, scenario.seed), run_scenario(scenario, scenario.seed)
         np.testing.assert_array_equal(p1.increments, p2.increments)
 
     def test_csv_export_schema(self):
         scenario = parse_scenario("dim = 1\ncov = 0.01\nsteps = 5\nseed = 1\nnu = 0.5\n")
-        path = run_scenario(scenario)
+        path = run_scenario(scenario, scenario.seed)
         buf = io.StringIO()
         rows = write_path_csv(path, buf)
         lines = buf.getvalue().strip().splitlines()

@@ -18,7 +18,6 @@ from fundgrowth import cli, floattext, tableio
 from fundgrowth.backtest import ingest_csv, output_columns, read_backtest_csv
 from fundgrowth.errors import MissingColumns, ParseError
 from fundgrowth.marketsim import MarketPath, write_path_csv
-from fundgrowth.psd import CovMatrix
 from fundgrowth.tableio import write_table
 
 
@@ -61,9 +60,8 @@ def test_write_then_read_is_bit_identical(tmp_path_factory, values):
                              elements=st.floats(allow_nan=False, allow_infinity=False,
                                                 allow_subnormal=True)))
 def test_simulated_csv_ingests_bit_identical(tmp_path_factory, increments):
-    n, k = increments.shape
-    path = MarketPath(times=np.arange(n + 1.0), increments=increments, nu_true=np.zeros(k),
-                      cov_rate=CovMatrix(np.eye(k)), seed=0)
+    n = len(increments)
+    path = MarketPath(times=np.arange(n + 1.0), increments=increments)
     target = tmp_path_factory.mktemp("returns") / "simulated.csv"
     with open(target, "w", newline="") as handle:
         assert write_path_csv(path, handle) == n
