@@ -76,6 +76,19 @@ class TestSimulate:
         assert match, out
         assert float(match.group(1)) <= 4.0
 
+    @pytest.mark.parametrize("text, summary", [
+        (ONE_FUND_SCENARIO,
+         ["realized quadratic variation: relative error 1.629e-01 over 100 steps"]),
+        (TWO_FUND_SCENARIO,
+         ["realized quadratic variation: relative error 2.185e-01 over 60 steps",
+          "residual drift: max |z| = 0.58 over 40000 paths (2 fund(s), 3 assets)"]),
+    ], ids=["one_fund", "two_fund"])
+    def test_summary_lines_are_pinned(self, tmp_path, capsys, text, summary):
+        config = tmp_path / "scenario.cfg"
+        config.write_text(text)
+        assert run(["simulate", "--config", str(config), "--out", str(tmp_path)]) == 0
+        assert capsys.readouterr().out.splitlines()[1:] == summary
+
     def test_bad_scenario_value_is_usage_error(self, tmp_path):
         config = tmp_path / "scenario.cfg"
         config.write_text(ONE_FUND_SCENARIO.replace("steps = 100", "steps = x"))

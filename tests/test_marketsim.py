@@ -102,6 +102,13 @@ class TestSimulatePath:
         p2 = simulate_path([0.1, 0.2, -0.1], c, clock, seed=9)
         np.testing.assert_array_equal(p1.increments, p2.increments)
 
+    @pytest.mark.parametrize("steps, step", [(23_558, 1.0 / 252.0), (8_256, 1.0 / 252.0),
+                                             (60, 0.25), (100, 1e-3), (1, 0.1)])
+    def test_clock_ends_at_step_times_steps(self, steps, step):
+        # the horizon simulate prints its relative error against
+        clock = uniform_clock(steps, step)
+        assert clock[0] == 0.0 and clock[-1] == step * steps
+
     def test_empty_grid_rejected(self):
         c = CovMatrix([[1.0]])
         with pytest.raises(EmptyGrid):
