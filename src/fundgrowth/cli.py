@@ -98,8 +98,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         rows = marketsim.write_path_csv(path, handle, fund=fund)
 
     qv = path.realized_quadratic_covariation()
-    horizon = float(path.times[-1] - path.times[0])
-    expected = scenario.cov.entries * horizon
+    expected = scenario.cov.entries * (scenario.dt * scenario.steps)     # the clock's last point
     rel_err = float(np.linalg.norm(qv - expected) / np.linalg.norm(expected))
     print(f"wrote {out_csv} rows={rows} dim={scenario.dim} seed={seed}")
     print(f"realized quadratic variation: relative error {rel_err:.3e} over {path.n_steps} steps")
@@ -110,7 +109,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         )
         max_z = float(np.abs(report.z_scores).max())
         print(
-            f"residual drift: max |z| = {max_z:.2f} over {report.n_paths} paths "
+            f"residual drift: max |z| = {max_z:.2f} over {scenario.drift_check_paths} paths "
             f"({fund.funds} fund(s), {fund.assets} assets)"
         )
     return 0

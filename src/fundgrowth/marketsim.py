@@ -102,18 +102,9 @@ class FundSpec:
 
 @dataclass(frozen=True)
 class MarketPath:
-    """One simulated path: clock grid, per-step excess-return increments."""
+    """One simulated path: its per-step excess-return increments, one row a step."""
 
-    times: np.ndarray
     increments: np.ndarray
-
-    def __post_init__(self):
-        times = np.asarray(self.times, dtype=float)
-        incr = np.asarray(self.increments, dtype=float)
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "increments", incr)
-        if incr.shape[0] != times.size - 1:
-            raise ValueError("increment rows must match the number of clock steps")
 
     @property
     def n_steps(self) -> int:
@@ -128,13 +119,13 @@ class MarketPath:
         return self.increments.T @ self.increments
 
 
-def uniform_clock(steps: int, step: float = DEFAULT_STEP, start: float = 0.0) -> np.ndarray:
-    """Evenly spaced operational clock ``start, start+step, ...`` (steps+1 points)."""
+def uniform_clock(steps: int, step: float = DEFAULT_STEP) -> np.ndarray:
+    """Evenly spaced operational clock ``0, step, 2 step, ...`` (steps+1 points)."""
     if steps < 1:
         raise EmptyGrid("clock needs at least one step")
     if step <= 0.0:
         raise ValueError("clock step must be positive")
-    return start + step * np.arange(steps + 1, dtype=float)
+    return step * np.arange(steps + 1, dtype=float)
 
 
 def draw_prior(spec: PriorSpec, seed: int) -> np.ndarray:
@@ -205,7 +196,7 @@ def simulate_path(nu: np.ndarray, c: CovMatrix, clock: np.ndarray, seed: int) ->
     root = sqrt_entries(c)
     drift = np.outer(d_o, c.entries @ nu)
     incr = drift + np.sqrt(d_o)[:, None] * (xi @ root)
-    return MarketPath(times=clock, increments=incr)
+    return MarketPath(increments=incr)
 
 
 def build_fund_model(c: CovMatrix, f: np.ndarray) -> FundSpec:
@@ -234,7 +225,6 @@ class ResidualDriftReport:
 
     drift: np.ndarray
     stderr: np.ndarray
-    n_paths: int
 
     @property
     def z_scores(self) -> np.ndarray:
@@ -273,7 +263,7 @@ def residual_drift_check(
     d_n = d_r @ strip.T
     drift = d_n.mean(axis=0) / d_o
     stderr = d_n.std(axis=0, ddof=1) / math.sqrt(n_paths) / d_o
-    return ResidualDriftReport(drift=drift, stderr=stderr, n_paths=n_paths)
+    return ResidualDriftReport(drift=drift, stderr=stderr)
 
 
 # ---------------------------------------------------------------------------
@@ -284,10 +274,10 @@ def residual_drift_check(
 class SimScenario:
     """A simulation scenario; ``parse_scenario`` reads one from its file format.
 
-    ``nu``, the prior, and ``f`` with its ``theta`` must fit ``dim`` and be finite;
-    a fund scenario has at most ``dim`` funds.  ``steps`` is at most ``_MAX_STEPS``, one
-    dated row each.  ``drift_check_paths`` is 0 (no residual drift check) or at least 2.
-    A value out of range raises ``ConfigError``.
+    ``nu``, the prior, and ``f`` with its ``theta`` must fit ``dim`` and be finite; a
+    fund scenario has both, no ``nu`` and at most ``dim`` funds.  ``steps`` is at most
+    ``_MAX_STEPS``, one dated row each.  ``drift_check_paths`` is 0 (no residual drift
+    check) or at least 2.  A value out of range raises ``ConfigError``.
     """
 
     dim: int
@@ -295,7 +285,6 @@ class SimScenario:
     prior: PriorSpec
     dt: float = DEFAULT_STEP
     steps: int = 252
-    o_start: float = 0.0
     seed: int = 0
     nu: Optional[np.ndarray] = None
     f: Optional[np.ndarray] = None
@@ -307,14 +296,15 @@ class SimScenario:
             raise ConfigError(f"cov has dim {self.cov.dim}, scenario declares {self.dim}")
         _check_prior(self.dim, self.prior.mean, self.prior.cov)
         _sized("nu", self.nu, (self.dim,))
+        if (self.f is None) != (self.theta is None):
+            raise ConfigError("a fund scenario declares both 'f' and 'theta'")
         if self.f is not None:
-            if self.theta is None:
-                raise ConfigError("fund scenarios must declare 'theta'")
+            if self.nu is not None:
+                raise ConfigError("a fund scenario's nu is f theta: it declares no 'nu'")
             _sized("f", self.f, (self.dim, min(self.f.shape[-1], self.dim)))
             _sized("theta", self.theta, (self.f.shape[1],))
-        if not (0.0 < self.dt < math.inf and math.isfinite(self.o_start)):
-            raise ConfigError("dt must be positive and finite and o_start finite, "
-                              f"got {self.dt}, {self.o_start}")
+        if not 0.0 < self.dt < math.inf:
+            raise ConfigError(f"dt must be positive and finite, got {self.dt}")
         if self.steps > _MAX_STEPS:
             raise ConfigError(f"steps must be at most {_MAX_STEPS}, got {self.steps}")
         if self.seed < 0:
@@ -351,15 +341,15 @@ def parse_scenario(text: str) -> SimScenario:
     """Parse a plain ``key = value`` scenario description.
 
     Vectors are comma-separated, matrices use ``;`` between rows, ``#`` starts
-    a comment.  Unknown and repeated keys are rejected.  ``cov`` or the name
-    ``cov_preset`` gives the covariance rate; ``prior_mean``, ``prior_cov``
+    a comment.  Unknown and repeated keys are rejected.  Either ``cov`` or the
+    name ``cov_preset`` gives the covariance rate; ``prior_mean``, ``prior_cov``
     (identity by default) and ``truncation_l``/``truncation_r`` the prior.
     """
     from .tableio import parse_matrix, parse_vector, read_config
     parsers = {
         "dim": int, "cov": _parse_cov, "cov_preset": str, "prior_mean": parse_vector,
         "prior_cov": _parse_cov, "truncation_l": float, "truncation_r": float,
-        "nu": parse_vector, "dt": float, "steps": int, "o_start": float, "seed": int,
+        "nu": parse_vector, "dt": float, "steps": int, "seed": int,
         "f": parse_matrix, "theta": parse_vector, "drift_check_paths": int,
     }
     values = read_config(text, parsers, "scenario")
@@ -370,9 +360,9 @@ def parse_scenario(text: str) -> SimScenario:
         raise ConfigError(f"dim must be positive, got {dim}")
 
     preset = values.pop("cov_preset", None)
+    if ("cov" in values) == (preset is not None):
+        raise ConfigError("scenario must declare exactly one of 'cov' and 'cov_preset'")
     if "cov" not in values:
-        if preset is None:
-            raise ConfigError("scenario must declare 'cov' or 'cov_preset'")
         if preset not in _COV_PRESETS:
             raise ConfigError(f"unknown cov_preset {preset!r}")
         values["cov"] = CovMatrix(np.eye(dim) * _COV_PRESETS[preset])
@@ -392,11 +382,11 @@ def run_scenario(scenario: SimScenario, seed: int) -> MarketPath:
     if unset."""
     if scenario.nu is not None:
         nu = np.asarray(scenario.nu, dtype=float).reshape(-1)
-    elif scenario.theta is not None and scenario.f is not None:
+    elif scenario.f is not None:
         nu = scenario.f @ np.asarray(scenario.theta, dtype=float)
     else:
         nu = draw_prior(scenario.prior, seed)
-    clock = uniform_clock(scenario.steps, scenario.dt, scenario.o_start)
+    clock = uniform_clock(scenario.steps, scenario.dt)
     # Path noise uses an offset stream so it never aliases the prior draw.
     return simulate_path(nu, scenario.cov, clock, seed + 1)
 

@@ -97,7 +97,7 @@ class TestSimulate:
     @pytest.mark.parametrize("text, message", [
         (ONE_FUND_SCENARIO + "dt = -1\n", "dt must be positive and finite"),
         (ONE_FUND_SCENARIO + "dt = nan\n", "dt must be positive and finite"),
-        (ONE_FUND_SCENARIO + "o_start = inf\n", "o_start finite"),
+        (ONE_FUND_SCENARIO + "o_start = 0\n", "unknown scenario key 'o_start'"),
         (ONE_FUND_SCENARIO + "nu = 1.0, 2.0\n", "nu must be 1 finite value(s)"),
         (ONE_FUND_SCENARIO + "nu = nan\n", "nu must be 1 finite value(s)"),
         (ONE_FUND_SCENARIO.replace("2.2222", "2.2222, 1.0"), "prior_mean must be 1 finite"),
@@ -115,9 +115,14 @@ class TestSimulate:
         (ONE_FUND_SCENARIO.replace("seed = 11", "seed = -2"), "seed must be non-negative"),
         (TWO_FUND_SCENARIO.replace("= 40000", "= 1"), "drift_check_paths must be 0 (off) or"),
         (TWO_FUND_SCENARIO.replace("= 40000", "= -5"), "drift_check_paths must be 0 (off) or"),
-    ], ids=["dt_negative", "dt_nan", "o_start_inf", "nu_size", "nu_nan", "prior_mean_size",
+        (ONE_FUND_SCENARIO + "theta = nan\n", "declares both 'f' and 'theta'"),
+        (TWO_FUND_SCENARIO + "nu = 1, 2, 3\n", "it declares no 'nu'"),
+        (TWO_FUND_SCENARIO.replace("= identity", "= bogus\ncov = 1, 0, 0; 0, 1, 0; 0, 0, 1"),
+         "one of 'cov' and 'cov_preset'"),
+    ], ids=["dt_negative", "dt_nan", "o_start_unknown", "nu_size", "nu_nan", "prior_mean_size",
             "prior_mean_nan", "prior_cov_dim", "f_rows", "f_no_rows", "theta_size", "dim_zero",
-            "truncation_no_mass", "seed_negative", "drift_paths_one", "drift_paths_negative"])
+            "truncation_no_mass", "seed_negative", "drift_paths_one", "drift_paths_negative",
+            "theta_without_f", "nu_with_f", "cov_with_cov_preset"])
     def test_bad_scenario_value_is_config_error(self, tmp_path, capsys, text, message):
         config = tmp_path / "scenario.cfg"
         config.write_text(text)

@@ -10,6 +10,7 @@ from scipy import special
 from fundgrowth import tableio
 from fundgrowth.errors import BadTruncation, ConfigError, EmptyGrid, RankDeficient
 from fundgrowth.marketsim import (
+    DEFAULT_STEP,
     PriorSpec,
     SimScenario,
     _truncated_inverse_cdf,
@@ -146,7 +147,7 @@ class TestSimulatePath:
             n = 4000
             path = simulate_path(nu, c, uniform_clock(n), seed=5)
             qv = path.realized_quadratic_covariation()
-            target = c.entries * (path.times[-1] - path.times[0])
+            target = c.entries * (n * DEFAULT_STEP)
             rel = np.linalg.norm(qv - target) / np.linalg.norm(target)
             assert rel <= 5.0 / math.sqrt(n)
 

@@ -61,7 +61,7 @@ def test_write_then_read_is_bit_identical(tmp_path_factory, values):
                                                 allow_subnormal=True)))
 def test_simulated_csv_ingests_bit_identical(tmp_path_factory, increments):
     n = len(increments)
-    path = MarketPath(times=np.arange(n + 1.0), increments=increments)
+    path = MarketPath(increments=increments)
     target = tmp_path_factory.mktemp("returns") / "simulated.csv"
     with open(target, "w", newline="") as handle:
         assert write_path_csv(path, handle) == n
