@@ -104,10 +104,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     print(f"realized quadratic variation: relative error {rel_err:.3e} over {path.n_steps} steps")
 
     if fund is not None and scenario.drift_check_paths > 0:
-        report = marketsim.residual_drift_check(
+        z_scores = marketsim.residual_drift_check(
             fund, scenario.theta, scenario.drift_check_paths, seed + 2, d_o=scenario.dt
         )
-        max_z = float(np.abs(report.z_scores).max())
+        max_z = float(np.abs(z_scores).max())
         print(
             f"residual drift: max |z| = {max_z:.2f} over {scenario.drift_check_paths} paths "
             f"({fund.funds} fund(s), {fund.assets} assets)"

@@ -122,7 +122,6 @@ class McDistance:
 
     mean: float
     stderr: float
-    n_windows: int
 
 
 def mc_distance_from_growth(
@@ -135,25 +134,18 @@ def mc_distance_from_growth(
 ) -> McDistance:
     """Simulate windows, estimate through the funds, average the growth gap.
 
-    Each window is one increment ``c f theta dO + c^{1/2} sqrt(dO) xi``; the
+    Each window is one ``marketsim.euler_step`` with ``nu = f theta``; the
     realised gap is half the squared ``dC``-norm of the estimation error of
     the portfolio, whose expectation is ``K / 2`` for every market.
     """
+    from .marketsim import euler_step     # imported here: verify loads no marketsim
     f = _frame(f)
     theta = np.asarray(theta, dtype=float).reshape(-1)
-    dim = c.dim
-    rng = np.random.default_rng(seed)
-    root = sqrt_entries(c)
     c_ff = _cross_cov(f, c, f, d_o)
-    nu = f @ theta
-
-    xi = rng.standard_normal((n_windows, dim))
-    d_r = d_o * (c.entries @ nu) + math.sqrt(d_o) * (xi @ root)
+    xi = np.random.default_rng(seed).standard_normal((n_windows, c.dim))
+    d_r = euler_step(f @ theta, c, d_o, xi)
     theta_hat = _checked_solve(c_ff, f.T @ d_r.T).T        # one row per window
     dev = (theta_hat - theta) @ f.T                        # nu_hat - nu
     vals = 0.5 * d_o * np.einsum("ij,ij->i", dev @ c.entries, dev)
-    return McDistance(
-        mean=float(vals.mean()),
-        stderr=float(vals.std(ddof=1) / math.sqrt(n_windows)),
-        n_windows=n_windows,
-    )
+    return McDistance(mean=float(vals.mean()),
+                      stderr=float(vals.std(ddof=1) / math.sqrt(n_windows)))

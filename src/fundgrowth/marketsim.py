@@ -135,7 +135,7 @@ def draw_prior(spec: PriorSpec, seed: int) -> np.ndarray:
     to inverse-CDF sampling on the interval; an interval whose prior mass makes
     acceptance within the cap less likely than 1e-6 goes straight to the
     fallback, and one with no probability in double precision raises
-    ``BadTruncation``.
+    ``BadTruncation`` before any draw.
     """
     rng = np.random.default_rng(seed)
     if spec.truncation is None:
@@ -149,35 +149,28 @@ def draw_prior(spec: PriorSpec, seed: int) -> np.ndarray:
     if sd == 0.0:
         return np.array([mu])
     alpha, beta = (lower - mu) / sd, (upper - mu) / sd
-    mass = ndtr(-alpha) - ndtr(-beta) if alpha >= 0.0 else ndtr(beta) - ndtr(alpha)
-    if mass * _REJECTION_CAP >= 1e-6:
-        for _ in range(0, _REJECTION_CAP, _REJECTION_BATCH):
-            batch = mu + sd * rng.standard_normal(_REJECTION_BATCH)
-            inside = np.flatnonzero((batch > lower) & (batch < upper))
-            if inside.size:
-                return np.array([batch[inside[0]]])
-    return np.array([_truncated_inverse_cdf(rng, mu, sd, lower, upper)])
-
-
-def _truncated_inverse_cdf(rng, mu: float, sd: float, lower: float, upper: float) -> float:
-    """Inverse-CDF draw on an interval, via the survival function in the tails.
-
-    Far from the mean, ``ndtr`` saturates at 1.0 and the naive quantile
-    collapses; mapping a right-tail interval through ``1 - Phi`` keeps full
-    precision where rejection sampling has no chance.  A left-tail interval
-    needs no mapping: ``ndtr`` keeps full relative precision below zero.
-    Raises ``BadTruncation`` when the interval's probability underflows.
-    """
-    from .filtering import ndtr
-    alpha = (lower - mu) / sd
-    beta = (upper - mu) / sd
+    # Far above the mean ndtr saturates at 1.0, so a right-tail interval is mapped
+    # through 1 - Phi; below zero ndtr keeps full relative precision.
     sign, lo, hi = (-1.0, -beta, -alpha) if alpha >= 0.0 else (1.0, alpha, beta)
     p_lo, p_hi = float(ndtr(lo)), float(ndtr(hi))
     if not p_lo < p_hi:
         raise BadTruncation(f"interval ({lower}, {upper}) has no prior probability "
                             "in double precision")
+    if (p_hi - p_lo) * _REJECTION_CAP >= 1e-6:
+        for _ in range(0, _REJECTION_CAP, _REJECTION_BATCH):
+            batch = mu + sd * rng.standard_normal(_REJECTION_BATCH)
+            inside = np.flatnonzero((batch > lower) & (batch < upper))
+            if inside.size:
+                return np.array([batch[inside[0]]])
     from statistics import NormalDist     # imports fractions and decimal: only when drawn
-    return mu + sign * sd * NormalDist().inv_cdf(rng.uniform(p_lo, p_hi))
+    return np.array([mu + sign * sd * NormalDist().inv_cdf(rng.uniform(p_lo, p_hi))])
+
+
+def euler_step(nu: np.ndarray, c: CovMatrix, d_o, xi: np.ndarray) -> np.ndarray:
+    """Increments ``c nu dO + c^{1/2} sqrt(dO) xi`` of one Euler step ``d_o`` (a float)
+    or of one step a row (a vector); leading axes of ``xi`` broadcast."""
+    drift = np.multiply.outer(d_o, c.entries @ nu)
+    return drift + np.sqrt(d_o)[..., None] * (xi @ sqrt_entries(c))
 
 
 def simulate_path(nu: np.ndarray, c: CovMatrix, clock: np.ndarray, seed: int) -> MarketPath:
@@ -191,12 +184,8 @@ def simulate_path(nu: np.ndarray, c: CovMatrix, clock: np.ndarray, seed: int) ->
         raise ValueError("clock must be strictly increasing")
     if nu.size != c.dim:
         raise ValueError(f"nu has size {nu.size}, covariance has dim {c.dim}")
-    rng = np.random.default_rng(seed)
-    xi = rng.standard_normal((d_o.size, c.dim))
-    root = sqrt_entries(c)
-    drift = np.outer(d_o, c.entries @ nu)
-    incr = drift + np.sqrt(d_o)[:, None] * (xi @ root)
-    return MarketPath(increments=incr)
+    xi = np.random.default_rng(seed).standard_normal((d_o.size, c.dim))
+    return MarketPath(increments=euler_step(nu, c, d_o, xi))
 
 
 def build_fund_model(c: CovMatrix, f: np.ndarray) -> FundSpec:
@@ -219,19 +208,6 @@ def build_fund_model(c: CovMatrix, f: np.ndarray) -> FundSpec:
     return FundSpec(f=f, beta=beta, residual_cov=CovMatrix(residual), cov_rate=c)
 
 
-@dataclass(frozen=True)
-class ResidualDriftReport:
-    """Per-asset residual drift estimates from a one-step Monte-Carlo sweep."""
-
-    drift: np.ndarray
-    stderr: np.ndarray
-
-    @property
-    def z_scores(self) -> np.ndarray:
-        safe = np.where(self.stderr > 0.0, self.stderr, np.inf)
-        return self.drift / safe
-
-
 def residual_drift_check(
     spec: FundSpec,
     theta: np.ndarray,
@@ -239,13 +215,14 @@ def residual_drift_check(
     seed: int,
     d_o: float = DEFAULT_STEP,
     nu_offset: Optional[np.ndarray] = None,
-) -> ResidualDriftReport:
-    """Estimate drift rates of the residual returns ``dN = dR - beta dR_f``.
+) -> np.ndarray:
+    """z-scores of the drift rates of the residual returns ``dN = dR - beta dR_f``.
 
-    With the growth-optimal portfolio inside the fund span (``nu = f theta``)
-    every residual drift is zero in expectation; ``nu_offset`` adds an
-    out-of-span component so the rejection direction can be exercised too.
-    The standard error needs ``n_paths >= 2``.
+    Each asset's drift estimate is divided by its standard error, and is 0 where
+    that is 0.  With the growth-optimal portfolio inside the fund span
+    (``nu = f theta``) every residual drift is zero in expectation; ``nu_offset``
+    adds an out-of-span component so the rejection direction can be exercised
+    too.  The standard error needs ``n_paths >= 2``.
     """
     if n_paths < 2:
         raise ValueError(f"n_paths must be at least 2, got {n_paths}")
@@ -255,15 +232,13 @@ def residual_drift_check(
     nu = spec.f @ theta
     if nu_offset is not None:
         nu = nu + np.asarray(nu_offset, dtype=float).reshape(-1)
-    c = spec.cov_rate
-    rng = np.random.default_rng(seed)
-    xi = rng.standard_normal((n_paths, spec.assets))
-    d_r = d_o * (c.entries @ nu) + math.sqrt(d_o) * (xi @ sqrt_entries(c))
+    xi = np.random.default_rng(seed).standard_normal((n_paths, spec.assets))
+    d_r = euler_step(nu, spec.cov_rate, d_o, xi)
     strip = np.eye(spec.assets) - spec.beta @ spec.f.T
     d_n = d_r @ strip.T
     drift = d_n.mean(axis=0) / d_o
     stderr = d_n.std(axis=0, ddof=1) / math.sqrt(n_paths) / d_o
-    return ResidualDriftReport(drift=drift, stderr=stderr)
+    return drift / np.where(stderr > 0.0, stderr, np.inf)
 
 
 # ---------------------------------------------------------------------------

@@ -9,13 +9,14 @@ from scipy import special
 
 from fundgrowth import tableio
 from fundgrowth.errors import BadTruncation, ConfigError, EmptyGrid, RankDeficient
+from fundgrowth.filtering import ndtr
 from fundgrowth.marketsim import (
     DEFAULT_STEP,
     PriorSpec,
     SimScenario,
-    _truncated_inverse_cdf,
     build_fund_model,
     draw_prior,
+    euler_step,
     parse_scenario,
     residual_drift_check,
     run_scenario,
@@ -76,10 +77,11 @@ class TestDrawPrior:
     @pytest.mark.parametrize("lower, upper", [(9.0, 9.5), (-9.5, -9.0), (7.5, 8.0)])
     def test_hopeless_truncation_skips_rejection(self, lower, upper):
         spec = PriorSpec(mean=[0.0], cov=CovMatrix([[1.0]]), truncation=(lower, upper))
+        # the inverse-CDF draw through the tail that keeps ndtr's precision, bit for bit
+        sign, lo, hi = (-1.0, -upper, -lower) if lower >= 0.0 else (1.0, lower, upper)
         for seed in range(5):
-            fresh = np.random.default_rng(seed)
-            assert draw_prior(spec, seed)[0] == _truncated_inverse_cdf(fresh, 0.0, 1.0,
-                                                                       lower, upper)
+            u = np.random.default_rng(seed).uniform(float(ndtr(lo)), float(ndtr(hi)))
+            assert draw_prior(spec, seed)[0] == 0.0 + sign * 1.0 * NormalDist().inv_cdf(u)
 
     def test_truncation_needs_dim_one(self):
         with pytest.raises(BadTruncation):
@@ -109,6 +111,18 @@ class TestSimulatePath:
         # the horizon simulate prints its relative error against
         clock = uniform_clock(steps, step)
         assert clock[0] == 0.0 and clock[-1] == step * steps
+
+    def test_euler_step_broadcasts_a_path_axis(self):
+        # a stack of paths on one clock gives each path's own increments, bit for bit
+        c = random_cov(np.random.default_rng(2), 3)
+        nu, d_o = np.array([0.4, -0.1, 0.9]), np.diff(uniform_clock(30))
+        xi = np.random.default_rng(5).standard_normal((4, d_o.size, 3))
+        stacked = euler_step(nu, c, d_o, xi)
+        assert stacked.shape == xi.shape
+        for one, xi_one in zip(stacked, xi):
+            np.testing.assert_array_equal(one, euler_step(nu, c, d_o, xi_one))
+        np.testing.assert_array_equal(euler_step(nu, c, d_o[3], xi[:, 3]),
+                                      stacked[:, 3])
 
     def test_empty_grid_rejected(self):
         c = CovMatrix([[1.0]])
@@ -212,15 +226,15 @@ class TestResidualDrift:
         rng = np.random.default_rng(12)
         c = random_cov(rng, 4)
         spec = build_fund_model(c, rng.standard_normal((4, 2)))
-        report = residual_drift_check(spec, np.zeros(2), n_paths=50_000, seed=1)
-        assert np.all(np.abs(report.z_scores) <= 4.0)
+        z_scores = residual_drift_check(spec, np.zeros(2), n_paths=50_000, seed=1)
+        assert np.all(np.abs(z_scores) <= 4.0)
 
     def test_in_span_drift_vanishes(self):
         rng = np.random.default_rng(14)
         c = random_cov(rng, 5)
         spec = build_fund_model(c, rng.standard_normal((5, 2)))
-        report = residual_drift_check(spec, np.array([0.7, -1.2]), n_paths=100_000, seed=2)
-        assert np.all(np.abs(report.z_scores) <= 4.0)
+        z_scores = residual_drift_check(spec, np.array([0.7, -1.2]), n_paths=100_000, seed=2)
+        assert np.all(np.abs(z_scores) <= 4.0)
 
     def test_out_of_span_rejected(self):
         rng = np.random.default_rng(16)
@@ -232,10 +246,10 @@ class TestResidualDrift:
         u = rng.standard_normal(5)
         u -= cf @ np.linalg.solve(cf.T @ cf, cf.T @ u)
         u /= np.linalg.norm(u)
-        report = residual_drift_check(
+        z_scores = residual_drift_check(
             spec, np.array([0.7, -1.2]), n_paths=100_000, seed=3, nu_offset=u
         )
-        assert np.abs(report.z_scores).max() > 4.0
+        assert np.abs(z_scores).max() > 4.0
 
 
 class TestScenario:
