@@ -123,8 +123,8 @@ def uniform_clock(steps: int, step: float = DEFAULT_STEP) -> np.ndarray:
     """Evenly spaced operational clock ``0, step, 2 step, ...`` (steps+1 points)."""
     if steps < 1:
         raise EmptyGrid("clock needs at least one step")
-    if step <= 0.0:
-        raise ValueError("clock step must be positive")
+    if not 0.0 < step < math.inf:
+        raise ValueError(f"clock step must be positive and finite, got {step}")
     return step * np.arange(steps + 1, dtype=float)
 
 
@@ -180,8 +180,8 @@ def simulate_path(nu: np.ndarray, c: CovMatrix, clock: np.ndarray, seed: int) ->
     if clock.ndim != 1 or clock.size < 2:
         raise EmptyGrid("clock needs at least one step")
     d_o = np.diff(clock)
-    if np.any(d_o <= 0.0):
-        raise ValueError("clock must be strictly increasing")
+    if not (d_o.min() > 0.0 and d_o.max() < math.inf):     # a NaN step fails the first
+        raise ValueError("clock must be strictly increasing in finite steps")
     if nu.size != c.dim:
         raise ValueError(f"nu has size {nu.size}, covariance has dim {c.dim}")
     xi = np.random.default_rng(seed).standard_normal((d_o.size, c.dim))
@@ -251,8 +251,9 @@ class SimScenario:
 
     ``nu``, the prior, and ``f`` with its ``theta`` must fit ``dim`` and be finite; a
     fund scenario has both, no ``nu`` and at most ``dim`` funds.  ``steps`` is at most
-    ``_MAX_STEPS``, one dated row each.  ``drift_check_paths`` is 0 (no residual drift
-    check) or at least 2.  A value out of range raises ``ConfigError``.
+    ``_MAX_STEPS``, one dated row each, and the clock's last point ``dt * steps`` is
+    finite.  ``drift_check_paths`` is 0 (no residual drift check) or at least 2.  A
+    value out of range raises ``ConfigError``.
     """
 
     dim: int
@@ -280,6 +281,8 @@ class SimScenario:
             _sized("theta", self.theta, (self.f.shape[1],))
         if not 0.0 < self.dt < math.inf:
             raise ConfigError(f"dt must be positive and finite, got {self.dt}")
+        if not self.dt * self.steps < math.inf:
+            raise ConfigError(f"dt * steps must be finite, got {self.dt} * {self.steps}")
         if self.steps > _MAX_STEPS:
             raise ConfigError(f"steps must be at most {_MAX_STEPS}, got {self.steps}")
         if self.seed < 0:
@@ -318,7 +321,9 @@ def parse_scenario(text: str) -> SimScenario:
     Vectors are comma-separated, matrices use ``;`` between rows, ``#`` starts
     a comment.  Unknown and repeated keys are rejected.  Either ``cov`` or the
     name ``cov_preset`` gives the covariance rate; ``prior_mean``, ``prior_cov``
-    (identity by default) and ``truncation_l``/``truncation_r`` the prior.
+    (identity by default) and ``truncation_l``/``truncation_r`` the prior, which
+    a scenario with ``nu`` or ``f`` does not draw from and so may not declare.
+    ``drift_check_paths`` needs ``f``: only a fund scenario runs the drift check.
     """
     from .tableio import parse_matrix, parse_vector, read_config
     parsers = {
@@ -333,6 +338,15 @@ def parse_scenario(text: str) -> SimScenario:
     dim = values["dim"]
     if dim < 1:
         raise ConfigError(f"dim must be positive, got {dim}")
+    prior_keys = [k for k in ("prior_mean", "prior_cov", "truncation_l", "truncation_r")
+                  if k in values]
+    fixed = [k for k in ("nu", "f") if k in values]
+    if prior_keys and fixed:
+        raise ConfigError(f"{', '.join(prior_keys)} set beside {fixed[0]}: "
+                          "the portfolio is not drawn from the prior")
+    if "drift_check_paths" in values and "f" not in values:
+        raise ConfigError("drift_check_paths set without f: only a fund scenario "
+                          "runs the residual drift check")
 
     preset = values.pop("cov_preset", None)
     if ("cov" in values) == (preset is not None):
@@ -354,7 +368,7 @@ def parse_scenario(text: str) -> SimScenario:
 
 def run_scenario(scenario: SimScenario, seed: int) -> MarketPath:
     """Simulate one path for a scenario from ``seed``, drawing ``nu`` from the prior
-    if unset."""
+    if unset; ``ConfigError`` if an increment is not finite."""
     if scenario.nu is not None:
         nu = np.asarray(scenario.nu, dtype=float).reshape(-1)
     elif scenario.f is not None:
@@ -363,7 +377,12 @@ def run_scenario(scenario: SimScenario, seed: int) -> MarketPath:
         nu = draw_prior(scenario.prior, seed)
     clock = uniform_clock(scenario.steps, scenario.dt)
     # Path noise uses an offset stream so it never aliases the prior draw.
-    return simulate_path(nu, scenario.cov, clock, seed + 1)
+    with np.errstate(over="ignore", invalid="ignore"):     # refused just below
+        path = simulate_path(nu, scenario.cov, clock, seed + 1)
+    if not np.isfinite(path.increments).all():
+        raise ConfigError("the simulated path overflows double precision: "
+                          "the scenario's cov, nu or dt is too large")
+    return path
 
 
 def write_path_csv(path: MarketPath, out: IO[str], fund: Optional[FundSpec] = None) -> int:

@@ -33,7 +33,7 @@ RANK_RTOL = 1e-10
 class CovMatrix:
     """A symmetric positive-semidefinite matrix with cached eigendecomposition.
 
-    Entries are symmetrised as ``(m + m.T)/2`` on construction (tolerating the
+    Entries are symmetrised as ``m/2 + m.T/2`` on construction (tolerating the
     asymmetric round-off that accumulation produces), eigenvalues are stored
     nonincreasing, and negative dust above ``-1e-10 * lambda_max`` is clamped
     to zero.  A genuinely indefinite input raises ``ValueError``.
@@ -50,8 +50,10 @@ class CovMatrix:
         scale = float(np.abs(m).max())
         if scale > 0.0 and float(np.abs(m - m.T).max()) > SYM_RTOL * scale:
             raise ValueError("matrix is not symmetric to 1e-12 relative tolerance")
-        m = 0.5 * (m + m.T)
+        m = 0.5 * m + 0.5 * m.T              # m + m.T may overflow
         w, v = np.linalg.eigh(m)
+        if not np.isfinite(w).all():
+            raise ValueError("matrix eigenvalues overflow double precision")
         lam_max = max(float(w[-1]), 0.0)
         if float(w[0]) < -EIG_DUST_RTOL * lam_max:
             raise ValueError(

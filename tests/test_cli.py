@@ -32,6 +32,15 @@ seed = 17
 drift_check_paths = 40000
 """
 
+# a scenario with a fixed portfolio and no prior keys
+NU_SCENARIO = """
+dim = 1
+cov = 0.0324
+nu = 2
+steps = 50
+seed = 3
+"""
+
 GOLDEN = Path(__file__).parent / "golden"
 PANEL_FILES = ("portfolio.svg", "shrink_factor.svg", "wealth.svg", "quadratic_variation.svg",
                "panels.csv")
@@ -98,8 +107,8 @@ class TestSimulate:
         (ONE_FUND_SCENARIO + "dt = -1\n", "dt must be positive and finite"),
         (ONE_FUND_SCENARIO + "dt = nan\n", "dt must be positive and finite"),
         (ONE_FUND_SCENARIO + "o_start = 0\n", "unknown scenario key 'o_start'"),
-        (ONE_FUND_SCENARIO + "nu = 1.0, 2.0\n", "nu must be 1 finite value(s)"),
-        (ONE_FUND_SCENARIO + "nu = nan\n", "nu must be 1 finite value(s)"),
+        (NU_SCENARIO.replace("nu = 2", "nu = 1.0, 2.0"), "nu must be 1 finite value(s)"),
+        (NU_SCENARIO.replace("nu = 2", "nu = nan"), "nu must be 1 finite value(s)"),
         (ONE_FUND_SCENARIO.replace("2.2222", "2.2222, 1.0"), "prior_mean must be 1 finite"),
         (ONE_FUND_SCENARIO.replace("2.2222", "nan"), "prior_mean must be 1 finite"),
         (ONE_FUND_SCENARIO.replace("prior_cov = 1.0", "prior_cov = 1, 0; 0, 1"),
@@ -119,10 +128,21 @@ class TestSimulate:
         (TWO_FUND_SCENARIO + "nu = 1, 2, 3\n", "it declares no 'nu'"),
         (TWO_FUND_SCENARIO.replace("= identity", "= bogus\ncov = 1, 0, 0; 0, 1, 0; 0, 0, 1"),
          "one of 'cov' and 'cov_preset'"),
+        (NU_SCENARIO + "prior_mean = 7\n", "prior_mean set beside nu"),
+        (NU_SCENARIO + "truncation_l = 0\nprior_cov = 4\n",
+         "prior_cov, truncation_l set beside nu"),
+        (TWO_FUND_SCENARIO + "truncation_r = 1\n", "truncation_r set beside f"),
+        (NU_SCENARIO + "drift_check_paths = 1000000\n", "drift_check_paths set without f"),
+        (ONE_FUND_SCENARIO + "drift_check_paths = 0\n", "drift_check_paths set without f"),
+        (NU_SCENARIO + "dt = 1e308\n", "dt * steps must be finite"),
+        (NU_SCENARIO.replace("cov = 0.0324", "cov = 1e308").replace("nu = 2", "nu = 1e10"),
+         "the simulated path overflows double precision"),
     ], ids=["dt_negative", "dt_nan", "o_start_unknown", "nu_size", "nu_nan", "prior_mean_size",
             "prior_mean_nan", "prior_cov_dim", "f_rows", "f_no_rows", "theta_size", "dim_zero",
             "truncation_no_mass", "seed_negative", "drift_paths_one", "drift_paths_negative",
-            "theta_without_f", "nu_with_f", "cov_with_cov_preset"])
+            "theta_without_f", "nu_with_f", "cov_with_cov_preset", "prior_mean_with_nu",
+            "truncation_with_nu", "truncation_with_f", "drift_paths_with_nu",
+            "drift_paths_with_prior", "clock_overflows", "path_overflows"])
     def test_bad_scenario_value_is_config_error(self, tmp_path, capsys, text, message):
         config = tmp_path / "scenario.cfg"
         config.write_text(text)

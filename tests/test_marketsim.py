@@ -131,6 +131,18 @@ class TestSimulatePath:
         with pytest.raises(ValueError, match="strictly increasing"):
             simulate_path([0.0], c, np.array([0.0, 0.0]), seed=0)
 
+    @pytest.mark.parametrize("clock", [[0.0, np.nan, 1.0], [0.0, 1.0, np.inf],
+                                       [-1.7e308, 1.7e308], [np.nan, np.nan]])
+    def test_clock_with_a_step_not_finite_rejected(self, clock):
+        with pytest.raises(ValueError, match="strictly increasing in finite steps"), \
+                np.errstate(over="ignore", invalid="ignore"):
+            simulate_path([0.0], CovMatrix([[1.0]]), np.array(clock), seed=0)
+
+    @pytest.mark.parametrize("step", [np.nan, np.inf, 0.0, -1.0])
+    def test_uniform_clock_needs_a_positive_finite_step(self, step):
+        with pytest.raises(ValueError, match="clock step must be positive and finite"):
+            uniform_clock(3, step)
+
     def test_driftless_mean(self):
         c = CovMatrix([[0.04]])
         clock = uniform_clock(4, step=0.25)
@@ -304,6 +316,15 @@ class TestScenario:
         assert parse_scenario(text.format(2_948_422)).steps == 2_948_422
         with pytest.raises(ConfigError, match="^steps must be at most 2948422, got 2948423$"):
             parse_scenario(text.format(2_948_423))
+
+    def test_clock_must_end_finite(self):
+        with pytest.raises(ConfigError, match=r"^dt \* steps must be finite, got 1e\+308 \* 5$"):
+            parse_scenario("dim = 1\ncov = 0.1\nnu = 1\ndt = 1e308\nsteps = 5\n")
+
+    def test_path_that_overflows_is_refused(self):
+        scenario = parse_scenario("dim = 1\ncov = 1e308\nnu = 1e10\nsteps = 5\n")
+        with pytest.raises(ConfigError, match="overflows double precision"):
+            run_scenario(scenario, 0)
 
     def test_fund_scenario_needs_theta(self):
         with pytest.raises(ConfigError, match="theta"):

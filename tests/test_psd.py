@@ -41,6 +41,19 @@ class TestCovMatrix:
         with pytest.raises(ValueError, match="positive semidefinite"):
             CovMatrix([[1.0, 0.0], [0.0, -0.5]])
 
+    @pytest.mark.parametrize("entries", [[[1e308]], [[1.7e308, 0.0], [0.0, 1.7e308]],
+                                         [[1e308, -5e307], [-5e307, 1e308]]])
+    def test_finite_entries_near_the_largest_double_are_kept(self, entries):
+        # halving each side before adding keeps m + m.T from overflowing
+        m = CovMatrix(entries)
+        np.testing.assert_array_equal(m.entries, entries)
+        assert np.isfinite(m.eigenvalues).all()
+
+    def test_rejects_overflowing_eigenvalues(self):
+        # lambda_max = 1.8e308 overflows although every entry is finite
+        with pytest.raises(ValueError, match="eigenvalues overflow"):
+            CovMatrix([[9e307, 9e307], [9e307, 9e307]])
+
     def test_clamps_negative_dust(self):
         # rank-1 outer product: round-off can push an eigenvalue slightly below 0
         v = np.array([1.0, 2.0, 3.0])
