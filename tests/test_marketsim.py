@@ -317,15 +317,6 @@ class TestScenario:
         with pytest.raises(ConfigError, match="^steps must be at most 2948422, got 2948423$"):
             parse_scenario(text.format(2_948_423))
 
-    def test_clock_must_end_finite(self):
-        with pytest.raises(ConfigError, match=r"^dt \* steps must be finite, got 1e\+308 \* 5$"):
-            parse_scenario("dim = 1\ncov = 0.1\nnu = 1\ndt = 1e308\nsteps = 5\n")
-
-    def test_path_that_overflows_is_refused(self):
-        scenario = parse_scenario("dim = 1\ncov = 1e308\nnu = 1e10\nsteps = 5\n")
-        with pytest.raises(ConfigError, match="overflows double precision"):
-            run_scenario(scenario, 0)
-
     def test_fund_scenario_needs_theta(self):
         with pytest.raises(ConfigError, match="theta"):
             parse_scenario("dim = 2\ncov_preset = identity\nf = 1,0; 0,1\n")
