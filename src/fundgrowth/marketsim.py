@@ -247,37 +247,71 @@ def residual_drift_check(
 
 @dataclass(frozen=True)
 class SimScenario:
-    """A simulation scenario; ``parse_scenario`` reads one from its file format.
+    """A simulation scenario: its fields are the keys of the file ``parse_scenario``
+    reads, and one built in code obeys the same rules, raising ``ConfigError``.
 
+    ``dim`` is required and positive; exactly one of ``cov`` and ``cov_preset``, which
+    is resolved into ``cov``, gives the covariance rate.  ``prior_mean`` (zeros if
+    unset), ``prior_cov`` (identity) and ``truncation_l``/``truncation_r`` give the
+    prior, which a scenario with ``nu`` or ``f`` does not draw from and so may not set.
     ``nu``, the prior, and ``f`` with its ``theta`` must fit ``dim`` and be finite; a
     fund scenario has both, no ``nu`` and at most ``dim`` funds.  ``steps`` is at most
-    ``_MAX_STEPS``, one dated row each, and the clock's last point ``dt * steps`` is
-    finite.  ``drift_check_paths`` is 0 (no residual drift check) or at least 2.  A
-    value out of range raises ``ConfigError``.
+    ``_MAX_STEPS``, one dated row each, and ``dt * steps`` is finite.  Only a fund
+    scenario sets ``drift_check_paths``: 0 (off), at least 2, or 100,000 if unset.
     """
 
-    dim: int
-    cov: CovMatrix
-    prior: PriorSpec
+    dim: Optional[int] = None
+    cov: Optional[CovMatrix] = None
+    cov_preset: Optional[str] = None
+    prior_mean: Optional[np.ndarray] = None
+    prior_cov: Optional[CovMatrix] = None
+    truncation_l: Optional[float] = None
+    truncation_r: Optional[float] = None
+    nu: Optional[np.ndarray] = None
     dt: float = DEFAULT_STEP
     steps: int = 252
     seed: int = 0
-    nu: Optional[np.ndarray] = None
     f: Optional[np.ndarray] = None
     theta: Optional[np.ndarray] = None
-    drift_check_paths: int = 100_000
+    drift_check_paths: Optional[int] = None
 
     def __post_init__(self):
-        if self.cov.dim != self.dim:
-            raise ConfigError(f"cov has dim {self.cov.dim}, scenario declares {self.dim}")
-        _check_prior(self.dim, self.prior.mean, self.prior.cov)
-        _sized("nu", self.nu, (self.dim,))
+        dim = self.dim
+        if dim is None:
+            raise ConfigError("scenario must declare 'dim'")
+        if dim < 1:
+            raise ConfigError(f"dim must be positive, got {dim}")
+        prior_keys = [k for k in ("prior_mean", "prior_cov", "truncation_l", "truncation_r")
+                      if getattr(self, k) is not None]
+        fixed = [k for k in ("nu", "f") if getattr(self, k) is not None]
+        if prior_keys and fixed:
+            raise ConfigError(f"{', '.join(prior_keys)} set beside {fixed[0]}: "
+                              "the portfolio is not drawn from the prior")
+        if self.drift_check_paths is None:
+            object.__setattr__(self, "drift_check_paths", 100_000)
+        elif self.f is None:
+            raise ConfigError("drift_check_paths set without f: only a fund scenario "
+                              "runs the residual drift check")
+        if (self.cov is None) == (self.cov_preset is None):
+            raise ConfigError("scenario must declare exactly one of 'cov' and 'cov_preset'")
+        if self.cov is None:
+            if self.cov_preset not in _COV_PRESETS:
+                raise ConfigError(f"unknown cov_preset {self.cov_preset!r}")
+            object.__setattr__(self, "cov", CovMatrix(np.eye(dim) * _COV_PRESETS[self.cov_preset]))
+        if self.prior_cov is not None and self.prior_cov.dim != dim:
+            raise ConfigError(f"prior_cov has dim {self.prior_cov.dim}, scenario declares {dim}")
+        _sized("prior_mean", self.prior_mean, (dim,))
+        if self.truncation_l is not None or self.truncation_r is not None:
+            self.prior      # BadTruncation for an empty interval or a dim above one
+        if self.cov.dim != dim:
+            raise ConfigError(f"cov has dim {self.cov.dim}, scenario declares {dim}")
+        _sized("nu", self.nu, (dim,))
         if (self.f is None) != (self.theta is None):
             raise ConfigError("a fund scenario declares both 'f' and 'theta'")
         if self.f is not None:
             if self.nu is not None:
                 raise ConfigError("a fund scenario's nu is f theta: it declares no 'nu'")
-            _sized("f", self.f, (self.dim, min(self.f.shape[-1], self.dim)))
+            _sized("f", self.f, (dim, min(self.f.shape[-1], dim)))
             _sized("theta", self.theta, (self.f.shape[1],))
         if not 0.0 < self.dt < math.inf:
             raise ConfigError(f"dt must be positive and finite, got {self.dt}")
@@ -291,17 +325,15 @@ class SimScenario:
             raise ConfigError("drift_check_paths must be 0 (off) or at least 2, "
                               f"got {self.drift_check_paths}")
 
-
-def _parse_cov(text: str) -> CovMatrix:
-    from .tableio import parse_matrix
-    return CovMatrix(parse_matrix(text))
-
-
-def _check_prior(dim: int, mean: np.ndarray, cov: CovMatrix) -> None:
-    """``ConfigError`` unless a prior of ``mean`` and ``cov`` fits ``dim``."""
-    if cov.dim != dim:
-        raise ConfigError(f"prior_cov has dim {cov.dim}, scenario declares {dim}")
-    _sized("prior_mean", mean, (dim,))
+    @property
+    def prior(self) -> PriorSpec:
+        """The prior ``run_scenario`` draws ``nu`` from when neither ``nu`` nor ``f`` is set."""
+        lower, upper = self.truncation_l, self.truncation_r
+        truncation = None if lower is None and upper is None else (
+            -math.inf if lower is None else lower, math.inf if upper is None else upper)
+        mean = np.zeros(self.dim) if self.prior_mean is None else self.prior_mean
+        cov = CovMatrix(np.eye(self.dim)) if self.prior_cov is None else self.prior_cov
+        return PriorSpec(mean=mean, cov=cov, truncation=truncation)
 
 
 def _sized(name: str, value: Optional[np.ndarray], shape: tuple) -> None:
@@ -316,54 +348,22 @@ _COV_PRESETS = {"identity": 1.0, "us_one_fund": 0.18 ** 2}
 
 
 def parse_scenario(text: str) -> SimScenario:
-    """Parse a plain ``key = value`` scenario description.
+    """Parse a plain ``key = value`` scenario description; ``SimScenario`` checks it.
 
-    Vectors are comma-separated, matrices use ``;`` between rows, ``#`` starts
-    a comment.  Unknown and repeated keys are rejected.  Either ``cov`` or the
-    name ``cov_preset`` gives the covariance rate; ``prior_mean``, ``prior_cov``
-    (identity by default) and ``truncation_l``/``truncation_r`` the prior, which
-    a scenario with ``nu`` or ``f`` does not draw from and so may not declare.
-    ``drift_check_paths`` needs ``f``: only a fund scenario runs the drift check.
+    Vectors are comma-separated, matrices use ``;`` between rows, ``#`` starts a
+    comment.  Unknown and repeated keys and unparsable values raise ``ConfigError``.
     """
     from .tableio import parse_matrix, parse_vector, read_config
+
+    def parse_cov(text: str) -> CovMatrix:
+        return CovMatrix(parse_matrix(text))
     parsers = {
-        "dim": int, "cov": _parse_cov, "cov_preset": str, "prior_mean": parse_vector,
-        "prior_cov": _parse_cov, "truncation_l": float, "truncation_r": float,
+        "dim": int, "cov": parse_cov, "cov_preset": str, "prior_mean": parse_vector,
+        "prior_cov": parse_cov, "truncation_l": float, "truncation_r": float,
         "nu": parse_vector, "dt": float, "steps": int, "seed": int,
         "f": parse_matrix, "theta": parse_vector, "drift_check_paths": int,
     }
-    values = read_config(text, parsers, "scenario")
-    if "dim" not in values:
-        raise ConfigError("scenario must declare 'dim'")
-    dim = values["dim"]
-    if dim < 1:
-        raise ConfigError(f"dim must be positive, got {dim}")
-    prior_keys = [k for k in ("prior_mean", "prior_cov", "truncation_l", "truncation_r")
-                  if k in values]
-    fixed = [k for k in ("nu", "f") if k in values]
-    if prior_keys and fixed:
-        raise ConfigError(f"{', '.join(prior_keys)} set beside {fixed[0]}: "
-                          "the portfolio is not drawn from the prior")
-    if "drift_check_paths" in values and "f" not in values:
-        raise ConfigError("drift_check_paths set without f: only a fund scenario "
-                          "runs the residual drift check")
-
-    preset = values.pop("cov_preset", None)
-    if ("cov" in values) == (preset is not None):
-        raise ConfigError("scenario must declare exactly one of 'cov' and 'cov_preset'")
-    if "cov" not in values:
-        if preset not in _COV_PRESETS:
-            raise ConfigError(f"unknown cov_preset {preset!r}")
-        values["cov"] = CovMatrix(np.eye(dim) * _COV_PRESETS[preset])
-
-    prior_cov = values.pop("prior_cov") if "prior_cov" in values else CovMatrix(np.eye(dim))
-    mean = values.pop("prior_mean", np.zeros(dim))
-    _check_prior(dim, mean, prior_cov)      # before PriorSpec: it raises ValueError on a misfit
-    truncation = None
-    if "truncation_l" in values or "truncation_r" in values:
-        truncation = (values.pop("truncation_l", -math.inf), values.pop("truncation_r", math.inf))
-    return SimScenario(prior=PriorSpec(mean=mean, cov=prior_cov, truncation=truncation),
-                       **values)
+    return SimScenario(**read_config(text, parsers, "scenario"))
 
 
 def run_scenario(scenario: SimScenario, seed: int) -> MarketPath:

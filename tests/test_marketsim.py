@@ -293,12 +293,18 @@ class TestScenario:
 
     @pytest.mark.parametrize("values, message", [
         ({"dt": -1.0}, "dt must be positive and finite"),
-        ({"drift_check_paths": 1}, r"drift_check_paths must be 0 \(off\) or at least 2"),
-    ], ids=["dt_negative", "drift_paths_one"])
+        ({"drift_check_paths": 1, "f": np.array([[1.0]]), "theta": np.array([1.0])},
+         r"drift_check_paths must be 0 \(off\) or at least 2"),
+        ({"nu": np.array([1.0]), "drift_check_paths": 5}, "drift_check_paths set without f"),
+        ({"nu": np.array([1.0]), "prior_mean": np.array([0.0])}, "prior_mean set beside nu"),
+        ({"f": np.array([[1.0]]), "theta": np.array([1.0]), "truncation_r": 1.0},
+         "truncation_r set beside f"),
+        ({"cov_preset": "identity"}, "exactly one of 'cov' and 'cov_preset'"),
+    ], ids=["dt_negative", "drift_paths_one", "drift_paths_with_nu", "prior_mean_with_nu",
+            "truncation_with_f", "cov_with_cov_preset"])
     def test_scenario_built_in_code_is_checked(self, values, message):
-        cov = CovMatrix([[1.0]])
         with pytest.raises(ConfigError, match=message):
-            SimScenario(dim=1, cov=cov, prior=PriorSpec(mean=[0.0], cov=cov), **values)
+            SimScenario(dim=1, cov=CovMatrix([[1.0]]), **values)
 
     @pytest.mark.parametrize("mean, cov, message", [
         ([0.0], [[1.0]], "prior_cov has dim 1, scenario declares 2"),
@@ -306,8 +312,14 @@ class TestScenario:
     ], ids=["one_dim_prior", "nan_mean"])
     def test_prior_built_in_code_is_checked(self, mean, cov, message):
         with pytest.raises(ConfigError, match=message):
-            SimScenario(dim=2, cov=CovMatrix(np.eye(2)),
-                        prior=PriorSpec(mean=mean, cov=CovMatrix(cov)))
+            SimScenario(dim=2, cov=CovMatrix(np.eye(2)), prior_mean=np.array(mean),
+                        prior_cov=CovMatrix(cov))
+
+    def test_fixed_nu_needs_no_prior(self):
+        built = SimScenario(dim=1, cov_preset="us_one_fund", nu=np.array([2.0]), steps=50, seed=3)
+        parsed = parse_scenario("dim = 1\ncov_preset = us_one_fund\nnu = 2\nsteps = 50\nseed = 3\n")
+        np.testing.assert_array_equal(run_scenario(built, built.seed).increments,
+                                      run_scenario(parsed, parsed.seed).increments)
 
     def test_steps_end_by_the_last_date(self):
         # write_path_csv dates row i as 1927-07-01 plus i days; 9999-12-31 is the last date
