@@ -136,8 +136,11 @@ def mc_distance_from_growth(
 
     Each window is one ``marketsim.euler_step`` with ``nu = f theta``; the
     realised gap is half the squared ``dC``-norm of the estimation error of
-    the portfolio, whose expectation is ``K / 2`` for every market.
+    the portfolio, whose expectation is ``K / 2`` for every market.  The
+    standard error needs ``n_windows >= 2``.
     """
+    if n_windows < 2:
+        raise ValueError(f"n_windows must be at least 2, got {n_windows}")
     from .marketsim import euler_step     # imported here: verify loads no marketsim
     f = _frame(f)
     theta = np.asarray(theta, dtype=float).reshape(-1)

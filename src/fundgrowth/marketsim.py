@@ -184,6 +184,8 @@ def simulate_path(nu: np.ndarray, c: CovMatrix, clock: np.ndarray, seed: int) ->
         raise ValueError("clock must be strictly increasing in finite steps")
     if nu.size != c.dim:
         raise ValueError(f"nu has size {nu.size}, covariance has dim {c.dim}")
+    if not np.isfinite(nu).all():
+        raise ValueError("nu must be finite")
     xi = np.random.default_rng(seed).standard_normal((d_o.size, c.dim))
     return MarketPath(increments=euler_step(nu, c, d_o, xi))
 
@@ -368,18 +370,19 @@ def parse_scenario(text: str) -> SimScenario:
 
 def run_scenario(scenario: SimScenario, seed: int) -> MarketPath:
     """Simulate one path for a scenario from ``seed``, drawing ``nu`` from the prior
-    if unset; ``ConfigError`` if an increment is not finite."""
+    if unset; ``ConfigError`` if ``nu`` or an increment is not finite."""
     if scenario.nu is not None:
         nu = np.asarray(scenario.nu, dtype=float).reshape(-1)
     elif scenario.f is not None:
-        nu = scenario.f @ np.asarray(scenario.theta, dtype=float)
+        with np.errstate(over="ignore", invalid="ignore"):     # refused below
+            nu = scenario.f @ np.asarray(scenario.theta, dtype=float)
     else:
         nu = draw_prior(scenario.prior, seed)
     clock = uniform_clock(scenario.steps, scenario.dt)
     # Path noise uses an offset stream so it never aliases the prior draw.
     with np.errstate(over="ignore", invalid="ignore"):     # refused just below
-        path = simulate_path(nu, scenario.cov, clock, seed + 1)
-    if not np.isfinite(path.increments).all():
+        path = simulate_path(nu, scenario.cov, clock, seed + 1) if np.isfinite(nu).all() else None
+    if path is None or not np.isfinite(path.increments).all():
         raise ConfigError("the simulated path overflows double precision: "
                           "the scenario's cov, nu or dt is too large")
     return path

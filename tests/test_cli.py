@@ -137,12 +137,15 @@ class TestSimulate:
         (NU_SCENARIO + "dt = 1e308\n", "dt * steps must be finite"),
         (NU_SCENARIO.replace("cov = 0.0324", "cov = 1e308").replace("nu = 2", "nu = 1e10"),
          "the simulated path overflows double precision"),
+        (TWO_FUND_SCENARIO.replace("theta = 0.5, -0.2", "theta = 1e200, 1e200")
+         .replace("f = 1,0", "f = 1e200,0"), "the simulated path overflows double precision"),
     ], ids=["dt_negative", "dt_nan", "o_start_unknown", "nu_size", "nu_nan", "prior_mean_size",
             "prior_mean_nan", "prior_cov_dim", "f_rows", "f_no_rows", "theta_size", "dim_zero",
             "truncation_no_mass", "seed_negative", "drift_paths_one", "drift_paths_negative",
             "theta_without_f", "nu_with_f", "cov_with_cov_preset", "prior_mean_with_nu",
             "truncation_with_nu", "truncation_with_f", "drift_paths_with_nu",
-            "drift_paths_with_prior", "clock_overflows", "path_overflows"])
+            "drift_paths_with_prior", "clock_overflows", "path_overflows",
+            "fund_nu_overflows"])
     def test_bad_scenario_value_is_config_error(self, tmp_path, capsys, text, message):
         config = tmp_path / "scenario.cfg"
         config.write_text(text)

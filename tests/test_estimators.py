@@ -151,6 +151,12 @@ class TestFrobeniusObjective:
 
 
 class TestMcDistance:
+    @pytest.mark.parametrize("n_windows", [1, 0])
+    def test_needs_two_windows(self, n_windows):
+        with pytest.raises(ValueError, match="n_windows must be at least 2"):
+            mc_distance_from_growth(f=np.array([1.0]), c=CovMatrix([[1.0]]),
+                                    theta=np.array([0.4]), d_o=1.0, n_windows=n_windows, seed=11)
+
     def test_single_fund_half(self):
         result = mc_distance_from_growth(
             f=np.array([1.0]), c=CovMatrix([[1.0]]), theta=np.array([0.4]),

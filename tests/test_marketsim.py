@@ -138,6 +138,11 @@ class TestSimulatePath:
                 np.errstate(over="ignore", invalid="ignore"):
             simulate_path([0.0], CovMatrix([[1.0]]), np.array(clock), seed=0)
 
+    @pytest.mark.parametrize("nu", [np.nan, np.inf, -np.inf])
+    def test_nu_not_finite_rejected(self, nu):
+        with pytest.raises(ValueError, match="nu must be finite"):
+            simulate_path([nu], CovMatrix([[1.0]]), uniform_clock(3), seed=0)
+
     @pytest.mark.parametrize("step", [np.nan, np.inf, 0.0, -1.0])
     def test_uniform_clock_needs_a_positive_finite_step(self, step):
         with pytest.raises(ValueError, match="clock step must be positive and finite"):
