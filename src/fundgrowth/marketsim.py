@@ -252,8 +252,8 @@ class SimScenario:
     """A simulation scenario: its fields are the keys of the file ``parse_scenario``
     reads, and one built in code obeys the same rules, raising ``ConfigError``.
 
-    ``dim`` is required and positive; exactly one of ``cov`` and ``cov_preset``, which
-    is resolved into ``cov``, gives the covariance rate.  ``prior_mean`` (zeros if
+    ``dim`` is required and positive; exactly one of ``cov`` and ``cov_preset`` (then
+    resolved into ``cov`` and unset) gives the covariance rate.  ``prior_mean`` (zeros if
     unset), ``prior_cov`` (identity) and ``truncation_l``/``truncation_r`` give the
     prior, which a scenario with ``nu`` or ``f`` does not draw from and so may not set.
     ``nu``, the prior, and ``f`` with its ``theta`` must fit ``dim`` and be finite; a
@@ -289,17 +289,18 @@ class SimScenario:
         if prior_keys and fixed:
             raise ConfigError(f"{', '.join(prior_keys)} set beside {fixed[0]}: "
                               "the portfolio is not drawn from the prior")
-        if self.drift_check_paths is None:
-            object.__setattr__(self, "drift_check_paths", 100_000)
-        elif self.f is None:
+        if self.drift_check_paths is not None and self.f is None:
             raise ConfigError("drift_check_paths set without f: only a fund scenario "
                               "runs the residual drift check")
+        if self.drift_check_paths is None and self.f is not None:
+            object.__setattr__(self, "drift_check_paths", 100_000)
         if (self.cov is None) == (self.cov_preset is None):
             raise ConfigError("scenario must declare exactly one of 'cov' and 'cov_preset'")
         if self.cov is None:
             if self.cov_preset not in _COV_PRESETS:
                 raise ConfigError(f"unknown cov_preset {self.cov_preset!r}")
             object.__setattr__(self, "cov", CovMatrix(np.eye(dim) * _COV_PRESETS[self.cov_preset]))
+            object.__setattr__(self, "cov_preset", None)     # so dataclasses.replace rebuilds it
         if self.prior_cov is not None and self.prior_cov.dim != dim:
             raise ConfigError(f"prior_cov has dim {self.prior_cov.dim}, scenario declares {dim}")
         _sized("prior_mean", self.prior_mean, (dim,))
@@ -323,7 +324,7 @@ class SimScenario:
             raise ConfigError(f"steps must be at most {_MAX_STEPS}, got {self.steps}")
         if self.seed < 0:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
-        if self.drift_check_paths < 0 or self.drift_check_paths == 1:
+        if self.f is not None and (self.drift_check_paths < 0 or self.drift_check_paths == 1):
             raise ConfigError("drift_check_paths must be 0 (off) or at least 2, "
                               f"got {self.drift_check_paths}")
 

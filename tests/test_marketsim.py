@@ -1,3 +1,4 @@
+import dataclasses
 import datetime
 import io
 import math
@@ -325,6 +326,13 @@ class TestScenario:
         parsed = parse_scenario("dim = 1\ncov_preset = us_one_fund\nnu = 2\nsteps = 50\nseed = 3\n")
         np.testing.assert_array_equal(run_scenario(built, built.seed).increments,
                                       run_scenario(parsed, parsed.seed).increments)
+
+    def test_replace_rebuilds_a_checked_scenario(self):
+        preset = parse_scenario("dim = 1\ncov_preset = identity\nsteps = 5\n")
+        fund = parse_scenario("dim = 1\ncov = 1\nf = 1\ntheta = 0.5\n")
+        assert dataclasses.replace(preset, steps=10).cov.entries.tolist() == [[1.0]]
+        assert dataclasses.replace(fund, seed=4).drift_check_paths == 100_000
+        assert preset.cov_preset is None and preset.drift_check_paths is None
 
     def test_steps_end_by_the_last_date(self):
         # write_path_csv dates row i as 1927-07-01 plus i days; 9999-12-31 is the last date
