@@ -153,14 +153,13 @@ def ingest_csv(path: str, drop_policy: str = "skip") -> IngestResult:
 
 @dataclass(frozen=True)
 class BacktestConfig:
-    """Knobs for the daily pipeline.
+    """Knobs for the daily pipeline; each feature is on when its value is set.
 
-    ``prior='anchored'`` folds ``kappa0^{-1}`` and ``kappa0^{-1} nu0`` into
-    the accumulators, allowing ``burn_in = 0``.
+    ``nu0`` and ``kappa0``, set together, anchor the prior: ``kappa0^{-1}`` and
+    ``kappa0^{-1} nu0`` are folded into the accumulators, allowing ``burn_in = 0``.
     """
 
     burn_in_days: int = DEFAULT_BURN_IN
-    prior: str = "uninformative"
     nu0: Optional[np.ndarray] = None
     kappa0: Optional[np.ndarray] = None
     truncation_l: Optional[float] = None
@@ -171,9 +170,7 @@ class BacktestConfig:
     force_nu_hat: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        if self.prior not in ("uninformative", "anchored"):
-            raise ConfigError(f"unknown prior {self.prior!r}")
-        if self.prior == "anchored" and (self.nu0 is None or self.kappa0 is None):
+        if (self.nu0 is None) != (self.kappa0 is None):
             raise ConfigError("anchored prior needs nu0 and kappa0")
         if self.burn_in_days < 0:
             raise ConfigError("burn_in_days must be nonnegative")
@@ -209,10 +206,9 @@ def parse_backtest_config(text: str) -> BacktestConfig:
     and unparsable values raise ``ConfigError``."""
     from .tableio import parse_matrix, parse_vector, read_config
     parsers = {
-        "burn_in_days": int, "prior": str, "nu0": parse_vector,
-        "kappa0": parse_matrix, "truncation_l": float, "truncation_r": float,
-        "drop_policy": str, "demean_covariance": _parse_bool, "force_a": float,
-        "force_nu_hat": parse_vector,
+        "burn_in_days": int, "nu0": parse_vector, "kappa0": parse_matrix,
+        "truncation_l": float, "truncation_r": float, "drop_policy": str,
+        "demean_covariance": _parse_bool, "force_a": float, "force_nu_hat": parse_vector,
     }
     return BacktestConfig(**read_config(text, parsers, "config"))
 
@@ -257,7 +253,7 @@ _ROW_COLUMNS = ("excess", "r_cum", "c_cum", "nu_hat", "psi", "a", "log_wealth_ma
 def _prior_anchor(config: BacktestConfig, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Starting values of ``R`` and ``C``: ``kappa0^{-1} nu0`` and ``kappa0^{-1}``,
     or zeros under the uninformative prior."""
-    if config.prior != "anchored":
+    if config.nu0 is None:
         return np.zeros(k), np.zeros((k, k))
     nu0 = np.asarray(config.nu0, dtype=float).reshape(-1)
     if nu0.size != k or np.shape(config.kappa0) != (k, k):

@@ -32,7 +32,7 @@ class BacktestEngine:
         self.config = config
         if config.truncation is not None and k != 1:
             raise ConfigError("truncation requires a single fund")
-        if config.prior == "anchored":
+        if config.nu0 is not None:
             kappa0 = CovMatrix(config.kappa0)
             w = kappa0.eigenvalues
             if w[-1] <= 1e-12 * w[0] or w[0] <= 0.0:

@@ -440,8 +440,7 @@ class TestRunBacktest:
         nu0, kappa0 = 2.2, 5.0
         c = CovMatrix([[US_LIKE_DAILY_V * 252.0]])
         config = BacktestConfig(
-            burn_in_days=0, prior="anchored",
-            nu0=np.array([nu0]), kappa0=np.array([[kappa0]]),
+            burn_in_days=0, nu0=np.array([nu0]), kappa0=np.array([[kappa0]]),
         )
         hits = 0
         n_runs = 1000
@@ -547,9 +546,8 @@ class TestConfigParsing:
 
     def test_anchored_prior_keys(self):
         config = parse_backtest_config(
-            "prior = anchored\nburn_in_days = 0\nnu0 = 2.0\nkappa0 = 5.0\n"
+            "burn_in_days = 0\nnu0 = 2.0\nkappa0 = 5.0\n"
         )
-        assert config.prior == "anchored"
         np.testing.assert_allclose(config.nu0, [2.0])
         np.testing.assert_allclose(config.kappa0, [[5.0]])
 
@@ -570,7 +568,7 @@ class TestConfigParsing:
                                       "kappa0 = 1, 2; 3", "demean_covariance = maybe"])
     def test_bad_value_names_its_line(self, line):
         with pytest.raises(ConfigError, match="line 2: bad value"):
-            parse_backtest_config("prior = uninformative\n" + line + "\n")
+            parse_backtest_config("drop_policy = skip\n" + line + "\n")
 
     @settings(max_examples=80, deadline=None)
     @given(data=st.data())
@@ -581,12 +579,11 @@ class TestConfigParsing:
         matrix = st.lists(vector, min_size=k, max_size=k).map(np.array)
         lo = data.draw(st.none() | finite)
         hi = data.draw(st.none() | finite.filter(lambda x: lo is None or x > lo))
-        prior = data.draw(st.sampled_from(["uninformative", "anchored"]))
-        anchored = prior == "anchored"
+        anchored = data.draw(st.booleans())
         config = BacktestConfig(
-            burn_in_days=data.draw(st.integers(0, 10 ** 6)), prior=prior,
-            nu0=data.draw(vector if anchored else st.none() | vector),
-            kappa0=data.draw(matrix if anchored else st.none() | matrix),
+            burn_in_days=data.draw(st.integers(0, 10 ** 6)),
+            nu0=data.draw(vector) if anchored else None,
+            kappa0=data.draw(matrix) if anchored else None,
             truncation_l=lo, truncation_r=hi,
             drop_policy=data.draw(st.sampled_from(["skip", "error"])),
             demean_covariance=data.draw(st.booleans()),
@@ -612,5 +609,6 @@ class TestConfigParsing:
                 assert type(got) is type(want) and got == want, field.name
 
     def test_anchored_needs_both_moments(self):
-        with pytest.raises(ConfigError):
-            BacktestConfig(prior="anchored", nu0=np.array([1.0]))
+        for moment in ({"nu0": np.array([1.0])}, {"kappa0": np.eye(1)}):
+            with pytest.raises(ConfigError, match="anchored prior needs nu0 and kappa0"):
+                BacktestConfig(**moment)

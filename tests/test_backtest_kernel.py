@@ -62,7 +62,7 @@ def near_collinear_series(n, eta, seed):
 def anchored(k, **kwargs):
     kappa0 = 2.0 * np.eye(k) + 0.5 * np.ones((k, k))
     nu0 = np.linspace(1.0, -0.5, k)
-    return BacktestConfig(prior="anchored", nu0=nu0, kappa0=kappa0, **kwargs)
+    return BacktestConfig(nu0=nu0, kappa0=kappa0, **kwargs)
 
 
 def assert_matches_oracle(series, config, exact_c=True, rtol=RTOL, atol=ATOL):
@@ -82,11 +82,11 @@ def assert_matches_oracle(series, config, exact_c=True, rtol=RTOL, atol=ATOL):
 
 
 class TestDifferential:
-    @pytest.mark.parametrize("k", [1, 2, 5])
+    @pytest.mark.parametrize("k", [1, 2, 5, 30])
     def test_uninformative_prior(self, k):
         assert_matches_oracle(random_series(k, 500, seed=k), BacktestConfig(burn_in_days=200))
 
-    @pytest.mark.parametrize("k", [1, 2, 5])
+    @pytest.mark.parametrize("k", [1, 2, 5, 30])
     @pytest.mark.parametrize("burn_in", [0, 60])
     def test_anchored_prior(self, k, burn_in):
         assert_matches_oracle(random_series(k, 300, seed=10 + k), anchored(k, burn_in_days=burn_in))
@@ -97,7 +97,7 @@ class TestDifferential:
         config = BacktestConfig(burn_in_days=100, truncation_l=lo, truncation_r=hi)
         assert_matches_oracle(random_series(1, 400, seed=20), config)
 
-    @pytest.mark.parametrize("k", [1, 2, 5])
+    @pytest.mark.parametrize("k", [1, 2, 5, 30])
     def test_demeaned_covariance(self, k):
         config = BacktestConfig(burn_in_days=150, demean_covariance=True)
         assert_matches_oracle(random_series(k, 400, seed=30 + k), config, exact_c=False)
@@ -152,7 +152,7 @@ class TestDifferential:
         (random_series(2, 100, seed=61), BacktestConfig(burn_in_days=20, truncation_l=0.0),
          ConfigError),
         (random_series(2, 100, seed=62),
-         BacktestConfig(burn_in_days=0, prior="anchored", nu0=np.ones(3), kappa0=np.eye(3)),
+         BacktestConfig(burn_in_days=0, nu0=np.ones(3), kappa0=np.eye(3)),
          ConfigError),
         # one return of 1e5 in both funds after burn-in: lambda_min / lambda_max < PD_RTOL
         (random_series(2, 100, seed=63, crash_day=60, jump=1e5), BacktestConfig(burn_in_days=20),

@@ -405,7 +405,7 @@ class TestBacktestReport:
         scenario.write_text(BACKTEST_SCENARIO)
         run(["simulate", "--config", str(scenario), "--out", str(tmp_path)])
         config = tmp_path / "bt.cfg"
-        config.write_text("prior = anchored\nburn_in_days = 0\nnu0 = 0.5\nkappa0 = -1\n")
+        config.write_text("burn_in_days = 0\nnu0 = 0.5\nkappa0 = -1\n")
         assert run(["backtest", "--input", str(tmp_path / "simulated.csv"),
                     "--config", str(config), "--out", str(tmp_path)]) == 2
         assert "kappa0 must be positive definite" in capsys.readouterr().err
@@ -416,10 +416,13 @@ class TestBacktestReport:
         ("force_a = nan", "force_a must lie in [0, 1]"),
         ("force_a = 2.5", "force_a must lie in [0, 1]"),
         ("force_nu_hat = nan", "force_nu_hat must be finite"),
-        ("prior = anchored\nnu0 = nan\nkappa0 = 5.0", "nu0 must be finite"),
-        ("prior = anchored\nnu0 = 0.5, 0.5\nkappa0 = 5.0", "nu0 and kappa0 must be of size 1"),
+        ("nu0 = nan\nkappa0 = 5.0", "nu0 must be finite"),
+        ("nu0 = 0.5, 0.5\nkappa0 = 5.0", "nu0 and kappa0 must be of size 1"),
+        ("prior = anchored\nnu0 = 0.5\nkappa0 = 5.0", "unknown config key 'prior'"),
+        ("nu0 = 0.5", "anchored prior needs nu0 and kappa0"),
+        ("kappa0 = 5.0", "anchored prior needs nu0 and kappa0"),
     ], ids=["truncation_empty", "truncation_nan", "force_a_nan", "force_a_above_one",
-            "force_nu_hat_nan", "nu0_nan", "nu0_size"])
+            "force_nu_hat_nan", "nu0_nan", "nu0_size", "prior_key", "nu0_alone", "kappa0_alone"])
     def test_bad_config_value_is_config_error(self, tmp_path, capsys, text, message):
         scenario = tmp_path / "scenario.cfg"
         scenario.write_text(BACKTEST_SCENARIO)
