@@ -172,8 +172,11 @@ class BacktestConfig:
     def __post_init__(self):
         if (self.nu0 is None) != (self.kappa0 is None):
             raise ConfigError("anchored prior needs nu0 and kappa0")
-        if self.burn_in_days < 0:
-            raise ConfigError("burn_in_days must be nonnegative")
+        try:
+            if operator.index(days := self.burn_in_days) < 0:
+                raise ConfigError("burn_in_days must be nonnegative")
+        except TypeError:
+            raise ConfigError(f"burn_in_days must be an integer, got {days!r}") from None
         if self.drop_policy not in ("skip", "error"):
             raise ConfigError(f"unknown drop_policy {self.drop_policy!r}")
         if self.truncation is not None and not self.truncation[0] < self.truncation[1]:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import datetime
 import math
+import operator
 from dataclasses import dataclass
 from typing import IO, Iterator, Optional
 
@@ -254,12 +255,13 @@ class SimScenario:
 
     ``dim`` is required and positive; exactly one of ``cov`` and ``cov_preset`` (then
     resolved into ``cov`` and unset) gives the covariance rate.  ``prior_mean`` (zeros if
-    unset), ``prior_cov`` (identity) and ``truncation_l``/``truncation_r`` give the
-    prior, which a scenario with ``nu`` or ``f`` does not draw from and so may not set.
-    ``nu``, the prior, and ``f`` with its ``theta`` must fit ``dim`` and be finite; a
-    fund scenario has both, no ``nu`` and at most ``dim`` funds.  ``steps`` is at most
-    ``_MAX_STEPS``, one dated row each, and ``dt * steps`` is finite.  Only a fund
-    scenario sets ``drift_check_paths``: 0 (off), at least 2, or 100,000 if unset.
+    unset), ``prior_cov`` (identity) and ``truncation_l``/``truncation_r`` give the prior,
+    which a scenario with ``nu`` or ``f`` does not draw from and so may not set.  ``nu``,
+    the prior, and ``f`` with its ``theta`` must fit ``dim`` and be finite; a fund scenario
+    has both, no ``nu`` and at most ``dim`` funds.  ``steps`` is at most ``_MAX_STEPS``, one
+    dated row each, and ``dt * steps`` is finite.  Only a fund scenario sets
+    ``drift_check_paths``: 0 (off), at least 2, or 100,000 if unset.  Counts are integers;
+    vectors and matrices may be lists.
     """
 
     dim: Optional[int] = None
@@ -281,6 +283,15 @@ class SimScenario:
         dim = self.dim
         if dim is None:
             raise ConfigError("scenario must declare 'dim'")
+        for name in ("dim", "steps", "seed", "drift_check_paths"):
+            try:
+                (value := getattr(self, name)) is None or operator.index(value)
+            except TypeError:
+                raise ConfigError(f"{name} must be an integer, got {value!r}") from None
+        for name in ("cov", "prior_cov", "prior_mean", "nu", "f", "theta"):
+            if (value := getattr(self, name)) is not None and not isinstance(value, CovMatrix):
+                value = CovMatrix(value) if "cov" in name else np.asarray(value, dtype=float)
+                object.__setattr__(self, name, value)
         if dim < 1:
             raise ConfigError(f"dim must be positive, got {dim}")
         prior_keys = [k for k in ("prior_mean", "prior_cov", "truncation_l", "truncation_r")
@@ -372,12 +383,11 @@ def parse_scenario(text: str) -> SimScenario:
 def run_scenario(scenario: SimScenario, seed: int) -> MarketPath:
     """Simulate one path for a scenario from ``seed``, drawing ``nu`` from the prior
     if unset; ``ConfigError`` if ``nu`` or an increment is not finite."""
-    if scenario.nu is not None:
-        nu = np.asarray(scenario.nu, dtype=float).reshape(-1)
-    elif scenario.f is not None:
+    nu = scenario.nu
+    if scenario.f is not None:
         with np.errstate(over="ignore", invalid="ignore"):     # refused below
-            nu = scenario.f @ np.asarray(scenario.theta, dtype=float)
-    else:
+            nu = scenario.f @ scenario.theta
+    elif nu is None:
         nu = draw_prior(scenario.prior, seed)
     clock = uniform_clock(scenario.steps, scenario.dt)
     # Path noise uses an offset stream so it never aliases the prior draw.

@@ -608,6 +608,11 @@ class TestConfigParsing:
             else:
                 assert type(got) is type(want) and got == want, field.name
 
+    @pytest.mark.parametrize("days", [100.5, "100"], ids=["fraction", "text"])
+    def test_burn_in_days_must_be_an_integer(self, days):
+        with pytest.raises(ConfigError, match=f"^burn_in_days must be an integer, got {days!r}$"):
+            BacktestConfig(burn_in_days=days)
+
     def test_anchored_needs_both_moments(self):
         for moment in ({"nu0": np.array([1.0])}, {"kappa0": np.eye(1)}):
             with pytest.raises(ConfigError, match="anchored prior needs nu0 and kappa0"):

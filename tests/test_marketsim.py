@@ -327,6 +327,36 @@ class TestScenario:
         np.testing.assert_array_equal(run_scenario(built, built.seed).increments,
                                       run_scenario(parsed, parsed.seed).increments)
 
+    @pytest.mark.parametrize("values, message", [
+        ({"dim": 1.0}, "dim must be an integer, got 1.0"),
+        ({"steps": 2.5}, "steps must be an integer, got 2.5"),
+        ({"seed": 1.0}, "seed must be an integer, got 1.0"),
+        ({"drift_check_paths": 2.0, "f": [[1.0]], "theta": [1.0]},
+         "drift_check_paths must be an integer, got 2.0"),
+    ], ids=["dim", "steps", "seed", "drift_check_paths"])
+    def test_counts_must_be_integers(self, values, message):
+        values = {"dim": 1, "cov": CovMatrix([[1.0]]), "nu": np.array([2.0]), **values}
+        if "f" in values:
+            del values["nu"]
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            SimScenario(**values)
+
+    @pytest.mark.parametrize("values, text", [
+        ({"dim": 1, "cov": CovMatrix([[1.0]]), "nu": [2.0]}, "dim = 1\ncov = 1\nnu = 2"),
+        ({"dim": 2, "cov": [[1.0, 0.5], [0.5, 2.0]], "prior_mean": [0.1, 0.2],
+          "prior_cov": [[1.0, 0.0], [0.0, 0.5]]},
+         "dim = 2\ncov = 1, 0.5; 0.5, 2\nprior_mean = 0.1, 0.2\nprior_cov = 1, 0; 0, 0.5"),
+        ({"dim": 2, "cov": np.eye(2), "f": [[1.0], [0.5]], "theta": [0.8]},
+         "dim = 2\ncov = 1, 0; 0, 1\nf = 1; 0.5\ntheta = 0.8"),
+    ], ids=["nu", "prior", "fund"])
+    def test_scenario_built_from_lists(self, values, text):
+        # lists and plain matrices become the arrays and CovMatrix a file gives
+        built = SimScenario(steps=50, seed=3, **values)
+        parsed = parse_scenario(text + "\nsteps = 50\nseed = 3\n")
+        assert isinstance(built.cov, CovMatrix)
+        np.testing.assert_array_equal(run_scenario(built, 3).increments,
+                                      run_scenario(parsed, 3).increments)
+
     def test_replace_rebuilds_a_checked_scenario(self):
         preset = parse_scenario("dim = 1\ncov_preset = identity\nsteps = 5\n")
         fund = parse_scenario("dim = 1\ncov = 1\nf = 1\ntheta = 0.5\n")
