@@ -8,11 +8,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import special
 
 from fundgrowth import tableio
 from fundgrowth.backtest import (
     BacktestConfig,
     ReturnSeries,
+    backtest_blocks,
     ingest_csv,
     parse_backtest_config,
     read_backtest_csv,
@@ -482,6 +484,42 @@ class TestRunBacktest:
         np.testing.assert_allclose(
             bt.c_cum[-1], demeaned.T @ demeaned, rtol=1e-9, atol=1e-12
         )
+
+
+def growth_loss(series, burn_in):
+    """Half the growth of ``log det C`` from the burn-in day to the last day, from the
+    streamed blocks: only one block's ``C`` stack is alive at a time."""
+    c_burn_in = None
+    for block in backtest_blocks(series, BacktestConfig(burn_in_days=burn_in)):
+        if c_burn_in is None and block.burn_in < block.n:
+            c_burn_in = block.c_cum[block.burn_in].copy()
+        c_last = block.c_cum[-1].copy()
+    return 0.5 * (np.linalg.slogdet(c_last)[1] - np.linalg.slogdet(c_burn_in)[1])
+
+
+def test_growth_loss_follows_the_wishart_law():
+    # With nu = 0 the daily squared returns sum to Wishart matrices: C_b on the burn-in
+    # day b has b + 1 degrees of freedom and C_n on the last day n.  Then
+    # E log det C_m = sum_i psi((m - i + 1) / 2) + K log 2 + log det(c dt), and
+    # det C_b / det C_n is Wilks' Lambda, a product of independent
+    # Beta((b + 2 - i) / 2, (n - b - 1) / 2) (Muirhead 1982, ch. 3), so the loss
+    # 1/2 (log det C_n - log det C_b) has mean E and sd as below.  The mean of five
+    # seeds must lie within 4 sd / sqrt(5) of E, and the loss grows with K.
+    n, b, seeds = 6_000, 1_500, range(5)
+    means = []
+    for k in (1, 3, 10, 30):
+        cov = CovMatrix(0.18 ** 2 * (0.5 * np.eye(k) + 0.5 * np.ones((k, k))))
+        i = np.arange(1, k + 1)
+        expected = 0.5 * np.sum(special.digamma((n - i + 1) / 2)
+                                - special.digamma((b + 2 - i) / 2))
+        sd = 0.5 * math.sqrt(np.sum(special.polygamma(1, (b + 2 - i) / 2)
+                                    - special.polygamma(1, (n - i + 1) / 2)))
+        losses = [growth_loss(make_series(simulate_path(np.zeros(k), cov, uniform_clock(n),
+                                                        seed).increments), b)
+                  for seed in seeds]
+        means.append(np.mean(losses))
+        assert abs(means[-1] - expected) <= 4.0 * sd / math.sqrt(len(seeds)), (k, expected)
+    assert np.all(np.diff(means) > 0.0)
 
 
 class TestWealthTracks:
