@@ -331,13 +331,11 @@ class TestScenario:
         ({"dim": 1.0}, "dim must be an integer, got 1.0"),
         ({"steps": 2.5}, "steps must be an integer, got 2.5"),
         ({"seed": 1.0}, "seed must be an integer, got 1.0"),
-        ({"drift_check_paths": 2.0, "f": [[1.0]], "theta": [1.0]},
+        ({"drift_check_paths": 2.0, "nu": None, "f": [[1.0]], "theta": [1.0]},
          "drift_check_paths must be an integer, got 2.0"),
     ], ids=["dim", "steps", "seed", "drift_check_paths"])
     def test_counts_must_be_integers(self, values, message):
         values = {"dim": 1, "cov": CovMatrix([[1.0]]), "nu": np.array([2.0]), **values}
-        if "f" in values:
-            del values["nu"]
         with pytest.raises(ConfigError, match=f"^{message}$"):
             SimScenario(**values)
 
