@@ -15,7 +15,7 @@ import pytest
 from fundgrowth.errors import BadTruncation
 from fundgrowth.estimators import mc_distance_from_growth
 from fundgrowth.marketsim import (
-    PriorSpec,
+    SimScenario,
     build_fund_model,
     draw_prior,
     residual_drift_check,
@@ -80,11 +80,12 @@ def prior_draws():
     for mean, var in PRIORS:
         sd = math.sqrt(var)
         for z_lo, z_hi in Z_INTERVALS:
-            spec = PriorSpec(mean=[mean], cov=CovMatrix([[var]]),
-                             truncation=(mean + z_lo * sd, mean + z_hi * sd))
+            scenario = SimScenario(dim=1, cov_preset="identity", prior_mean=[mean],
+                                   prior_cov=[[var]], truncation_l=mean + z_lo * sd,
+                                   truncation_r=mean + z_hi * sd)
             for seed in range(12):
                 try:
-                    yield float(draw_prior(spec, seed)[0]).hex()
+                    yield float(draw_prior(scenario.prior, seed)[0]).hex()
                 except BadTruncation as error:
                     yield f"BadTruncation: {error}"
 
@@ -96,6 +97,7 @@ def test_draw_prior_over_truncated_intervals():
 
 
 def test_draw_prior_untruncated():
-    spec = PriorSpec(mean=[0.1, -0.3, 2.0], cov=COV_3)
-    draws = np.array([draw_prior(spec, seed) for seed in range(20)])
+    scenario = SimScenario(dim=3, cov_preset="identity", prior_mean=[0.1, -0.3, 2.0],
+                           prior_cov=COV_3)
+    draws = np.array([draw_prior(scenario.prior, seed) for seed in range(20)])
     assert digest(draws) == "0c6685d89460b24b69be7455101136c906ec072bbdfb3fb53943d012da3ebd29"
