@@ -35,35 +35,6 @@ _REJECTION_BATCH = 256
 
 
 @dataclass(frozen=True)
-class PriorSpec:
-    """Gaussian prior on the growth-optimal portfolio, optionally truncated.
-
-    Truncation to an open interval ``(lower, upper)`` is supported only in
-    dimension one.
-    """
-
-    mean: np.ndarray
-    cov: CovMatrix
-    truncation: Optional[tuple[float, float]] = None
-
-    def __post_init__(self):
-        mean = np.asarray(self.mean, dtype=float).reshape(-1)
-        object.__setattr__(self, "mean", mean)
-        if self.cov.dim != mean.size:
-            raise ValueError(f"mean has size {mean.size}, cov has dim {self.cov.dim}")
-        if self.truncation is not None:
-            if mean.size != 1:
-                raise BadTruncation("truncation interval requires dimension one")
-            lower, upper = self.truncation
-            if not lower < upper:
-                raise BadTruncation(f"empty truncation interval ({lower}, {upper})")
-
-    @property
-    def dim(self) -> int:
-        return self.mean.size
-
-
-@dataclass(frozen=True)
 class FundSpec:
     """Fund structure of a market: loadings, exposures, residual noise.
 
@@ -129,8 +100,10 @@ def uniform_clock(steps: int, step: float = DEFAULT_STEP) -> np.ndarray:
     return step * np.arange(steps + 1, dtype=float)
 
 
-def draw_prior(spec: PriorSpec, seed: int) -> np.ndarray:
-    """One draw from the prior; deterministic for a fixed seed.
+def draw_prior(scenario: SimScenario, seed: int) -> np.ndarray:
+    """One draw from a checked scenario's prior: ``prior_mean`` (zeros if unset),
+    ``prior_cov`` (identity) and ``truncation``; deterministic for a fixed seed.  A prior
+    drawn in code needs a scenario, whose path covariance the draw does not use.
 
     The truncated variant rejects in batches up to a hard cap, then falls back
     to inverse-CDF sampling on the interval; an interval whose prior mass makes
@@ -139,14 +112,15 @@ def draw_prior(spec: PriorSpec, seed: int) -> np.ndarray:
     ``BadTruncation`` before any draw.
     """
     rng = np.random.default_rng(seed)
-    if spec.truncation is None:
-        root = sqrt_entries(spec.cov)
-        return spec.mean + root @ rng.standard_normal(spec.dim)
+    mean = np.zeros(scenario.dim) if scenario.prior_mean is None else scenario.prior_mean
+    cov = CovMatrix(np.eye(scenario.dim)) if scenario.prior_cov is None else scenario.prior_cov
+    if scenario.truncation is None:
+        return mean + sqrt_entries(cov) @ rng.standard_normal(scenario.dim)
 
     from .filtering import ndtr
-    lower, upper = spec.truncation
-    mu = float(spec.mean[0])
-    sd = math.sqrt(float(spec.cov.entries[0, 0]))
+    lower, upper = scenario.truncation
+    mu = float(mean[0])
+    sd = math.sqrt(float(cov.entries[0, 0]))
     if sd == 0.0:
         return np.array([mu])
     alpha, beta = (lower - mu) / sd, (upper - mu) / sd
@@ -315,8 +289,10 @@ class SimScenario:
         if self.prior_cov is not None and self.prior_cov.dim != dim:
             raise ConfigError(f"prior_cov has dim {self.prior_cov.dim}, scenario declares {dim}")
         _sized("prior_mean", self.prior_mean, (dim,))
-        if self.truncation_l is not None or self.truncation_r is not None:
-            self.prior      # BadTruncation for an empty interval or a dim above one
+        if self.truncation is not None and dim != 1:
+            raise BadTruncation("truncation interval requires dimension one")
+        if self.truncation is not None and not self.truncation[0] < self.truncation[1]:
+            raise BadTruncation("empty truncation interval ({}, {})".format(*self.truncation))
         if self.cov.dim != dim:
             raise ConfigError(f"cov has dim {self.cov.dim}, scenario declares {dim}")
         _sized("nu", self.nu, (dim,))
@@ -340,14 +316,12 @@ class SimScenario:
                               f"got {self.drift_check_paths}")
 
     @property
-    def prior(self) -> PriorSpec:
-        """The prior ``run_scenario`` draws ``nu`` from when neither ``nu`` nor ``f`` is set."""
-        lower, upper = self.truncation_l, self.truncation_r
-        truncation = None if lower is None and upper is None else (
-            -math.inf if lower is None else lower, math.inf if upper is None else upper)
-        mean = np.zeros(self.dim) if self.prior_mean is None else self.prior_mean
-        cov = CovMatrix(np.eye(self.dim)) if self.prior_cov is None else self.prior_cov
-        return PriorSpec(mean=mean, cov=cov, truncation=truncation)
+    def truncation(self) -> Optional[tuple[float, float]]:
+        """``(truncation_l, truncation_r)``, an unset end infinite; None if neither is set."""
+        if self.truncation_l is None and self.truncation_r is None:
+            return None
+        return (-math.inf if self.truncation_l is None else self.truncation_l,
+                math.inf if self.truncation_r is None else self.truncation_r)
 
 
 def _sized(name: str, value: Optional[np.ndarray], shape: tuple) -> None:
@@ -388,7 +362,7 @@ def run_scenario(scenario: SimScenario, seed: int) -> MarketPath:
         with np.errstate(over="ignore", invalid="ignore"):     # refused below
             nu = scenario.f @ scenario.theta
     elif nu is None:
-        nu = draw_prior(scenario.prior, seed)
+        nu = draw_prior(scenario, seed)
     clock = uniform_clock(scenario.steps, scenario.dt)
     # Path noise uses an offset stream so it never aliases the prior draw.
     with np.errstate(over="ignore", invalid="ignore"):     # refused just below

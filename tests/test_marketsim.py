@@ -13,7 +13,6 @@ from fundgrowth.errors import BadTruncation, ConfigError, EmptyGrid, RankDeficie
 from fundgrowth.filtering import ndtr
 from fundgrowth.marketsim import (
     DEFAULT_STEP,
-    PriorSpec,
     SimScenario,
     build_fund_model,
     draw_prior,
@@ -33,31 +32,38 @@ def random_cov(rng, dim):
     return CovMatrix(a @ a.T / dim + 0.1 * np.eye(dim))
 
 
+def prior(mean, cov, truncation=None):
+    """A scenario that draws from the prior ``(mean, cov)``, truncated to ``truncation``."""
+    lower, upper = truncation or (None, None)
+    return SimScenario(dim=len(mean), cov_preset="identity", prior_mean=mean, prior_cov=cov,
+                       truncation_l=lower, truncation_r=upper)
+
+
 class TestDrawPrior:
     def test_degenerate_prior_returns_mean(self):
-        spec = PriorSpec(mean=[0.5], cov=CovMatrix([[0.0]]))
+        spec = prior([0.5], CovMatrix([[0.0]]))
         for seed in range(5):
             assert draw_prior(spec, seed)[0] == 0.5
 
     def test_deterministic_per_seed(self):
-        spec = PriorSpec(mean=[0.1, -0.3], cov=random_cov(np.random.default_rng(0), 2))
+        spec = prior([0.1, -0.3], random_cov(np.random.default_rng(0), 2))
         np.testing.assert_array_equal(draw_prior(spec, 42), draw_prior(spec, 42))
         assert not np.array_equal(draw_prior(spec, 42), draw_prior(spec, 43))
 
     def test_sample_mean_clt_bound(self):
-        spec = PriorSpec(mean=[0.3], cov=CovMatrix([[0.04]]))
+        spec = prior([0.3], CovMatrix([[0.04]]))
         draws = np.array([draw_prior(spec, 1000 + i)[0] for i in range(100_000)])
         assert abs(draws.mean() - 0.3) <= 3.0 * 0.2 / math.sqrt(100_000)
 
     def test_truncated_draw_in_interval(self):
-        spec = PriorSpec(mean=[0.0], cov=CovMatrix([[1.0]]), truncation=(1.5, 2.5))
+        spec = prior([0.0], CovMatrix([[1.0]]), (1.5, 2.5))
         for seed in range(50):
             value = draw_prior(spec, seed)[0]
             assert 1.5 < value < 2.5
 
     def test_truncated_far_tail_uses_fallback(self):
         # essentially zero acceptance probability: inverse-CDF path must kick in
-        spec = PriorSpec(mean=[0.0], cov=CovMatrix([[1.0]]), truncation=(9.0, 9.5))
+        spec = prior([0.0], CovMatrix([[1.0]]), (9.0, 9.5))
         value = draw_prior(spec, 7)[0]
         assert 9.0 < value < 9.5
 
@@ -65,7 +71,7 @@ class TestDrawPrior:
                                               (4.0, 5.0), (-4.9, -4.0)])
     def test_feasible_truncation_draws_by_rejection(self, lower, upper):
         # the draws of rejection sampling without a prior-mass check, bit for bit
-        spec = PriorSpec(mean=[0.0], cov=CovMatrix([[1.0]]), truncation=(lower, upper))
+        spec = prior([0.0], CovMatrix([[1.0]]), (lower, upper))
         for seed in range(50):
             rng = np.random.default_rng(seed)
             while True:
@@ -77,7 +83,7 @@ class TestDrawPrior:
 
     @pytest.mark.parametrize("lower, upper", [(9.0, 9.5), (-9.5, -9.0), (7.5, 8.0)])
     def test_hopeless_truncation_skips_rejection(self, lower, upper):
-        spec = PriorSpec(mean=[0.0], cov=CovMatrix([[1.0]]), truncation=(lower, upper))
+        spec = prior([0.0], CovMatrix([[1.0]]), (lower, upper))
         # the inverse-CDF draw through the tail that keeps ndtr's precision, bit for bit
         sign, lo, hi = (-1.0, -upper, -lower) if lower >= 0.0 else (1.0, lower, upper)
         for seed in range(5):
@@ -86,7 +92,7 @@ class TestDrawPrior:
 
     def test_truncation_needs_dim_one(self):
         with pytest.raises(BadTruncation):
-            PriorSpec(mean=[0.0, 0.0], cov=CovMatrix(np.eye(2)), truncation=(0.0, 1.0))
+            SimScenario(dim=2, cov_preset="identity", truncation_l=0.0, truncation_r=1.0)
 
 
 def test_inv_cdf_matches_scipy():

@@ -85,7 +85,7 @@ def prior_draws():
                                    truncation_r=mean + z_hi * sd)
             for seed in range(12):
                 try:
-                    yield float(draw_prior(scenario.prior, seed)[0]).hex()
+                    yield float(draw_prior(scenario, seed)[0]).hex()
                 except BadTruncation as error:
                     yield f"BadTruncation: {error}"
 
@@ -99,5 +99,5 @@ def test_draw_prior_over_truncated_intervals():
 def test_draw_prior_untruncated():
     scenario = SimScenario(dim=3, cov_preset="identity", prior_mean=[0.1, -0.3, 2.0],
                            prior_cov=COV_3)
-    draws = np.array([draw_prior(scenario.prior, seed) for seed in range(20)])
+    draws = np.array([draw_prior(scenario, seed) for seed in range(20)])
     assert digest(draws) == "0c6685d89460b24b69be7455101136c906ec072bbdfb3fb53943d012da3ebd29"
