@@ -105,7 +105,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
     if fund is not None and scenario.drift_check_paths > 0:
         z_scores = marketsim.residual_drift_check(
-            fund, scenario.theta, scenario.drift_check_paths, seed + 2, d_o=scenario.dt
+            fund, fund.f @ scenario.theta, scenario.drift_check_paths, seed + 2, d_o=scenario.dt
         )
         max_z = float(np.abs(z_scores).max())
         print(

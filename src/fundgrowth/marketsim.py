@@ -185,30 +185,20 @@ def build_fund_model(c: CovMatrix, f: np.ndarray) -> FundSpec:
     return FundSpec(f=f, beta=beta, residual_cov=CovMatrix(residual), cov_rate=c)
 
 
-def residual_drift_check(
-    spec: FundSpec,
-    theta: np.ndarray,
-    n_paths: int,
-    seed: int,
-    d_o: float = DEFAULT_STEP,
-    nu_offset: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    """z-scores of the drift rates of the residual returns ``dN = dR - beta dR_f``.
+def residual_drift_check(spec: FundSpec, nu: np.ndarray, n_paths: int, seed: int,
+                         d_o: float = DEFAULT_STEP) -> np.ndarray:
+    """z-scores of the drift rates of the residual returns ``dN = dR - beta dR_f`` on
+    paths whose growth-optimal portfolio is ``nu``.
 
     Each asset's drift estimate is divided by its standard error, and is 0 where
-    that is 0.  With the growth-optimal portfolio inside the fund span
-    (``nu = f theta``) every residual drift is zero in expectation; ``nu_offset``
-    adds an out-of-span component so the rejection direction can be exercised
-    too.  The standard error needs ``n_paths >= 2``.
+    that is 0.  With ``nu`` inside the fund span (``nu = f theta``) every residual
+    drift is zero in expectation; a component outside it shows as drift.  The
+    standard error needs ``n_paths >= 2``.
     """
     if n_paths < 2:
         raise ValueError(f"n_paths must be at least 2, got {n_paths}")
-    theta = np.asarray(theta, dtype=float).reshape(-1)
-    if theta.size != spec.funds:
-        raise ValueError(f"theta has size {theta.size}, model has {spec.funds} funds")
-    nu = spec.f @ theta
-    if nu_offset is not None:
-        nu = nu + np.asarray(nu_offset, dtype=float).reshape(-1)
+    if np.shape(nu) != (spec.assets,):
+        raise ValueError(f"nu has shape {np.shape(nu)}, model has {spec.assets} assets")
     xi = np.random.default_rng(seed).standard_normal((n_paths, spec.assets))
     d_r = euler_step(nu, spec.cov_rate, d_o, xi)
     strip = np.eye(spec.assets) - spec.beta @ spec.f.T

@@ -308,16 +308,14 @@ def test_criterion_09_fund_span_characterisation_by_simulation():
     spec = build_fund_model(c, f)
     theta = np.array([0.7, -1.2])
 
-    in_span = residual_drift_check(spec, theta, n_paths=100_000, seed=902)
+    in_span = residual_drift_check(spec, spec.f @ theta, n_paths=100_000, seed=902)
     assert np.all(np.abs(in_span) <= 4.0)
 
     cf = c.entries @ f
     offset = rng.standard_normal(5)
     offset -= cf @ np.linalg.solve(cf.T @ cf, cf.T @ offset)
     offset /= np.linalg.norm(offset)          # orthogonal component of size 1.0
-    out_span = residual_drift_check(
-        spec, theta, n_paths=100_000, seed=903, nu_offset=offset
-    )
+    out_span = residual_drift_check(spec, spec.f @ theta + offset, n_paths=100_000, seed=903)
     assert np.abs(out_span).max() > 4.0
     report(9, f"in-span max |z| = {np.abs(in_span).max():.2f}; "
               f"out-of-span max |z| = {np.abs(out_span).max():.1f}")

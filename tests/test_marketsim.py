@@ -244,20 +244,21 @@ class TestResidualDrift:
         rng = np.random.default_rng(12)
         spec = build_fund_model(random_cov(rng, 4), rng.standard_normal((4, 2)))
         with pytest.raises(ValueError, match="n_paths must be at least 2"):
-            residual_drift_check(spec, np.zeros(2), n_paths=n_paths, seed=1)
+            residual_drift_check(spec, spec.f @ np.zeros(2), n_paths=n_paths, seed=1)
 
     def test_zero_theta(self):
         rng = np.random.default_rng(12)
         c = random_cov(rng, 4)
         spec = build_fund_model(c, rng.standard_normal((4, 2)))
-        z_scores = residual_drift_check(spec, np.zeros(2), n_paths=50_000, seed=1)
+        z_scores = residual_drift_check(spec, spec.f @ np.zeros(2), n_paths=50_000, seed=1)
         assert np.all(np.abs(z_scores) <= 4.0)
 
     def test_in_span_drift_vanishes(self):
         rng = np.random.default_rng(14)
         c = random_cov(rng, 5)
         spec = build_fund_model(c, rng.standard_normal((5, 2)))
-        z_scores = residual_drift_check(spec, np.array([0.7, -1.2]), n_paths=100_000, seed=2)
+        z_scores = residual_drift_check(spec, spec.f @ np.array([0.7, -1.2]), n_paths=100_000,
+                                        seed=2)
         assert np.all(np.abs(z_scores) <= 4.0)
 
     def test_out_of_span_rejected(self):
@@ -270,9 +271,8 @@ class TestResidualDrift:
         u = rng.standard_normal(5)
         u -= cf @ np.linalg.solve(cf.T @ cf, cf.T @ u)
         u /= np.linalg.norm(u)
-        z_scores = residual_drift_check(
-            spec, np.array([0.7, -1.2]), n_paths=100_000, seed=3, nu_offset=u
-        )
+        z_scores = residual_drift_check(spec, spec.f @ np.array([0.7, -1.2]) + u,
+                                        n_paths=100_000, seed=3)
         assert np.abs(z_scores).max() > 4.0
 
 

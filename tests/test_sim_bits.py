@@ -54,8 +54,11 @@ def test_simulate_path_increments(clock, seed, expected):
     ([0.3, -0.1, 0.7, 0.2], "3ad857a08b0c82715af7efab8ca37a3d2d39cf2a617a67186411abac8875abca"),
 ], ids=["in_span", "nu_offset"])
 def test_residual_drift_z_scores(offset, expected):
-    report = residual_drift_check(fund_model(), [0.7, -1.2], n_paths=5_000, seed=5,
-                                  d_o=0.02, nu_offset=offset)
+    spec = fund_model()
+    nu = spec.f @ np.array([0.7, -1.2])
+    if offset is not None:
+        nu = nu + np.array(offset)
+    report = residual_drift_check(spec, nu, n_paths=5_000, seed=5, d_o=0.02)
     # the z-scores as an array, or as a report's z_scores before that wrapper went
     assert digest(getattr(report, "z_scores", report)) == expected
 
