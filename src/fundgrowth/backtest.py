@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 import operator
 import warnings
 from collections import Counter
@@ -179,11 +180,22 @@ class BacktestConfig:
             raise ConfigError(f"burn_in_days must be an integer, got {days!r}") from None
         if self.drop_policy not in ("skip", "error"):
             raise ConfigError(f"unknown drop_policy {self.drop_policy!r}")
+        for name in ("truncation_l", "truncation_r", "force_a"):
+            if (value := getattr(self, name)) is not None and not isinstance(value, numbers.Real):
+                raise ConfigError(f"{name} must be a real number, got {value!r}")
+        if not isinstance(flag := self.demean_covariance, (bool, np.bool_)):
+            raise ConfigError(f"demean_covariance must be True or False, got {flag!r}")
         if self.truncation is not None and not self.truncation[0] < self.truncation[1]:
             raise ConfigError(f"truncation interval {self.truncation} is empty")
+        for name in ("nu0", "kappa0", "force_nu_hat"):
+            if (value := getattr(self, name)) is not None:
+                try:
+                    value = np.asarray(value, dtype=float)
+                except (TypeError, ValueError) as exc:
+                    raise ConfigError(f"{name}: {exc}") from None
+                object.__setattr__(self, name, value if name == "kappa0" else value.reshape(-1))
         for name in ("nu0", "force_nu_hat"):
-            value = getattr(self, name)
-            if value is not None and not np.isfinite(np.asarray(value, dtype=float)).all():
+            if (value := getattr(self, name)) is not None and not np.isfinite(value).all():
                 raise ConfigError(f"{name} must be finite")
         if self.force_a is not None and not 0.0 <= self.force_a <= 1.0:
             raise ConfigError(f"force_a must lie in [0, 1], got {self.force_a}")
@@ -258,14 +270,13 @@ def _prior_anchor(config: BacktestConfig, k: int) -> tuple[np.ndarray, np.ndarra
     or zeros under the uninformative prior."""
     if config.nu0 is None:
         return np.zeros(k), np.zeros((k, k))
-    nu0 = np.asarray(config.nu0, dtype=float).reshape(-1)
-    if nu0.size != k or np.shape(config.kappa0) != (k, k):
+    if config.nu0.size != k or config.kappa0.shape != (k, k):
         raise ConfigError(f"nu0 and kappa0 must be of size {k} and {k} x {k}, one per fund")
     try:
         c0 = inverse_entries(CovMatrix(config.kappa0))
     except (ValueError, SingularC) as exc:
         raise ConfigError(f"kappa0 must be positive definite: {exc}") from None
-    return c0 @ nu0, 0.5 * (c0 + c0.T)
+    return c0 @ config.nu0, 0.5 * (c0 + c0.T)
 
 
 def _squared_returns(x: np.ndarray, start: int, x_sum: np.ndarray, demean: bool,
@@ -355,10 +366,8 @@ def backtest_blocks(series: ReturnSeries,
         raise ConfigError("truncation requires a single fund")
     r, c = _prior_anchor(config, k)
     force_nu = config.force_nu_hat
-    if force_nu is not None:
-        force_nu = np.asarray(force_nu, dtype=float).reshape(-1)
-        if force_nu.size != k:
-            raise ConfigError(f"force_nu_hat has size {force_nu.size}, series has {k} fund(s)")
+    if force_nu is not None and force_nu.size != k:
+        raise ConfigError(f"force_nu_hat has size {force_nu.size}, series has {k} fund(s)")
 
     # Carried from block to block; copies, so that no block's arrays stay alive
     # in them or change with what a consumer does to a block.

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import datetime
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 from typing import IO, Iterator, Optional
@@ -224,8 +225,8 @@ class SimScenario:
     the prior, and ``f`` with its ``theta`` must fit ``dim`` and be finite; a fund scenario
     has both, no ``nu`` and at most ``dim`` funds.  ``steps`` is at most ``_MAX_STEPS``, one
     dated row each, and ``dt * steps`` is finite.  Only a fund scenario sets
-    ``drift_check_paths``: 0 (off), at least 2, or 100,000 if unset.  Counts are integers;
-    vectors and matrices may be lists.
+    ``drift_check_paths``: 0 (off), at least 2, or 100,000 if unset.  Counts are integers,
+    ``dt`` and the truncation ends real numbers; vectors and matrices may be lists.
     """
 
     dim: Optional[int] = None
@@ -252,9 +253,15 @@ class SimScenario:
                 (value := getattr(self, name)) is None or operator.index(value)
             except TypeError:
                 raise ConfigError(f"{name} must be an integer, got {value!r}") from None
+        for name in ("dt", "truncation_l", "truncation_r"):
+            if (value := getattr(self, name)) is not None and not isinstance(value, numbers.Real):
+                raise ConfigError(f"{name} must be a real number, got {value!r}")
         for name in ("cov", "prior_cov", "prior_mean", "nu", "f", "theta"):
             if (value := getattr(self, name)) is not None and not isinstance(value, CovMatrix):
-                value = CovMatrix(value) if "cov" in name else np.asarray(value, dtype=float)
+                try:
+                    value = CovMatrix(value) if "cov" in name else np.asarray(value, dtype=float)
+                except (TypeError, ValueError) as exc:
+                    raise ConfigError(f"{name}: {exc}") from None
                 object.__setattr__(self, name, value)
         if dim < 1:
             raise ConfigError(f"dim must be positive, got {dim}")
