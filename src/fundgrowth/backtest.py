@@ -19,13 +19,18 @@ Wealth compounds discretely through ``log(1 + pi' x)`` while ``F`` uses the
 instantaneous form on the daily squared returns; the two agree only in the
 continuous-time limit, and the gap is visible in the outputs rather than
 hidden.
+
+``a = cardano_a((3/2)^3 R'C^{-1}R)`` is the paper's general shrinkage minimiser
+with ``kappa = C^{-1}`` and ``dC`` proportional to ``C``, exactly so under the
+uninformative prior.  Under an anchored prior it counts the anchor as past data at
+the covariance rate; on ``tests/golden/k3_anchored`` the minimiser is 2-10% of
+``|nu_hat|`` away from ``a nu_hat``.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import numbers
 import operator
 import warnings
 from collections import Counter
@@ -37,7 +42,7 @@ import numpy as np
 from . import shrinkage
 from .errors import (ConfigError, EmptySeries, InsufficientBurnIn, MissingColumns,
                      NonMonotoneDates, ParseError, SingularC)
-from .psd import PD_RTOL, CovMatrix, inverse_entries, is_definite
+from .psd import PD_RTOL, CovMatrix, config_field, interval, inverse_entries, is_definite
 
 DEFAULT_BURN_IN = 7500   # trading days, about 30 years
 
@@ -152,12 +157,19 @@ def ingest_csv(path: str, drop_policy: str = "skip") -> IngestResult:
     return IngestResult(series, len(values) + len(dropped), n_dropped, wiped_out)
 
 
+# The kind of each config key (see ``psd.config_field``), in field order.
+_CONFIG_KINDS = {"burn_in_days": "count", "nu0": "vector", "kappa0": "matrix",
+                 "truncation_l": "real", "truncation_r": "real", "drop_policy": "text",
+                 "demean_covariance": "flag", "force_a": "real", "force_nu_hat": "vector"}
+
+
 @dataclass(frozen=True)
 class BacktestConfig:
     """Knobs for the daily pipeline; each feature is on when its value is set.
 
     ``nu0`` and ``kappa0``, set together, anchor the prior: ``kappa0^{-1}`` and
-    ``kappa0^{-1} nu0`` are folded into the accumulators, allowing ``burn_in = 0``.
+    ``kappa0^{-1} nu0`` are folded into the accumulators, allowing ``burn_in = 0``.  Each
+    field is of its kind in ``_CONFIG_KINDS``, as ``psd.config_field`` checks.
     """
 
     burn_in_days: int = DEFAULT_BURN_IN
@@ -173,27 +185,15 @@ class BacktestConfig:
     def __post_init__(self):
         if (self.nu0 is None) != (self.kappa0 is None):
             raise ConfigError("anchored prior needs nu0 and kappa0")
-        try:
-            if operator.index(days := self.burn_in_days) < 0:
-                raise ConfigError("burn_in_days must be nonnegative")
-        except TypeError:
-            raise ConfigError(f"burn_in_days must be an integer, got {days!r}") from None
+        for name, kind in _CONFIG_KINDS.items():     # a key whose default is None may be unset
+            if (value := getattr(self, name)) is not None or getattr(type(self), name) is not None:
+                object.__setattr__(self, name, config_field(kind, name, value))
+        if self.burn_in_days < 0:
+            raise ConfigError("burn_in_days must be nonnegative")
         if self.drop_policy not in ("skip", "error"):
             raise ConfigError(f"unknown drop_policy {self.drop_policy!r}")
-        for name in ("truncation_l", "truncation_r", "force_a"):
-            if (value := getattr(self, name)) is not None and not isinstance(value, numbers.Real):
-                raise ConfigError(f"{name} must be a real number, got {value!r}")
-        if not isinstance(flag := self.demean_covariance, (bool, np.bool_)):
-            raise ConfigError(f"demean_covariance must be True or False, got {flag!r}")
         if self.truncation is not None and not self.truncation[0] < self.truncation[1]:
             raise ConfigError(f"truncation interval {self.truncation} is empty")
-        for name in ("nu0", "kappa0", "force_nu_hat"):
-            if (value := getattr(self, name)) is not None:
-                try:
-                    value = np.asarray(value, dtype=float)
-                except (TypeError, ValueError) as exc:
-                    raise ConfigError(f"{name}: {exc}") from None
-                object.__setattr__(self, name, value if name == "kappa0" else value.reshape(-1))
         for name in ("nu0", "force_nu_hat"):
             if (value := getattr(self, name)) is not None and not np.isfinite(value).all():
                 raise ConfigError(f"{name} must be finite")
@@ -202,30 +202,14 @@ class BacktestConfig:
 
     @property
     def truncation(self) -> Optional[tuple[float, float]]:
-        if self.truncation_l is None and self.truncation_r is None:
-            return None
-        lo = -math.inf if self.truncation_l is None else self.truncation_l
-        hi = math.inf if self.truncation_r is None else self.truncation_r
-        return (lo, hi)
-
-
-def _parse_bool(text: str) -> bool:
-    value = text.lower()
-    if value not in ("1", "true", "yes", "0", "false", "no"):
-        raise ValueError(f"expected true or false, got {text!r}")
-    return value in ("1", "true", "yes")
+        return interval(self.truncation_l, self.truncation_r)
 
 
 def parse_backtest_config(text: str) -> BacktestConfig:
     """Parse ``key = value`` lines into a config; unknown and repeated keys
     and unparsable values raise ``ConfigError``."""
-    from .tableio import parse_matrix, parse_vector, read_config
-    parsers = {
-        "burn_in_days": int, "nu0": parse_vector, "kappa0": parse_matrix,
-        "truncation_l": float, "truncation_r": float, "drop_policy": str,
-        "demean_covariance": _parse_bool, "force_a": float, "force_nu_hat": parse_vector,
-    }
-    return BacktestConfig(**read_config(text, parsers, "config"))
+    from .tableio import read_config
+    return BacktestConfig(**read_config(text, _CONFIG_KINDS, "config"))
 
 
 @dataclass

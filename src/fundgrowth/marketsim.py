@@ -14,15 +14,13 @@ from __future__ import annotations
 
 import datetime
 import math
-import numbers
-import operator
 from dataclasses import dataclass
 from typing import IO, Iterator, Optional
 
 import numpy as np
 
 from .errors import BadTruncation, ConfigError, EmptyGrid, RankDeficient
-from .psd import CovMatrix, check_full_rank, is_definite, sqrt_entries
+from .psd import CovMatrix, check_full_rank, config_field, interval, is_definite, sqrt_entries
 
 # Trading-day step of the operational clock, used as the default everywhere.
 DEFAULT_STEP = 1.0 / 252.0
@@ -213,6 +211,13 @@ def residual_drift_check(spec: FundSpec, nu: np.ndarray, n_paths: int, seed: int
 # Scenario configs and CSV export
 # ---------------------------------------------------------------------------
 
+# The kind of each scenario key (see ``psd.config_field``), in field order.
+_SCENARIO_KINDS = {"dim": "count", "cov": "cov", "cov_preset": "text", "prior_mean": "vector",
+                   "prior_cov": "cov", "truncation_l": "real", "truncation_r": "real",
+                   "nu": "vector", "dt": "real", "steps": "count", "seed": "count",
+                   "f": "matrix", "theta": "vector", "drift_check_paths": "count"}
+
+
 @dataclass(frozen=True)
 class SimScenario:
     """A simulation scenario: its fields are the keys of the file ``parse_scenario``
@@ -225,8 +230,9 @@ class SimScenario:
     the prior, and ``f`` with its ``theta`` must fit ``dim`` and be finite; a fund scenario
     has both, no ``nu`` and at most ``dim`` funds.  ``steps`` is at most ``_MAX_STEPS``, one
     dated row each, and ``dt * steps`` is finite.  Only a fund scenario sets
-    ``drift_check_paths``: 0 (off), at least 2, or 100,000 if unset.  Counts are integers,
-    ``dt`` and the truncation ends real numbers; vectors and matrices may be lists.
+    ``drift_check_paths``: 0 (off), at least 2, or 100,000 if unset.  Each field is of its
+    kind in ``_SCENARIO_KINDS``, as ``psd.config_field`` checks: vectors and matrices may be
+    lists of numbers, and no text or ``bool`` stands in for a number.
     """
 
     dim: Optional[int] = None
@@ -248,21 +254,9 @@ class SimScenario:
         dim = self.dim
         if dim is None:
             raise ConfigError("scenario must declare 'dim'")
-        for name in ("dim", "steps", "seed", "drift_check_paths"):
-            try:
-                (value := getattr(self, name)) is None or operator.index(value)
-            except TypeError:
-                raise ConfigError(f"{name} must be an integer, got {value!r}") from None
-        for name in ("dt", "truncation_l", "truncation_r"):
-            if (value := getattr(self, name)) is not None and not isinstance(value, numbers.Real):
-                raise ConfigError(f"{name} must be a real number, got {value!r}")
-        for name in ("cov", "prior_cov", "prior_mean", "nu", "f", "theta"):
-            if (value := getattr(self, name)) is not None and not isinstance(value, CovMatrix):
-                try:
-                    value = CovMatrix(value) if "cov" in name else np.asarray(value, dtype=float)
-                except (TypeError, ValueError) as exc:
-                    raise ConfigError(f"{name}: {exc}") from None
-                object.__setattr__(self, name, value)
+        for name, kind in _SCENARIO_KINDS.items():     # a key whose default is None may be unset
+            if (value := getattr(self, name)) is not None or getattr(type(self), name) is not None:
+                object.__setattr__(self, name, config_field(kind, name, value))
         if dim < 1:
             raise ConfigError(f"dim must be positive, got {dim}")
         prior_keys = [k for k in ("prior_mean", "prior_cov", "truncation_l", "truncation_r")
@@ -315,10 +309,7 @@ class SimScenario:
     @property
     def truncation(self) -> Optional[tuple[float, float]]:
         """``(truncation_l, truncation_r)``, an unset end infinite; None if neither is set."""
-        if self.truncation_l is None and self.truncation_r is None:
-            return None
-        return (-math.inf if self.truncation_l is None else self.truncation_l,
-                math.inf if self.truncation_r is None else self.truncation_r)
+        return interval(self.truncation_l, self.truncation_r)
 
 
 def _sized(name: str, value: Optional[np.ndarray], shape: tuple) -> None:
@@ -338,17 +329,8 @@ def parse_scenario(text: str) -> SimScenario:
     Vectors are comma-separated, matrices use ``;`` between rows, ``#`` starts a
     comment.  Unknown and repeated keys and unparsable values raise ``ConfigError``.
     """
-    from .tableio import parse_matrix, parse_vector, read_config
-
-    def parse_cov(text: str) -> CovMatrix:
-        return CovMatrix(parse_matrix(text))
-    parsers = {
-        "dim": int, "cov": parse_cov, "cov_preset": str, "prior_mean": parse_vector,
-        "prior_cov": parse_cov, "truncation_l": float, "truncation_r": float,
-        "nu": parse_vector, "dt": float, "steps": int, "seed": int,
-        "f": parse_matrix, "theta": parse_vector, "drift_check_paths": int,
-    }
-    return SimScenario(**read_config(text, parsers, "scenario"))
+    from .tableio import read_config
+    return SimScenario(**read_config(text, _SCENARIO_KINDS, "scenario"))
 
 
 def run_scenario(scenario: SimScenario, seed: int) -> MarketPath:

@@ -5,7 +5,8 @@ covariance-like matrices around: covariance *rates* against an operational
 clock and cumulative integrated covariances.  This module fixes the numerical
 conventions once: symmetrisation on input, eigenvalue clamping, matrix square
 roots, the one positive-definiteness rule, inverses, orthogonal projections
-onto fund spans, and pseudo-inverses restricted to a projection subspace.
+onto fund spans, and pseudo-inverses restricted to a projection subspace; and the
+one type rule of a config record's keys, ``config_field``, which builds a ``CovMatrix``.
 
 All values are immutable after construction and all operations are pure, so
 they are safe for unrestricted concurrent use.
@@ -13,9 +14,11 @@ they are safe for unrestricted concurrent use.
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 
-from .errors import RankDeficient, SingularC, SingularOnSubspace
+from .errors import ConfigError, RankDeficient, SingularC, SingularOnSubspace
 
 # Input gate: relative asymmetry above this rejects the matrix outright.
 SYM_RTOL = 1e-12
@@ -28,6 +31,9 @@ SUBSPACE_CUTOFF_RTOL = 1e-12
 PD_RTOL = 1e-12
 # Full column rank means sigma_min > RANK_RTOL * sigma_max > 0.
 RANK_RTOL = 1e-10
+# The scalar kinds of a config key: the types its value may have, and what it must be.
+_SCALAR_KINDS = {"count": (numbers.Integral, "an integer"), "real": (numbers.Real, "a real number"),
+                 "flag": ((bool, np.bool_), "True or False")}
 
 
 class CovMatrix:
@@ -187,3 +193,31 @@ def check_lemma_error_reduction(c: CovMatrix, p: Projection) -> float:
     diff = c.entries - c.entries @ pinv @ c.entries
     diff = 0.5 * (diff + diff.T)
     return float(np.linalg.eigvalsh(diff)[0])
+
+
+def interval(lo, hi):
+    """``(lo, hi)``, an unset end infinite; None if neither end is set."""
+    if lo is None and hi is None:
+        return None
+    return (-np.inf if lo is None else lo, np.inf if hi is None else hi)
+
+
+def config_field(kind: str, name: str, value):
+    """``value`` of the config key ``name`` of ``kind`` (count, real, flag, text, vector,
+    matrix or cov) as its file parser would give it: a float array, or a ``CovMatrix`` for
+    cov.  ``ConfigError`` names the key for a ``bool`` as a count or a real, text as any
+    kind but text, an array of anything but numbers, or a vector that is not 1-D."""
+    if kind in _SCALAR_KINDS:
+        types, what = _SCALAR_KINDS[kind]
+        if not isinstance(value, types) or kind != "flag" and isinstance(value, bool):
+            raise ConfigError(f"{name} must be {what}, got {value!r}")
+        return value
+    if kind == "text" or kind == "cov" and isinstance(value, CovMatrix):
+        return value
+    try:
+        array = np.asarray(value)
+        if array.dtype.kind not in "iuf" or kind == "vector" and array.ndim != 1:
+            raise ValueError(f"expected numbers as a {kind}, got {value!r}")
+        return CovMatrix(array) if kind == "cov" else np.asarray(array, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{name}: {exc}") from None

@@ -16,7 +16,7 @@ import os
 import re
 import warnings
 from pathlib import Path
-from typing import IO, Callable, Iterable, Iterator, Optional, Sequence
+from typing import IO, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -65,15 +65,18 @@ def replaced(path: Path) -> Iterator[IO[str]]:
             parent.rmdir()
 
 
-def read_config(text: str, parsers: dict[str, Callable[[str], object]], kind: str) -> dict:
+def read_config(text: str, kinds: dict[str, str], what: str) -> dict:
     """The ``key = value`` lines of a scenario or backtest config file, each value
-    parsed by ``parsers[key]``.
+    parsed as the kind of its key in ``kinds`` (see ``psd.config_field``).
 
     ``#`` starts a comment; blank lines are skipped.  The first bad line in file
     order raises ``ConfigError`` with its number: a line without ``=``, a key
-    that ``parsers`` lacks or that is already set, or a value whose parser
+    that ``kinds`` lacks or that is already set, or a value whose parser
     raises ``ValueError``.
     """
+    from .psd import CovMatrix
+    parsers = {"count": int, "real": float, "flag": parse_flag, "text": str, "vector": parse_vector,
+               "matrix": parse_matrix, "cov": lambda value: CovMatrix(parse_matrix(value))}
     values: dict[str, object] = {}
     linenos: dict[str, int] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -83,17 +86,25 @@ def read_config(text: str, parsers: dict[str, Callable[[str], object]], kind: st
         if "=" not in body:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {body!r}")
         key, value = (s.strip() for s in body.split("=", 1))
-        if key not in parsers:
-            raise ConfigError(f"line {lineno}: unknown {kind} key {key!r}")
+        if key not in kinds:
+            raise ConfigError(f"line {lineno}: unknown {what} key {key!r}")
         if key in linenos:
-            raise ConfigError(f"line {lineno}: {kind} key {key!r} already set on line "
+            raise ConfigError(f"line {lineno}: {what} key {key!r} already set on line "
                               f"{linenos[key]}")
         try:
-            values[key] = parsers[key](value)
+            values[key] = parsers[kinds[key]](value)
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: bad value for {key!r}: {exc}") from None
         linenos[key] = lineno
     return values
+
+
+def parse_flag(text: str) -> bool:
+    """A config flag: ``1``, ``true`` or ``yes``, or ``0``, ``false`` or ``no``, in any case."""
+    value = text.lower()
+    if value not in ("1", "true", "yes", "0", "false", "no"):
+        raise ValueError(f"expected true or false, got {text!r}")
+    return value in ("1", "true", "yes")
 
 
 def parse_vector(text: str) -> np.ndarray:
