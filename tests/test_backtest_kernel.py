@@ -21,10 +21,11 @@ import pytest
 
 from backtest_oracle import run_oracle
 from posterior_columns import with_posterior
-from fundgrowth import backtest, cli
+from fundgrowth import backtest, cli, shrinkage
 from fundgrowth.backtest import (BacktestConfig, ReturnSeries, backtest_blocks, read_backtest_csv,
                                  run_backtest, write_backtest_csv)
 from fundgrowth.errors import ConfigError, InsufficientBurnIn, SingularC
+from fundgrowth.psd import CovMatrix, inverse_entries
 
 GOLDEN = Path(__file__).parent / "golden"
 RTOL, ATOL = 1e-9, 1e-12
@@ -211,6 +212,29 @@ def test_block_size_invariance(monkeypatch, k, case):
     for name in EXACT_COLUMNS + CLOSE_COLUMNS:
         np.testing.assert_array_equal(getattr(blocked, name), getattr(whole, name), err_msg=name)
     assert blocked_csv.getvalue() == whole_csv.getvalue()
+
+
+@pytest.mark.parametrize("demean", [False, True], ids=["uninformative", "demeaned"])
+@pytest.mark.parametrize("k", [2, 5])
+def test_the_shrink_factor_is_the_general_minimiser(k, demean):
+    # With kappa = C_t^{-1} and dC = C_t / (t + 1), kappa dC is a multiple of the
+    # identity, so the paper's minimiser (id + kappa dC / b)^{-1} nu_hat is the uniform
+    # multiple a nu_hat, and the engine's a column is that a.  shrink_portfolio solves
+    # for b to an absolute residual of 1e-12, whose relative error residual / b reaches
+    # 1e-9 on days with b near 1e-4, so each day's tolerance adds it to 1e-10.
+    checked, day = 0, 0
+    config = BacktestConfig(burn_in_days=100, demean_covariance=demean)
+    for block in backtest_blocks(random_series(k, 400, seed=90 + k), config):
+        for t in range(block.burn_in, block.n, 37):
+            c, nu_hat, a = block.c_cum[t], block.nu_hat[t], block.a[t]
+            shrunk = shrinkage.shrink_portfolio(nu_hat, CovMatrix(inverse_entries(CovMatrix(c))),
+                                                CovMatrix(c / (day + t + 1)))
+            rtol = 1e-10 + shrunk.residual / shrunk.b
+            assert shrunk.a == pytest.approx(a, rel=rtol), day + t
+            np.testing.assert_allclose(shrunk.rho, a * nu_hat, rtol=rtol, err_msg=str(day + t))
+            checked += 1
+        day += block.n
+    assert checked == 9
 
 
 def run_cli(*argv):
