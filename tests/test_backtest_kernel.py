@@ -222,19 +222,15 @@ def test_the_shrink_factor_is_the_general_minimiser(k, demean):
     # multiple a nu_hat, and the engine's a column is that a.  shrink_portfolio solves
     # for b to an absolute residual of 1e-12, whose relative error residual / b reaches
     # 1e-9 on days with b near 1e-4, so each day's tolerance adds it to 1e-10.
-    checked, day = 0, 0
     config = BacktestConfig(burn_in_days=100, demean_covariance=demean)
-    for block in backtest_blocks(random_series(k, 400, seed=90 + k), config):
-        for t in range(block.burn_in, block.n, 37):
-            c, nu_hat, a = block.c_cum[t], block.nu_hat[t], block.a[t]
-            shrunk = shrinkage.shrink_portfolio(nu_hat, CovMatrix(inverse_entries(CovMatrix(c))),
-                                                CovMatrix(c / (day + t + 1)))
-            rtol = 1e-10 + shrunk.residual / shrunk.b
-            assert shrunk.a == pytest.approx(a, rel=rtol), day + t
-            np.testing.assert_allclose(shrunk.rho, a * nu_hat, rtol=rtol, err_msg=str(day + t))
-            checked += 1
-        day += block.n
-    assert checked == 9
+    [block] = backtest_blocks(random_series(k, 400, seed=90 + k), config)
+    for t in range(block.burn_in, block.n, 37):     # nine days
+        c, nu_hat, a = block.c_cum[t], block.nu_hat[t], block.a[t]
+        shrunk = shrinkage.shrink_portfolio(nu_hat, CovMatrix(inverse_entries(CovMatrix(c))),
+                                            CovMatrix(c / (t + 1)))
+        rtol = 1e-10 + shrunk.residual / shrunk.b
+        assert shrunk.a == pytest.approx(a, rel=rtol), t
+        np.testing.assert_allclose(shrunk.rho, a * nu_hat, rtol=rtol, err_msg=str(t))
 
 
 def run_cli(*argv):
