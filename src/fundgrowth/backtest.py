@@ -168,8 +168,7 @@ class BacktestConfig:
     """Knobs for the daily pipeline; each feature is on when its value is set.
 
     ``nu0`` and ``kappa0``, set together, anchor the prior: ``kappa0^{-1}`` and
-    ``kappa0^{-1} nu0`` are folded into the accumulators, allowing ``burn_in = 0``.  Each
-    field is of its kind in ``_CONFIG_KINDS``, as ``psd.config_field`` checks.
+    ``kappa0^{-1} nu0`` are folded into the accumulators, allowing ``burn_in = 0``.
     """
 
     burn_in_days: int = DEFAULT_BURN_IN

@@ -230,9 +230,8 @@ class SimScenario:
     the prior, and ``f`` with its ``theta`` must fit ``dim`` and be finite; a fund scenario
     has both, no ``nu`` and at most ``dim`` funds.  ``steps`` is at most ``_MAX_STEPS``, one
     dated row each, and ``dt * steps`` is finite.  Only a fund scenario sets
-    ``drift_check_paths``: 0 (off), at least 2, or 100,000 if unset.  Each field is of its
-    kind in ``_SCENARIO_KINDS``, as ``psd.config_field`` checks: vectors and matrices may be
-    lists of numbers, and no text or ``bool`` stands in for a number.
+    ``drift_check_paths``: 0 (off), at least 2, or 100,000 if unset.  Each field takes a
+    value of its kind in ``_SCENARIO_KINDS`` (``psd.config_field``); arrays may be lists.
     """
 
     dim: Optional[int] = None
