@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SingularCrossCovariance
-from .psd import RANK_RTOL, CovMatrix, is_definite, sqrt_entries
+from .psd import CovMatrix, is_definite, is_full_rank, sqrt_entries
 
 
 @dataclass(frozen=True)
@@ -60,8 +60,7 @@ def _cross_cov(x: np.ndarray, c: CovMatrix, y: np.ndarray, d_o: float) -> np.nda
 
 
 def _checked_solve(m: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    sv = np.linalg.svd(m, compute_uv=False)
-    if sv[0] == 0.0 or sv[-1] <= RANK_RTOL * sv[0]:
+    if not is_full_rank(m):
         raise SingularCrossCovariance("cross-covariance with the funds is singular")
     return np.linalg.solve(m, rhs)
 

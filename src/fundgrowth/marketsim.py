@@ -291,6 +291,8 @@ class SimScenario:
         if self.f is not None:
             if self.nu is not None:
                 raise ConfigError("a fund scenario's nu is f theta: it declares no 'nu'")
+            if self.f.ndim != 2 and self.f.size:     # a file's "f = ;" is 1-D, sized below
+                raise ConfigError(f"f: expected numbers as a dim x K matrix, got {self.f.tolist()}")
             _sized("f", self.f, (dim, min(self.f.shape[-1], dim)))
             _sized("theta", self.theta, (self.f.shape[1],))
         if not 0.0 < self.dt < math.inf:

@@ -138,11 +138,16 @@ def inverse_entries(m: CovMatrix) -> np.ndarray:
     return (m.eigenvectors / w) @ m.eigenvectors.T
 
 
+def is_full_rank(m: np.ndarray) -> bool:
+    """``sigma_min > RANK_RTOL * sigma_max > 0`` for the singular values of ``m``:
+    the one rank test (NaN is not full rank)."""
+    sv = np.linalg.svd(m, compute_uv=False)
+    return bool(sv[0] > 0.0 and sv[-1] > RANK_RTOL * sv[0])
+
+
 def check_full_rank(f: np.ndarray, what: str) -> None:
-    """``RankDeficient`` naming ``what`` unless the frame ``f`` has full column
-    rank: the one rank rule."""
-    sv = np.linalg.svd(f, compute_uv=False)
-    if sv[0] == 0.0 or sv[-1] <= RANK_RTOL * sv[0]:
+    """``RankDeficient`` naming ``what`` unless the frame ``f`` passes ``is_full_rank``."""
+    if not is_full_rank(f):
         raise RankDeficient(f"{what} are numerically dependent")
 
 

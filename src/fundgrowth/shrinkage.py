@@ -8,10 +8,11 @@ deviation of realised growth from the achievable optimum,
     objective(pi) = ||dC^{1/2} (pi - nu_hat)||^4 / 4 + ||kappa^{1/2} dC pi||^2,
 
 whose unique minimiser is ``(id + kappa dC / b)^{-1} nu_hat`` with the scalar
-``b`` (the growth given up locally) solving a one-dimensional fixed-point
-equation.  With a single fund, or with Bayesian updating under a constant
-covariance rate, the minimiser collapses to a uniform multiplier ``a`` of the
-filtered portfolio, available in closed form via Cardano's formula.
+``b`` (the growth given up locally) the root of a one-dimensional fixed-point
+equation, which Newton's method from zero finds to a relative residual.  With a
+single fund, or with Bayesian updating under a constant covariance rate, the
+minimiser collapses to a uniform multiplier ``a`` of the filtered portfolio,
+available in closed form via Cardano's formula.
 
 All functions are pure and safe for unrestricted concurrent use.
 """
@@ -27,7 +28,7 @@ import numpy as np
 from .errors import NoConvergence, SingularC
 from .psd import CovMatrix, inverse_entries, is_definite
 
-# Residual target |f(b) - b| <= RESIDUAL_TOL * max(1, b).
+# Residual target |f(b) - b| <= RESIDUAL_TOL * b.
 RESIDUAL_TOL = 1e-12
 MAX_ITERATIONS = 200
 # ||h z|| below this relative level counts as z in ker(h): no shrinkage.
@@ -64,77 +65,41 @@ class ShrinkResult:
     degenerate: bool
 
 
-def _eigen_fixed_point(s: np.ndarray, w: np.ndarray):
-    """Return f and f' for f(b) = sum_i w_i s_i^2 / (s_i + b)^2 / 2."""
-    mask = s > 0.0
-    s = s[mask]
-    w = w[mask]
-
-    def f(b: float) -> float:
-        q = s / (s + b)
-        return 0.5 * float(np.sum(w * q * q))
-
-    def fp(b: float) -> float:
-        return -float(np.sum(w * s * s / (s + b) ** 3))
-
-    return f, fp
-
-
 def solve_b(h: CovMatrix, z: np.ndarray) -> FixedPointResult:
     """Solve the scalar fixed point for the growth give-up ``b``.
 
-    ``f`` is strictly decreasing and convex on ``(0, inf)``, so the fixed
-    point is unique and lies in ``(0, f(0))`` with ``f(0) <= ||z||^2 / 2``.
-    The iteration brackets it between a secant step from above and a Newton
-    step from below, falling back to plain bisection whenever a step leaves
-    the bracket.  If ``h z = 0`` the problem is degenerate and ``b = 0``.
+    In the eigenbasis of ``h`` (eigenvalues ``s_i``, weights ``w_i`` of ``z``) ``b`` is the
+    root of ``g(b) = f(b) - b``, ``f(b) = sum_i q_i / 2``, ``q_i = w_i s_i^2 / (s_i + b)^2``.
+    ``g`` is convex and strictly decreasing, so Newton's method from ``b = 0``,
+    ``b += g / (1 + sum_i q_i / (s_i + b))``, rises to the root without passing it: each
+    tangent of a convex function lies below it.  It stops at ``|g| <= RESIDUAL_TOL * b``,
+    a relative residual at any scale.  Near the root the divisor is at most 3, so rounding
+    stops ``b`` short of that only if the step underflows: ``NoConvergence``.  ``z`` must
+    be finite; if ``h z = 0`` the problem is degenerate and ``b = 0``.
     """
     z = np.asarray(z, dtype=float).reshape(-1)
     if z.size != h.dim:
         raise ValueError(f"z has size {z.size}, h has dim {h.dim}")
-    h_norm = float(h.eigenvalues[0])
-    z_norm = float(np.linalg.norm(z))
+    if not np.isfinite(z).all():
+        raise ValueError("z must be finite")
+    h_norm, z_norm = float(h.eigenvalues[0]), float(np.linalg.norm(z))
     if float(np.linalg.norm(h.entries @ z)) <= _DEGENERATE_RTOL * h_norm * z_norm:
         return FixedPointResult(b=0.0, iterations=0, residual=0.0, degenerate=True)
 
-    weights = (h.eigenvectors.T @ z) ** 2
-    f, fp = _eigen_fixed_point(h.eigenvalues, weights)
-
-    lo, hi = 0.0, f(0.0)
-    f_lo, f_hi = f(lo), f(hi)
+    mask = h.eigenvalues > 0.0
+    s, w = h.eigenvalues[mask], ((h.eigenvectors.T @ z) ** 2)[mask]
+    b = 0.0
     for iteration in range(1, MAX_ITERATIONS + 1):
-        if abs(f_hi - hi) <= RESIDUAL_TOL * max(1.0, hi):
-            return FixedPointResult(hi, iteration, abs(f_hi - hi), False)
-        if abs(f_lo - lo) <= RESIDUAL_TOL * max(1.0, lo):
-            return FixedPointResult(lo, iteration, abs(f_lo - lo), False)
-        width = hi - lo
-        if width <= 0.0:
+        d = s + b
+        q = w * (s / d) ** 2
+        g = 0.5 * float(q.sum()) - b
+        if abs(g) <= RESIDUAL_TOL * b:
+            return FixedPointResult(b, iteration, abs(g), False)
+        step = g / (1.0 + float(np.sum(q / d)))
+        if not b + step > b:
             break
-        # Two accelerated candidates: a Newton step from the upper end lands
-        # below the fixed point, the bracket chord's diagonal crossing lands
-        # above it (both by convexity).  Classify by sign so round-off cannot
-        # corrupt the bracket.
-        slope = fp(hi)
-        newton = (f_hi - slope * hi) / (1.0 - slope)
-        chord_slope = (f_hi - f_lo) / width
-        chord = (f_lo - lo * chord_slope) / (1.0 - chord_slope)
-        for cand in (newton, chord):
-            if math.isfinite(cand) and lo < cand < hi:
-                f_c = f(cand)
-                if f_c > cand:
-                    lo, f_lo = cand, f_c
-                else:
-                    hi, f_hi = cand, f_c
-        # Safeguard: when acceleration fails to halve the bracket, bisect so
-        # convergence stays geometric no matter how lopsided f is.
-        if hi - lo > 0.5 * width:
-            mid = 0.5 * (lo + hi)
-            f_m = f(mid)
-            if f_m > mid:
-                lo, f_lo = mid, f_m
-            else:
-                hi, f_hi = mid, f_m
-    raise NoConvergence(f"fixed point not reached after {MAX_ITERATIONS} iterations")
+        b += step
+    raise NoConvergence(f"fixed point not reached after {iteration} iterations")
 
 
 def shrink_portfolio(nu_hat: np.ndarray, kappa: CovMatrix, d_c: CovMatrix) -> ShrinkResult:

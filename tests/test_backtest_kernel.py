@@ -219,18 +219,15 @@ def test_block_size_invariance(monkeypatch, k, case):
 def test_the_shrink_factor_is_the_general_minimiser(k, demean):
     # With kappa = C_t^{-1} and dC = C_t / (t + 1), kappa dC is a multiple of the
     # identity, so the paper's minimiser (id + kappa dC / b)^{-1} nu_hat is the uniform
-    # multiple a nu_hat, and the engine's a column is that a.  shrink_portfolio solves
-    # for b to an absolute residual of 1e-12, whose relative error residual / b reaches
-    # 1e-9 on days with b near 1e-4, so each day's tolerance adds it to 1e-10.
+    # multiple a nu_hat, and the engine's a column is that a.
     config = BacktestConfig(burn_in_days=100, demean_covariance=demean)
     [block] = backtest_blocks(random_series(k, 400, seed=90 + k), config)
     for t in range(block.burn_in, block.n, 37):     # nine days
         c, nu_hat, a = block.c_cum[t], block.nu_hat[t], block.a[t]
         shrunk = shrinkage.shrink_portfolio(nu_hat, CovMatrix(inverse_entries(CovMatrix(c))),
                                             CovMatrix(c / (t + 1)))
-        rtol = 1e-10 + shrunk.residual / shrunk.b
-        assert shrunk.a == pytest.approx(a, rel=rtol), t
-        np.testing.assert_allclose(shrunk.rho, a * nu_hat, rtol=rtol, err_msg=str(t))
+        assert shrunk.a == pytest.approx(a, rel=1e-10), t
+        np.testing.assert_allclose(shrunk.rho, a * nu_hat, rtol=1e-10, err_msg=str(t))
 
 
 def run_cli(*argv):

@@ -66,6 +66,8 @@ STAND_IN_ROWS = [
     (SimScenario, "steps", True, PRIOR),
     (SimScenario, "seed", True, PRIOR),
     (SimScenario, "f", [["1"], ["0.5"]], FUND),
+    (SimScenario, "f", 1.0, FUND),
+    (SimScenario, "f", [1.0, 0.0], FUND),
     (SimScenario, "theta", ["1"], FUND),
     (SimScenario, "drift_check_paths", True, FUND),
     (BacktestConfig, "burn_in_days", True, {}),

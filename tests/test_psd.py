@@ -6,11 +6,13 @@ from hypothesis import strategies as st
 from fundgrowth.errors import RankDeficient, SingularC, SingularOnSubspace
 from fundgrowth.psd import (
     PD_RTOL,
+    RANK_RTOL,
     CovMatrix,
     Projection,
     check_lemma_error_reduction,
     inverse_entries,
     is_definite,
+    is_full_rank,
     projection_from_frame,
     sqrt_entries,
     subspace_pinv,
@@ -126,6 +128,17 @@ class TestDefiniteness:
     def test_nan_is_not_definite(self):
         assert not is_definite(np.nan, 1.0)
         assert not is_definite(1.0, np.nan)
+
+
+class TestFullRank:
+    def test_boundary_and_zero_are_not_full_rank(self):
+        assert not is_full_rank(np.diag([3.0, RANK_RTOL * 3.0]))
+        assert is_full_rank(np.diag([3.0, 2.0 * RANK_RTOL * 3.0]))
+        assert not is_full_rank(np.zeros((2, 1)))
+
+    def test_infinite_entry_is_not_full_rank(self):
+        # numpy's SVD gives NaN singular values here
+        assert not is_full_rank(np.array([[np.inf, 0.0], [0.0, 1.0]]))
 
 
 class TestInverseEntries:

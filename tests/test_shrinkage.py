@@ -6,6 +6,7 @@ from scipy.optimize import minimize
 
 from fundgrowth.psd import CovMatrix
 from fundgrowth.shrinkage import (
+    RESIDUAL_TOL,
     cardano_a,
     psi_constant_cov,
     psi_one_fund,
@@ -63,7 +64,34 @@ class TestSolveB:
         assert not result.degenerate
         assert result.b == pytest.approx(oracle, abs=1e-12)
         assert result.b == pytest.approx(0.465571, abs=1e-6)
-        assert result.residual <= 1e-12 * max(1.0, result.b)
+        assert result.residual <= RESIDUAL_TOL * result.b
+
+    def test_one_dim_closed_form_at_a_tiny_give_up(self):
+        # h = 1: a = b / (1 + b) solves a = (z^2 / 2) (1 - a)^3, Cardano's cubic at
+        # psi = 27 z^2 / 8.  b is near 1e-7, so an absolute residual of 1e-12 would leave
+        # a about 2e-7 off; Cardano's formula itself cancels to about 3e-10 here
+        result = solve_b(CovMatrix([[1.0]]), np.array([math.sqrt(2e-7)]))
+        assert result.b / (1.0 + result.b) == pytest.approx(cardano_a(27.0 * 2e-7 / 8.0),
+                                                           rel=1e-9, abs=0.0)
+
+    @pytest.mark.parametrize("lam", [1e-12, 1e-6, 1.0, 1e6])
+    def test_b_scales_with_h(self, lam):
+        # f_lam(lam b) = lam f(b) for h -> lam h, z -> sqrt(lam) z, so b scales by lam
+        rng = np.random.default_rng(39)
+        h, z = random_cov(rng, 3, definite=False), rng.standard_normal(3)
+        scaled = solve_b(CovMatrix(lam * h.entries), math.sqrt(lam) * z)
+        assert scaled.b == pytest.approx(lam * solve_b(h, z).b, rel=1e-12, abs=0.0)
+        assert scaled.residual <= RESIDUAL_TOL * scaled.b
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_z_is_refused(self, bad):
+        # neither 200 iterations on NaN nor an infinite z called degenerate (no shrinkage)
+        with pytest.raises(ValueError, match="z must be finite"):
+            solve_b(CovMatrix([[1.0]]), np.array([bad]))
+
+    def test_nan_nu_hat_is_refused(self):
+        with pytest.raises(ValueError, match="z must be finite"):
+            shrink_portfolio(np.array([math.nan, 1.0]), CovMatrix(np.eye(2)), CovMatrix(np.eye(2)))
 
     def test_matches_bisection_sweep(self):
         rng = np.random.default_rng(31)
