@@ -236,6 +236,22 @@ class TestRestrictedGrowthLoss:
                 <= restricted_growth_loss(kappa, d_c, outer_p) + 1e-9
             )
 
+    def test_matches_the_frame_formula(self):
+        """The loss is ``tr((f' dC f)^-1 f' dC kappa dC f) / 2``, solved directly, for any
+        basis ``f`` whose singular values lie in [0.5, 2] (see ``test_psd``'s twin)."""
+        rng = np.random.default_rng(32)
+        for _ in range(1000):
+            dim = int(rng.integers(2, 8))
+            d_c = random_cov(rng, dim)
+            kappa = random_cov(rng, dim, definite=False)
+            k = int(rng.integers(1, dim + 1))
+            u, v = (np.linalg.qr(rng.standard_normal((n, k)))[0] for n in (dim, k))
+            f = (u * rng.uniform(0.5, 2.0, k)) @ v      # singular values in [0.5, 2]
+            dc_f = d_c.entries @ f
+            expected = 0.5 * np.trace(np.linalg.solve(f.T @ dc_f, dc_f.T @ kappa.entries @ dc_f))
+            got = restricted_growth_loss(kappa, d_c, projection_from_frame(f))
+            assert got == pytest.approx(expected, rel=1e-10)
+
     def test_degenerate_restriction_rejected(self):
         d_c = CovMatrix(np.diag([1.0, 0.0]))
         p = Projection(np.diag([0.0, 1.0]))

@@ -222,6 +222,24 @@ class TestSubspacePinv:
         with pytest.raises(SingularOnSubspace):
             subspace_pinv(c, p)
 
+    def test_matches_the_frame_formula(self):
+        """The restricted inverse is ``f (f' c f)^-1 f'``, solved directly, for any basis ``f``.
+
+        That reference loses about ``eps cond(f)^2``: on 20,000 raw Gaussian frames it is
+        off by up to 2.5e-9 where the restricted inverse is within 2e-15 of a 50-digit
+        result, so the frames mix their columns but keep their singular values in [0.5, 2].
+        """
+        rng = np.random.default_rng(31)
+        for _ in range(1000):
+            dim = int(rng.integers(2, 8))
+            c = random_psd(rng, dim)
+            k = int(rng.integers(1, dim + 1))
+            u, v = (np.linalg.qr(rng.standard_normal((n, k)))[0] for n in (dim, k))
+            f = (u * rng.uniform(0.5, 2.0, k)) @ v      # singular values in [0.5, 2]
+            expected = f @ np.linalg.solve(f.T @ c.entries @ f, f.T)
+            got = subspace_pinv(c, projection_from_frame(f))
+            assert np.abs(got - expected).max() <= 1e-10 * np.abs(expected).max()
+
     def test_rank_zero_gives_zero(self):
         c = CovMatrix(np.eye(3))
         p = Projection(np.zeros((3, 3)))
