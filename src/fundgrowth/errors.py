@@ -10,7 +10,7 @@ class RankDeficient(FundgrowthError):
 
 
 class SingularOnSubspace(FundgrowthError):
-    """A matrix restricted to a projection subspace is numerically singular."""
+    """A matrix restricted to the span of a fund frame fails ``psd.is_definite``."""
 
 
 class SingularCrossCovariance(FundgrowthError):

@@ -21,7 +21,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .errors import DegenerateInterval, SingularC
-from .psd import CovMatrix, Projection, inverse_entries, subspace_pinv
+from .psd import CovMatrix, inverse_entries, subspace_pinv
 
 MatrixLike = Union[CovMatrix, np.ndarray]
 
@@ -148,18 +148,17 @@ def growth_loss(kappa: MatrixLike, d_c: MatrixLike) -> float:
     return 0.5 * float(np.trace(kappa.entries @ d_c.entries))
 
 
-def restricted_growth_loss(kappa: MatrixLike, d_c: MatrixLike, p: Projection) -> float:
-    """Growth loss when investment is restricted to the range of ``p``.
+def restricted_growth_loss(kappa: MatrixLike, d_c: MatrixLike, f) -> float:
+    """Growth loss when investment is restricted to the span of the fund frame ``f``:
+    ``tr(pinv dC kappa dC) / 2``, ``pinv = subspace_pinv(dC, f)``.
 
-    Never exceeds the unrestricted loss, and is monotone in the projection:
+    Never exceeds the unrestricted loss, and is monotone in the span:
     smaller investment universes lose less growth to estimation.
     """
     kappa = _as_cov(kappa)
     d_c = _as_cov(d_c)
-    pinv = subspace_pinv(d_c, p)
-    pe = p.entries
-    inner = pe @ d_c.entries @ kappa.entries @ d_c.entries @ pe
-    return 0.5 * float(np.trace(pinv @ inner))
+    pinv = subspace_pinv(d_c, f)
+    return 0.5 * float(np.trace(pinv @ d_c.entries @ kappa.entries @ d_c.entries))
 
 
 def portfolio_growth_variance(pi: np.ndarray, kappa: MatrixLike, d_c: MatrixLike) -> float:

@@ -4,9 +4,9 @@ Everything downstream (simulation, filtering, shrinkage, backtesting) pushes
 covariance-like matrices around: covariance *rates* against an operational
 clock and cumulative integrated covariances.  This module fixes the numerical
 conventions once: symmetrisation on input, eigenvalue clamping, matrix square
-roots, the one positive-definiteness rule, inverses, orthogonal projections
-onto fund spans, and pseudo-inverses restricted to a projection subspace; and the
-one type rule of a config record's keys, ``config_field``, which builds a ``CovMatrix``.
+roots, the one positive-definiteness rule, inverses, and inverses restricted to
+the span of a fund frame; and the one type rule of a config record's keys,
+``config_field``, which builds a ``CovMatrix``.
 
 All values are immutable after construction and all operations are pure, so
 they are safe for unrestricted concurrent use.
@@ -25,8 +25,6 @@ SYM_RTOL = 1e-12
 # Negative eigenvalues no worse than -EIG_DUST_RTOL * lambda_max count as
 # round-off dust and are clamped to zero; anything below is a hard failure.
 EIG_DUST_RTOL = 1e-10
-# Spectral cutoff for the subspace pseudo-inverse, relative to trace.
-SUBSPACE_CUTOFF_RTOL = 1e-12
 # Positive definite means lambda_min > PD_RTOL * lambda_max > 0.
 PD_RTOL = 1e-12
 # Full column rank means sigma_min > RANK_RTOL * sigma_max > 0.
@@ -84,39 +82,6 @@ class CovMatrix:
         return f"CovMatrix(dim={self.dim}, eigenvalues={self.eigenvalues})"
 
 
-class Projection:
-    """An orthogonal projection matrix; rank is the trace rounded to integer.
-
-    Construction validates ``p @ p == p`` and ``p.T == p`` to 1e-10 absolute
-    tolerance.
-    """
-
-    __slots__ = ("entries", "rank")
-
-    def __init__(self, entries):
-        p = np.array(entries, dtype=float)
-        if p.ndim != 2 or p.shape[0] != p.shape[1] or p.shape[0] == 0:
-            raise ValueError(f"expected a nonempty square matrix, got shape {p.shape}")
-        if float(np.abs(p - p.T).max()) > 1e-10:
-            raise ValueError("projection matrix is not symmetric")
-        if float(np.abs(p @ p - p).max()) > 1e-10:
-            raise ValueError("projection matrix is not idempotent")
-        self.entries = 0.5 * (p + p.T)
-        self.rank = int(round(float(np.trace(p))))
-        self.entries.setflags(write=False)
-
-    @property
-    def dim(self) -> int:
-        return self.entries.shape[0]
-
-    @classmethod
-    def identity(cls, dim: int) -> "Projection":
-        return cls(np.eye(dim))
-
-    def __repr__(self) -> str:
-        return f"Projection(dim={self.dim}, rank={self.rank})"
-
-
 def sqrt_entries(m: CovMatrix) -> np.ndarray:
     """Entries of the symmetric PSD square root, computed in the cached eigenbasis."""
     root = (m.eigenvectors * np.sqrt(m.eigenvalues)) @ m.eigenvectors.T
@@ -151,50 +116,32 @@ def check_full_rank(f: np.ndarray, what: str) -> None:
         raise RankDeficient(f"{what} are numerically dependent")
 
 
-def projection_from_frame(f: np.ndarray) -> Projection:
-    """Orthogonal projection onto the column span of a full-column-rank frame.
-
-    Raises ``RankDeficient`` unless ``check_full_rank`` passes.
+def subspace_pinv(c: CovMatrix, f) -> np.ndarray:
+    """Inverse of ``c`` restricted to the span of the ``dim x k`` frame ``f`` (one fund a
+    column, ``1 <= k <= dim``), zero on its orthogonal complement: ``q (q' c q)^-1 q'`` for
+    the frame's QR basis ``q``, which is ``f (f' c f)^-1 f'``.  Raises ``ValueError`` for
+    another shape, ``RankDeficient`` unless ``check_full_rank`` passes, and
+    ``SingularOnSubspace`` unless ``q' c q`` passes ``is_definite``.
     """
     f = np.asarray(f, dtype=float)
-    if f.ndim != 2 or f.shape[1] == 0 or f.shape[0] < f.shape[1]:
-        raise ValueError(f"expected a tall dim x k frame, got shape {f.shape}")
+    if f.ndim != 2 or f.shape[0] != c.dim or not 1 <= f.shape[1] <= c.dim:
+        raise ValueError(f"expected a {c.dim} x k frame, 1 <= k <= {c.dim}, got shape {f.shape}")
     check_full_rank(f, "frame columns")
     q, _ = np.linalg.qr(f)
-    p = q @ q.T
-    return Projection(0.5 * (p + p.T))
+    w, v = np.linalg.eigh(q.T @ c.entries @ q)
+    if not is_definite(w[0], w[-1]):
+        raise SingularOnSubspace(f"c restricted to the span of {f.shape[1]} funds is singular")
+    y = q @ v
+    return (y / w) @ y.T
 
 
-def subspace_pinv(c: CovMatrix, p: Projection) -> np.ndarray:
-    """Inverse of ``p c p`` viewed as a linear map on the range of ``p``.
+def check_lemma_error_reduction(c: CovMatrix, f) -> float:
+    """Smallest eigenvalue of ``c - c pinv c``, ``pinv = subspace_pinv(c, f)``.
 
-    The result vanishes on ``ker(p)``.  Realised by eigendecomposition with a
-    spectral cutoff of ``1e-12 * trace(c)`` so the subspace semantics stay
-    explicit; raises ``SingularOnSubspace`` when the restriction has fewer
-    eigenvalues above the cutoff than ``rank(p)``.
-    """
-    if c.dim != p.dim:
-        raise ValueError(f"dimension mismatch: c is {c.dim}, p is {p.dim}")
-    a = p.entries @ c.entries @ p.entries
-    a = 0.5 * (a + a.T)
-    w, v = np.linalg.eigh(a)
-    cutoff = SUBSPACE_CUTOFF_RTOL * max(c.trace, 0.0)
-    keep = w > cutoff
-    if int(keep.sum()) < p.rank:
-        raise SingularOnSubspace(
-            f"restriction to the rank-{p.rank} subspace is numerically singular"
-        )
-    vk = v[:, keep]
-    return (vk / w[keep]) @ vk.T
-
-
-def check_lemma_error_reduction(c: CovMatrix, p: Projection) -> float:
-    """Smallest eigenvalue of ``c - c (p c p)^+ c``.
-
-    Nonnegative up to round-off for every PSD ``c`` and projection ``p``: a
+    Nonnegative up to round-off for every PSD ``c`` and frame ``f``: a
     restricted universe never increases the estimation loss it quantifies.
     """
-    pinv = subspace_pinv(c, p)
+    pinv = subspace_pinv(c, f)
     diff = c.entries - c.entries @ pinv @ c.entries
     diff = 0.5 * (diff + diff.T)
     return float(np.linalg.eigvalsh(diff)[0])

@@ -21,8 +21,7 @@ from typing import Callable, Iterator, Optional
 import numpy as np
 
 from . import estimators, filtering, shrinkage
-from .psd import (CovMatrix, Projection, check_lemma_error_reduction, projection_from_frame,
-                  sqrt_entries)
+from .psd import CovMatrix, check_lemma_error_reduction, sqrt_entries
 
 
 @dataclass(frozen=True)
@@ -49,11 +48,10 @@ def _random_psd(rng: np.random.Generator, dim: int, definite: bool = True) -> Co
     return CovMatrix(m)
 
 
-def _random_projection(rng: np.random.Generator, dim: int) -> Projection:
+def _random_universe(rng: np.random.Generator, dim: int) -> np.ndarray:
+    """A frame of 1 to ``dim`` funds: the identity at full rank, else a Gaussian frame."""
     rank = int(rng.integers(1, dim + 1))
-    if rank >= dim:
-        return Projection.identity(dim)
-    return projection_from_frame(rng.standard_normal((dim, rank)))
+    return np.eye(dim) if rank >= dim else rng.standard_normal((dim, rank))
 
 
 def _random_frame(rng: np.random.Generator, dim: int, k: int) -> np.ndarray:
@@ -92,12 +90,12 @@ def check_frobenius_min(rng: np.random.Generator, instances: int) -> Violations:
 
 
 def check_error_reduction(rng: np.random.Generator, instances: int) -> Violations:
-    """``c (p c p)^+ c`` never exceeds ``c`` in the PSD order."""
+    """``c subspace_pinv(c, f) c`` never exceeds ``c`` in the PSD order."""
     for _ in range(instances):
         dim = int(rng.integers(2, 7))
         c = _random_psd(rng, dim)
-        p = _random_projection(rng, dim)
-        yield -check_lemma_error_reduction(c, p) / c.trace
+        f = _random_universe(rng, dim)
+        yield -check_lemma_error_reduction(c, f) / c.trace
 
 
 def _bisect_fixed_point(h: np.ndarray, z: np.ndarray) -> float:

@@ -17,7 +17,7 @@ from fundgrowth.filtering import (
     truncated_posterior_1d,
 )
 from fundgrowth.marketsim import simulate_path, uniform_clock
-from fundgrowth.psd import CovMatrix, Projection, projection_from_frame, sqrt_entries
+from fundgrowth.psd import CovMatrix, sqrt_entries
 
 
 def random_cov(rng, dim, definite=True):
@@ -204,12 +204,8 @@ class TestRestrictedGrowthLoss:
         d_c = random_cov(rng, 4)
         kappa = random_cov(rng, 4, definite=False)
         full = growth_loss(kappa, d_c)
-        restricted = restricted_growth_loss(kappa, d_c, Projection.identity(4))
+        restricted = restricted_growth_loss(kappa, d_c, np.eye(4))
         assert restricted == pytest.approx(full, rel=1e-10)
-
-    def test_rank_zero_is_zero(self):
-        d_c = CovMatrix(np.eye(3))
-        assert restricted_growth_loss(np.eye(3), d_c, Projection(np.zeros((3, 3)))) == 0.0
 
     def test_smaller_universe_loses_less(self):
         rng = np.random.default_rng(26)
@@ -218,9 +214,8 @@ class TestRestrictedGrowthLoss:
             d_c = random_cov(rng, dim)
             kappa = random_cov(rng, dim, definite=False)
             rank = int(rng.integers(1, dim + 1))
-            p = (Projection.identity(dim) if rank == dim
-                 else projection_from_frame(rng.standard_normal((dim, rank))))
-            assert restricted_growth_loss(kappa, d_c, p) <= growth_loss(kappa, d_c) + 1e-9
+            f = np.eye(dim) if rank == dim else rng.standard_normal((dim, rank))
+            assert restricted_growth_loss(kappa, d_c, f) <= growth_loss(kappa, d_c) + 1e-9
 
     def test_nested_monotonicity(self):
         rng = np.random.default_rng(27)
@@ -229,11 +224,9 @@ class TestRestrictedGrowthLoss:
             d_c = random_cov(rng, dim)
             kappa = random_cov(rng, dim, definite=False)
             frame = rng.standard_normal((dim, int(rng.integers(2, dim))))
-            outer_p = projection_from_frame(frame)
-            inner_p = projection_from_frame(frame[:, :-1])
             assert (
-                restricted_growth_loss(kappa, d_c, inner_p)
-                <= restricted_growth_loss(kappa, d_c, outer_p) + 1e-9
+                restricted_growth_loss(kappa, d_c, frame[:, :-1])
+                <= restricted_growth_loss(kappa, d_c, frame) + 1e-9
             )
 
     def test_matches_the_frame_formula(self):
@@ -249,14 +242,13 @@ class TestRestrictedGrowthLoss:
             f = (u * rng.uniform(0.5, 2.0, k)) @ v      # singular values in [0.5, 2]
             dc_f = d_c.entries @ f
             expected = 0.5 * np.trace(np.linalg.solve(f.T @ dc_f, dc_f.T @ kappa.entries @ dc_f))
-            got = restricted_growth_loss(kappa, d_c, projection_from_frame(f))
+            got = restricted_growth_loss(kappa, d_c, f)
             assert got == pytest.approx(expected, rel=1e-10)
 
     def test_degenerate_restriction_rejected(self):
         d_c = CovMatrix(np.diag([1.0, 0.0]))
-        p = Projection(np.diag([0.0, 1.0]))
         with pytest.raises(SingularOnSubspace):
-            restricted_growth_loss(np.eye(2), d_c, p)
+            restricted_growth_loss(np.eye(2), d_c, [[0.0], [1.0]])
 
 
 class TestPortfolioGrowthVariance:

@@ -8,12 +8,10 @@ from fundgrowth.psd import (
     PD_RTOL,
     RANK_RTOL,
     CovMatrix,
-    Projection,
     check_lemma_error_reduction,
     inverse_entries,
     is_definite,
     is_full_rank,
-    projection_from_frame,
     sqrt_entries,
     subspace_pinv,
 )
@@ -157,28 +155,24 @@ class TestInverseEntries:
 
 
 class TestProjection:
+    """Restricted to a frame's span, the identity's inverse is the orthogonal projection."""
+
+    @staticmethod
+    def projection(f):
+        return subspace_pinv(CovMatrix(np.eye(len(f))), f)
+
     def test_axis(self):
-        p = projection_from_frame(np.array([[1.0], [0.0]]))
-        np.testing.assert_allclose(p.entries, np.diag([1.0, 0.0]), atol=1e-12)
-        assert p.rank == 1
+        p = self.projection(np.array([[1.0], [0.0]]))
+        np.testing.assert_allclose(p, np.diag([1.0, 0.0]), atol=1e-12)
 
     def test_diagonal_direction(self):
-        p = projection_from_frame(np.array([[1.0], [1.0]]))
-        np.testing.assert_allclose(p.entries, np.full((2, 2), 0.5), atol=1e-12)
-
-    def test_random_frame_identities(self):
-        rng = np.random.default_rng(3)
-        f = rng.standard_normal((4, 2))
-        p = projection_from_frame(f)
-        assert np.abs(p.entries @ p.entries - p.entries).max() <= 1e-10
-        assert np.abs(p.entries - p.entries.T).max() <= 1e-10
-        assert p.rank == 2
-        np.testing.assert_allclose(p.entries @ f, f, atol=1e-9)
+        p = self.projection(np.array([[1.0], [1.0]]))
+        np.testing.assert_allclose(p, np.full((2, 2), 0.5), atol=1e-12)
 
     def test_rank_deficient_rejected(self):
         f = np.array([[1.0, 2.0], [2.0, 4.0], [3.0, 6.0]])
         with pytest.raises(RankDeficient):
-            projection_from_frame(f)
+            self.projection(f)
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 10**6))
@@ -188,39 +182,40 @@ class TestProjection:
         k = int(rng.integers(1, dim + 1))
         f = rng.standard_normal((dim, k))
         g = rng.standard_normal((k, k)) + 3.0 * np.eye(k)   # comfortably invertible
-        p1 = projection_from_frame(f)
-        p2 = projection_from_frame(f @ g)
-        assert np.abs(p1.entries - p2.entries).max() <= 1e-9
+        p1 = self.projection(f)
+        p2 = self.projection(f @ g)
+        assert np.abs(p1 - p2).max() <= 1e-9
 
 
 class TestSubspacePinv:
     def test_full_rank_is_inverse(self):
         rng = np.random.default_rng(5)
         c = random_psd(rng, 4)
-        m = subspace_pinv(c, Projection.identity(4))
+        m = subspace_pinv(c, np.eye(4))
         np.testing.assert_allclose(m @ c.entries, np.eye(4), atol=1e-9)
 
     def test_diagonal_case(self):
         c = CovMatrix(np.diag([2.0, 3.0]))
-        p = Projection(np.diag([1.0, 0.0]))
-        np.testing.assert_allclose(subspace_pinv(c, p), np.diag([0.5, 0.0]), atol=1e-12)
+        m = subspace_pinv(c, [[1.0], [0.0]])
+        np.testing.assert_allclose(m, np.diag([0.5, 0.0]), atol=1e-12)
 
     def test_defining_identities(self):
         rng = np.random.default_rng(17)
         c = random_psd(rng, 4)
-        p = projection_from_frame(rng.standard_normal((4, 2)))
-        m = subspace_pinv(c, p)
-        pcp = p.entries @ c.entries @ p.entries
-        np.testing.assert_allclose(pcp @ m, p.entries, atol=1e-9)
+        f = rng.standard_normal((4, 2))
+        m = subspace_pinv(c, f)
+        q, _ = np.linalg.qr(f)
+        p = q @ q.T
+        pcp = p @ c.entries @ p
+        np.testing.assert_allclose(pcp @ m, p, atol=1e-9)
         np.testing.assert_allclose(m @ pcp @ m, m, atol=1e-9)
-        # vanishes on ker(p)
-        np.testing.assert_allclose(m @ (np.eye(4) - p.entries), 0.0, atol=1e-10)
+        # vanishes on the span's complement
+        np.testing.assert_allclose(m @ (np.eye(4) - p), 0.0, atol=1e-10)
 
     def test_singular_restriction_rejected(self):
         c = CovMatrix(np.diag([1.0, 0.0]))
-        p = Projection(np.diag([0.0, 1.0]))     # range(p) sits in ker(c)
         with pytest.raises(SingularOnSubspace):
-            subspace_pinv(c, p)
+            subspace_pinv(c, [[0.0], [1.0]])     # the span sits in ker(c)
 
     def test_matches_the_frame_formula(self):
         """The restricted inverse is ``f (f' c f)^-1 f'``, solved directly, for any basis ``f``.
@@ -237,25 +232,32 @@ class TestSubspacePinv:
             u, v = (np.linalg.qr(rng.standard_normal((n, k)))[0] for n in (dim, k))
             f = (u * rng.uniform(0.5, 2.0, k)) @ v      # singular values in [0.5, 2]
             expected = f @ np.linalg.solve(f.T @ c.entries @ f, f.T)
-            got = subspace_pinv(c, projection_from_frame(f))
+            got = subspace_pinv(c, f)
             assert np.abs(got - expected).max() <= 1e-10 * np.abs(expected).max()
 
-    def test_rank_zero_gives_zero(self):
+    def test_is_definite_on_the_span_decides(self):
+        """Singularity is judged on the span's own scale, not against ``tr c``."""
+        c = CovMatrix(np.diag([1.0, 1e-13]))
+        m = subspace_pinv(c, [[0.0], [1.0]])      # 1e-13 < 1e-12 tr c, yet definite on the span
+        np.testing.assert_allclose(m, np.diag([0.0, 1e13]), rtol=1e-12)
+
+    def test_wrong_shape_rejected(self):
         c = CovMatrix(np.eye(3))
-        p = Projection(np.zeros((3, 3)))
-        np.testing.assert_allclose(subspace_pinv(c, p), 0.0, atol=1e-15)
+        for f in (np.ones(3), np.ones((2, 1)), np.ones((3, 0)), np.eye(3, 4)):
+            with pytest.raises(ValueError, match="frame"):
+                subspace_pinv(c, f)
 
 
 class TestErrorReduction:
     def test_identity_projection_is_equality(self):
         rng = np.random.default_rng(23)
         c = random_psd(rng, 5)
-        smallest = check_lemma_error_reduction(c, Projection.identity(5))
+        smallest = check_lemma_error_reduction(c, np.eye(5))
         assert abs(smallest) <= 1e-9 * c.trace
 
     def test_identity_covariance(self):
-        p = projection_from_frame(np.random.default_rng(2).standard_normal((4, 2)))
-        smallest = check_lemma_error_reduction(CovMatrix(np.eye(4)), p)
+        f = np.random.default_rng(2).standard_normal((4, 2))
+        smallest = check_lemma_error_reduction(CovMatrix(np.eye(4)), f)
         assert abs(smallest) <= 1e-10   # difference is the projector complement
 
     def test_randomized_sweep(self):
@@ -264,6 +266,5 @@ class TestErrorReduction:
             dim = int(rng.integers(2, 7))
             c = random_psd(rng, dim)
             rank = int(rng.integers(1, dim + 1))
-            p = (Projection.identity(dim) if rank == dim
-                 else projection_from_frame(rng.standard_normal((dim, rank))))
-            assert check_lemma_error_reduction(c, p) >= -1e-9 * c.trace
+            f = np.eye(dim) if rank == dim else rng.standard_normal((dim, rank))
+            assert check_lemma_error_reduction(c, f) >= -1e-9 * c.trace
