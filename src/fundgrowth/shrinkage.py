@@ -75,19 +75,24 @@ def solve_b(h: CovMatrix, z: np.ndarray) -> FixedPointResult:
     tangent of a convex function lies below it.  It stops at ``|g| <= RESIDUAL_TOL * b``,
     a relative residual at any scale.  Near the root the divisor is at most 3, so rounding
     stops ``b`` short of that only if the step underflows: ``NoConvergence``.  ``z`` must
-    be finite; if ``h z = 0`` the problem is degenerate and ``b = 0``.
+    be finite; if ``h z = 0`` the problem is degenerate and ``b = 0``; otherwise the ``w_i``
+    must not overflow (``ValueError``).
     """
     z = np.asarray(z, dtype=float).reshape(-1)
     if z.size != h.dim:
         raise ValueError(f"z has size {z.size}, h has dim {h.dim}")
     if not np.isfinite(z).all():
         raise ValueError("z must be finite")
-    h_norm, z_norm = float(h.eigenvalues[0]), float(np.linalg.norm(z))
-    if float(np.linalg.norm(h.entries @ z)) <= _DEGENERATE_RTOL * h_norm * z_norm:
+    z_max = float(np.abs(z).max())
+    unit = z / z_max if z_max > 0.0 else z      # h z itself may overflow; hypot does not
+    if math.hypot(*h.entries @ unit) <= _DEGENERATE_RTOL * h.eigenvalues[0] * math.hypot(*unit):
         return FixedPointResult(b=0.0, iterations=0, residual=0.0, degenerate=True)
 
     mask = h.eigenvalues > 0.0
-    s, w = h.eigenvalues[mask], ((h.eigenvectors.T @ z) ** 2)[mask]
+    with np.errstate(over="ignore", invalid="ignore"):
+        s, w = h.eigenvalues[mask], ((h.eigenvectors.T @ z) ** 2)[mask]
+        if not np.isfinite(w.sum()):
+            raise ValueError("z is too large: its squared eigen-coordinates overflow")
     b = 0.0
     for iteration in range(1, MAX_ITERATIONS + 1):
         d = s + b
@@ -120,13 +125,14 @@ def shrink_portfolio(nu_hat: np.ndarray, kappa: CovMatrix, d_c: CovMatrix) -> Sh
     root = (d_c.eigenvectors * np.sqrt(w)) @ d_c.eigenvectors.T
     inv_root = (d_c.eigenvectors / np.sqrt(w)) @ d_c.eigenvectors.T
     h = CovMatrix(root @ kappa.entries @ root)
-    z = root @ nu_hat
+    with np.errstate(invalid="ignore", over="ignore"):
+        z = root @ nu_hat                   # solve_b refuses a z that is not finite
+    fp = solve_b(h, z)
 
     d_f = 0.5 * float(z @ z)
     d_v_sq = float(z @ h.entries @ z)
     psi = 13.5 * d_f * d_f / d_v_sq if d_v_sq > 0.0 else math.inf
 
-    fp = solve_b(h, z)
     if fp.degenerate:
         return ShrinkResult(
             rho=nu_hat.copy(), b=0.0, a=1.0, psi=psi, e_sq=0.0,
@@ -140,7 +146,7 @@ def shrink_portfolio(nu_hat: np.ndarray, kappa: CovMatrix, d_c: CovMatrix) -> Sh
 
     e_sq = fp.b ** 2 + float(y @ h.entries @ y)
     spread = float(s[0] - s[-1])
-    uniform = h.dim == 1 or spread <= 1e-12 * max(s[0], 1.0)
+    uniform = h.dim == 1 or spread <= 1e-12 * s[0]
     a = fp.b / (fp.b + float(s.mean())) if uniform else None
     return ShrinkResult(
         rho=rho, b=fp.b, a=a, psi=psi, e_sq=e_sq,

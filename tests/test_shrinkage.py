@@ -93,6 +93,22 @@ class TestSolveB:
         with pytest.raises(ValueError, match="z must be finite"):
             shrink_portfolio(np.array([math.nan, 1.0]), CovMatrix(np.eye(2)), CovMatrix(np.eye(2)))
 
+    def test_infinite_nu_hat_is_refused_without_a_warning(self):
+        # the suite makes a RuntimeWarning an error: the inf * 0 of root @ nu_hat must not warn
+        with pytest.raises(ValueError, match="z must be finite"):
+            shrink_portfolio(np.array([math.inf, 1.0]), CovMatrix(np.eye(2)), CovMatrix(np.eye(2)))
+
+    def test_overflowing_z_is_refused(self):
+        # the squared eigen-coordinate 1e400 overflows; it is not a degenerate problem
+        with pytest.raises(ValueError, match="overflow"):
+            solve_b(CovMatrix([[1.0]]), np.array([1e200]))
+
+    def test_an_h_z_beyond_a_plain_norm_is_solved(self):
+        # ||h z|| = 1e310 overflows np.linalg.norm; b is w/2 = 5e19 to 1e-20 relative
+        result = solve_b(CovMatrix([[1e300]]), np.array([1e10]))
+        assert not result.degenerate
+        assert result.b == pytest.approx(5e19, rel=1e-12)
+
     def test_matches_bisection_sweep(self):
         rng = np.random.default_rng(31)
         for _ in range(300):
@@ -190,6 +206,15 @@ class TestShrinkPortfolio:
         result = shrink_portfolio(np.array([2.0]), CovMatrix([[0.5]]), CovMatrix([[0.04]]))
         assert result.a is not None
         np.testing.assert_allclose(result.rho, result.a * 2.0, atol=1e-10)
+
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-6, 1e-13])
+    def test_uniform_curvature_is_judged_at_its_own_scale(self, scale):
+        eye = CovMatrix(np.eye(2))
+        skewed = shrink_portfolio(np.ones(2), CovMatrix(np.diag([1.0, 2.0]) * scale), eye)
+        assert skewed.a is None                 # 2:1 curvature is not uniform at any scale
+        spherical = shrink_portfolio(np.ones(2), CovMatrix(np.eye(2) * scale), eye)
+        assert spherical.a == pytest.approx(cardano_a(spherical.psi), rel=1e-10)
 
 
 class TestCardano:
