@@ -188,7 +188,13 @@ BLOCK_CONFIGS = {
     "uninformative": lambda k: BacktestConfig(burn_in_days=100),
     "anchored_no_burn_in": lambda k: anchored(k, burn_in_days=0),
     "anchored_burn_in_opens_a_block": lambda k: anchored(k, burn_in_days=63),
+    "anchored_one_post_burn_in_row": lambda k: anchored(k, burn_in_days=62),
+    # day 105 is row 0 of a block, after a row of NaN estimates; day 104 a block's last row
+    "burn_in_opens_a_block": lambda k: BacktestConfig(burn_in_days=105),
+    "burn_in_ends_a_block": lambda k: BacktestConfig(burn_in_days=104),
     "demeaned": lambda k: BacktestConfig(burn_in_days=100, demean_covariance=True),
+    "demeaned_burn_in_opens_a_block":
+        lambda k: BacktestConfig(burn_in_days=105, demean_covariance=True),
     "force_a": lambda k: BacktestConfig(burn_in_days=100, force_a=0.3),
     "force_nu_hat": lambda k: BacktestConfig(burn_in_days=100, force_nu_hat=np.full(k, 1.0)),
     "truncated": lambda k: BacktestConfig(burn_in_days=100, truncation_l=0.0),
