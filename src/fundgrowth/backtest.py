@@ -10,10 +10,12 @@ shrunk version are produced, together with the achievable-growth process
 ``F``.
 
 Every column is a running sum or a pointwise map of running sums, so the
-backtest works on whole arrays, one block of rows at a time: ``R`` and ``C``
-are cumulative sums carried from block to block, the posterior is one batched
-solve per block, and the tracks are cumulative sums of daily log-growth.
-Memory is bounded by the block, not by the series, at any number of funds.
+backtest works on whole arrays, one block of rows at a time.  Row 0 of a
+block's arrays is the row before the block: the last row of the block before
+it, or the prior anchor, a zero estimate and zero wealth.  ``R``, ``C`` and the
+tracks (cumulative sums of daily log-growth) run on from it, day t's portfolio
+is the row above it, and the posterior is one batched solve per block.  Memory
+is bounded by the block, not by the series, at any number of funds.
 
 Wealth compounds discretely through ``log(1 + pi' x)`` while ``F`` uses the
 instantaneous form on the daily squared returns; the two agree only in the
@@ -322,24 +324,15 @@ def _check_definite(c_post: np.ndarray, lam_b: float, first_day: int) -> None:
             raise SingularC("cumulative covariance is not positive definite")
 
 
-def _log_growth(change: np.ndarray) -> tuple[np.ndarray, int]:
-    """Log-wealth steps ``log(1 + change)``, and the number clamped at the
-    wealth floor."""
-    floored = change <= -1.0 + _WEALTH_FLOOR
-    steps = np.log1p(np.where(floored, 0.0, change))
-    steps[floored] = math.log(_WEALTH_FLOOR)
-    return steps, int(floored.sum())
-
-
 def backtest_blocks(series: ReturnSeries,
                     config: Optional[BacktestConfig] = None) -> Iterator[BacktestSeries]:
     """Backtest a return series, one block of consecutive rows at a time.
 
-    ``R``, ``C``, the held estimate, the wealth tracks, ``F`` and the floored
-    step count carry from block to block; they are running sums, so the blocks
-    hold the same bits as one pass over the series.  Raises
-    ``InsufficientBurnIn`` unless ``C`` is positive definite on the burn-in day
-    and ``SingularC`` if it stops being so afterwards.
+    Each block starts from the row before it, so the blocks hold the same bits as
+    one pass over the series.  A block's columns are views from row 1 and the next
+    block starts from their last row: writing into a block changes the blocks after
+    it.  Raises ``InsufficientBurnIn`` unless ``C`` is positive definite on the
+    burn-in day and ``SingularC`` if it stops being so afterwards.
     """
     config = config or BacktestConfig()
     n, k, b = series.n, series.k, config.burn_in_days
@@ -347,37 +340,32 @@ def backtest_blocks(series: ReturnSeries,
         raise InsufficientBurnIn(f"series has {n} row(s), burn-in needs more than {b}")
     if config.truncation is not None and k != 1:
         raise ConfigError("truncation requires a single fund")
-    r, c = _prior_anchor(config, k)
+    r_cum, c_cum = (row[None] for row in _prior_anchor(config, k))
     force_nu = config.force_nu_hat
     if force_nu is not None and force_nu.size != k:
         raise ConfigError(f"force_nu_hat has size {force_nu.size}, series has {k} fund(s)")
 
-    # Carried from block to block; copies, so that no block's arrays stay alive
-    # in them or change with what a consumer does to a block.
-    x_sum = np.zeros(k)
-    lam_b = math.nan
-    held_nu, held_a = np.zeros((1, k)), 0.0    # the estimate of the day before the block
-    levels = np.zeros(4)                      # market, nu_hat and shrunk log wealth, F
-    floored_steps = 0
+    # with the prior anchor, the row before the first block
+    nu, a, tracks = np.zeros((1, k)), np.zeros(1), np.zeros((4, 1))
+    x_sum, lam_b, floored_steps = np.zeros(k), math.nan, 0
     rows = max(1, _BLOCK_ENTRIES // (k * k))
     for start in range(0, n, rows):
         stop = min(start + rows, n)
+        m = stop - start
         x = series.fund_returns[start:stop] - series.risk_free[start:stop, None]
-        # Row 0 of each running sum is the carried value; np.cumsum adds day by day.
-        r_cum = np.cumsum(np.vstack([r, x]), axis=0)[1:]
-        c_cum = np.empty((stop - start + 1, k, k))
-        c_cum[0] = c
+        before = r_cum[-1], c_cum[-1], nu[-1], a[-1], tracks[:, -1]
+        r_cum, c_cum = np.empty((m + 1, k)), np.empty((m + 1, k, k))
+        nu, a, tracks = (np.full(shape, math.nan) for shape in ((m + 1, k), m + 1, (4, m + 1)))
+        psi = np.full(m, math.nan)
+        r_cum[0], c_cum[0], nu[0], a[0], tracks[:, 0] = before
+        r_cum[1:] = x
         x_sum = _squared_returns(x, start, x_sum, config.demean_covariance, out=c_cum[1:])
-        c_cum = np.cumsum(c_cum, axis=0, out=c_cum)[1:]
-        r, c = r_cum[-1].copy(), c_cum[-1].copy()
+        np.cumsum(r_cum, axis=0, out=r_cum)
+        np.cumsum(c_cum, axis=0, out=c_cum)
 
-        p = min(max(b - start, 0), stop - start)     # the block's burn-in rows
-        nu = np.full((stop - start, k), math.nan)
-        psi = np.full(stop - start, math.nan)
-        a = np.full(stop - start, math.nan)
-        tracks = np.full((4, stop - start), math.nan)
-        if p < stop - start:
-            r_post, c_post = r_cum[p:], c_cum[p:]
+        p = min(max(b - start, 0), m)     # the block's burn-in rows
+        if p < m:
+            r_post, c_post = r_cum[p + 1:], c_cum[p + 1:]
             opening = start + p == b
             if opening:
                 lam = np.linalg.eigvalsh(c_post[0])
@@ -387,7 +375,7 @@ def backtest_blocks(series: ReturnSeries,
                 lam_b = lam[0]
             _check_definite(c_post, lam_b, start + p)
 
-            nu_post, psi_post, a_post = nu[p:], psi[p:], a[p:]
+            nu_post, psi_post, a_post = nu[p + 1:], psi[p:], a[p + 1:]
             if k == 1:     # under a pin too: psi needs kappa, and truncation may raise
                 nu_post[:, 0], kappa = _one_fund_posterior(r_post[:, 0], c_post[:, 0, 0],
                                                            config.truncation)
@@ -402,32 +390,33 @@ def backtest_blocks(series: ReturnSeries,
             a_post[:] = (config.force_a if config.force_a is not None
                          else shrinkage.cardano_a(psi_post))
 
-            # Day t's portfolio is the estimate of day t-1; the tracks start at 0 on day b.
-            x_post = x[p:]
-            growth = np.einsum("ti,ti->t", np.vstack([held_nu, nu_post[:-1]]), x_post)
-            changes = np.stack([x_post.mean(axis=1), growth,
-                                np.concatenate([[held_a], a_post[:-1]]) * growth,
-                                0.5 * growth * growth])
+            # Day t's portfolio is the row above it.  The tracks start at 0 on day b,
+            # whose row above is a burn-in row, so its steps are those after it.
             if opening:
-                changes[:, 0] = 0.0
-            for i in range(3):
-                changes[i], floored = _log_growth(changes[i])
-                floored_steps += floored
-            tracks[:, p:] = np.cumsum(np.column_stack([levels, changes]), axis=1)[:, 1:]
-            levels, held_nu, held_a = tracks[:, -1].copy(), nu[-1:].copy(), a[-1]
+                tracks[:, p + 1] = 0.0
+            q = p + 1 + opening       # the first row with a step
+            growth = np.einsum("ti,ti->t", nu[q - 1:-1], x[q - 1:])
+            tracks[:, q:] = (x[q - 1:].mean(axis=1), growth, a[q - 1:-1] * growth,
+                             0.5 * growth * growth)
+            wealth = tracks[:3, q:]
+            floored = wealth <= -1.0 + _WEALTH_FLOOR
+            floored_steps += int(floored.sum())
+            wealth[:] = np.log1p(np.where(floored, 0.0, wealth))
+            wealth[floored] = math.log(_WEALTH_FLOOR)
+            np.cumsum(tracks[:, q - 1:], axis=1, out=tracks[:, q - 1:])
 
         yield BacktestSeries(
             dates=series.dates[start:stop],
             excess=x,
-            r_cum=r_cum,
-            c_cum=c_cum,
-            nu_hat=nu,
+            r_cum=r_cum[1:],
+            c_cum=c_cum[1:],
+            nu_hat=nu[1:],
             psi=psi,
-            a=a,
-            log_wealth_market=tracks[0],
-            log_wealth_nuhat=tracks[1],
-            log_wealth_shrunk=tracks[2],
-            f_growth=tracks[3],
+            a=a[1:],
+            log_wealth_market=tracks[0, 1:],
+            log_wealth_nuhat=tracks[1, 1:],
+            log_wealth_shrunk=tracks[2, 1:],
+            f_growth=tracks[3, 1:],
             burn_in=p,
             floored_steps=floored_steps,
         )
