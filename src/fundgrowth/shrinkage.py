@@ -9,10 +9,11 @@ deviation of realised growth from the achievable optimum,
 
 whose unique minimiser is ``(id + kappa dC / b)^{-1} nu_hat`` with the scalar
 ``b`` (the growth given up locally) the root of a one-dimensional fixed-point
-equation, which Newton's method from zero finds to a relative residual.  With a
-single fund, or with Bayesian updating under a constant covariance rate, the
-minimiser collapses to a uniform multiplier ``a`` of the filtered portfolio,
-available in closed form via Cardano's formula.
+equation, which Newton's method from a closed-form lower bound finds to a
+relative residual.  With a single fund, or with Bayesian updating under a
+constant covariance rate, the minimiser collapses to a uniform multiplier
+``a`` of the filtered portfolio, available in closed form via Cardano's
+formula.
 
 All functions are pure and safe for unrestricted concurrent use.
 """
@@ -70,13 +71,16 @@ def solve_b(h: CovMatrix, z: np.ndarray) -> FixedPointResult:
 
     In the eigenbasis of ``h`` (eigenvalues ``s_i``, weights ``w_i`` of ``z``) ``b`` is the
     root of ``g(b) = f(b) - b``, ``f(b) = sum_i q_i / 2``, ``q_i = w_i s_i^2 / (s_i + b)^2``.
-    ``g`` is convex and strictly decreasing, so Newton's method from ``b = 0``,
-    ``b += g / (1 + sum_i q_i / (s_i + b))``, rises to the root without passing it: each
-    tangent of a convex function lies below it.  It stops at ``|g| <= RESIDUAL_TOL * b``,
-    a relative residual at any scale.  Near the root the divisor is at most 3, so rounding
-    stops ``b`` short of that only if the step underflows: ``NoConvergence``.  ``z`` must
-    be finite; if ``h z = 0`` the problem is degenerate and ``b = 0``; otherwise the ``w_i``
-    must not overflow (``ValueError``).
+    ``g`` is convex and strictly decreasing, so Newton's method from below the root,
+    ``b += g / (1 + sum_i q_i / (s_i + b))``, rises to it without passing it: each tangent
+    of a convex function lies below it.  It starts at ``b0 = s (v - 1/v)^2 / 3``, ``v - 1/v
+    = 2 sinh(asinh(sqrt(psi)) / 3)``, ``psi = 27 W / (8 s)``, the root of ``b (s + b)^2 =
+    W s^2 / 2`` for the least positive ``s_i`` and ``W = sum_i w_i``, below the root as ``f(b)
+    >= W s^2 / (2 (s + b)^2)``; at 0 if ``b0`` is not finite or rounded past the root.  It
+    stops at ``|g| <= RESIDUAL_TOL * b``, a relative residual at any scale.  Near the root
+    the divisor is at most 3, so rounding stops ``b`` short of that only if the step
+    underflows: ``NoConvergence``.  ``z`` must be finite; if ``h z = 0`` the problem is
+    degenerate and ``b = 0``; otherwise the ``w_i`` must not overflow (``ValueError``).
     """
     z = np.asarray(z, dtype=float).reshape(-1)
     if z.size != h.dim:
@@ -93,7 +97,10 @@ def solve_b(h: CovMatrix, z: np.ndarray) -> FixedPointResult:
         s, w = h.eigenvalues[mask], ((h.eigenvectors.T @ z) ** 2)[mask]
         if not np.isfinite(w.sum()):
             raise ValueError("z is too large: its squared eigen-coordinates overflow")
-    b = 0.0
+    s_min = float(s.min())
+    root_psi = math.sqrt(float(w.sum())) / math.sqrt(s_min / 3.375)    # psi itself may overflow
+    b = 4.0 / 3.0 * s_min * math.sinh(math.asinh(root_psi) / 3.0) ** 2
+    b = b if math.isfinite(b) else 0.0
     for iteration in range(1, MAX_ITERATIONS + 1):
         d = s + b
         q = w * (s / d) ** 2
@@ -101,9 +108,12 @@ def solve_b(h: CovMatrix, z: np.ndarray) -> FixedPointResult:
         if abs(g) <= RESIDUAL_TOL * b:
             return FixedPointResult(b, iteration, abs(g), False)
         step = g / (1.0 + float(np.sum(q / d)))
-        if not b + step > b:
+        if b + step > b:
+            b += step
+        elif iteration == 1 and b > 0.0:      # rounding put b0 past the root
+            b = 0.0
+        else:
             break
-        b += step
     raise NoConvergence(f"fixed point not reached after {iteration} iterations")
 
 

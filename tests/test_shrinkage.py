@@ -109,6 +109,25 @@ class TestSolveB:
         assert not result.degenerate
         assert result.b == pytest.approx(5e19, rel=1e-12)
 
+    def test_a_huge_z_is_solved_from_the_lower_bound(self):
+        # b (1 + b)^2 = |z|^2 / 2: its root is (|z|^2 / 2)^(1/3) to 1e-66 relative at
+        # |z| = 1e100; Newton from 0 rises about 3/2 a step and took 194 steps at 1e50
+        result = solve_b(CovMatrix([[1.0]]), [1e100])
+        assert abs(0.5e200 / (1.0 + result.b) ** 2 - result.b) <= RESIDUAL_TOL * result.b
+        assert result.b == pytest.approx((1e200 / 2) ** (1 / 3), rel=1e-12)
+        assert solve_b(CovMatrix([[1.0]]), [1e50]).iterations <= 3
+
+    @pytest.mark.parametrize("factor", [4.0, math.inf])
+    def test_a_start_past_the_root_or_not_finite_falls_back_to_zero(self, monkeypatch, factor):
+        # in one dimension the lower bound is the root, so a larger sinh puts it past it
+        want = solve_b(CovMatrix([[1.0]]), [3.0])
+        sinh = math.sinh
+        monkeypatch.setattr(math, "sinh", lambda x: factor * sinh(x))
+        got = solve_b(CovMatrix([[1.0]]), [3.0])
+        assert got.residual <= RESIDUAL_TOL * got.b
+        assert got.b == pytest.approx(want.b, rel=1e-11)
+        assert got.iterations > want.iterations
+
     def test_matches_bisection_sweep(self):
         rng = np.random.default_rng(31)
         for _ in range(300):
