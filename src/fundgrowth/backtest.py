@@ -391,7 +391,7 @@ def backtest_blocks(series: ReturnSeries,
                          else shrinkage.cardano_a(psi_post))
 
             # Day t's portfolio is the row above it.  The tracks start at 0 on day b,
-            # whose row above is a burn-in row, so its steps are those after it.
+            # whose row above is a burn-in row, so the steps start on the day after.
             if opening:
                 tracks[:, p + 1] = 0.0
             q = p + 1 + opening       # the first row with a step

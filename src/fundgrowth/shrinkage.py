@@ -9,11 +9,10 @@ deviation of realised growth from the achievable optimum,
 
 whose unique minimiser is ``(id + kappa dC / b)^{-1} nu_hat`` with the scalar
 ``b`` (the growth given up locally) the root of a one-dimensional fixed-point
-equation, which Newton's method from a closed-form lower bound finds to a
-relative residual.  With a single fund, or with Bayesian updating under a
-constant covariance rate, the minimiser collapses to a uniform multiplier
-``a`` of the filtered portfolio, available in closed form via Cardano's
-formula.
+equation, which Newton's method from a lower bound finds to a relative
+residual.  With a single fund, or with Bayesian updating under a constant
+covariance rate, the minimiser collapses to a uniform multiplier ``a`` of the
+filtered portfolio, available in closed form via Cardano's formula.
 
 All functions are pure and safe for unrestricted concurrent use.
 """

@@ -204,8 +204,8 @@ BLOCK_CONFIGS = {
 @pytest.mark.parametrize("k, case", [(k, case) for case in sorted(BLOCK_CONFIGS)
                                      for k in (1, 2, 5) if case != "truncated" or k == 1])
 def test_block_size_invariance(monkeypatch, k, case):
-    # blocks of 7 rows carry R, C, the held estimate and the tracks across 43
-    # boundaries; the crash on day 200 floors wealth steps
+    # 43 blocks of 7 rows, each starting from the row before it; the crash on day 200
+    # floors wealth steps
     series, config = random_series(k, 300, seed=70 + k, crash_day=200), BLOCK_CONFIGS[case](k)
     whole, whole_csv = with_posterior(run_backtest(series, config), config), io.StringIO()
     write_backtest_csv(backtest_blocks(series, config), whole_csv)

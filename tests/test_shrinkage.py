@@ -111,7 +111,7 @@ class TestSolveB:
 
     def test_a_huge_z_is_solved_from_the_lower_bound(self):
         # b (1 + b)^2 = |z|^2 / 2: its root is (|z|^2 / 2)^(1/3) to 1e-66 relative at
-        # |z| = 1e100; Newton from 0 rises about 3/2 a step and took 194 steps at 1e50
+        # |z| = 1e100; from 0, Newton rises about 3/2 a step (194 steps to reach it at 1e50)
         result = solve_b(CovMatrix([[1.0]]), [1e100])
         assert abs(0.5e200 / (1.0 + result.b) ** 2 - result.b) <= RESIDUAL_TOL * result.b
         assert result.b == pytest.approx((1e200 / 2) ** (1 / 3), rel=1e-12)
