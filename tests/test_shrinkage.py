@@ -44,6 +44,24 @@ def bisect_b(h_entries, z):
     return 0.5 * (lo + hi)
 
 
+def wide_spectra(seed, count=2000):
+    """``(h, z)`` with eigenvalues ``10^U(-15, 15)``, about a quarter of them 0, in a random
+    basis (dim 1-8), and ``z`` scaled by ``10^U(-12, 12)``."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        dim = int(rng.integers(1, 9))
+        s = 10.0 ** rng.uniform(-15.0, 15.0, dim) * (rng.uniform(size=dim) >= 0.25)
+        basis, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
+        m = (basis * s) @ basis.T
+        yield CovMatrix(0.5 * (m + m.T)), rng.standard_normal(dim) * 10.0 ** rng.uniform(-12.0, 12.0)
+
+
+def fixed_point_gap(h, z, b):
+    """``g(b) = f(b) - b`` from the stored (clamped) eigenvalues of ``h``."""
+    w = (h.eigenvectors.T @ z) ** 2
+    return 0.5 * math.fsum(w * (h.eigenvalues / (h.eigenvalues + b)) ** 2) - b
+
+
 def tracking_objective(pi, nu_hat, kappa, d_c):
     bias = d_c @ (pi - nu_hat)
     var_vec = d_c @ pi
@@ -139,6 +157,21 @@ class TestSolveB:
                 continue
             assert result.b == pytest.approx(bisect_b(h.entries, z), abs=1e-10)
             assert result.b < 0.5 * float(z @ z)
+
+    def test_wide_spectra_sweep_brackets_the_root(self):
+        # g is strictly decreasing, so a b with g > 0 just below it and g < 0 just above it
+        # is the root to 1e-9; the eigenvalues span 30 decades, so a start from the least one
+        # alone lies far below the root
+        solved = 0
+        for h, z in wide_spectra(11):
+            result = solve_b(h, z)
+            if result.degenerate:
+                continue
+            b = result.b
+            assert abs(fixed_point_gap(h, z, b)) <= 2.0 * RESIDUAL_TOL * b
+            assert fixed_point_gap(h, z, b * (1.0 - 1e-9)) > 0.0 > fixed_point_gap(h, z, b * (1.0 + 1e-9))
+            solved += 1
+        assert solved > 1800
 
     def test_map_is_decreasing_and_convex(self):
         rng = np.random.default_rng(32)
