@@ -69,17 +69,18 @@ def solve_b(h: CovMatrix, z: np.ndarray) -> FixedPointResult:
     """Solve the scalar fixed point for the growth give-up ``b``.
 
     In the eigenbasis of ``h`` (eigenvalues ``s_i``, weights ``w_i`` of ``z``) ``b`` is the
-    root of ``g(b) = f(b) - b``, ``f(b) = sum_i q_i / 2``, ``q_i = w_i s_i^2 / (s_i + b)^2``.
-    ``g`` is convex and strictly decreasing, so Newton's method from below the root,
-    ``b += g / (1 + sum_i q_i / (s_i + b))``, rises to it without passing it: each tangent
-    of a convex function lies below it.  It starts at ``b0 = s (v - 1/v)^2 / 3``, ``v - 1/v
-    = 2 sinh(asinh(sqrt(psi)) / 3)``, ``psi = 27 W / (8 s)``, the root of ``b (s + b)^2 =
-    W s^2 / 2`` for the least positive ``s_i`` and ``W = sum_i w_i``, below the root as ``f(b)
-    >= W s^2 / (2 (s + b)^2)``; at 0 if ``b0`` is not finite or rounded past the root.  It
-    stops at ``|g| <= RESIDUAL_TOL * b``, a relative residual at any scale.  Near the root
-    the divisor is at most 3, so rounding stops ``b`` short of that only if the step
-    underflows: ``NoConvergence``.  ``z`` must be finite; if ``h z = 0`` the problem is
-    degenerate and ``b = 0``; otherwise the ``w_i`` must not overflow (``ValueError``).
+    root of ``g(b) = f(b) - b``, ``f(b) = sum_i q_i / 2``, ``q_i = (sqrt(w_i) s_i / (s_i + b))^2``
+    (a form that does not underflow where ``q_i`` is representable).  ``g`` is convex and
+    strictly decreasing, so Newton's method from below the root, ``b += g / (1 + sum_i q_i /
+    (s_i + b))``, rises to it without passing it: each tangent of a convex function lies below
+    it.  The ``s_i`` are nonincreasing and ``s^2 / (s + b)^2`` rises with ``s``, so ``f(b) >=
+    W_j s_j^2 / (2 (s_j + b)^2)``, ``W_j = sum_{i<=j} w_i``, for each positive ``s_j``; Newton
+    starts at the largest finite root of these bounds, ``(2 sqrt(s_j / 3) sinh(asinh(sqrt(psi_j))
+    / 3))^2`` with ``psi_j = 27 W_j / (8 s_j)``, or at 0 if none is finite.  It stops at ``|g| <=
+    RESIDUAL_TOL * b``, a relative residual at any scale.  Near the root the divisor is at most
+    3, so rounding stops ``b`` short of that only if the step underflows: ``NoConvergence``.
+    ``z`` must be finite; if ``h z = 0`` the problem is degenerate and ``b = 0``; otherwise the
+    ``w_i`` must not overflow (``ValueError``).
     """
     z = np.asarray(z, dtype=float).reshape(-1)
     if z.size != h.dim:
@@ -93,26 +94,23 @@ def solve_b(h: CovMatrix, z: np.ndarray) -> FixedPointResult:
 
     mask = h.eigenvalues > 0.0
     with np.errstate(over="ignore", invalid="ignore"):
-        s, w = h.eigenvalues[mask], ((h.eigenvectors.T @ z) ** 2)[mask]
-        if not np.isfinite(w.sum()):
+        s, root_w = h.eigenvalues[mask], np.abs(h.eigenvectors.T @ z)[mask]
+        w_cum = np.cumsum(root_w ** 2)
+        if not np.isfinite(w_cum[-1]):
             raise ValueError("z is too large: its squared eigen-coordinates overflow")
-    s_min = float(s.min())
-    root_psi = math.sqrt(float(w.sum())) / math.sqrt(s_min / 3.375)    # psi itself may overflow
-    b = 4.0 / 3.0 * s_min * math.sinh(math.asinh(root_psi) / 3.0) ** 2
-    b = b if math.isfinite(b) else 0.0
+        root_psi = np.sqrt(w_cum) / np.sqrt(s / 3.375)      # psi itself may overflow
+        starts = (2.0 * np.sqrt(s / 3.0) * np.sinh(np.arcsinh(root_psi) / 3.0)) ** 2
+    b = float(np.max(starts, where=np.isfinite(starts), initial=0.0))
     for iteration in range(1, MAX_ITERATIONS + 1):
         d = s + b
-        q = w * (s / d) ** 2
+        q = (root_w * (s / d)) ** 2
         g = 0.5 * float(q.sum()) - b
         if abs(g) <= RESIDUAL_TOL * b:
             return FixedPointResult(b, iteration, abs(g), False)
         step = g / (1.0 + float(np.sum(q / d)))
-        if b + step > b:
-            b += step
-        elif iteration == 1 and b > 0.0:      # rounding put b0 past the root
-            b = 0.0
-        else:
+        if not b + step > b:
             break
+        b += step
     raise NoConvergence(f"fixed point not reached after {iteration} iterations")
 
 

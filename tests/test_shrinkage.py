@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -135,16 +136,30 @@ class TestSolveB:
         assert result.b == pytest.approx((1e200 / 2) ** (1 / 3), rel=1e-12)
         assert solve_b(CovMatrix([[1.0]]), [1e50]).iterations <= 3
 
-    @pytest.mark.parametrize("factor", [4.0, math.inf])
-    def test_a_start_past_the_root_or_not_finite_falls_back_to_zero(self, monkeypatch, factor):
-        # in one dimension the lower bound is the root, so a larger sinh puts it past it
+    def test_a_start_that_is_not_finite_falls_back_to_zero(self, monkeypatch):
+        # in one dimension the lower bound is the root; with no finite start Newton rises from 0
         want = solve_b(CovMatrix([[1.0]]), [3.0])
-        sinh = math.sinh
-        monkeypatch.setattr(math, "sinh", lambda x: factor * sinh(x))
+        sinh = np.sinh
+        monkeypatch.setattr(np, "sinh", lambda x: math.inf * sinh(x))
         got = solve_b(CovMatrix([[1.0]]), [3.0])
         assert got.residual <= RESIDUAL_TOL * got.b
         assert got.b == pytest.approx(want.b, rel=1e-11)
         assert got.iterations > want.iterations
+
+    def test_weight_on_the_larger_eigenvalue_starts_near_the_root(self):
+        # the least eigenvalue alone bounds b by about 1e-6 here, its root near 7.9e3; the
+        # bound from both eigenvalues, whose weights sum to 2e12, is within 3/2 of the root
+        assert solve_b(CovMatrix(np.diag([1e-12, 1.0])), [1e6, 1e6]).iterations <= 3
+        result = solve_b(CovMatrix(np.diag([1e-300, 1.0])), [1e150, 1e150])
+        assert result.b == pytest.approx(7.937e99, rel=1e-4)
+
+    def test_a_tiny_eigenvalue_is_solved_without_a_warning(self):
+        # (s / d)^2 = (1e-300 / 7.9e-101)^2 underflows, w s^2 / d^2 = 1.6e-100 does not
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = solve_b(CovMatrix([[1e-300]]), [1e150])
+        assert result.b == pytest.approx(7.937e-101, rel=1e-4)
+        assert result.residual <= RESIDUAL_TOL * result.b
 
     def test_matches_bisection_sweep(self):
         rng = np.random.default_rng(31)
@@ -172,6 +187,12 @@ class TestSolveB:
             assert fixed_point_gap(h, z, b * (1.0 - 1e-9)) > 0.0 > fixed_point_gap(h, z, b * (1.0 + 1e-9))
             solved += 1
         assert solved > 1800
+
+    def test_wide_spectra_sweep_takes_few_iterations(self):
+        # each eigenvalue bounds the root from below with the weight of those above it, so
+        # Newton starts within a factor 8 of the root, however wide the spectrum
+        iterations = [solve_b(h, z).iterations for h, z in wide_spectra(11)]
+        assert max(iterations) <= 8
 
     def test_map_is_decreasing_and_convex(self):
         rng = np.random.default_rng(32)
