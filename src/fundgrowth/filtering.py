@@ -104,11 +104,15 @@ def truncated_moments(r_cum, c_cum, lower: float, upper: float) -> tuple[np.ndar
     root_c = np.sqrt(c_cum)
     lo = lower * root_c - r_cum / root_c
     hi = upper * root_c - r_cum / root_c
+    # Above the mean ndtr saturates at 1.0, so an interval there is mirrored to (-hi, -lo),
+    # where ndtr keeps full relative precision; the mirror flips the mean, not the variance.
+    mirror = lo > 0.0
+    lo, hi = np.where(mirror, -hi, lo), np.where(mirror, -lo, hi)
     mass = ndtr(hi) - ndtr(lo)
     if np.any(mass < 1e-300):
         raise DegenerateInterval(f"interval ({lower}, {upper}) carries no posterior mass")
     ratio = (_phi(lo) - _phi(hi)) / mass
-    nu_hat = r_cum / c_cum + ratio / root_c
+    nu_hat = r_cum / c_cum + np.where(mirror, -ratio, ratio) / root_c
     kappa = (1.0 + (_x_phi(lo) - _x_phi(hi)) / mass - ratio ** 2) / c_cum
     return nu_hat, kappa
 

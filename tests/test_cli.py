@@ -450,6 +450,22 @@ class TestBacktestReport:
         assert "not positive definite" in capsys.readouterr().err
         assert not any(out.glob("*"))
 
+    @pytest.mark.parametrize("lower", [36.0, 60.0])
+    def test_an_upper_tail_truncation_is_solved(self, tmp_path, lower):
+        # after 200 days of returns near 0 the interval lies far above the posterior mean,
+        # where the CDF has saturated: the mean fell below the interval and kappa below 0
+        rets = 0.01 * np.random.default_rng(0).standard_normal(400)
+        returns = tmp_path / "returns.csv"
+        returns.write_text("date,ret_1,rf\n" + "".join(
+            f"{np.datetime64('2001-01-01') + i},{r!r},0.0\n" for i, r in enumerate(rets.tolist())))
+        config = tmp_path / "bt.cfg"
+        config.write_text(f"burn_in_days = 200\ntruncation_l = {lower}\n")
+        assert run(["backtest", "--input", str(returns), "--config", str(config),
+                    "--out", str(tmp_path)]) == 0
+        header, *rows = (tmp_path / "backtest.csv").read_text().splitlines()
+        nu_hat = [float(row.split(",")[header.split(",").index("nu_hat_1")]) for row in rows]
+        assert len(nu_hat) == 200 and min(nu_hat) > lower
+
     def test_too_many_funds_is_config_error(self, tmp_path, capsys):
         # the output names c_1111 twice from K = 111 on; refused before the engine
         # runs, which would find C singular after one burn-in day

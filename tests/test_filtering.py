@@ -120,6 +120,18 @@ class TestTruncatedPosterior:
             assert nu_hat[i] == state.nu_hat[0]
             assert kappa[i] == state.kappa.entries[0, 0]
 
+    @pytest.mark.parametrize("upper", [0.5, math.inf])
+    def test_an_upper_tail_interval_is_mirrored(self, upper):
+        # standardised lower ends 5 to 37 lie where ndtr has saturated at 1.0; the mirrored
+        # interval (-upper, 0) of -R is the same law reflected, so its moments agree
+        r, c = -np.arange(5.0, 38.0), np.full(33, 1.0)
+        nu_hat, kappa = truncated_moments(r, c, 0.0, upper)
+        assert np.all((0.0 < nu_hat) & (nu_hat < upper))
+        assert np.all((0.0 < kappa) & (kappa < 1.0))
+        mirrored_nu, mirrored_kappa = truncated_moments(-r, c, -upper, 0.0)
+        np.testing.assert_array_equal(mirrored_nu, -nu_hat)
+        np.testing.assert_array_equal(mirrored_kappa, kappa)
+
     def test_empty_mass_rejected(self):
         with pytest.raises(DegenerateInterval):
             truncated_posterior_1d(0.0, 1.0, 40.0, 41.0)
