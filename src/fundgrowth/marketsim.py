@@ -121,6 +121,9 @@ def draw_prior(scenario: SimScenario, seed: int) -> np.ndarray:
     mu = float(mean[0])
     sd = math.sqrt(float(cov.entries[0, 0]))
     if sd == 0.0:
+        if not lower < mu < upper:
+            raise BadTruncation(f"interval ({lower}, {upper}) has no prior probability: "
+                                f"the prior is the point {mu}")
         return np.array([mu])
     alpha, beta = (lower - mu) / sd, (upper - mu) / sd
     # Far above the mean ndtr saturates at 1.0, so a right-tail interval is mapped

@@ -121,6 +121,8 @@ class TestSimulate:
         (TWO_FUND_SCENARIO.replace("dim = 3", "dim = 0"), "dim must be positive"),
         ("dim = 1\ncov_preset = identity\nprior_mean = 0\nprior_cov = 1\n"
          "truncation_l = 40\ntruncation_r = 41\nsteps = 5\n", "no prior probability"),
+        ("dim = 1\ncov_preset = identity\nprior_mean = 0\nprior_cov = 0\n"
+         "truncation_l = 1\ntruncation_r = 2\nsteps = 5\n", "no prior probability"),
         (ONE_FUND_SCENARIO.replace("seed = 11", "seed = -2"), "seed must be non-negative"),
         (TWO_FUND_SCENARIO.replace("= 40000", "= 1"), "drift_check_paths must be 0 (off) or"),
         (TWO_FUND_SCENARIO.replace("= 40000", "= -5"), "drift_check_paths must be 0 (off) or"),
@@ -141,8 +143,8 @@ class TestSimulate:
          .replace("f = 1,0", "f = 1e200,0"), "the simulated path overflows double precision"),
     ], ids=["dt_negative", "dt_nan", "o_start_unknown", "nu_size", "nu_nan", "prior_mean_size",
             "prior_mean_nan", "prior_cov_dim", "f_rows", "f_no_rows", "theta_size", "dim_zero",
-            "truncation_no_mass", "seed_negative", "drift_paths_one", "drift_paths_negative",
-            "theta_without_f", "nu_with_f", "cov_with_cov_preset", "prior_mean_with_nu",
+            "truncation_no_mass", "truncation_point_prior", "seed_negative", "drift_paths_one",
+            "drift_paths_negative", "theta_without_f", "nu_with_f", "cov_with_cov_preset", "prior_mean_with_nu",
             "truncation_with_nu", "truncation_with_f", "drift_paths_with_nu",
             "drift_paths_with_prior", "clock_overflows", "path_overflows",
             "fund_nu_overflows"])

@@ -45,6 +45,16 @@ class TestDrawPrior:
         for seed in range(5):
             assert draw_prior(spec, seed)[0] == 0.5
 
+    @pytest.mark.parametrize("mean, truncation", [(0.0, (1.0, 2.0)), (3.0, (1.0, 2.0)),
+                                                  (1.0, (1.0, 2.0)), (0.0, (-np.inf, 0.0))])
+    def test_a_point_prior_outside_the_interval_is_refused(self, mean, truncation):
+        # a point prior has probability only at its mean, and the interval is open
+        with pytest.raises(BadTruncation, match="no prior probability"):
+            draw_prior(prior([mean], CovMatrix([[0.0]]), truncation), 0)
+
+    def test_a_point_prior_inside_the_interval_is_returned(self):
+        assert draw_prior(prior([1.5], CovMatrix([[0.0]]), (1.0, 2.0)), 0)[0] == 1.5
+
     def test_deterministic_per_seed(self):
         spec = prior([0.1, -0.3], random_cov(np.random.default_rng(0), 2))
         np.testing.assert_array_equal(draw_prior(spec, 42), draw_prior(spec, 42))
