@@ -90,7 +90,8 @@ def truncated_moments(r_cum, c_cum, lower: float, upper: float) -> tuple[np.ndar
 
     The conditional law is a truncated normal; mean and variance follow the
     usual closed forms in the standardised endpoints
-    ``lower*sqrt(C) - R/sqrt(C)`` and ``upper*sqrt(C) - R/sqrt(C)``.
+    ``lower*sqrt(C) - R/sqrt(C)`` and ``upper*sqrt(C) - R/sqrt(C)``, taken in the
+    lower tail: an interval above the mean is mirrored.
     ``r_cum`` and ``c_cum`` may be arrays of one-dimensional statistics (one
     per day, say); the moments are computed elementwise.  Raises
     ``DegenerateInterval`` when an interval carries no mass.

@@ -107,8 +107,8 @@ def draw_prior(scenario: SimScenario, seed: int) -> np.ndarray:
     The truncated variant rejects in batches up to a hard cap, then falls back
     to inverse-CDF sampling on the interval; an interval whose prior mass makes
     acceptance within the cap less likely than 1e-6 goes straight to the
-    fallback, and one with no probability in double precision raises
-    ``BadTruncation`` before any draw.
+    fallback, and one with no probability in double precision (a point prior outside the
+    interval included) raises ``BadTruncation`` before any draw.
     """
     rng = np.random.default_rng(seed)
     mean = np.zeros(scenario.dim) if scenario.prior_mean is None else scenario.prior_mean
