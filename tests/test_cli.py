@@ -144,8 +144,8 @@ class TestSimulate:
     ], ids=["dt_negative", "dt_nan", "o_start_unknown", "nu_size", "nu_nan", "prior_mean_size",
             "prior_mean_nan", "prior_cov_dim", "f_rows", "f_no_rows", "theta_size", "dim_zero",
             "truncation_no_mass", "truncation_point_prior", "seed_negative", "drift_paths_one",
-            "drift_paths_negative", "theta_without_f", "nu_with_f", "cov_with_cov_preset", "prior_mean_with_nu",
-            "truncation_with_nu", "truncation_with_f", "drift_paths_with_nu",
+            "drift_paths_negative", "theta_without_f", "nu_with_f", "cov_with_cov_preset",
+            "prior_mean_with_nu", "truncation_with_nu", "truncation_with_f", "drift_paths_with_nu",
             "drift_paths_with_prior", "clock_overflows", "path_overflows",
             "fund_nu_overflows"])
     def test_bad_scenario_value_is_config_error(self, tmp_path, capsys, text, message):

@@ -54,7 +54,8 @@ def wide_spectra(seed, count=2000):
         s = 10.0 ** rng.uniform(-15.0, 15.0, dim) * (rng.uniform(size=dim) >= 0.25)
         basis, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
         m = (basis * s) @ basis.T
-        yield CovMatrix(0.5 * (m + m.T)), rng.standard_normal(dim) * 10.0 ** rng.uniform(-12.0, 12.0)
+        z = rng.standard_normal(dim) * 10.0 ** rng.uniform(-12.0, 12.0)
+        yield CovMatrix(0.5 * (m + m.T)), z
 
 
 def fixed_point_gap(h, z, b):
@@ -147,8 +148,8 @@ class TestSolveB:
         assert got.iterations > want.iterations
 
     def test_weight_on_the_larger_eigenvalue_starts_near_the_root(self):
-        # the least eigenvalue alone bounds b by about 1e-6 here, its root near 7.9e3; the
-        # bound from both eigenvalues, whose weights sum to 2e12, is within 3/2 of the root
+        # the least eigenvalue's bound, with all the weight, is about 1e-4 here, the root about
+        # 7.9e3; the larger eigenvalue's bound, with its own weight 1e12, is the root to 1e-20
         assert solve_b(CovMatrix(np.diag([1e-12, 1.0])), [1e6, 1e6]).iterations <= 3
         result = solve_b(CovMatrix(np.diag([1e-300, 1.0])), [1e150, 1e150])
         assert result.b == pytest.approx(7.937e99, rel=1e-4)
@@ -184,13 +185,14 @@ class TestSolveB:
                 continue
             b = result.b
             assert abs(fixed_point_gap(h, z, b)) <= 2.0 * RESIDUAL_TOL * b
-            assert fixed_point_gap(h, z, b * (1.0 - 1e-9)) > 0.0 > fixed_point_gap(h, z, b * (1.0 + 1e-9))
+            below, above = (fixed_point_gap(h, z, b * (1.0 + e)) for e in (-1e-9, 1e-9))
+            assert below > 0.0 > above
             solved += 1
         assert solved > 1800
 
     def test_wide_spectra_sweep_takes_few_iterations(self):
-        # each eigenvalue bounds the root from below with the weight of those above it, so
-        # Newton starts within a factor 8 of the root, however wide the spectrum
+        # each eigenvalue bounds the root from below with the weight at or above it, so the
+        # start is near the root however wide the spectrum (from the least alone: up to 64)
         iterations = [solve_b(h, z).iterations for h, z in wide_spectra(11)]
         assert max(iterations) <= 8
 
