@@ -105,10 +105,10 @@ def draw_prior(scenario: SimScenario, seed: int) -> np.ndarray:
     drawn in code needs a scenario, whose path covariance the draw does not use.
 
     The truncated variant rejects in batches up to a hard cap, then falls back
-    to inverse-CDF sampling on the interval; an interval whose prior mass makes
-    acceptance within the cap less likely than 1e-6 goes straight to the
-    fallback, and one with no probability in double precision (a point prior outside the
-    interval included) raises ``BadTruncation`` before any draw.
+    to inverse-CDF sampling on the interval, clamped to its nearest interior double; an
+    interval whose prior mass makes acceptance within the cap less likely than 1e-6 goes
+    straight to the fallback, and one with no probability in double precision (no interior
+    double, or a point prior outside it) raises ``BadTruncation`` before any draw.
     """
     rng = np.random.default_rng(seed)
     mean = np.zeros(scenario.dim) if scenario.prior_mean is None else scenario.prior_mean
@@ -130,7 +130,8 @@ def draw_prior(scenario: SimScenario, seed: int) -> np.ndarray:
     # through 1 - Phi; below zero ndtr keeps full relative precision.
     sign, lo, hi = (-1.0, -beta, -alpha) if alpha >= 0.0 else (1.0, alpha, beta)
     p_lo, p_hi = float(ndtr(lo)), float(ndtr(hi))
-    if not p_lo < p_hi:
+    inner = np.nextafter(lower, upper), np.nextafter(upper, lower)
+    if not (p_lo < p_hi and inner[0] < upper):
         raise BadTruncation(f"interval ({lower}, {upper}) has no prior probability "
                             "in double precision")
     if (p_hi - p_lo) * _REJECTION_CAP >= 1e-6:
@@ -140,7 +141,8 @@ def draw_prior(scenario: SimScenario, seed: int) -> np.ndarray:
             if inside.size:
                 return np.array([batch[inside[0]]])
     from statistics import NormalDist     # imports fractions and decimal: only when drawn
-    return np.array([mu + sign * sd * NormalDist().inv_cdf(rng.uniform(p_lo, p_hi))])
+    draw = mu + sign * sd * NormalDist().inv_cdf(rng.uniform(p_lo, p_hi))
+    return np.clip([draw], *inner)          # a narrow interval's draw can round onto an end
 
 
 def euler_step(nu: np.ndarray, c: CovMatrix, d_o, xi: np.ndarray) -> np.ndarray:

@@ -1,20 +1,16 @@
 """Shrinkage of the filtered growth-optimal portfolio.
 
-The filtered portfolio maximises expected log-growth given the observations,
-but realised growth scatters widely around that target when the posterior
-covariance is large.  The shrunk portfolio instead minimises the mean squared
-deviation of realised growth from the achievable optimum,
+The filtered portfolio maximises expected log-growth given the observations, but realised
+growth scatters widely around it when the posterior covariance is large.  The shrunk portfolio
+minimises the mean squared deviation of realised growth from the achievable optimum,
 
     objective(pi) = ||dC^{1/2} (pi - nu_hat)||^4 / 4 + ||kappa^{1/2} dC pi||^2,
 
-whose unique minimiser is ``(id + kappa dC / b)^{-1} nu_hat`` with the scalar
-``b`` (the growth given up locally) the root of a one-dimensional fixed-point
-equation, which Newton's method from a lower bound finds to a relative
-residual.  With a single fund, or with Bayesian updating under a constant
-covariance rate, the minimiser collapses to a uniform multiplier ``a`` of the
-filtered portfolio, available in closed form via Cardano's formula.
-
-All functions are pure and safe for unrestricted concurrent use.
+whose unique minimiser is ``(id + kappa dC / b)^{-1} nu_hat``, the scalar ``b`` (the growth
+given up locally) the root of a fixed-point equation that Newton's method solves.  With a single
+fund, or Bayesian updating under a constant covariance rate, it is a uniform multiplier ``a`` of
+the filtered portfolio, the root of a cubic in closed form.  All functions are pure and safe
+for unrestricted concurrent use.
 """
 
 from __future__ import annotations
@@ -49,10 +45,9 @@ class FixedPointResult:
 class ShrinkResult:
     """Shrunk portfolio and the scalars describing the trade it makes.
 
-    ``b`` is the expected growth given up relative to the filtered portfolio,
-    ``e_sq`` the minimised squared tracking error, ``psi`` the uniform-case
-    parameter, and ``a`` the uniform multiplier (populated when the problem
-    is genuinely uniform: one fund, or curvature proportional to identity).
+    ``b`` is the expected growth given up relative to the filtered portfolio, ``e_sq`` the
+    minimised squared tracking error, ``psi`` the uniform-case parameter, and ``a`` the uniform
+    multiplier (set when the problem is uniform: one fund, or curvature proportional to identity).
     """
 
     rho: np.ndarray
@@ -74,13 +69,14 @@ def solve_b(h: CovMatrix, z: np.ndarray) -> FixedPointResult:
     strictly decreasing, so Newton's method from below the root, ``b += g / (1 + sum_i q_i /
     (s_i + b))``, rises to it without passing it: each tangent of a convex function lies below
     it.  The ``s_i`` are nonincreasing and ``s^2 / (s + b)^2`` rises with ``s``, so ``f(b) >=
-    W_j s_j^2 / (2 (s_j + b)^2)``, ``W_j = sum_{i<=j} w_i``, for each positive ``s_j``; Newton
-    starts at the largest finite root of these bounds, ``(2 sqrt(s_j / 3) sinh(asinh(sqrt(psi_j))
-    / 3))^2`` with ``psi_j = 27 W_j / (8 s_j)``, or at 0 if none is finite.  It stops at ``|g| <=
-    RESIDUAL_TOL * b``, a relative residual at any scale.  Near the root the divisor is at most
-    3, so rounding stops ``b`` short of that only if the step underflows: ``NoConvergence``.
-    ``z`` must be finite; if ``h z = 0`` the problem is degenerate and ``b = 0``; otherwise the
-    ``w_i`` must not overflow (``ValueError``).
+    W_j s_j^2 / (2 (s_j + b)^2)``, ``W_j = sum_{i<=j} w_i``, for each positive ``s_j``.  Newton
+    starts at the largest finite root of these bounds, ``cardano_a``'s cubic at ``psi_j = 27 W_j
+    / (8 s_j)``: ``(2 sqrt(s_j) v_j / sqrt(3))^2`` with ``v_j = _cubic_v(sqrt(W_j), sqrt(s_j) /
+    1.5^1.5)``, ``sqrt(s_j)`` taken first (``s_j / 3`` rounds a subnormal ``s_j``); or at 0.
+    It stops at ``|g| <= RESIDUAL_TOL * b``; near the root the divisor is at most 3, so
+    rounding stops short of that only if the step underflows: ``NoConvergence``.  ``z`` must be
+    finite; if ``h z = 0`` the problem is degenerate and ``b = 0``; otherwise the ``w_i`` must
+    not overflow (``ValueError``).
     """
     z = np.asarray(z, dtype=float).reshape(-1)
     if z.size != h.dim:
@@ -98,8 +94,9 @@ def solve_b(h: CovMatrix, z: np.ndarray) -> FixedPointResult:
         w_cum = np.cumsum(root_w ** 2)
         if not np.isfinite(w_cum[-1]):
             raise ValueError("z is too large: its squared eigen-coordinates overflow")
-        root_psi = np.sqrt(w_cum) / np.sqrt(s / 3.375)      # psi itself may overflow
-        starts = (2.0 * np.sqrt(s / 3.0) * np.sinh(np.arcsinh(root_psi) / 3.0)) ** 2
+        root_s = np.sqrt(s)
+        v = _cubic_v(np.sqrt(w_cum), root_s / 1.5 ** 1.5)
+        starts = (2.0 / math.sqrt(3.0) * root_s * v) ** 2
     b = float(np.max(starts, where=np.isfinite(starts), initial=0.0))
     for iteration in range(1, MAX_ITERATIONS + 1):
         d = s + b
@@ -161,24 +158,26 @@ def shrink_portfolio(nu_hat: np.ndarray, kappa: CovMatrix, d_c: CovMatrix) -> Sh
     )
 
 
-def cardano_a(psi):
-    """Uniform shrink factor in closed form.
+def _cubic_v(num, den):
+    """``sinh(asinh(num / den) / 3)`` elementwise: the real root ``v`` of ``4 v^3 + 3 v = num /
+    den``, which neither cancels nor overflows; where ``num / den`` overflows, asinh is taken
+    as ``log(2 num) - log(den)``."""
+    with np.errstate(over="ignore", divide="ignore"):
+        x = num / den
+        return np.sinh(np.where(np.isinf(x), np.log(2.0 * num) - np.log(den), np.arcsinh(x)) / 3.0)
 
-    ``a`` is the root in ``[0, 1)`` of ``a = (4 psi / 27) (1 - a)^3`` (the
-    stationarity condition of the uniform tracking objective), given by
-    Cardano's formula.  Monotone increasing in ``psi`` with ``a(0) = 0``.
-    Tiny arguments use a series to dodge cancellation.  ``psi`` may be an
-    array, evaluated elementwise; a scalar argument returns a ``float``.
-    """
+
+def cardano_a(psi):
+    """Uniform shrink factor: the root ``a`` in ``[0, 1)`` of ``a = (4 psi / 27) (1 - a)^3``, the
+    stationarity condition of the uniform tracking objective, as ``1 / (1 + 0.75 / v^2)`` with
+    ``v = _cubic_v(sqrt(psi), 1)`` (the form of ``solve_b``'s start), within a few ulp of the
+    root over the whole double range.  An array ``psi`` is evaluated elementwise; a scalar
+    returns a ``float``."""
     psi = np.asarray(psi, dtype=float)
     if np.any(psi < 0.0):
         raise ValueError("psi must be nonnegative")
-    # The series is only used below 1e-8, so clipping its input is harmless
-    # and keeps huge arguments from overflowing in the unused branch.
-    coeff = 4.0 * np.minimum(psi, 1.0) / 27.0
-    # t = q^(2/3) with q = sqrt(1 + psi) + sqrt(psi) stays far from overflow.
-    t = np.exp((2.0 / 3.0) * np.log(np.sqrt(1.0 + psi) + np.sqrt(psi)))
-    a = np.where(psi < 1e-8, coeff * (1.0 - 3.0 * coeff), 1.0 - 3.0 / (1.0 + t + 1.0 / t))
+    with np.errstate(divide="ignore"):         # psi = 0: v = 0, so a = 1 / inf = 0
+        a = 1.0 / (1.0 + 0.75 / _cubic_v(np.sqrt(psi), 1.0) ** 2)
     return float(a) if a.ndim == 0 else a
 
 

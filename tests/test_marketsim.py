@@ -77,6 +77,18 @@ class TestDrawPrior:
         value = draw_prior(spec, 7)[0]
         assert 9.0 < value < 9.5
 
+    @pytest.mark.parametrize("lower, upper", [(0.5, 0.5 + 1e-15), (-1.0, -1.0 + 1e-14)])
+    def test_a_narrow_interval_draws_strictly_inside(self, lower, upper):
+        # the inverse-CDF draw of so narrow an interval can round onto or past an end
+        spec = prior([0.0], CovMatrix([[1.0]]), (lower, upper))
+        draws = np.array([draw_prior(spec, seed)[0] for seed in range(1000)])
+        assert ((draws > lower) & (draws < upper)).all(), draws[(draws <= lower) | (draws >= upper)]
+
+    def test_an_interval_without_an_interior_double_is_refused(self):
+        spec = prior([0.0], CovMatrix([[1.0]]), (0.5, float(np.nextafter(0.5, 1.0))))
+        with pytest.raises(BadTruncation, match="no prior probability"):
+            draw_prior(spec, 0)
+
     @pytest.mark.parametrize("lower, upper", [(1.5, 2.5), (-0.5, 0.1), (-np.inf, -3.0),
                                               (4.0, 5.0), (-4.9, -4.0)])
     def test_feasible_truncation_draws_by_rejection(self, lower, upper):

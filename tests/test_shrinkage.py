@@ -1,5 +1,6 @@
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -160,6 +161,15 @@ class TestSolveB:
             warnings.simplefilter("error")
             result = solve_b(CovMatrix([[1e-300]]), [1e150])
         assert result.b == pytest.approx(7.937e-101, rel=1e-4)
+        assert result.residual <= RESIDUAL_TOL * result.b
+
+    def test_a_subnormal_eigenvalue_is_solved_without_a_warning(self):
+        # sqrt(W) / sqrt(s / 3.375) = 1.8e314 overflows, so asinh is a difference of logs; and
+        # s / 3 on the subnormal s = 1e-320 would round the start past the root
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = solve_b(CovMatrix([[1e-320]]), [1e154])
+        assert result.b == pytest.approx(1.70996e-111, rel=1e-5)
         assert result.residual <= RESIDUAL_TOL * result.b
 
     def test_matches_bisection_sweep(self):
@@ -334,12 +344,30 @@ class TestCardano:
         with pytest.raises(ValueError):
             cardano_a(np.array([1.0, -1e-3]))
 
-    def test_tiny_argument_series(self):
+    def test_tiny_argument_is_four_psi_over_27(self):
         for psi in (1e-12, 1e-10, 1e-9):
             a = cardano_a(psi)
             assert a == pytest.approx(4.0 * psi / 27.0, rel=1e-6)
             residual = -4.0 * (2.0 * psi / 27.0) * (1.0 - a) ** 3 + 2.0 * a
             assert abs(residual) <= 1e-10
+
+    def test_the_root_lies_within_4_ulp(self):
+        # g(x) = x - (4 psi / 27)(1 - x)^3 rises on [0, 1], so the exact root lies within
+        # 4 ulp of a when g, evaluated exactly, changes sign between a -/+ 4 ulp.  The
+        # relative residual |g(a)| / a cannot show this: where a rounds to 1.0 it is about 1
+        def g(x, psi):
+            x = Fraction(float(x))
+            return x - 4 * Fraction(psi) / 27 * (1 - x) ** 3
+
+        def ulps(x, toward):
+            for _ in range(4):
+                x = np.nextafter(x, toward)
+            return x
+
+        psi = 10.0 ** np.random.default_rng(0).uniform(-300.0, 300.0, 2000)
+        bad = [(p, a) for p, a in zip(psi.tolist(), cardano_a(psi).tolist())
+               if not g(ulps(a, -math.inf), p) < 0 < g(ulps(a, math.inf), p)]
+        assert not bad, bad[:5]
 
 
 class TestUniformParameters:
