@@ -141,8 +141,7 @@ def draw_prior(scenario: SimScenario, seed: int) -> np.ndarray:
             if inside.size:
                 return np.array([batch[inside[0]]])
     from statistics import NormalDist     # imports fractions and decimal: only when drawn
-    draw = mu + sign * sd * NormalDist().inv_cdf(rng.uniform(p_lo, p_hi))
-    return np.clip([draw], *inner)          # a narrow interval's draw can round onto an end
+    return np.clip([mu + sign * sd * NormalDist().inv_cdf(rng.uniform(p_lo, p_hi))], *inner)
 
 
 def euler_step(nu: np.ndarray, c: CovMatrix, d_o, xi: np.ndarray) -> np.ndarray:

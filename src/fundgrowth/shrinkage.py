@@ -170,13 +170,13 @@ def _cubic_v(num, den):
 def cardano_a(psi):
     """Uniform shrink factor: the root ``a`` in ``[0, 1)`` of ``a = (4 psi / 27) (1 - a)^3``, the
     stationarity condition of the uniform tracking objective, as ``1 / (1 + 0.75 / v^2)`` with
-    ``v = _cubic_v(sqrt(psi), 1)`` (the form of ``solve_b``'s start), within a few ulp of the
-    root over the whole double range.  An array ``psi`` is evaluated elementwise; a scalar
-    returns a ``float``."""
+    ``v = _cubic_v(sqrt(psi), 1)``, the form of ``solve_b``'s start: within a few ulp of the
+    root from ``psi = 1e-300`` up, and 0 below about 4e-308, where ``1 / a`` overflows.  An
+    array ``psi`` is evaluated elementwise; a scalar returns a ``float``."""
     psi = np.asarray(psi, dtype=float)
     if np.any(psi < 0.0):
         raise ValueError("psi must be nonnegative")
-    with np.errstate(divide="ignore"):         # psi = 0: v = 0, so a = 1 / inf = 0
+    with np.errstate(divide="ignore", over="ignore"):
         a = 1.0 / (1.0 + 0.75 / _cubic_v(np.sqrt(psi), 1.0) ** 2)
     return float(a) if a.ndim == 0 else a
 
