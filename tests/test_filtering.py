@@ -1,9 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from scipy import special
-from scipy.integrate import quad
+from scipy.integrate import IntegrationWarning, quad
 
 from fundgrowth.errors import DegenerateInterval, SingularC, SingularOnSubspace
 from fundgrowth.filtering import (
@@ -149,6 +150,77 @@ class TestTruncatedPosterior:
             assert state.kappa.entries[0, 0] == pytest.approx(var, abs=1e-8)
             assert lo < state.nu_hat[0] < hi
             assert 0.0 < state.kappa.entries[0, 0] <= 1.0 / c + 1e-12
+
+
+def peak_quad_moments(r, c, lo, hi):
+    """Mean and variance of ``N(r/c, 1/c)`` on ``(lo, hi)`` by ``quad`` of its density over
+    its peak, in posterior standard deviations ``y`` from the peak and within 40 of it, or
+    None where ``quad`` warns or estimates an error above 1e-11 of a moment."""
+    sd, mean = 1.0 / math.sqrt(c), r / c
+    peak = min(max(mean, lo), hi)
+    slope = (peak - mean) / sd
+    ends = max((lo - peak) / sd, -40.0), min((hi - peak) / sd, 40.0)
+    moments = []
+    for k in range(3):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", IntegrationWarning)
+            try:
+                value, error = quad(lambda y: y ** k * math.exp(-0.5 * y * (y + 2.0 * slope)),
+                                    *ends, epsabs=0.0, epsrel=1e-12, limit=500,
+                                    points=[0.0] if ends[0] < 0.0 < ends[1] else None)
+            except IntegrationWarning:
+                return None
+        if not error <= 1e-11 * abs(value):
+            return None
+        moments.append(value)
+    shift = moments[1] / moments[0]
+    return peak + sd * shift, sd * sd * (moments[2] / moments[0] - shift * shift)
+
+
+def random_intervals(rng, n):
+    """``n`` laws ``(r, c)`` with intervals whose standardised ends lie within 1e3 of the
+    mean: a third of width 1e-15 to 1e3 sd, a third above an end, a third below one."""
+    for i in range(n):
+        c = 10.0 ** rng.uniform(-2.0, 2.0)
+        r = c * float(rng.uniform(-3.0, 3.0))
+        sd = 1.0 / math.sqrt(c)
+        end = r / c + sd * float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-3.0, 3.0))
+        if i % 3 == 0:
+            yield r, c, end, end + sd * 10.0 ** rng.uniform(-15.0, 3.0)
+        else:
+            yield (r, c, end, math.inf) if i % 3 == 1 else (r, c, -math.inf, end)
+
+
+def test_truncated_moments_over_the_double_range():
+    # the mean lies strictly inside wherever a double does, Popoviciu's inequality bounds
+    # the variance, and where quad is reliable both moments agree with it to 1e-10
+    checked = 0
+    for r, c, lo, hi in random_intervals(np.random.default_rng(37), 600):
+        if not lo < hi:
+            continue
+        nu_hat, kappa = map(float, truncated_moments(r, c, lo, hi))
+        case = (r, c, lo, hi, nu_hat, kappa)
+        if np.nextafter(lo, hi) < hi:
+            assert lo < nu_hat < hi, case
+        assert 0.0 < kappa <= 0.25 * (hi - lo) ** 2, case
+        oracle = peak_quad_moments(r, c, lo, hi)
+        if oracle is not None:
+            assert nu_hat == pytest.approx(oracle[0], rel=1e-10, abs=1e-10 * math.sqrt(kappa)), case
+            assert kappa == pytest.approx(oracle[1], rel=1e-10), case
+            checked += 1
+    assert checked >= 450
+
+
+def test_deep_tails_follow_their_asymptotics():
+    # on (a, inf) at R = 0, C = 1 the mean is a + 1/a - 2/a^3 + O(a^-5) and the variance
+    # 1/a^2 - 6/a^4 + 50/a^6 - ...: from a = 1000 on the series' first terms hold to 1e-10
+    a = 10.0 ** np.random.default_rng(38).uniform(3.0, 8.0, 200)
+    for lower in a:
+        nu_hat, kappa = truncated_moments(0.0, 1.0, lower, math.inf)
+        assert nu_hat == pytest.approx(lower + 1.0 / lower - 2.0 / lower ** 3, rel=1e-10)
+        assert kappa == pytest.approx(1.0 / lower ** 2 - 6.0 / lower ** 4, rel=1e-10)
+        mirrored = truncated_moments(0.0, 1.0, -math.inf, -lower)
+        assert (mirrored[0], mirrored[1]) == (-nu_hat, kappa)
 
 
 class TestGrowthFunctionals:

@@ -157,6 +157,17 @@ def test_a_monte_carlo_path_loads_no_text_io():
         path, path | {"filtering"}]
 
 
+def test_a_truncated_prior_draw_loads_no_filtering():
+    # the normal CDF of the draw's tail mapping is marketsim's own: by rejection on (0, inf)
+    # and through the inverse CDF on (9, inf)
+    code = ("import sys\n"
+            "from fundgrowth.marketsim import SimScenario, draw_prior\n"
+            "for lower in (0.0, 9.0):\n"
+            "    draw_prior(SimScenario(dim=1, cov_preset='identity', truncation_l=lower), 0)\n"
+            "    print('fundgrowth.filtering' in sys.modules)\n")
+    assert run_python(code).splitlines() == ["False", "False"]
+
+
 def test_verify_help_names_every_check(capsys):
     assert cli.main(["verify", "--help"]) == 0
     assert set(verify.CHECKS) <= set(capsys.readouterr().out.replace(",", " ").split())
