@@ -285,8 +285,8 @@ def _squared_returns(x: np.ndarray, start: int, x_sum: np.ndarray, demean: bool,
 
 
 def _one_fund_posterior(r: np.ndarray, c: np.ndarray, truncation) -> tuple[np.ndarray, np.ndarray]:
-    """``nu_hat`` and ``kappa`` of one fund: the truncated closed forms, or ``R/C``
-    and ``1/C``."""
+    """``nu_hat`` and ``kappa`` of one fund: the truncated moments, or ``R/C`` and
+    ``1/C``."""
     if truncation is not None:
         from .filtering import truncated_moments
         return truncated_moments(r, c, *truncation)

@@ -31,7 +31,7 @@ class EmptyGrid(FundgrowthError):
 
 
 class DegenerateInterval(FundgrowthError):
-    """A truncation interval carries essentially no posterior mass."""
+    """A truncated posterior's variance is not positive: it lies below the double range."""
 
 
 class NoConvergence(FundgrowthError):

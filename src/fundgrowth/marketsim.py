@@ -31,6 +31,7 @@ _MAX_STEPS = (datetime.date.max - _FIRST_DATE).days + 1     # the last date is 9
 
 _REJECTION_CAP = 1_000_000
 _REJECTION_BATCH = 256
+_erfc = np.vectorize(math.erfc, otypes=[float])
 
 
 @dataclass(frozen=True)
@@ -99,6 +100,11 @@ def uniform_clock(steps: int, step: float = DEFAULT_STEP) -> np.ndarray:
     return step * np.arange(steps + 1, dtype=float)
 
 
+def ndtr(x):
+    """Standard normal CDF, elementwise; ``erfc`` keeps full relative precision far below zero."""
+    return 0.5 * _erfc(-np.asarray(x, dtype=float) * math.sqrt(0.5))
+
+
 def draw_prior(scenario: SimScenario, seed: int) -> np.ndarray:
     """One draw from a checked scenario's prior: ``prior_mean`` (zeros if unset),
     ``prior_cov`` (identity) and ``truncation``; deterministic for a fixed seed.  A prior
@@ -116,7 +122,6 @@ def draw_prior(scenario: SimScenario, seed: int) -> np.ndarray:
     if scenario.truncation is None:
         return mean + sqrt_entries(cov) @ rng.standard_normal(scenario.dim)
 
-    from .filtering import ndtr
     lower, upper = scenario.truncation
     mu = float(mean[0])
     sd = math.sqrt(float(cov.entries[0, 0]))

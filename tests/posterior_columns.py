@@ -11,7 +11,7 @@ from fundgrowth.backtest import _one_fund_posterior
 
 def kappa(bt, truncation=None):
     """Posterior covariance per date, NaN in burn-in: ``C^{-1}`` symmetrised, or
-    for one fund the closed forms of ``_one_fund_posterior`` under the config's
+    for one fund the variance of ``_one_fund_posterior`` under the config's
     ``truncation``."""
     b = bt.burn_in
     out = np.full(bt.c_cum.shape, math.nan)

@@ -1,4 +1,5 @@
 import hashlib
+import math
 import os
 import re
 import subprocess
@@ -56,6 +57,13 @@ seed = 23
 
 def run(args):
     return cli.main(args)
+
+
+def upper_tail_returns() -> str:
+    """A one-fund returns file of 400 days of 0.01 N(0, 1) returns."""
+    rets = 0.01 * np.random.default_rng(0).standard_normal(400)
+    return "date,ret_1,rf\n" + "".join(
+        f"{np.datetime64('2001-01-01') + i},{r!r},0.0\n" for i, r in enumerate(rets.tolist()))
 
 
 class TestSimulate:
@@ -456,10 +464,8 @@ class TestBacktestReport:
     def test_an_upper_tail_truncation_is_solved(self, tmp_path, lower):
         # after 200 days of returns near 0 the interval lies far above the posterior mean,
         # where the CDF has saturated: the mean fell below the interval and kappa below 0
-        rets = 0.01 * np.random.default_rng(0).standard_normal(400)
         returns = tmp_path / "returns.csv"
-        returns.write_text("date,ret_1,rf\n" + "".join(
-            f"{np.datetime64('2001-01-01') + i},{r!r},0.0\n" for i, r in enumerate(rets.tolist())))
+        returns.write_text(upper_tail_returns())
         config = tmp_path / "bt.cfg"
         config.write_text(f"burn_in_days = 200\ntruncation_l = {lower}\n")
         assert run(["backtest", "--input", str(returns), "--config", str(config),
@@ -467,6 +473,28 @@ class TestBacktestReport:
         header, *rows = (tmp_path / "backtest.csv").read_text().splitlines()
         nu_hat = [float(row.split(",")[header.split(",").index("nu_hat_1")]) for row in rows]
         assert len(nu_hat) == 200 and min(nu_hat) > lower
+
+    @pytest.mark.parametrize("lower, upper", [(0.0, 1e-8), (1000.0, math.inf)])
+    def test_a_narrow_or_far_truncation_is_solved(self, tmp_path, lower, upper):
+        # (0, 1e-8) is narrow against the posterior scale; 1000 lies 136-200 sd above R/C
+        returns = tmp_path / "returns.csv"
+        returns.write_text(upper_tail_returns())
+        config = tmp_path / "bt.cfg"
+        config.write_text(f"burn_in_days = 200\ntruncation_l = {lower}\ntruncation_r = {upper}\n")
+        assert run(["backtest", "--input", str(returns), "--config", str(config),
+                    "--out", str(tmp_path)]) == 0
+        header, *rows = (tmp_path / "backtest.csv").read_text().splitlines()
+        nu_hat = [float(row.split(",")[header.split(",").index("nu_hat_1")]) for row in rows]
+        assert len(nu_hat) == 200 and all(lower < nu < upper for nu in nu_hat)
+
+    def test_an_interval_without_posterior_variance_is_config_error(self, tmp_path, capsys):
+        returns = tmp_path / "returns.csv"
+        returns.write_text(upper_tail_returns())
+        config = tmp_path / "bt.cfg"
+        config.write_text("burn_in_days = 200\ntruncation_l = 0\ntruncation_r = 1e-300\n")
+        assert run(["backtest", "--input", str(returns), "--config", str(config),
+                    "--out", str(tmp_path / "out")]) == 2
+        assert "interval (0.0, 1e-300)" in capsys.readouterr().err
 
     def test_too_many_funds_is_config_error(self, tmp_path, capsys):
         # the output names c_1111 twice from K = 111 on; refused before the engine

@@ -11,13 +11,12 @@ from fundgrowth.filtering import (
     f_growth_increment,
     gaussian_posterior,
     growth_loss,
-    ndtr,
     portfolio_growth_variance,
     restricted_growth_loss,
     truncated_moments,
     truncated_posterior_1d,
 )
-from fundgrowth.marketsim import simulate_path, uniform_clock
+from fundgrowth.marketsim import ndtr, simulate_path, uniform_clock
 from fundgrowth.psd import CovMatrix, sqrt_entries
 
 
@@ -133,9 +132,29 @@ class TestTruncatedPosterior:
         np.testing.assert_array_equal(mirrored_nu, -nu_hat)
         np.testing.assert_array_equal(mirrored_kappa, kappa)
 
-    def test_empty_mass_rejected(self):
-        with pytest.raises(DegenerateInterval):
-            truncated_posterior_1d(0.0, 1.0, 40.0, 41.0)
+    def test_only_an_interval_without_variance_is_refused(self):
+        # (40, 41) lies 40 sd above the mean, a well-defined law; a width of 1e-300 leaves a
+        # variance below the double range, and 1e-160 a subnormal one
+        state = truncated_posterior_1d(0.0, 1.0, 40.0, 41.0)
+        assert 40.0 < state.nu_hat[0] < 41.0
+        assert state.nu_hat[0] == pytest.approx(40.024969, abs=1e-6)
+        assert state.kappa.entries[0, 0] == pytest.approx(6.2267e-4, rel=1e-4)
+        assert truncated_moments(0.0, 1.0, 0.0, 1e-160)[1] > 0.0
+        with pytest.raises(DegenerateInterval, match=r"\(0.0, 1e-300\)"):
+            truncated_moments(0.0, 1.0, 0.0, 1e-300)
+
+    def test_a_mean_that_rounds_to_an_end_is_kept_inside(self):
+        # the end 2^33 lies 1024 sd (2^-27) below R/C, so the mean is 7e-12 below the end,
+        # less than half its ulp (2^-19), and the variance is 2^-74 (1 - 6 / 1024^2)
+        nu_hat, kappa = truncated_moments(2.0 ** 87 + 2.0 ** 37, 2.0 ** 54, -math.inf, 2.0 ** 33)
+        assert nu_hat == np.nextafter(2.0 ** 33, 0.0)
+        assert kappa == pytest.approx(2.0 ** -74 * (1.0 - 6.0 / 1024 ** 2), rel=1e-10)
+
+    def test_a_mean_past_the_double_range_still_has_moments(self):
+        # R/C = 1e320 overflows, but the density on (0, 1e-8) only tilts by e^(1e-8)
+        nu_hat, kappa = truncated_moments(1.0, 1e-320, 0.0, 1e-8)
+        assert nu_hat == pytest.approx(5e-9 + 1e-16 / 12.0, rel=1e-12)
+        assert kappa == pytest.approx(1e-16 / 12.0, rel=1e-12)
 
     def test_against_quadrature(self):
         rng = np.random.default_rng(22)

@@ -113,7 +113,7 @@ def test_import_loads_no_module_and_no_numpy():
 
 # The package modules each subcommand loads, cli itself among them: floattext once
 # a float is written, marketsim only to simulate, filtering only for a truncated
-# prior or posterior, and neither estimators nor verify to run the chain.
+# posterior, and neither estimators nor verify to run the chain.
 SIMULATE = {"cli", "errors", "floattext", "marketsim", "psd", "tableio"}
 BACKTEST = {"backtest", "cli", "errors", "floattext", "psd", "shrinkage", "tableio"}
 STAGE_MODULES = {"simulate": SIMULATE, "backtest": BACKTEST, "report": BACKTEST | {"svgchart"}}

@@ -10,13 +10,13 @@ from scipy import special
 
 from fundgrowth import tableio
 from fundgrowth.errors import BadTruncation, ConfigError, EmptyGrid, RankDeficient
-from fundgrowth.filtering import ndtr
 from fundgrowth.marketsim import (
     DEFAULT_STEP,
     SimScenario,
     build_fund_model,
     draw_prior,
     euler_step,
+    ndtr,
     parse_scenario,
     residual_drift_check,
     run_scenario,
