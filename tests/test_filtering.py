@@ -17,7 +17,7 @@ from fundgrowth.filtering import (
     truncated_posterior_1d,
 )
 from fundgrowth.marketsim import ndtr, simulate_path, uniform_clock
-from fundgrowth.psd import CovMatrix, sqrt_entries
+from fundgrowth.psd import CovMatrix, inverse_entries, sqrt_entries
 
 
 def random_cov(rng, dim, definite=True):
@@ -169,6 +169,31 @@ class TestTruncatedPosterior:
             assert state.kappa.entries[0, 0] == pytest.approx(var, abs=1e-8)
             assert lo < state.nu_hat[0] < hi
             assert 0.0 < state.kappa.entries[0, 0] <= 1.0 / c + 1e-12
+
+
+def posterior_pair(out):
+    """``(nu_hat, kappa)`` of a posterior function's result: a ``PosteriorState`` or the pair."""
+    nu_hat = getattr(out, "nu_hat", None)
+    return out if nu_hat is None else (nu_hat, out.kappa.entries)
+
+
+class TestPosteriorArrays:
+    @pytest.mark.parametrize("k", [1, 3, 10])
+    def test_gaussian_posterior_is_the_inverse_and_its_product_with_r(self, k):
+        rng = np.random.default_rng(40 + k)
+        c, r = random_cov(rng, k), rng.standard_normal(k)
+        nu_hat, kappa = posterior_pair(gaussian_posterior(r, c))
+        inverse = inverse_entries(c)
+        assert nu_hat.shape == (k,) and kappa.shape == (k, k)
+        np.testing.assert_array_equal(nu_hat, inverse @ r)
+        np.testing.assert_array_equal(kappa, 0.5 * inverse + 0.5 * inverse.T)
+
+    @pytest.mark.parametrize("lower, upper", [(0.0, math.inf), (2.0, 2.0 + 1e-9), (40.0, 41.0)])
+    def test_truncated_posterior_1d_is_truncated_moments(self, lower, upper):
+        nu_hat, kappa = posterior_pair(truncated_posterior_1d(0.5, 2.0, lower, upper))
+        mean, var = truncated_moments(0.5, 2.0, lower, upper)
+        assert nu_hat.shape == (1,) and kappa.shape == (1, 1)
+        assert (nu_hat[0], kappa[0, 0]) == (float(mean), float(var))
 
 
 def peak_quad_moments(r, c, lo, hi):
