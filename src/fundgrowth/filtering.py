@@ -16,8 +16,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 
@@ -31,41 +30,15 @@ def _as_cov(m: MatrixLike) -> CovMatrix:
     return m if isinstance(m, CovMatrix) else CovMatrix(m)
 
 
-@dataclass(frozen=True)
-class PosteriorState:
-    """Posterior mean and covariance together with the statistics behind them.
-
-    ``r_cum`` and ``c_cum`` include the prior anchors ``kappa0^{-1} nu0`` and
-    ``kappa0^{-1}`` when an informative prior is used; with zero anchors the
-    state realises the uninformative-prior limit once ``c_cum`` is positive
-    definite.  Instances are immutable.
-    """
-
-    r_cum: np.ndarray
-    c_cum: CovMatrix
-    nu_hat: np.ndarray
-    kappa: CovMatrix
-    truncation: Optional[tuple[float, float]] = None
-
-    @property
-    def dim(self) -> int:
-        return self.r_cum.size
-
-
-def gaussian_posterior(r_cum: np.ndarray, c_cum: MatrixLike) -> PosteriorState:
-    """Gaussian posterior: mean ``C^{-1} R``, covariance ``C^{-1}``; raises
-    ``SingularC`` unless ``C`` is positive definite."""
+def gaussian_posterior(r_cum: np.ndarray, c_cum: MatrixLike) -> tuple[np.ndarray, np.ndarray]:
+    """Gaussian posterior ``(nu_hat, kappa)``: mean ``C^{-1} R`` and covariance ``C^{-1}``,
+    symmetrised; raises ``SingularC`` unless ``C`` is positive definite."""
     r_cum = np.asarray(r_cum, dtype=float).reshape(-1)
     c_cum = _as_cov(c_cum)
     if r_cum.size != c_cum.dim:
         raise ValueError(f"R has size {r_cum.size}, C has dim {c_cum.dim}")
     kappa = inverse_entries(c_cum)
-    return PosteriorState(
-        r_cum=r_cum,
-        c_cum=c_cum,
-        nu_hat=kappa @ r_cum,
-        kappa=CovMatrix(kappa),
-    )
+    return kappa @ r_cum, 0.5 * kappa + 0.5 * kappa.T
 
 
 @functools.cache
@@ -113,17 +86,12 @@ def truncated_moments(r_cum, c_cum, lower: float, upper: float) -> tuple[np.ndar
     return np.clip(nu_hat, np.nextafter(lower, upper), np.nextafter(upper, lower)), kappa
 
 
-def truncated_posterior_1d(r_cum: float, c_cum: float, lower: float, upper: float) -> PosteriorState:
-    """One-dimensional posterior under a prior truncated to ``(lower, upper)``: see
-    ``truncated_moments``."""
-    nu_hat, kappa = truncated_moments(r_cum, c_cum, lower, upper)
-    return PosteriorState(
-        r_cum=np.array([float(r_cum)]),
-        c_cum=CovMatrix([[float(c_cum)]]),
-        nu_hat=np.array([float(nu_hat)]),
-        kappa=CovMatrix([[float(kappa)]]),
-        truncation=(lower, upper),
-    )
+def truncated_posterior_1d(r_cum: float, c_cum: float, lower: float,
+                           upper: float) -> tuple[np.ndarray, np.ndarray]:
+    """One-dimensional posterior ``(nu_hat, kappa)``, of shapes (1,) and (1, 1), under a prior
+    truncated to ``(lower, upper)``: see ``truncated_moments``."""
+    nu_hat, kappa = truncated_moments(float(r_cum), float(c_cum), lower, upper)
+    return nu_hat.reshape(1), kappa.reshape(1, 1)
 
 
 def f_growth_increment(nu_hat: np.ndarray, d_c: MatrixLike) -> float:

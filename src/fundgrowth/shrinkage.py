@@ -22,7 +22,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import NoConvergence, SingularC
-from .psd import CovMatrix, inverse_entries, is_definite
+from .psd import CovMatrix, is_definite
 
 # Residual target |f(b) - b| <= RESIDUAL_TOL * b.
 RESIDUAL_TOL = 1e-12
@@ -192,9 +192,3 @@ def psi_one_fund(nu_hat, kappa):
         raise ValueError("kappa must be positive")
     return 3.375 * nu_hat * nu_hat / kappa
 
-
-def psi_constant_cov(r_cum: np.ndarray, c_cum: CovMatrix) -> float:
-    """Uniform-case parameter under a constant covariance rate: ``(3/2)^3 R'C^{-1}R``."""
-    r_cum = np.asarray(r_cum, dtype=float).reshape(-1)
-    kappa = inverse_entries(c_cum)
-    return 3.375 * float(r_cum @ kappa @ r_cum)

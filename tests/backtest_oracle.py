@@ -90,19 +90,15 @@ class BacktestEngine:
     def _posterior(self):
         cfg = self.config
         if cfg.truncation is not None:
-            state = filtering.truncated_posterior_1d(
+            nu, kap = filtering.truncated_posterior_1d(
                 float(self._r[0]), float(self._c[0, 0]), *cfg.truncation
             )
-            nu = state.nu_hat
-            kap = state.kappa.entries
         elif self.k == 1:
             c = float(self._c[0, 0])
             nu = np.array([float(self._r[0]) / c])
             kap = np.array([[1.0 / c]])
         else:
-            state = filtering.gaussian_posterior(self._r, CovMatrix(0.5 * (self._c + self._c.T)))
-            nu = state.nu_hat
-            kap = state.kappa.entries
+            nu, kap = filtering.gaussian_posterior(self._r, CovMatrix(0.5 * (self._c + self._c.T)))
         if self._force_nu is not None:
             nu = self._force_nu
         if self.k == 1:

@@ -26,7 +26,8 @@ from fundgrowth.filtering import (
 )
 from fundgrowth.marketsim import build_fund_model, residual_drift_check
 from fundgrowth.psd import CovMatrix, check_lemma_error_reduction, sqrt_entries
-from fundgrowth.shrinkage import cardano_a, psi_constant_cov, shrink_portfolio
+from fundgrowth.shrinkage import cardano_a, shrink_portfolio
+from posterior_columns import psi_constant_cov
 
 DAILY_STEP = 1.0 / 252.0
 US_LIKE_DAILY_VAR = 0.18 ** 2 / 252.0      # 18% annualised volatility
@@ -257,7 +258,7 @@ def test_criterion_08_posterior_against_independent_oracles():
         a = rng.standard_normal((2, 2)) * 0.6
         d_c = a @ a.T
         d_r = d_c @ (nu0 + 0.5 * rng.standard_normal(2))
-        state = gaussian_posterior(r0 + d_r, CovMatrix(c0 + d_c))
+        nu_hat, kappa = gaussian_posterior(r0 + d_r, CovMatrix(c0 + d_c))
 
         draws = nu0 + rng.standard_normal((n_draws, 2)) @ sqrt_entries(kappa0)
         log_w = draws @ d_r - 0.5 * np.einsum("ij,ij->i", draws @ d_c, draws)
@@ -275,18 +276,18 @@ def test_criterion_08_posterior_against_independent_oracles():
 
         mean_se = means.std(axis=0, ddof=1) / math.sqrt(batches)
         cov_se = covs.std(axis=0, ddof=1) / math.sqrt(batches)
-        assert np.all(np.abs(means.mean(axis=0) - state.nu_hat) <= 4.0 * mean_se)
-        assert np.all(np.abs(covs.mean(axis=0) - state.kappa.entries) <= 4.0 * cov_se)
+        assert np.all(np.abs(means.mean(axis=0) - nu_hat) <= 4.0 * mean_se)
+        assert np.all(np.abs(covs.mean(axis=0) - kappa) <= 4.0 * cov_se)
 
     for _ in range(50):
         c = float(rng.uniform(0.5, 5.0))
         r = float(rng.uniform(-2.0, 2.0)) * c
         lo = float(rng.uniform(-3.0, 0.5))
         hi = lo + float(rng.uniform(0.2, 3.0))
-        state = truncated_posterior_1d(r, c, lo, hi)
+        nu_hat, kappa = truncated_posterior_1d(r, c, lo, hi)
         mean, var = _quad_truncated_moments(r, c, lo, hi)
-        assert state.nu_hat[0] == pytest.approx(mean, abs=1e-8)
-        assert state.kappa.entries[0, 0] == pytest.approx(var, abs=1e-8)
+        assert nu_hat[0] == pytest.approx(mean, abs=1e-8)
+        assert kappa[0, 0] == pytest.approx(var, abs=1e-8)
     report(8, "20 weighted-MC posteriors within 4 SE; 50 truncated moments to 1e-8")
 
 

@@ -469,12 +469,12 @@ class TestRunBacktest:
         config = BacktestConfig(burn_in_days=50, truncation_l=0.0)
         bt = run_backtest(series, config)
         assert np.all(bt.nu_hat[50:, 0] > 0.0)
-        state = truncated_posterior_1d(
+        nu_hat, kappa_end = truncated_posterior_1d(
             float(bt.r_cum[-1, 0]), float(bt.c_cum[-1, 0, 0]), 0.0, math.inf
         )
-        assert bt.nu_hat[-1, 0] == pytest.approx(state.nu_hat[0], rel=1e-12)
+        assert bt.nu_hat[-1, 0] == pytest.approx(nu_hat[0], rel=1e-12)
         assert kappa(bt, config.truncation)[-1, 0, 0] == pytest.approx(
-            state.kappa.entries[0, 0], rel=1e-12)
+            kappa_end[0, 0], rel=1e-12)
 
     def test_demeaned_covariance_variant(self):
         series = simulated_series(300, seed=9)

@@ -44,14 +44,14 @@ def quad_truncated_moments(r, c, lo, hi):
 
 class TestGaussianPosterior:
     def test_centered(self):
-        state = gaussian_posterior(np.zeros(3), CovMatrix(np.eye(3)))
-        np.testing.assert_allclose(state.nu_hat, 0.0, atol=1e-15)
-        np.testing.assert_allclose(state.kappa.entries, np.eye(3), atol=1e-12)
+        nu_hat, kappa = gaussian_posterior(np.zeros(3), CovMatrix(np.eye(3)))
+        np.testing.assert_allclose(nu_hat, 0.0, atol=1e-15)
+        np.testing.assert_allclose(kappa, np.eye(3), atol=1e-12)
 
     def test_one_dim_arithmetic(self):
-        state = gaussian_posterior([2.0], [[4.0]])
-        assert state.nu_hat[0] == pytest.approx(0.5, abs=1e-12)
-        assert state.kappa.entries[0, 0] == pytest.approx(0.25, abs=1e-12)
+        nu_hat, kappa = gaussian_posterior([2.0], [[4.0]])
+        assert nu_hat[0] == pytest.approx(0.5, abs=1e-12)
+        assert kappa[0, 0] == pytest.approx(0.25, abs=1e-12)
 
     def test_singular_rejected(self):
         with pytest.raises(SingularC):
@@ -70,7 +70,7 @@ class TestGaussianPosterior:
             d_c = a @ a.T
             nu_data = nu0 + rng.standard_normal(2) * 0.5
             d_r = d_c @ nu_data
-            state = gaussian_posterior(r0 + d_r, CovMatrix(c0 + d_c))
+            nu_hat, _ = gaussian_posterior(r0 + d_r, CovMatrix(c0 + d_c))
 
             n, batches = 400_000, 40
             draws = nu0 + rng.standard_normal((n, 2)) @ sqrt_entries(kappa0)
@@ -81,7 +81,7 @@ class TestGaussianPosterior:
                 mean_batches.append(chunk_w @ chunk_x / chunk_w.sum())
             mean_batches = np.array(mean_batches)
             stderr = mean_batches.std(axis=0, ddof=1) / math.sqrt(batches)
-            assert np.all(np.abs(mean_batches.mean(axis=0) - state.nu_hat) <= 4.0 * stderr)
+            assert np.all(np.abs(mean_batches.mean(axis=0) - nu_hat) <= 4.0 * stderr)
 
 
 class TestNdtr:
@@ -99,26 +99,26 @@ class TestNdtr:
 
 class TestTruncatedPosterior:
     def test_infinite_interval_reduces_to_gaussian(self):
-        state = truncated_posterior_1d(2.0, 4.0, -math.inf, math.inf)
-        assert state.nu_hat[0] == pytest.approx(0.5, abs=1e-12)
-        assert state.kappa.entries[0, 0] == pytest.approx(0.25, abs=1e-12)
+        nu_hat, kappa = truncated_posterior_1d(2.0, 4.0, -math.inf, math.inf)
+        assert nu_hat[0] == pytest.approx(0.5, abs=1e-12)
+        assert kappa[0, 0] == pytest.approx(0.25, abs=1e-12)
 
     def test_half_line_closed_form(self):
-        state = truncated_posterior_1d(0.0, 1.0, 0.0, math.inf)
-        assert state.nu_hat[0] == pytest.approx(math.sqrt(2.0 / math.pi), abs=1e-12)
-        assert state.kappa.entries[0, 0] == pytest.approx(1.0 - 2.0 / math.pi, abs=1e-12)
+        nu_hat, kappa = truncated_posterior_1d(0.0, 1.0, 0.0, math.inf)
+        assert nu_hat[0] == pytest.approx(math.sqrt(2.0 / math.pi), abs=1e-12)
+        assert kappa[0, 0] == pytest.approx(1.0 - 2.0 / math.pi, abs=1e-12)
 
     def test_symmetric_interval_keeps_mean(self):
-        state = truncated_posterior_1d(2.0, 4.0, 0.5 - 0.3, 0.5 + 0.3)
-        assert state.nu_hat[0] == pytest.approx(0.5, abs=1e-12)
+        nu_hat, _ = truncated_posterior_1d(2.0, 4.0, 0.5 - 0.3, 0.5 + 0.3)
+        assert nu_hat[0] == pytest.approx(0.5, abs=1e-12)
 
     def test_array_moments_are_elementwise(self):
         r, c = np.array([-1.0, 0.5, 3.0]), np.array([0.5, 2.0, 4.0])
         nu_hat, kappa = truncated_moments(r, c, 0.0, math.inf)
         for i in range(3):
-            state = truncated_posterior_1d(float(r[i]), float(c[i]), 0.0, math.inf)
-            assert nu_hat[i] == state.nu_hat[0]
-            assert kappa[i] == state.kappa.entries[0, 0]
+            nu_one, kappa_one = truncated_posterior_1d(float(r[i]), float(c[i]), 0.0, math.inf)
+            assert nu_hat[i] == nu_one[0]
+            assert kappa[i] == kappa_one[0, 0]
 
     @pytest.mark.parametrize("upper", [0.5, math.inf])
     def test_an_upper_tail_interval_is_mirrored(self, upper):
@@ -135,10 +135,10 @@ class TestTruncatedPosterior:
     def test_only_an_interval_without_variance_is_refused(self):
         # (40, 41) lies 40 sd above the mean, a well-defined law; a width of 1e-300 leaves a
         # variance below the double range, and 1e-160 a subnormal one
-        state = truncated_posterior_1d(0.0, 1.0, 40.0, 41.0)
-        assert 40.0 < state.nu_hat[0] < 41.0
-        assert state.nu_hat[0] == pytest.approx(40.024969, abs=1e-6)
-        assert state.kappa.entries[0, 0] == pytest.approx(6.2267e-4, rel=1e-4)
+        nu_hat, kappa = truncated_posterior_1d(0.0, 1.0, 40.0, 41.0)
+        assert 40.0 < nu_hat[0] < 41.0
+        assert nu_hat[0] == pytest.approx(40.024969, abs=1e-6)
+        assert kappa[0, 0] == pytest.approx(6.2267e-4, rel=1e-4)
         assert truncated_moments(0.0, 1.0, 0.0, 1e-160)[1] > 0.0
         with pytest.raises(DegenerateInterval, match=r"\(0.0, 1e-300\)"):
             truncated_moments(0.0, 1.0, 0.0, 1e-300)
@@ -163,12 +163,12 @@ class TestTruncatedPosterior:
             r = float(rng.uniform(-2.0, 2.0)) * c
             lo = float(rng.uniform(-3.0, 0.5))
             hi = lo + float(rng.uniform(0.2, 3.0))
-            state = truncated_posterior_1d(r, c, lo, hi)
+            nu_hat, kappa = truncated_posterior_1d(r, c, lo, hi)
             mean, var = quad_truncated_moments(r, c, lo, hi)
-            assert state.nu_hat[0] == pytest.approx(mean, abs=1e-8)
-            assert state.kappa.entries[0, 0] == pytest.approx(var, abs=1e-8)
-            assert lo < state.nu_hat[0] < hi
-            assert 0.0 < state.kappa.entries[0, 0] <= 1.0 / c + 1e-12
+            assert nu_hat[0] == pytest.approx(mean, abs=1e-8)
+            assert kappa[0, 0] == pytest.approx(var, abs=1e-8)
+            assert lo < nu_hat[0] < hi
+            assert 0.0 < kappa[0, 0] <= 1.0 / c + 1e-12
 
 
 def posterior_pair(out):
@@ -418,6 +418,6 @@ class TestPosteriorUpdate:
                 chunk = incr[:n_steps]
                 c_cum = 0.01 * np.eye(2) + chunk.T @ chunk   # weak anchor
                 r_cum = chunk.sum(axis=0)                    # zero prior mean
-                state = gaussian_posterior(r_cum, CovMatrix(c_cum))
-                bucket.append(float(np.linalg.norm(state.nu_hat - nu)))
+                nu_hat, _ = gaussian_posterior(r_cum, CovMatrix(c_cum))
+                bucket.append(float(np.linalg.norm(nu_hat - nu)))
         assert np.median(errors_long) < 0.5 * np.median(errors_short)

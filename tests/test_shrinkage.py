@@ -10,11 +10,11 @@ from fundgrowth.psd import CovMatrix
 from fundgrowth.shrinkage import (
     RESIDUAL_TOL,
     cardano_a,
-    psi_constant_cov,
     psi_one_fund,
     shrink_portfolio,
     solve_b,
 )
+from posterior_columns import psi_constant_cov
 
 
 def random_cov(rng, dim, definite=True):
