@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable, Iterator, Optional
 
 import numpy as np
@@ -189,15 +190,25 @@ def check_growth_loss_identity(rng: np.random.Generator, instances: int) -> Viol
 
 
 def check_cardano(rng: np.random.Generator, instances: int) -> Violations:
-    """Closed-form uniform factor satisfies its cubic across 16 decades:
-    ``psi = 0`` and ``instances - 1`` log-spaced values from 1e-8 to 1e8."""
+    """Closed-form uniform factor ``a`` within a few ulp of its cubic's root, at ``psi = 0`` and
+    ``instances - 1`` log-spaced values from 1e-8 to 1e8: the least ``n`` for which ``a -/+ n
+    ulp(a)`` brackets the root of ``g(x) = x - (4 psi / 27)(1 - x)^3``, evaluated exactly, and
+    inf past 2^64 ulp or where ``a`` falls as ``psi`` rises."""
     del rng  # deterministic grid
     prev = -1.0
     for psi in np.concatenate(([0.0], np.logspace(-8.0, 8.0, instances - 1))):
         a = shrinkage.cardano_a(float(psi))
-        yield abs(-4.0 * (2.0 * psi / 27.0) * (1.0 - a) ** 3 + 2.0 * a)
-        if a < prev:            # monotonicity in psi
-            yield prev - a + 1.0
+        if not prev <= a < math.inf:            # falls, or is not a number
+            yield math.inf
+        else:   # g rises: search n on the side of a where g changes sign, doubling, then halving
+            x, u, c = Fraction(a), Fraction(math.ulp(a)), 4 * Fraction(float(psi)) / 27
+            side = 1 if x <= c * (1 - x) ** 3 else -1
+            lo, hi = -1, 2 ** 64                # the least n lies in (lo, hi], or past 2^64
+            while hi - lo > 1:
+                n = 2 * lo + 2 if hi == 2 ** 64 else (lo + hi) // 2
+                y = x + side * n * u
+                lo, hi = (lo, n) if side * (y - c * (1 - y) ** 3) >= 0 else (n, hi)
+            yield hi if hi < 2 ** 64 else math.inf
         prev = a
 
 
@@ -210,7 +221,7 @@ CHECKS: dict[str, tuple[Callable[[np.random.Generator, int], Violations], int, f
     "shrink_identity": (check_shrink_identity, 200, 1e-9),
     "dis_fund_law": (check_dis_fund_law, 200, 1e-9),
     "growth_loss_identity": (check_growth_loss_identity, 6, 4.0),
-    "cardano": (check_cardano, 51, 1e-10),
+    "cardano": (check_cardano, 51, 8.0),
 }
 
 

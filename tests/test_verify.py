@@ -19,7 +19,7 @@ DEFAULT_TABLE = [
     ("shrink_identity", 200, 1e-9),
     ("dis_fund_law", 200, 1e-9),
     ("growth_loss_identity", 6, 4.0),
-    ("cardano", 51, 1e-10),
+    ("cardano", 51, 8.0),
 ]
 
 
