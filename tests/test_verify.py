@@ -87,3 +87,13 @@ def test_cardano_instances_count_its_evaluations(monkeypatch):
     (result,) = verify.run_checks(["cardano"], instances=4)
     assert result.instances == 4 and result.passed
     assert calls == pytest.approx([0.0, 1e-8, 1.0, 1e8], rel=1e-15)
+
+
+def test_cardano_fails_an_a_far_off_its_root_whose_cubic_residual_is_small(monkeypatch):
+    # 1.3e-7 relative below psi = 1e-4 leaves a cubic residual of at most 4e-12, below the
+    # 1e-10 that the check once allowed, yet there a lies about 1e9 ulp from the root
+    cardano_a = shrinkage.cardano_a
+    monkeypatch.setattr(shrinkage, "cardano_a",
+                        lambda psi: cardano_a(psi) * (1.0 + 1.3e-7 * (psi < 1e-4)))
+    (result,) = verify.run_checks(["cardano"])
+    assert not result.passed and result.max_violation > 1e8
