@@ -90,7 +90,7 @@ def truncated_posterior_1d(r_cum: float, c_cum: float, lower: float,
                            upper: float) -> tuple[np.ndarray, np.ndarray]:
     """One-dimensional posterior ``(nu_hat, kappa)``, of shapes (1,) and (1, 1), under a prior
     truncated to ``(lower, upper)``: see ``truncated_moments``."""
-    nu_hat, kappa = truncated_moments(float(r_cum), float(c_cum), lower, upper)
+    nu_hat, kappa = truncated_moments(r_cum, c_cum, lower, upper)
     return nu_hat.reshape(1), kappa.reshape(1, 1)
 
 

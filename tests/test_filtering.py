@@ -171,18 +171,12 @@ class TestTruncatedPosterior:
             assert 0.0 < kappa[0, 0] <= 1.0 / c + 1e-12
 
 
-def posterior_pair(out):
-    """``(nu_hat, kappa)`` of a posterior function's result: a ``PosteriorState`` or the pair."""
-    nu_hat = getattr(out, "nu_hat", None)
-    return out if nu_hat is None else (nu_hat, out.kappa.entries)
-
-
 class TestPosteriorArrays:
     @pytest.mark.parametrize("k", [1, 3, 10])
     def test_gaussian_posterior_is_the_inverse_and_its_product_with_r(self, k):
         rng = np.random.default_rng(40 + k)
         c, r = random_cov(rng, k), rng.standard_normal(k)
-        nu_hat, kappa = posterior_pair(gaussian_posterior(r, c))
+        nu_hat, kappa = gaussian_posterior(r, c)
         inverse = inverse_entries(c)
         assert nu_hat.shape == (k,) and kappa.shape == (k, k)
         np.testing.assert_array_equal(nu_hat, inverse @ r)
@@ -190,7 +184,7 @@ class TestPosteriorArrays:
 
     @pytest.mark.parametrize("lower, upper", [(0.0, math.inf), (2.0, 2.0 + 1e-9), (40.0, 41.0)])
     def test_truncated_posterior_1d_is_truncated_moments(self, lower, upper):
-        nu_hat, kappa = posterior_pair(truncated_posterior_1d(0.5, 2.0, lower, upper))
+        nu_hat, kappa = truncated_posterior_1d(0.5, 2.0, lower, upper)
         mean, var = truncated_moments(0.5, 2.0, lower, upper)
         assert nu_hat.shape == (1,) and kappa.shape == (1, 1)
         assert (nu_hat[0], kappa[0, 0]) == (float(mean), float(var))
