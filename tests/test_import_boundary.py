@@ -1,6 +1,7 @@
-"""Module boundaries inside the package, read from the source: no module takes a
-private name from a sibling, and only ``tableio`` knows how input text is decoded
-and opens a file.  Importing the package imports none of its modules, each
+"""Module boundaries inside the package, read from the source: every module imports
+only numpy, the standard library and the package itself, no module takes a private
+name from a sibling, and only ``tableio`` knows how input text is decoded and opens
+a file.  Importing the package imports none of its modules, each
 subcommand and a Monte Carlo path import only the modules they run, and none of
 them builds the float formatter's tables."""
 
@@ -18,6 +19,8 @@ from fundgrowth import cli, verify
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "fundgrowth"
 MODULES = sorted(PACKAGE.glob("*.py"))
 SIBLINGS = {path.stem for path in MODULES}
+# numpy is the one run-time dependency (pyproject.toml); scipy is for the tests only
+RUNTIME_TOP_LEVEL = {"numpy", "fundgrowth", *sys.stdlib_module_names}
 
 
 def run_python(code: str, *argv: str, cwd=None) -> str:
@@ -46,6 +49,18 @@ def private_imports(tree: ast.AST) -> list[str]:
     return found
 
 
+def foreign_imports(tree: ast.AST) -> list[str]:
+    """Modules an ``import`` anywhere in ``tree``, function bodies included, names outside
+    ``RUNTIME_TOP_LEVEL``; a relative import is the package's own."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.append(node.module)
+    return [name for name in found if name.partition(".")[0] not in RUNTIME_TOP_LEVEL]
+
+
 def input_text_uses(tree: ast.AST) -> list[int]:
     return sorted({node.lineno for node in ast.walk(tree)
                    if isinstance(node, ast.Name) and node.id == "INPUT_TEXT"
@@ -58,6 +73,11 @@ def open_calls(tree: ast.AST) -> list[int]:
     return sorted({node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call)
                    and (isinstance(node.func, ast.Name) and node.func.id == "open"
                         or isinstance(node.func, ast.Attribute) and node.func.attr == "open")})
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[path.name for path in MODULES])
+def test_imports_only_numpy_the_standard_library_and_the_package(path):
+    assert foreign_imports(ast.parse(path.read_text(encoding="utf-8"))) == []
 
 
 @pytest.mark.parametrize("path", MODULES, ids=[path.name for path in MODULES])
@@ -83,6 +103,11 @@ def test_the_guards_see_what_they_look_for():
                      "from __future__ import annotations\n"
                      "open(p, **tableio.INPUT_TEXT)\n")
     assert private_imports(tree) == ["marketsim._parse_matrix", "fundgrowth.psd._x"]
+    assert foreign_imports(tree) == []
+    assert foreign_imports(ast.parse("import numpy as np, os.path\n"
+                                     "def f():\n"
+                                     "    from scipy import special\n"
+                                     "    import yaml.parser\n")) == ["scipy", "yaml.parser"]
     assert input_text_uses(tree) == [4]
     assert input_text_uses(ast.parse("from .tableio import INPUT_TEXT\n")) == [1]
     assert open_calls(tree) == [4]
