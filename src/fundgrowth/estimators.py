@@ -59,9 +59,13 @@ def _cross_cov(x: np.ndarray, c: CovMatrix, y: np.ndarray, d_o: float) -> np.nda
     return x.T @ c.entries @ y * d_o
 
 
-def _checked_solve(m: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+def _check_rank(m: np.ndarray) -> None:
     if not is_full_rank(m):
         raise SingularCrossCovariance("cross-covariance with the funds is singular")
+
+
+def _checked_solve(m: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    _check_rank(m)
     return np.linalg.solve(m, rhs)
 
 
@@ -105,13 +109,15 @@ def dis(x: np.ndarray, f: np.ndarray, c: CovMatrix, d_o: float) -> float:
 
     At ``x = f`` the value collapses to ``K / 2`` identically, independent of
     the covariance rate, the loadings, and the window length; that case is
-    short-circuited so no spurious round-off appears.
+    short-circuited so no spurious round-off appears, once ``c_ff`` has passed
+    the rank and definiteness checks every other ``x`` meets.
     """
     f, x = _frame(f), _frame(x)
+    c_ff = _cross_cov(f, c, f, d_o)
+    _check_rank(c_ff)
+    eta = sqrt_entries(CovMatrix(0.5 * (c_ff + c_ff.T)))
     if x.shape == f.shape and np.array_equal(x, f):
         return 0.5 * f.shape[1]
-    c_ff = _cross_cov(f, c, f, d_o)
-    eta = sqrt_entries(CovMatrix(0.5 * (c_ff + c_ff.T)))
     return 0.5 * frobenius_objective(c, eta, f, x, d_o)
 
 

@@ -132,6 +132,41 @@ class TestDis:
             x = rng.standard_normal((5, 2))
             assert dis(x, f, c, 1.0) >= 1.0 - 1e-9
 
+    def test_an_invertible_mix_of_the_funds_is_half_the_fund_count(self):
+        # the formula itself, not the x = f short-circuit
+        rng = np.random.default_rng(9)
+        for _ in range(300):
+            dim = int(rng.integers(2, 9))
+            k = int(rng.integers(1, min(dim, 4) + 1))
+            c = random_cov(rng, dim)
+            f = well_conditioned_frame(rng, dim, k)
+            g = well_conditioned_frame(rng, k, k)
+            d_o = float(rng.uniform(0.001, 2.0))
+            assert abs(dis(f @ g, f, c, d_o) - 0.5 * k) <= 1e-12
+
+    def test_dependent_funds_are_refused_at_the_funds(self):
+        rng = np.random.default_rng(10)
+        c = random_cov(rng, 3)
+        f = np.repeat(rng.standard_normal((3, 1)), 2, axis=1)
+        for x in (f, f @ np.array([[2.0, 1.0], [0.5, 1.5]])):
+            with pytest.raises(SingularCrossCovariance):
+                dis(x, f, c, 1.0)
+        with pytest.raises(SingularCrossCovariance):
+            mse(f, f, c, 1.0)
+
+    def test_more_funds_than_assets_are_refused_at_the_funds(self):
+        f = np.random.default_rng(11).standard_normal((2, 3))
+        with pytest.raises(SingularCrossCovariance):
+            dis(f, f, CovMatrix(np.eye(2)), 1.0)
+
+    def test_a_negative_window_is_refused_at_the_funds(self):
+        rng = np.random.default_rng(12)
+        c = random_cov(rng, 3)
+        f = well_conditioned_frame(rng, 3, 2)
+        for x in (f, f @ np.array([[2.0, 1.0], [0.5, 1.5]])):
+            with pytest.raises(ValueError, match="not positive semidefinite"):
+                dis(x, f, c, -1.0)
+
 
 class TestFrobeniusObjective:
     def test_minimised_at_funds(self):
