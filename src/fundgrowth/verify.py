@@ -162,14 +162,17 @@ def check_mse_min(rng: np.random.Generator, instances: int) -> Violations:
 
 
 def check_dis_fund_law(rng: np.random.Generator, instances: int) -> Violations:
-    """Distance from growth optimality: exactly K/2 at the funds, larger elsewhere."""
+    """Distance from growth optimality: K/2 through the funds, larger elsewhere.  The
+    funds enter as an invertible mix ``f g`` of themselves, which ``dis`` does not
+    short-circuit and whose value it does not change."""
     for _ in range(instances):
         dim = int(rng.integers(2, 9))
         k = int(rng.integers(1, min(dim, 4) + 1))
         c = _random_psd(rng, dim)
         f = _random_frame(rng, dim, k)
         d_o = float(rng.uniform(0.001, 2.0))
-        yield abs(estimators.dis(f, f, c, d_o) - 0.5 * k)
+        g = _random_frame(rng, k, k)
+        yield abs(estimators.dis(f @ g, f, c, d_o) - 0.5 * k)
         x = _random_frame(rng, dim, k)
         yield 0.5 * k - estimators.dis(x, f, c, d_o)
 
