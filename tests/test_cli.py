@@ -84,6 +84,17 @@ class TestSimulate:
         run(["simulate", "--config", str(config), "--out", str(out_b)])
         assert (out_a / "simulated.csv").read_bytes() == (out_b / "simulated.csv").read_bytes()
 
+    @pytest.mark.parametrize("lower", [0.0, 9.0], ids=["rejection", "inverse_cdf"])
+    def test_a_truncated_prior_gives_the_same_bytes(self, tmp_path, lower):
+        config = tmp_path / "scenario.cfg"
+        config.write_text("dim = 1\ncov_preset = us_one_fund\nprior_mean = 0\nprior_cov = 1\n"
+                          f"truncation_l = {lower}\nsteps = 50\n")
+        outputs = []
+        for out in (tmp_path / "a", tmp_path / "b"):
+            assert run(["simulate", "--config", str(config), "--out", str(out)]) == 0
+            outputs.append((out / "simulated.csv").read_bytes())
+        assert outputs[0] == outputs[1] and len(outputs[0].splitlines()) == 51
+
     def test_fund_scenario_reports_residual_drift(self, tmp_path, capsys):
         config = tmp_path / "scenario.cfg"
         config.write_text(TWO_FUND_SCENARIO)
@@ -131,6 +142,8 @@ class TestSimulate:
          "truncation_l = 40\ntruncation_r = 41\nsteps = 5\n", "no prior probability"),
         ("dim = 1\ncov_preset = identity\nprior_mean = 0\nprior_cov = 0\n"
          "truncation_l = 1\ntruncation_r = 2\nsteps = 5\n", "no prior probability"),
+        ("dim = 2\ncov_preset = identity\nprior_mean = 2, 2\nprior_cov = 1, 0; 0, 1\n"
+         "truncation_l = 0\nsteps = 5\n", "truncation interval requires dimension one"),
         (ONE_FUND_SCENARIO.replace("seed = 11", "seed = -2"), "seed must be non-negative"),
         (TWO_FUND_SCENARIO.replace("= 40000", "= 1"), "drift_check_paths must be 0 (off) or"),
         (TWO_FUND_SCENARIO.replace("= 40000", "= -5"), "drift_check_paths must be 0 (off) or"),
@@ -151,7 +164,8 @@ class TestSimulate:
          .replace("f = 1,0", "f = 1e200,0"), "the simulated path overflows double precision"),
     ], ids=["dt_negative", "dt_nan", "o_start_unknown", "nu_size", "nu_nan", "prior_mean_size",
             "prior_mean_nan", "prior_cov_dim", "f_rows", "f_no_rows", "theta_size", "dim_zero",
-            "truncation_no_mass", "truncation_point_prior", "seed_negative", "drift_paths_one",
+            "truncation_no_mass", "truncation_point_prior", "truncation_dim_two",
+            "seed_negative", "drift_paths_one",
             "drift_paths_negative", "theta_without_f", "nu_with_f", "cov_with_cov_preset",
             "prior_mean_with_nu", "truncation_with_nu", "truncation_with_f", "drift_paths_with_nu",
             "drift_paths_with_prior", "clock_overflows", "path_overflows",

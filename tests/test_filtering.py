@@ -367,6 +367,19 @@ class TestRestrictedGrowthLoss:
             got = restricted_growth_loss(kappa, d_c, f)
             assert got == pytest.approx(expected, rel=1e-10)
 
+    def test_an_invertible_mix_of_the_frame_is_the_same_universe(self):
+        # a restricted universe is given by its funds' span, not by the funds
+        rng = np.random.default_rng(33)
+        for _ in range(300):
+            dim = int(rng.integers(2, 8))
+            d_c = random_cov(rng, dim)
+            kappa = random_cov(rng, dim, definite=False)
+            k = int(rng.integers(1, dim + 1))
+            f, g = ((np.linalg.qr(rng.standard_normal((n, k)))[0] * rng.uniform(0.5, 2.0, k))
+                    for n in (dim, k))
+            loss = restricted_growth_loss(kappa, d_c, f)
+            assert restricted_growth_loss(kappa, d_c, f @ g) == pytest.approx(loss, rel=1e-10)
+
     def test_degenerate_restriction_rejected(self):
         d_c = CovMatrix(np.diag([1.0, 0.0]))
         with pytest.raises(SingularOnSubspace):
