@@ -1,9 +1,9 @@
 """Module boundaries inside the package, read from the source: every module imports
 only numpy, the standard library and the package itself, no module takes a private
 name from a sibling, and only ``tableio`` knows how input text is decoded and opens
-a file.  Importing the package imports none of its modules, each
-subcommand and a Monte Carlo path import only the modules they run, and none of
-them builds the float formatter's tables."""
+a file.  Importing the package imports none of its modules, each subcommand and a
+Monte Carlo path import only the modules they run, and none of them builds the
+float formatter's tables."""
 
 import ast
 import json
