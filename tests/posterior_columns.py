@@ -1,11 +1,13 @@
 """Columns of a backtest that only the tests read, derived from a ``BacktestSeries``:
-the posterior covariance ``kappa`` and the shrunk portfolio ``rho`` per date; and the
-uniform-case parameter ``psi_constant_cov`` of a posterior under a constant covariance rate."""
+the posterior covariance ``kappa`` and the shrunk portfolio ``rho`` per date; the
+uniform-case parameter ``psi_constant_cov`` of a posterior under a constant covariance rate;
+and ``quad_truncated_moments``, the quadrature oracle of a truncated one-fund posterior."""
 
 import math
 from types import SimpleNamespace
 
 import numpy as np
+from scipy.integrate import quad
 
 from fundgrowth.filtering import truncated_moments
 from fundgrowth.psd import CovMatrix, inverse_entries
@@ -38,3 +40,18 @@ def psi_constant_cov(r_cum: np.ndarray, c_cum: CovMatrix) -> float:
     r_cum = np.asarray(r_cum, dtype=float).reshape(-1)
     kappa = inverse_entries(c_cum)
     return 3.375 * float(r_cum @ kappa @ r_cum)
+
+
+def quad_truncated_moments(r, c, lo, hi):
+    """Mean and variance of the density ``exp(x r - c x^2 / 2)`` on ``(lo, hi)``, by
+    scipy's adaptive quadrature, independent of ``truncated_moments``."""
+    peak = min(max(r / c, lo), hi)
+
+    def density(x):
+        return math.exp(x * r - 0.5 * c * x * x - (peak * r - 0.5 * c * peak * peak))
+
+    z, _ = quad(density, lo, hi, epsabs=1e-14, epsrel=1e-12, limit=200)
+    m1, _ = quad(lambda x: x * density(x), lo, hi, epsabs=1e-14, epsrel=1e-12, limit=200)
+    m2, _ = quad(lambda x: x * x * density(x), lo, hi, epsabs=1e-14, epsrel=1e-12, limit=200)
+    mean = m1 / z
+    return mean, m2 / z - mean * mean

@@ -11,7 +11,6 @@ import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
 from scipy.optimize import minimize
 
 from fundgrowth import cli
@@ -27,24 +26,15 @@ from fundgrowth.filtering import (
 from fundgrowth.marketsim import build_fund_model, residual_drift_check
 from fundgrowth.psd import CovMatrix, check_lemma_error_reduction, sqrt_entries
 from fundgrowth.shrinkage import cardano_a, shrink_portfolio
+from fundgrowth.verify import _bisect_fixed_point
+from fundgrowth.verify import _random_frame as well_conditioned_frame
+from fundgrowth.verify import _random_psd as random_cov
 from posterior_columns import psi_constant_cov
+from posterior_columns import quad_truncated_moments as _quad_truncated_moments
 
 DAILY_STEP = 1.0 / 252.0
 US_LIKE_DAILY_VAR = 0.18 ** 2 / 252.0      # 18% annualised volatility
 US_LIKE_NU = 0.4 / 0.18                    # Sharpe ratio 0.4
-
-
-def random_cov(rng, dim, definite=True):
-    a = rng.standard_normal((dim, dim))
-    m = a @ a.T / dim
-    if definite:
-        m = m + 0.1 * np.eye(dim)
-    return CovMatrix(m)
-
-
-def well_conditioned_frame(rng, dim, k):
-    q, _ = np.linalg.qr(rng.standard_normal((dim, k)))
-    return q * rng.uniform(0.5, 2.0, size=k)
 
 
 def report(number, message):
@@ -150,26 +140,6 @@ def test_criterion_05_estimation_objective_minimised_at_funds():
     report(5, "1000 instances: objective(x) >= objective(f) - 1e-9")
 
 
-def _bisect_fixed_point(h_entries, z):
-    eye = np.eye(z.size)
-    hz = h_entries @ z
-
-    def f(b):
-        y = np.linalg.solve(h_entries + b * eye, hz)
-        return 0.5 * float(y @ y)
-
-    lo, hi = 0.0, 0.5 * float(z @ z)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        if f(mid) > mid:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
 def _tracking_objective_and_grad(pi, nu_hat, d_c, kdk):
     diff = pi - nu_hat
     bias_vec = d_c @ diff
@@ -232,19 +202,6 @@ def test_criterion_07_cardano_closed_form():
         full = shrink_portfolio(nu_hat, kappa, CovMatrix(c.entries * d_o)).rho
         assert np.abs(uniform - full).max() <= 1e-8
     report(7, "cubic residual <= 1e-10 over 16 decades; uniform == full shrink to 1e-8")
-
-
-def _quad_truncated_moments(r, c, lo, hi):
-    peak = min(max(r / c, lo), hi)
-
-    def density(x):
-        return math.exp(x * r - 0.5 * c * x * x - (peak * r - 0.5 * c * peak * peak))
-
-    z, _ = quad(density, lo, hi, epsabs=1e-14, epsrel=1e-12, limit=200)
-    m1, _ = quad(lambda x: x * density(x), lo, hi, epsabs=1e-14, epsrel=1e-12, limit=200)
-    m2, _ = quad(lambda x: x * x * density(x), lo, hi, epsabs=1e-14, epsrel=1e-12, limit=200)
-    mean = m1 / z
-    return mean, m2 / z - mean * mean
 
 
 def test_criterion_08_posterior_against_independent_oracles():

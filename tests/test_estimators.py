@@ -13,16 +13,8 @@ from fundgrowth.estimators import (
     mse,
 )
 from fundgrowth.psd import CovMatrix, sqrt_entries
-
-
-def random_cov(rng, dim):
-    a = rng.standard_normal((dim, dim))
-    return CovMatrix(a @ a.T / dim + 0.1 * np.eye(dim))
-
-
-def well_conditioned_frame(rng, dim, k):
-    q, _ = np.linalg.qr(rng.standard_normal((dim, k)))
-    return q * rng.uniform(0.5, 2.0, size=k)
+from fundgrowth.verify import _random_frame as well_conditioned_frame
+from fundgrowth.verify import _random_psd as random_cov
 
 
 class TestEstimateTheta:

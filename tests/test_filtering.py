@@ -18,28 +18,8 @@ from fundgrowth.filtering import (
 )
 from fundgrowth.marketsim import ndtr, simulate_path, uniform_clock
 from fundgrowth.psd import CovMatrix, inverse_entries, sqrt_entries
-
-
-def random_cov(rng, dim, definite=True):
-    a = rng.standard_normal((dim, dim))
-    m = a @ a.T / dim
-    if definite:
-        m = m + 0.1 * np.eye(dim)
-    return CovMatrix(m)
-
-
-def quad_truncated_moments(r, c, lo, hi):
-    """Quadrature oracle for the interval-truncated posterior moments."""
-    peak = np.clip(r / c, lo, hi)
-
-    def density(x):
-        return math.exp(x * r - 0.5 * c * x * x - (peak * r - 0.5 * c * peak * peak))
-
-    z, _ = quad(density, lo, hi, epsabs=1e-14, epsrel=1e-12, limit=200)
-    m1, _ = quad(lambda x: x * density(x), lo, hi, epsabs=1e-14, epsrel=1e-12, limit=200)
-    m2, _ = quad(lambda x: x * x * density(x), lo, hi, epsabs=1e-14, epsrel=1e-12, limit=200)
-    mean = m1 / z
-    return mean, m2 / z - mean * mean
+from fundgrowth.verify import _random_psd as random_cov
+from posterior_columns import quad_truncated_moments
 
 
 class TestGaussianPosterior:

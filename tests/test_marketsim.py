@@ -25,11 +25,7 @@ from fundgrowth.marketsim import (
     write_path_csv,
 )
 from fundgrowth.psd import CovMatrix
-
-
-def random_cov(rng, dim):
-    a = rng.standard_normal((dim, dim))
-    return CovMatrix(a @ a.T / dim + 0.1 * np.eye(dim))
+from fundgrowth.verify import _random_psd as random_cov
 
 
 def prior(mean, cov, truncation=None):

@@ -15,14 +15,7 @@ from fundgrowth.psd import (
     sqrt_entries,
     subspace_pinv,
 )
-
-
-def random_psd(rng, dim, definite=True):
-    a = rng.standard_normal((dim, dim))
-    m = a @ a.T / dim
-    if definite:
-        m = m + 0.1 * np.eye(dim)
-    return CovMatrix(m)
+from fundgrowth.verify import _random_psd as random_psd
 
 
 class TestCovMatrix:

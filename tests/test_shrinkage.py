@@ -14,36 +14,9 @@ from fundgrowth.shrinkage import (
     shrink_portfolio,
     solve_b,
 )
+from fundgrowth.verify import _bisect_fixed_point as bisect_b
+from fundgrowth.verify import _random_psd as random_cov
 from posterior_columns import psi_constant_cov
-
-
-def random_cov(rng, dim, definite=True):
-    a = rng.standard_normal((dim, dim))
-    m = a @ a.T / dim
-    if definite:
-        m = m + 0.1 * np.eye(dim)
-    return CovMatrix(m)
-
-
-def bisect_b(h_entries, z):
-    """Independent bisection oracle on f(b) - b with dense solves."""
-    eye = np.eye(z.size)
-    hz = h_entries @ z
-
-    def f(b):
-        y = np.linalg.solve(h_entries + b * eye, hz)
-        return 0.5 * float(y @ y)
-
-    lo, hi = 0.0, 0.5 * float(z @ z)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        if f(mid) > mid:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
 
 
 def wide_spectra(seed, count=2000):
