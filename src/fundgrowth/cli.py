@@ -7,11 +7,13 @@ Subcommands
 ``backtest``   run the daily pipeline on a returns CSV
 ``report``     render a backtest output CSV into four SVG panels + CSV
 
-All randomness flows from a single ``--seed`` (default ``DEFAULT_SEED``);
-per-task seeds are derived by documented offsets, so every subcommand is
-deterministic and idempotent on identical inputs.  Exit codes: 0 success,
-1 verify-check failure, 2 usage/config/IO errors.  Each subcommand imports the
-modules it runs when it runs, so that no stage loads another's.
+``simulate`` seeds from ``--seed``, else from the scenario's ``seed`` key (default
+0): the prior draw uses ``seed``, the path noise ``seed + 1`` and the residual drift
+check ``seed + 2``.  ``verify`` seeds from ``--seed`` (default ``DEFAULT_SEED``) and
+sweeps check ``i`` from ``seed + 1000 * i``.  ``backtest`` and ``report`` draw
+nothing, so every subcommand is deterministic on identical inputs.  Exit codes:
+0 success, 1 verify-check failure, 2 usage/config/IO errors.  Each subcommand
+imports the modules it runs when it runs, so that no stage loads another's.
 """
 
 from __future__ import annotations

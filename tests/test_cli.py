@@ -117,6 +117,14 @@ class TestSimulate:
         assert run(["simulate", "--config", str(config), "--out", str(tmp_path)]) == 0
         assert capsys.readouterr().out.splitlines()[1:] == summary
 
+    @pytest.mark.parametrize("flag, seed", [([], 0), (["--seed", "7"], 7)],
+                             ids=["scenario_default", "flag"])
+    def test_the_seed_is_the_flag_else_the_scenario_key(self, tmp_path, capsys, flag, seed):
+        config = tmp_path / "scenario.cfg"
+        config.write_text("dim = 1\ncov = 0.0324\nnu = 2\nsteps = 50\n")     # no seed key
+        assert run(["simulate", "--config", str(config), "--out", str(tmp_path)] + flag) == 0
+        assert capsys.readouterr().out.splitlines()[0].endswith(f" dim=1 seed={seed}")
+
     def test_bad_scenario_value_is_usage_error(self, tmp_path):
         config = tmp_path / "scenario.cfg"
         config.write_text(ONE_FUND_SCENARIO.replace("steps = 100", "steps = x"))
@@ -227,6 +235,12 @@ class TestVerify:
         out = capsys.readouterr().out
         assert "error_reduction" in out
         assert "cardano" not in out
+
+    def test_no_convergence_exits_with_code_2(self, monkeypatch, capsys):
+        monkeypatch.setattr("fundgrowth.shrinkage.MAX_ITERATIONS", 1)
+        assert run(["verify", "--checks", "shrink_fixed_point", "--instances", "3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: fixed point not reached after 1 iterations\n"
 
     def test_unknown_check_is_usage_error(self, capsys):
         assert run(["verify", "--checks", "bogus"]) == 2

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize
 
+from fundgrowth.errors import NoConvergence
 from fundgrowth.psd import CovMatrix
 from fundgrowth.shrinkage import (
     RESIDUAL_TOL,
@@ -76,6 +77,14 @@ class TestSolveB:
         scaled = solve_b(CovMatrix(lam * h.entries), math.sqrt(lam) * z)
         assert scaled.b == pytest.approx(lam * solve_b(h, z).b, rel=1e-12, abs=0.0)
         assert scaled.residual <= RESIDUAL_TOL * scaled.b
+
+    def test_no_convergence_within_the_iteration_cap(self, monkeypatch):
+        # one Newton step from the lower bound does not reach a non-uniform root
+        monkeypatch.setattr("fundgrowth.shrinkage.MAX_ITERATIONS", 1)
+        rng = np.random.default_rng(41)
+        h, z = random_cov(rng, 3), rng.standard_normal(3)
+        with pytest.raises(NoConvergence, match="fixed point not reached after 1 iterations"):
+            solve_b(h, z)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_z_is_refused(self, bad):
