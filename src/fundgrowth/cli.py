@@ -11,9 +11,10 @@ Subcommands
 0): the prior draw uses ``seed``, the path noise ``seed + 1`` and the residual drift
 check ``seed + 2``.  ``verify`` seeds from ``--seed`` (default ``DEFAULT_SEED``) and
 sweeps check ``i`` from ``seed + 1000 * i``.  ``backtest`` and ``report`` draw
-nothing, so every subcommand is deterministic on identical inputs.  Exit codes:
-0 success, 1 verify-check failure, 2 usage/config/IO errors.  Each subcommand
-imports the modules it runs when it runs, so that no stage loads another's.
+nothing, so every subcommand is deterministic on identical inputs.  Exit codes: 0
+success; 1 only a failed ``verify`` check; 2 any error that stops a subcommand:
+usage, config, input/IO, or a library error such as ``NoConvergence``.  Each
+subcommand imports the modules it runs when it runs, so no stage loads another's.
 """
 
 from __future__ import annotations
@@ -119,7 +120,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     from . import verify
-    names = None if not args.checks else [s.strip() for s in args.checks.split(",") if s.strip()]
+    names = (None if args.checks is None
+             else [s.strip() for s in args.checks.split(",") if s.strip()])
     if args.instances is not None and args.instances < 1:
         print(f"error: --instances must be at least 1, got {args.instances}", file=sys.stderr)
         return 2

@@ -149,9 +149,9 @@ def mc_distance_from_growth(
     from .marketsim import euler_step     # imported here: verify loads no marketsim
     f = _frame(f)
     theta = np.asarray(theta, dtype=float).reshape(-1)
-    c_ff = _cross_cov(f, c, f, d_o)
     xi = np.random.default_rng(seed).standard_normal((n_windows, c.dim))
-    d_r = euler_step(f @ theta, c, d_o, xi)
+    d_r = euler_step(f @ theta, c, d_o, xi)        # first: it refuses a bad window length
+    c_ff = _cross_cov(f, c, f, d_o)
     theta_hat = _checked_solve(c_ff, f.T @ d_r.T).T        # one row per window
     dev = (theta_hat - theta) @ f.T                        # nu_hat - nu
     vals = 0.5 * d_o * np.einsum("ij,ij->i", dev @ c.entries, dev)

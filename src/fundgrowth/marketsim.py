@@ -150,8 +150,12 @@ def draw_prior(scenario: SimScenario, seed: int) -> np.ndarray:
 
 
 def euler_step(nu: np.ndarray, c: CovMatrix, d_o, xi: np.ndarray) -> np.ndarray:
-    """Increments ``c nu dO + c^{1/2} sqrt(dO) xi`` of one Euler step ``d_o`` (a float)
-    or of one step a row (a vector); leading axes of ``xi`` broadcast."""
+    """Increments ``c nu dO + c^{1/2} sqrt(dO) xi`` of one Euler step ``d_o`` (a float) or
+    of one step a row (a vector), each positive and finite; leading axes of ``xi`` broadcast."""
+    d_o = np.asarray(d_o, dtype=float)
+    if not (d_o.min() > 0.0 and d_o.max() < math.inf):     # a NaN step fails the first
+        raise ValueError("each step must be positive and finite: a clock must be strictly "
+                         "increasing in finite steps")
     drift = np.multiply.outer(d_o, c.entries @ nu)
     return drift + np.sqrt(d_o)[..., None] * (xi @ sqrt_entries(c))
 
@@ -163,8 +167,6 @@ def simulate_path(nu: np.ndarray, c: CovMatrix, clock: np.ndarray, seed: int) ->
     if clock.ndim != 1 or clock.size < 2:
         raise EmptyGrid("clock needs at least one step")
     d_o = np.diff(clock)
-    if not (d_o.min() > 0.0 and d_o.max() < math.inf):     # a NaN step fails the first
-        raise ValueError("clock must be strictly increasing in finite steps")
     if nu.size != c.dim:
         raise ValueError(f"nu has size {nu.size}, covariance has dim {c.dim}")
     if not np.isfinite(nu).all():

@@ -234,12 +234,12 @@ def run_checks(
     instances: Optional[int] = None,
     sabotage: Optional[str] = None,
 ) -> list[CheckResult]:
-    """One ``CheckResult`` per check in ``names`` (default: all of ``CHECKS``), each
-    on ``instances`` instances (default: the check's own count)."""
-    selected = list(CHECKS) if not names else names
+    """One ``CheckResult`` per check in ``names`` (default: all of ``CHECKS``; an empty
+    list is a ``KeyError``), each on ``instances`` instances (default: the check's own count)."""
+    selected = list(CHECKS) if names is None else names
     unknown = [n for n in selected if n not in CHECKS]
-    if unknown:
-        raise KeyError(f"unknown check(s): {', '.join(unknown)}")
+    if unknown or not selected:
+        raise KeyError(f"unknown check(s): {', '.join(unknown)}" if unknown else "no check named")
     results = []
     for name in selected:
         check, default_instances, tolerance = CHECKS[name]

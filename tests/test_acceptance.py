@@ -13,11 +13,10 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize
 
-from fundgrowth import cli
+from fundgrowth import cli, verify
 from fundgrowth.backtest import BacktestConfig, ReturnSeries, run_backtest
-from fundgrowth.estimators import dis, frobenius_objective, mc_distance_from_growth
+from fundgrowth.estimators import dis, mc_distance_from_growth
 from fundgrowth.filtering import (
-    f_growth_increment,
     gaussian_posterior,
     growth_loss,
     restricted_growth_loss,
@@ -26,8 +25,7 @@ from fundgrowth.filtering import (
 from fundgrowth.marketsim import build_fund_model, residual_drift_check
 from fundgrowth.psd import CovMatrix, check_lemma_error_reduction, sqrt_entries
 from fundgrowth.shrinkage import cardano_a, shrink_portfolio
-from fundgrowth.verify import _bisect_fixed_point
-from fundgrowth.verify import _random_frame as well_conditioned_frame
+from fundgrowth.verify import _bisect_fixed_point, _random_universe
 from fundgrowth.verify import _random_psd as random_cov
 from posterior_columns import psi_constant_cov
 from posterior_columns import quad_truncated_moments as _quad_truncated_moments
@@ -39,6 +37,14 @@ US_LIKE_NU = 0.4 / 0.18                    # Sharpe ratio 0.4
 
 def report(number, message):
     print(f"ACCEPTANCE {number:02d} PASS — {message}")
+
+
+def worst(violations, instances):
+    """The largest of a ``verify`` check's violations, which number ``instances``: NaN,
+    which fails every bound, if one is NaN."""
+    found = np.fromiter(violations, dtype=float)
+    assert found.size == instances
+    return float(found.max())
 
 
 def test_criterion_01_distance_from_growth_is_half_the_fund_count():
@@ -79,23 +85,15 @@ def test_criterion_02_prior_history_loss_number():
     report(2, f"single-asset loss with ten units of history = {value:.12f}")
 
 
-def test_criterion_03_growth_loss_identity_monte_carlo():
+def test_criterion_03_growth_loss_identity_monte_carlo(monkeypatch):
     start = time.perf_counter()
-    rng = np.random.default_rng(301)
-    n_draws = 1_000_000
-    for _ in range(100):
-        dim = int(rng.integers(1, 5))
-        d_c = random_cov(rng, dim)
-        kappa = random_cov(rng, dim, definite=False)
-        nu_hat = rng.standard_normal(dim)
-        draws = nu_hat + rng.standard_normal((n_draws, dim)) @ sqrt_entries(kappa)
-        growth = 0.5 * np.einsum("ij,ij->i", draws @ d_c.entries, draws)
-        gap = growth - f_growth_increment(nu_hat, d_c)
-        stderr = float(gap.std(ddof=1)) / math.sqrt(n_draws)
-        assert abs(float(gap.mean()) - growth_loss(kappa, d_c)) <= 4.0 * stderr
+    monkeypatch.setattr(verify, "_GROWTH_DRAWS", 1_000_000)
+    ses = worst(verify.check_growth_loss_identity(np.random.default_rng(301), 100), 100)
+    assert ses <= verify.CHECKS["growth_loss_identity"][2]
     elapsed = time.perf_counter() - start
     assert elapsed < 120.0
-    report(3, f"100 instances, 1e6 draws each, all within 4 SE ({elapsed:.1f}s)")
+    report(3, f"100 instances, 1e6 draws each, all within 4 SE, worst {ses:.2f} "
+              f"({elapsed:.1f}s)")
 
 
 def test_criterion_04_restriction_inequality_and_monotonicity():
@@ -105,8 +103,7 @@ def test_criterion_04_restriction_inequality_and_monotonicity():
         dim = int(rng.integers(2, 7))
         d_c = random_cov(rng, dim)
         kappa = random_cov(rng, dim, definite=False)
-        rank = int(rng.integers(1, dim + 1))
-        f = np.eye(dim) if rank == dim else rng.standard_normal((dim, rank))
+        f = _random_universe(rng, dim)
         assert restricted_growth_loss(kappa, d_c, f) <= growth_loss(kappa, d_c) + 1e-9
 
         if dim >= 3:
@@ -124,20 +121,9 @@ def test_criterion_04_restriction_inequality_and_monotonicity():
 
 
 def test_criterion_05_estimation_objective_minimised_at_funds():
-    rng = np.random.default_rng(501)
-    for _ in range(1000):
-        dim = int(rng.integers(2, 7))
-        k = int(rng.integers(1, dim))
-        c = random_cov(rng, dim)
-        eta = rng.standard_normal((k, k))
-        eta /= np.linalg.norm(eta)
-        f = well_conditioned_frame(rng, dim, k)
-        x = rng.standard_normal((dim, k))
-        assert (
-            frobenius_objective(c, eta, f, x)
-            >= frobenius_objective(c, eta, f, f) - 1e-9
-        )
-    report(5, "1000 instances: objective(x) >= objective(f) - 1e-9")
+    gap = worst(verify.check_frobenius_min(np.random.default_rng(501), 1000), 1000)
+    assert gap <= verify.CHECKS["frobenius_min"][2]
+    report(5, f"1000 instances: objective(x) >= objective(f) - 1e-9, worst gap {gap:.1e}")
 
 
 def _tracking_objective_and_grad(pi, nu_hat, d_c, kdk):
@@ -183,10 +169,8 @@ def test_criterion_06_shrinkage_solver_against_oracles():
 
 def test_criterion_07_cardano_closed_form():
     assert cardano_a(0.0) == 0.0
-    for psi in np.logspace(-8.0, 8.0, 50):
-        a = cardano_a(float(psi))
-        residual = -4.0 * (2.0 * psi / 27.0) * (1.0 - a) ** 3 + 2.0 * a
-        assert abs(residual) <= 1e-10
+    ulps = worst(verify.check_cardano(None, 51), 51)     # psi = 0 and 50 from 1e-8 to 1e8
+    assert ulps <= verify.CHECKS["cardano"][2]
 
     rng = np.random.default_rng(701)
     for _ in range(10):
@@ -201,7 +185,8 @@ def test_criterion_07_cardano_closed_form():
         uniform = cardano_a(psi_constant_cov(r_cum, c_cum)) * nu_hat
         full = shrink_portfolio(nu_hat, kappa, CovMatrix(c.entries * d_o)).rho
         assert np.abs(uniform - full).max() <= 1e-8
-    report(7, "cubic residual <= 1e-10 over 16 decades; uniform == full shrink to 1e-8")
+    report(7, f"a within {ulps:.0f} ulp of the cubic's root and rising over 16 decades; "
+              "uniform == full shrink to 1e-8")
 
 
 def test_criterion_08_posterior_against_independent_oracles():

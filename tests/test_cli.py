@@ -245,6 +245,11 @@ class TestVerify:
     def test_unknown_check_is_usage_error(self, capsys):
         assert run(["verify", "--checks", "bogus"]) == 2
 
+    @pytest.mark.parametrize("checks", [",", " ", ""])
+    def test_checks_that_name_no_check_are_a_usage_error(self, capsys, checks):
+        assert run(["verify", "--checks", checks]) == 2
+        assert capsys.readouterr() == ("", "error: no check named\n")
+
     @pytest.mark.parametrize("instances", ["0", "-3"])
     def test_instances_below_one_is_usage_error(self, capsys, instances):
         assert run(["verify", "--checks", "cardano", "--instances", instances]) == 2

@@ -8,7 +8,6 @@ from fundgrowth.estimators import (
     LocalWindow,
     dis,
     estimate_theta,
-    frobenius_objective,
     mc_distance_from_growth,
     mse,
 )
@@ -158,23 +157,6 @@ class TestDis:
         for x in (f, f @ np.array([[2.0, 1.0], [0.5, 1.5]])):
             with pytest.raises(ValueError, match="not positive semidefinite"):
                 dis(x, f, c, -1.0)
-
-
-class TestFrobeniusObjective:
-    def test_minimised_at_funds(self):
-        rng = np.random.default_rng(8)
-        for _ in range(300):
-            dim = int(rng.integers(2, 7))
-            k = int(rng.integers(1, dim))
-            c = random_cov(rng, dim)
-            eta = rng.standard_normal((k, k))
-            eta /= np.linalg.norm(eta)
-            f = well_conditioned_frame(rng, dim, k)
-            x = rng.standard_normal((dim, k))
-            assert (
-                frobenius_objective(c, eta, f, x)
-                >= frobenius_objective(c, eta, f, f) - 1e-9
-            )
 
 
 class TestMcDistance:

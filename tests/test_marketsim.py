@@ -10,6 +10,7 @@ from scipy import special
 
 from fundgrowth import tableio
 from fundgrowth.errors import BadTruncation, ConfigError, EmptyGrid, RankDeficient
+from fundgrowth.estimators import mc_distance_from_growth
 from fundgrowth.marketsim import (
     DEFAULT_STEP,
     SimScenario,
@@ -148,6 +149,17 @@ class TestSimulatePath:
             np.testing.assert_array_equal(one, euler_step(nu, c, d_o, xi_one))
         np.testing.assert_array_equal(euler_step(nu, c, d_o[3], xi[:, 3]),
                                       stacked[:, 3])
+
+    @pytest.mark.parametrize("d_o", [-1.0, 0.0, np.nan, np.inf])
+    @pytest.mark.parametrize("window", [
+        lambda c, f, d_o: residual_drift_check(build_fund_model(c, f), f[:, 0], 10, 1, d_o=d_o),
+        lambda c, f, d_o: mc_distance_from_growth(f, c, np.ones(2), d_o, 10, 1),
+    ], ids=["residual_drift_check", "mc_distance_from_growth"])
+    def test_a_window_not_positive_and_finite_is_refused(self, window, d_o):
+        # both refuse it through euler_step, which they run before anything else reads d_o
+        c, f = CovMatrix(np.diag([1.0, 2.0, 3.0])), np.eye(3)[:, :2]
+        with pytest.raises(ValueError, match="each step must be positive and finite"):
+            window(c, f, d_o)
 
     def test_empty_grid_rejected(self):
         c = CovMatrix([[1.0]])

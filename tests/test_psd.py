@@ -252,12 +252,3 @@ class TestErrorReduction:
         f = np.random.default_rng(2).standard_normal((4, 2))
         smallest = check_lemma_error_reduction(CovMatrix(np.eye(4)), f)
         assert abs(smallest) <= 1e-10   # difference is the projector complement
-
-    def test_randomized_sweep(self):
-        rng = np.random.default_rng(29)
-        for _ in range(1000):
-            dim = int(rng.integers(2, 7))
-            c = random_psd(rng, dim)
-            rank = int(rng.integers(1, dim + 1))
-            f = np.eye(dim) if rank == dim else rng.standard_normal((dim, rank))
-            assert check_lemma_error_reduction(c, f) >= -1e-9 * c.trace

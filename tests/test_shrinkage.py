@@ -308,15 +308,6 @@ class TestCardano:
         # the closed form stays finite; the value saturates to 1.0 in floats
         assert 0.0 < cardano_a(1e305) <= 1.0
 
-    def test_cubic_residual_and_monotonicity(self):
-        prev = -1.0
-        for psi in np.logspace(-8.0, 8.0, 50):
-            a = cardano_a(float(psi))
-            residual = -4.0 * (2.0 * psi / 27.0) * (1.0 - a) ** 3 + 2.0 * a
-            assert abs(residual) <= 1e-10
-            assert a > prev
-            prev = a
-
     def test_array_argument_is_elementwise(self):
         psi = np.array([0.0, 1e-12, 1e-9, 13.5, 1e8, 1e305, np.inf])
         a = cardano_a(psi)
@@ -374,22 +365,6 @@ class TestUniformParameters:
     def test_psi_constant_cov_zero_returns(self):
         assert psi_constant_cov(np.zeros(3), CovMatrix(np.eye(3))) == 0.0
         assert cardano_a(0.0) == 0.0
-
-    def test_uniform_matches_full_shrink(self):
-        # constant covariance rate + Bayesian posterior: the full minimiser
-        # is the closed-form uniform multiple of the filtered portfolio
-        rng = np.random.default_rng(37)
-        for _ in range(20):
-            dim = int(rng.integers(1, 5))
-            c = random_cov(rng, dim)
-            o_now, d_o = float(rng.uniform(2.0, 20.0)), float(rng.uniform(0.001, 0.1))
-            r_cum = rng.standard_normal(dim)
-            c_cum = CovMatrix(c.entries * o_now)
-            kappa = CovMatrix(np.linalg.inv(c_cum.entries))
-            nu_hat = kappa.entries @ r_cum
-            a = cardano_a(psi_constant_cov(r_cum, c_cum))
-            result = shrink_portfolio(nu_hat, kappa, CovMatrix(c.entries * d_o))
-            np.testing.assert_allclose(a * nu_hat, result.rho, atol=1e-8)
 
     def test_spherical_curvature_relations(self):
         # h = s id: b/s = a/(1-a) and a solves (||z||^2/s)(1-a)^3 = 2a

@@ -1,11 +1,16 @@
 """The ``verify`` table: each check's name, place, size, tolerance and pass
-status on the default run, and what ``sabotage`` does to it.
+status on the default run, what ``sabotage`` does to it, and README's table of laws.
 
 The violations themselves are not pinned: their last bits depend on LAPACK.
 """
 
+import functools
+import importlib
 import math
+import re
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from fundgrowth import cli, estimators, shrinkage, verify
@@ -97,3 +102,29 @@ def test_cardano_fails_an_a_far_off_its_root_whose_cubic_residual_is_small(monke
                         lambda psi: cardano_a(psi) * (1.0 + 1.3e-7 * (psi < 1e-4)))
     (result,) = verify.run_checks(["cardano"])
     assert not result.passed and result.max_violation > 1e8
+
+
+def test_growth_loss_identity_reads_its_draw_count_when_it_runs(monkeypatch):
+    # criterion 3 patches the count to 1e6: each count takes its own number of normals
+    # from the generator, which shows in the generator's next draw
+    def next_draw(draws):
+        monkeypatch.setattr(verify, "_GROWTH_DRAWS", draws)
+        rng = np.random.default_rng(3)
+        next(verify.check_growth_loss_identity(rng, 1))
+        return rng.standard_normal()
+
+    assert next_draw(10) != next_draw(11)
+
+
+def test_readme_maps_each_check_to_a_tier1_test():
+    # README's table of paper laws: a row a law, then its check and tier-1 tests
+    text = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    table = text.split("\n## Paper laws", 1)[1].split("\n#", 1)[0]
+    rows = [line.split("|")[1:-1] for line in table.splitlines() if line.startswith("| ")][1:]
+    checks = [re.fullmatch(r"\s*`(\w+)`\s*", check)[1] for _, check, _ in rows]
+    assert sorted(checks) == sorted(verify.CHECKS)
+    for _, _, tests in rows:
+        named = re.findall(r"`tests/(\w+)\.py::((?:\w+::)?test_\w+)`", tests)
+        assert named, tests
+        for module, node in named:      # a missing class or function raises AttributeError
+            functools.reduce(getattr, node.split("::"), importlib.import_module(module))
