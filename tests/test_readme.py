@@ -1,8 +1,10 @@
 """README against the code: it names every config key, subcommand, output file
-and exit code that the code has."""
+and exit code that the code has, and its end-to-end example runs on its two
+config blocks."""
 
 import argparse
 import re
+import shlex
 from pathlib import Path
 
 import pytest
@@ -46,3 +48,22 @@ def test_every_config_key_is_named(key):
 @pytest.mark.parametrize("name", [*subcommands(), *OUTPUTS, "0", "1", "2"])
 def test_every_subcommand_output_file_and_exit_code_is_named(name):
     assert name in inline_code()
+
+
+def test_the_end_to_end_example_runs_on_the_config_blocks(tmp_path, monkeypatch, capsys):
+    scenario_text, config_text = fenced_blocks("ini")
+    scenario = marketsim.parse_scenario(scenario_text)
+    config = backtest.parse_backtest_config(config_text)
+    example = README.split("\n## End-to-end example\n", 1)[1]
+    block = re.search(r"^```sh\n(.*?)^```$", example, re.MULTILINE | re.DOTALL)[1]
+    commands = [shlex.split(line)[1:] for line in block.splitlines()]
+    assert [argv[0] for argv in commands] == ["simulate", "backtest", "report"]
+    monkeypatch.chdir(tmp_path)
+    for argv, text in zip(commands, [scenario_text, config_text, None]):
+        if text is not None:
+            Path(argv[argv.index("--config") + 1]).write_text(text, encoding="utf-8")
+        assert cli.main(argv) == 0, capsys.readouterr().err
+    out = Path(commands[-1][commands[-1].index("--out") + 1])
+    lines = (out / "backtest.csv").read_text(encoding="utf-8").splitlines()
+    assert len(lines) - 1 == scenario.steps - config.burn_in_days
+    assert sorted(path.name for path in out.iterdir()) == sorted(OUTPUTS)
