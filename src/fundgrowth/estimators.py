@@ -42,8 +42,7 @@ class LocalWindow:
             raise ValueError("window needs at least one increment")
         if incr.shape[1] != self.cov_rate.dim or comb.shape[0] != self.cov_rate.dim:
             raise ValueError("increments, combination and cov_rate dims disagree")
-        if self.d_o <= 0.0:
-            raise ValueError("window length d_o must be positive")
+        _window_length(self.d_o)
         w = self.cov_rate.eigenvalues
         if not is_definite(w[-1], w[0]):
             raise ValueError("cov_rate must have full rank")
@@ -55,8 +54,15 @@ def _frame(m) -> np.ndarray:
     return m[:, None] if m.ndim == 1 else m
 
 
+def _window_length(d_o: float) -> float:
+    """The one window-length rule, ``0 < d_o < inf``: else ``ValueError`` naming ``d_o``."""
+    if not 0.0 < d_o < math.inf:
+        raise ValueError(f"window length d_o must be positive and finite, got {d_o}")
+    return d_o
+
+
 def _cross_cov(x: np.ndarray, c: CovMatrix, y: np.ndarray, d_o: float) -> np.ndarray:
-    return x.T @ c.entries @ y * d_o
+    return x.T @ c.entries @ y * _window_length(d_o)
 
 
 def _check_rank(m: np.ndarray) -> None:

@@ -8,6 +8,7 @@ from fundgrowth.estimators import (
     LocalWindow,
     dis,
     estimate_theta,
+    frobenius_objective,
     mc_distance_from_growth,
     mse,
 )
@@ -150,13 +151,24 @@ class TestDis:
         with pytest.raises(SingularCrossCovariance):
             dis(f, f, CovMatrix(np.eye(2)), 1.0)
 
-    def test_a_negative_window_is_refused_at_the_funds(self):
-        rng = np.random.default_rng(12)
-        c = random_cov(rng, 3)
-        f = well_conditioned_frame(rng, 3, 2)
-        for x in (f, f @ np.array([[2.0, 1.0], [0.5, 1.5]])):
-            with pytest.raises(ValueError, match="not positive semidefinite"):
-                dis(x, f, c, -1.0)
+
+# Each takes a diagonal 3 x 3 covariance rate, a two-fund frame and a window length.
+MIX = np.array([[2.0, 1.0], [0.5, 1.5]])
+WINDOW_USERS = {
+    "LocalWindow": lambda c, f, d_o: LocalWindow(np.zeros((1, 3)), c, d_o, f),
+    "dis_at_the_funds": lambda c, f, d_o: dis(f, f, c, d_o),
+    "dis": lambda c, f, d_o: dis(f @ MIX, f, c, d_o),
+    "mse": lambda c, f, d_o: mse(f @ MIX, f, c, d_o),
+    "frobenius_objective": lambda c, f, d_o: frobenius_objective(c, np.eye(2), f, f, d_o),
+}
+
+
+@pytest.mark.parametrize("d_o", [-1.0, 0.0, math.nan, math.inf])
+@pytest.mark.parametrize("use", WINDOW_USERS.values(), ids=WINDOW_USERS)
+def test_a_window_length_that_is_not_positive_and_finite_is_refused(use, d_o):
+    c = CovMatrix(np.diag([1.0, 2.0, 3.0]))
+    with pytest.raises(ValueError, match="window length d_o must be positive and finite"):
+        use(c, np.eye(3)[:, :2], d_o)
 
 
 class TestMcDistance:
