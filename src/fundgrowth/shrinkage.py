@@ -47,7 +47,8 @@ class ShrinkResult:
 
     ``b`` is the expected growth given up relative to the filtered portfolio, ``e_sq`` the
     minimised squared tracking error, ``psi`` the uniform-case parameter, and ``a`` the uniform
-    multiplier (set when the problem is uniform: one fund, or curvature proportional to identity).
+    multiplier (set when the problem is uniform: one fund, or a curvature ``h`` whose eigenvalues
+    agree to 1e-12 of the largest, at any scale).
     """
 
     rho: np.ndarray

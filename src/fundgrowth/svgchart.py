@@ -57,7 +57,8 @@ def line_chart(out: IO[str], title: str, x_labels: Sequence,
     """Write labelled series over a shared index axis to ``out``, every point
     drawn; NaNs break the line.  ``EmptyRange`` means that no value is finite or
     that the values span no range the chart can scale; it is raised before
-    anything is written."""
+    anything is written.  Coordinates are formatted by ``_words`` with no Python
+    work a point: the x coordinates once a chart, the y ones once a finite run."""
     values = [np.asarray(v, dtype=float) for _, v in series]
     n = max((v.size for v in values), default=0)
     y_lo = min((float(np.min(v, where=np.isfinite(v), initial=math.inf)) for v in values),
